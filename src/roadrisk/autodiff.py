@@ -290,8 +290,9 @@ def matmul_sorted(a, b) -> Tensor:
 
     Use where the contracted axis is the graph-node axis: the result is then
     invariant (bitwise) to how the nodes are numbered. Costs an extra
-    O(n log n) sort and materializes the product terms, so keep it off hot
-    paths that contract feature or time axes.
+    O(n log n) sort and materializes every product term, one per node pair.
+    The model's message passing uses `edge_matmul_sorted` instead; this dense
+    form is the reference that op is tested against.
     """
     a, b = as_tensor(a), as_tensor(b)
     _matmul_check(a, b)
@@ -308,6 +309,77 @@ def matmul_sorted(a, b) -> Tensor:
             a.accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
             b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+    return _finish(out, backward)
+
+
+def neighbor_table(adjacency: np.ndarray) -> np.ndarray:
+    """Column indices of each row's nonzeros, padded with -1 to the widest row.
+
+    Returns an (n, max_degree) integer table; within a row, neighbors appear
+    in ascending column order.
+    """
+    rows, cols = np.nonzero(adjacency)
+    n = adjacency.shape[0]
+    counts = np.bincount(rows, minlength=n)
+    table = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    table[rows, np.arange(rows.size) - starts[rows]] = cols
+    return table
+
+
+def edge_matmul_sorted(s, adjacency: np.ndarray, neighbors: np.ndarray, h) -> Tensor:
+    """`matmul_sorted(s * adjacency, h)` summed over graph edges only.
+
+    s: (..., n, n) attention weights, or None for the plain adjacency;
+    adjacency: constant (n, n) array; neighbors: its `neighbor_table`;
+    h: (..., n, d). Each output row gathers its neighbors' terms, pads the
+    neighbor axis with exact +0.0, and sums in sorted value order. The terms
+    the dense product would add for non-edges are all zeros, and in a sorted
+    sum zeros sit between the negatives and the positives, so dropping them
+    leaves the result bitwise equal to `matmul_sorted`. One exception, the
+    sign of a zero: where every dense term is -0.0 (an all-zero gate row over
+    negative features), a sum that starts from its first term gives -0.0,
+    while here a +0.0 pad can make it +0.0. numpy 2.4 starts sums from +0.0,
+    so there both give +0.0.
+
+    The backward uses dense products, forming `s * adjacency` only then.
+    """
+    h = as_tensor(h)
+    s = None if s is None else as_tensor(s)
+    n = adjacency.shape[0]
+    if h.ndim < 2 or h.data.shape[-2] != n or neighbors.shape[0] != n:
+        raise ShapeMismatchError(
+            f"edge_matmul_sorted: adjacency {adjacency.shape}, neighbors "
+            f"{neighbors.shape} and features {h.data.shape} disagree"
+        )
+    if s is not None and s.data.shape != h.data.shape[:-1] + (n,):
+        raise ShapeMismatchError(
+            f"edge_matmul_sorted: weights {s.data.shape} do not match features {h.data.shape}"
+        )
+    pad = neighbors < 0
+    cols = np.where(pad, 0, neighbors)
+    rows = np.arange(n)[:, None]
+    gate = adjacency[rows, cols]
+    if s is not None:
+        gate = s.data[..., rows, cols] * gate
+    terms = h.data[..., cols, :]
+    terms *= gate[..., None]
+    np.copyto(terms, 0.0, where=pad[..., None])
+    out = Tensor(
+        _sorted_sum(terms, axis=-2),
+        h.requires_grad or (s is not None and s.requires_grad),
+    )
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if s is not None and s.requires_grad:
+            s.accumulate((g @ np.swapaxes(h.data, -1, -2)) * adjacency)
+        if h.requires_grad:
+            dense = adjacency if s is None else s.data * adjacency
+            h.accumulate(np.swapaxes(dense, -1, -2) @ g)
 
     return _finish(out, backward)
 

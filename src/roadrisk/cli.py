@@ -30,7 +30,7 @@ from .features import (
     save_tensor,
 )
 from .graph import build_graph, load_graph, save_graph
-from .model import RiskForecaster, load_checkpoint, save_checkpoint
+from .model import RiskForecaster, init_params, load_checkpoint, save_checkpoint
 from .training import (
     TARGET_CHANNEL,
     TrainingData,
@@ -104,6 +104,15 @@ def _load_model(config: RunConfig, graph) -> RiskForecaster:
         _require(out / "params.json", "checkpoint manifest (run `train` first)"),
         _require(out / "params.bin", "checkpoint weights (run `train` first)"),
     )
+    expected = {name: t.shape for name, t in init_params(config.model).items()}
+    found = {name: t.shape for name, t in params.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        if expected.get(name) != found.get(name):
+            raise DataError(
+                f"checkpoint parameter {name!r} has shape {found.get(name, 'missing')} "
+                f"but the model config needs {expected.get(name, 'none')}; "
+                "run `train` again"
+            )
     return RiskForecaster(config.model, graph.adjacency_norm, params=params)
 
 

@@ -75,9 +75,6 @@ class SpatialGraph:
         directed = self.adjacency.nnz
         return {"directed": directed, "undirected": directed // 2}
 
-    def dense_norm(self) -> np.ndarray:
-        return self.adjacency_norm.toarray()
-
 
 def _local_xy_m(lons, lats, lon0: float, lat0: float) -> tuple[np.ndarray, np.ndarray]:
     # equirectangular projection about (lon0, lat0); adequate at city scale

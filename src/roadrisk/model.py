@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, DataError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,24 @@ def save_checkpoint(
 
 
 def load_checkpoint(manifest_path, bin_path) -> dict[str, Tensor]:
+    """Read a `save_checkpoint` pair; DataError if the blob length disagrees
+    with the extent the manifest describes."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    flat = np.frombuffer(Path(bin_path).read_bytes(), dtype=manifest["dtype"])
+    dtype = np.dtype(manifest["dtype"])
+    blob = Path(bin_path).read_bytes()
+    entries = [
+        (entry, int(np.prod(entry["shape"]))) for entry in manifest["parameters"]
+    ]
+    expected = max((entry["offset"] + size for entry, size in entries), default=0)
+    if len(blob) != expected * dtype.itemsize:
+        raise DataError(
+            f"checkpoint {bin_path} holds {len(blob)} bytes but its manifest "
+            f"describes {expected * dtype.itemsize}; run `train` again"
+        )
+    flat = np.frombuffer(blob, dtype=dtype)
     params = {}
-    for entry in manifest["parameters"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for entry, size in entries:
         chunk = flat[entry["offset"] : entry["offset"] + size]
         params[entry["name"]] = Tensor(
             chunk.reshape(entry["shape"]).astype(np.float64), requires_grad=True
@@ -181,7 +193,9 @@ class RiskForecaster:
     """Forward pass over a fixed graph; parameters live in a flat dict.
 
     `attention_log` is refilled on every forward with the softmax outputs of
-    each attention site, for row-stochasticity checks and inspection.
+    each attention site, for row-stochasticity checks and inspection. The
+    entries are the output arrays themselves, not copies: no op writes its
+    output in place, only parameters are updated in place.
     """
 
     def __init__(
@@ -200,6 +214,7 @@ class RiskForecaster:
         )
         if self.a_norm.ndim != 2 or self.a_norm.shape[0] != self.a_norm.shape[1]:
             raise ShapeMismatchError("adjacency must be square")
+        self._neighbors = ad.neighbor_table(self.a_norm)
         self.params = params if params is not None else init_params(config, seed)
         self.attention_log: list[dict] = []
         self._pe_enc = sinusoidal_encoding(config.t_in, config.d)
@@ -211,7 +226,7 @@ class RiskForecaster:
 
     def _log_attention(self, site: str, attn: Tensor, mask: np.ndarray | None):
         self.attention_log.append(
-            {"site": site, "weights": attn.data.copy(), "mask": mask}
+            {"site": site, "weights": attn.data, "mask": mask}
         )
 
     def _heads_split(self, x: Tensor, n: int, t: int) -> Tensor:
@@ -254,15 +269,16 @@ class RiskForecaster:
         """Per-week graph convolution with channel-pattern attention.
 
         Attention is multiplied elementwise into the normalized adjacency, so
-        messages flow only along existing edges; a node with no neighbors
-        receives a zero message and keeps its value via the outer residual.
+        messages flow only along existing edges and are gathered from each
+        node's neighbors; a node with no neighbors receives a zero message
+        and keeps its value via the outer residual.
         """
         p = self.params
-        n, t, d = h.shape
+        d = h.shape[2]
         ht = ad.transpose(h, (1, 0, 2))  # (weeks, nodes, d)
-        adjacency = self.a_norm[None, :, :]
         parts = []
         for f in range(N_PATTERNS):
+            s = None
             if self.config.spatial_attention:
                 q = ad.matmul(ht, p[f"{prefix}.p{f}.wq"])
                 k = ad.matmul(ht, p[f"{prefix}.p{f}.wk"])
@@ -270,10 +286,7 @@ class RiskForecaster:
                     ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
                 )
                 self._log_attention(f"{prefix}.p{f}", s, None)
-                gate = ad.mul(s, adjacency)
-            else:
-                gate = Tensor(np.broadcast_to(adjacency, (t, n, n)).copy())
-            message = ad.matmul_sorted(gate, ht)
+            message = ad.edge_matmul_sorted(s, self.a_norm, self._neighbors, ht)
             parts.append(ad.relu(ad.matmul(message, p[f"{prefix}.p{f}.theta"])))
         combined = ad.add(ad.add(parts[0], parts[1]), parts[2])
         return ad.transpose(ad.scale(combined, 1.0 / N_PATTERNS), (1, 0, 2))

@@ -71,6 +71,8 @@ def test_gradient_integrity_every_op():
     gain, bias = p(4), p(4)
     conv_x, conv_w, conv_b = p((2, 5, 3)), p((3, 3, 2)), p(2)
     mask = np.triu(np.full((3, 3), ad.MASK_VALUE), k=1)
+    path = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.7], [0.0, 0.7, 0.0]])
+    path_nbrs = ad.neighbor_table(path)
 
     def drop_fn():
         return ad.sum_(ad.dropout(a, 0.3, np.random.default_rng(7), training=True))
@@ -83,6 +85,12 @@ def test_gradient_integrity_every_op():
         "scale": lambda: ad.sum_(ad.scale(a, 2.5)),
         "matmul": lambda: ad.sum_(ad.matmul(m1, m2)),
         "matmul_sorted": lambda: ad.sum_(ad.matmul_sorted(sq, m1)),
+        "edge_matmul_sorted": lambda: ad.sum_(
+            ad.abs_(ad.edge_matmul_sorted(sq, path, path_nbrs, m1))
+        ),
+        "edge_matmul_sorted_plain": lambda: ad.sum_(
+            ad.abs_(ad.edge_matmul_sorted(None, path, path_nbrs, m1))
+        ),
         "transpose": lambda: ad.sum_(ad.mul(ad.transpose(a, (1, 0)), 1.5)),
         "reshape": lambda: ad.sum_(ad.mul(ad.reshape(a, (4, 3)), 1.5)),
         "concat": lambda: ad.sum_(ad.abs_(ad.concat([a, b], axis=1))),

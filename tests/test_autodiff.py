@@ -85,6 +85,121 @@ def test_matmul_sorted_gradient():
     assert err < 1e-7
 
 
+def knn_norm(n, seed, k=4):
+    """Symmetric normalized kNN adjacency over random points in the unit square."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (n, 2))
+    dist = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    raw = np.zeros((n, n))
+    rows = np.arange(n)[:, None]
+    near = np.argsort(dist, axis=1)[:, 1 : k + 1]
+    raw[rows, near] = np.exp(-10.0 * dist[rows, near])
+    raw = np.maximum(raw, raw.T)
+    deg = raw.sum(axis=1)
+    return raw / np.sqrt(np.outer(deg, deg))
+
+
+def graph_inputs(n, seed, weeks=3, d=4):
+    rng = np.random.default_rng(seed)
+    adjacency = knn_norm(n, seed)
+    s = ad.softmax_rows(Tensor(rng.standard_normal((weeks, n, n)))).data
+    h = rng.standard_normal((weeks, n, d))
+    return adjacency, s, h
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_edge_matmul_sorted_matches_dense_bitwise(n):
+    adjacency, s, h = graph_inputs(n, seed=n)
+    neighbors = ad.neighbor_table(adjacency)
+    assert neighbors.shape[1] < n  # the gather really skips non-edges
+    got = ad.edge_matmul_sorted(Tensor(s), adjacency, neighbors, Tensor(h)).data
+    want = ad.matmul_sorted(Tensor(s * adjacency), Tensor(h)).data
+    assert got.tobytes() == want.tobytes()
+    plain = ad.edge_matmul_sorted(None, adjacency, neighbors, Tensor(h)).data
+    dense = np.broadcast_to(adjacency, s.shape).copy()
+    assert plain.tobytes() == ad.matmul_sorted(Tensor(dense), Tensor(h)).data.tobytes()
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_edge_matmul_sorted_gradients_match_dense_chain_bitwise(attention):
+    adjacency, s_data, h_data = graph_inputs(30, seed=7)
+    upstream = np.random.default_rng(8).standard_normal(h_data.shape)
+
+    def grads(edge):
+        s, h = param(s_data), param(h_data)
+        with Tape() as tape:
+            if edge:
+                out = ad.edge_matmul_sorted(
+                    s if attention else None, adjacency, ad.neighbor_table(adjacency), h
+                )
+            else:
+                gate = (
+                    ad.mul(s, adjacency[None])
+                    if attention
+                    else Tensor(np.broadcast_to(adjacency, s_data.shape).copy())
+                )
+                out = ad.matmul_sorted(gate, h)
+            tape.backward(ad.sum_(ad.mul(out, upstream)))
+        return s.grad, h.grad
+
+    (s_edge, h_edge), (s_dense, h_dense) = grads(True), grads(False)
+    assert h_edge.tobytes() == h_dense.tobytes()
+    if attention:
+        assert s_edge.tobytes() == s_dense.tobytes()
+    else:
+        assert s_edge is None and s_dense is None
+
+
+def test_edge_matmul_sorted_is_permutation_invariant_bitwise():
+    n = 40
+    adjacency, s, h = graph_inputs(n, seed=9)
+    base = ad.edge_matmul_sorted(
+        Tensor(s), adjacency, ad.neighbor_table(adjacency), Tensor(h)
+    ).data
+    for seed in range(10):
+        p = np.random.default_rng(seed).permutation(n)
+        ap = adjacency[np.ix_(p, p)]
+        got = ad.edge_matmul_sorted(
+            Tensor(s[:, p][:, :, p]), ap, ad.neighbor_table(ap), Tensor(h[:, p])
+        ).data
+        assert got.tobytes() == base[:, p].tobytes()
+
+
+def test_edge_matmul_sorted_isolated_node_and_zero_row():
+    # node 0 has no edges and the gate of node 1 is all zero; the features
+    # are all negative, so every dense term of those rows is -0.0, and the
+    # two sums may disagree in the sign of the zero (the documented exception)
+    n = 12
+    adjacency = knn_norm(n, seed=10)
+    adjacency[0, :] = adjacency[:, 0] = 0.0
+    s = ad.softmax_rows(Tensor(np.random.default_rng(11).standard_normal((2, n, n)))).data
+    s[:, 1, :] = 0.0
+    h = -np.random.default_rng(12).uniform(0.5, 1.0, (2, n, 3))
+    neighbors = ad.neighbor_table(adjacency)
+    assert (neighbors[0] == -1).all()
+    got = ad.edge_matmul_sorted(Tensor(s), adjacency, neighbors, Tensor(h)).data
+    want = ad.matmul_sorted(Tensor(s * adjacency), Tensor(h)).data
+    assert np.array_equal(got, want)
+    assert (got[:, :2] == 0.0).all()
+    assert got[:, 2:].tobytes() == want[:, 2:].tobytes()
+    empty = np.zeros((n, n))
+    lone = ad.edge_matmul_sorted(None, empty, ad.neighbor_table(empty), Tensor(h)).data
+    assert lone.shape == h.shape and (lone == 0.0).all()
+
+
+def test_edge_matmul_sorted_shape_mismatch():
+    adjacency = knn_norm(5, seed=13)
+    with pytest.raises(ShapeMismatchError):
+        ad.edge_matmul_sorted(
+            None, adjacency, ad.neighbor_table(adjacency), Tensor(np.ones((2, 4, 3)))
+        )
+    with pytest.raises(ShapeMismatchError):
+        ad.edge_matmul_sorted(
+            Tensor(np.ones((2, 5, 4))), adjacency, ad.neighbor_table(adjacency),
+            Tensor(np.ones((2, 5, 3))),
+        )
+
+
 def test_add_mul_broadcast_gradients():
     rng = np.random.default_rng(6)
     a = param(rng.standard_normal((4, 3)))

@@ -1,9 +1,11 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from roadrisk import cli
+from roadrisk import model as md
 from roadrisk.riskmap import load_zone_geojson, validate_geojson
 
 
@@ -114,6 +116,32 @@ def test_missing_artifact_exit_code(tmp_path, fixture_csv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert cli.main(["train", "--config", str(path)]) == cli.EXIT_DATA
+
+
+def copy_run(pipeline, tmp_path):
+    """A private copy of the pipeline's outputs, with its own run config."""
+    config_path, out = pipeline
+    config = json.loads(config_path.read_text())
+    config["out_dir"] = str(tmp_path / "out")
+    shutil.copytree(out, config["out_dir"])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return path, Path(config["out_dir"])
+
+
+def test_truncated_checkpoint_exit_code(pipeline, tmp_path):
+    config_path, out = copy_run(pipeline, tmp_path)
+    blob = out / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-12])
+    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
+
+
+def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path):
+    config_path, out = copy_run(pipeline, tmp_path)
+    model_config = json.loads(config_path.read_text())["model"]
+    wide = md.ModelConfig.from_dict({**model_config, "d": 16})
+    md.save_checkpoint(md.init_params(wide), out / "params.json", out / "params.bin")
+    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roadrisk import autodiff as ad
 from roadrisk import metrics as mt
 from roadrisk import training as tr
 from roadrisk.errors import (
@@ -308,3 +309,22 @@ def test_historical_mean_matches_brute_force():
     for node in range(3):
         manual = np.mean([values[w, node, 0] for w in range(lo, hi)])
         assert hist[node, 0] == pytest.approx(manual, abs=1e-12)
+
+
+def test_attention_log_unchanged_by_backward_and_adam_step():
+    # the log holds the softmax outputs themselves, not copies, so nothing
+    # after the forward may write into them
+    cfg = ModelConfig(d=4, heads=2, layers=1, t_in=3, t_out=2, conv_kernel=3, dropout=0.0)
+    model = RiskForecaster(cfg, ring_norm(4), seed=3)
+    x = np.random.default_rng(3).uniform(0, 1, (4, 3, 3))
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    optimizer = tr.Adam(model.params, tr.TrainConfig(lr_main=0.1))
+    with ad.Tape() as tape:
+        loss = ad.mean_(ad.abs_(model.forward(x)))
+        logged = [entry["weights"].copy() for entry in model.attention_log]
+        tape.backward(loss)
+    optimizer.step(0.1)
+    assert any((t.data != before[name]).any() for name, t in model.params.items())
+    assert len(model.attention_log) == len(logged) > 0
+    for entry, copy in zip(model.attention_log, logged):
+        assert entry["weights"].tobytes() == copy.tobytes(), entry["site"]
