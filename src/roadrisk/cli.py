@@ -89,6 +89,7 @@ def _load_training_data(config: RunConfig) -> tuple[TrainingData, RiskTensor, Mi
     inputs = load_tensor(
         _require(out / "processed.bin", "processed tensor (run `diffuse` first)"),
         _require(out / "processed.json", "processed tensor sidecar"),
+        stage="diffuse",
     )
     target_scaler = MinMaxScaler.from_dict(inputs.meta["target_scaler"])
     fractions = tuple(inputs.meta["split_fractions"])
@@ -149,12 +150,15 @@ def cmd_graph(config: RunConfig) -> list[str]:
         config.graph,
         center=config.region.center,
     )
-    save_graph(graph, out / "nodes.csv", out / "edges.csv", config.fingerprint)
+    fingerprint = config.fingerprint
+    save_graph(graph, out / "nodes.csv", out / "edges.csv", fingerprint)
     with open(out / "assignment.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["accident_id", "node_id", "config_hash"])
-        for record, node in zip(records, assignment):
-            writer.writerow([record.id, int(node), config.fingerprint])
+        writer.writerows(
+            [record.id, node, fingerprint]
+            for record, node in zip(records, assignment.tolist())
+        )
     counts = graph.edge_counts()
     log.info(
         "graph: %d nodes, %d undirected edges (%d stored), sigma=%.1f m",
@@ -232,9 +236,10 @@ def cmd_train(config: RunConfig) -> list[str]:
     graph = _load_graph(config)
     model = RiskForecaster(config.model, graph.adjacency_norm, seed=config.seed)
     result = train(model, data, config.train)
+    fingerprint = config.fingerprint
     save_checkpoint(
         model.params, out / "params.json", out / "params.bin",
-        extra={"config_hash": config.fingerprint},
+        extra={"config_hash": fingerprint},
     )
     with open(out / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -244,7 +249,7 @@ def cmd_train(config: RunConfig) -> list[str]:
         for row in result.history:
             writer.writerow(
                 [row["epoch"], row["phase"], row["lr"], repr(row["train_loss"]),
-                 repr(row["val_loss"]), int(row["is_best"]), config.fingerprint]
+                 repr(row["val_loss"]), int(row["is_best"]), fingerprint]
             )
     log.info(
         "trained %d epochs; best validation L1 %.6f at epoch %d",
@@ -299,6 +304,7 @@ def cmd_predict(config: RunConfig) -> list[str]:
     scaled = model.predict(x)  # (nodes, t_out)
     values = target_scaler.inverse_channel(scaled, TARGET_CHANNEL)
     week_labels = raw.weeks[start + data.t_in : start + data.t_in + data.t_out]
+    fingerprint = config.fingerprint
     with open(out / "predictions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "week", "value_scaled", "value", "config_hash"])
@@ -306,7 +312,7 @@ def cmd_predict(config: RunConfig) -> list[str]:
             for i, node_id in enumerate(graph.node_ids):
                 writer.writerow(
                     [node_id, week, repr(float(scaled[i, t])), repr(float(values[i, t])),
-                     config.fingerprint]
+                     fingerprint]
                 )
     log.info("predicted %d weeks x %d nodes from window at %s",
              len(week_labels), graph.n_nodes, raw.weeks[start])

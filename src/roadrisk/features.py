@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError, UnassignedRecordError
+from .errors import DataError, ShapeMismatchError, UnassignedRecordError
 from .ingest import (
     AccidentRecord,
     HumanControl,
@@ -131,50 +131,6 @@ def severity_weight(
     )
 
 
-def temporal_weight(
-    week_index: int,
-    accident_week_index: int,
-    tau_weeks: float = 0.0,
-) -> float:
-    """Weight of an accident's contribution to a given week's safety risk.
-
-    Default (tau=0) is the same-week indicator, so the weekly series stays
-    strictly week-local. With tau > 0 a causal Gaussian decay lets past
-    accidents bleed forward: exp(-(dt)^2 / (2 tau^2)) for dt >= 0, 0 before
-    the accident.
-    """
-    delta = week_index - accident_week_index
-    if delta < 0:
-        return 0.0
-    if tau_weeks <= 0.0:
-        return 1.0 if delta == 0 else 0.0
-    return math.exp(-(delta**2) / (2.0 * tau_weeks**2))
-
-
-def traffic_safety_risk(
-    tables: WeightTables,
-    records: Sequence[AccidentRecord],
-    week: str,
-    week_index_of: dict[str, int] | None = None,
-    tau_weeks: float = 0.0,
-) -> float:
-    """Sum of log(casualties+1) * severity weight * temporal weight."""
-    if week_index_of is None:
-        week_index_of = {week: 0}
-    t = week_index_of[week]
-    total = 0.0
-    for rec in records:
-        t_k = week_index_of.get(week_label(rec.date))
-        if t_k is None:
-            continue
-        w_temp = temporal_weight(t, t_k, tau_weeks)
-        if w_temp == 0.0:
-            continue
-        w_sev = severity_weight(tables, rec.severity, rec.road_type, rec.speed_limit)
-        total += math.log(rec.casualties + 1.0) * w_sev * w_temp
-    return total
-
-
 def infrastructure_risk(tables: WeightTables, record: AccidentRecord) -> float:
     """Mean of the four infrastructure factor weights, in (0, 1]."""
     return (
@@ -230,7 +186,6 @@ def build_risk_tensor(
     assignment: Sequence[int],
     node_ids: Sequence[int],
     period: tuple[dt.date, dt.date],
-    tau_weeks: float = 0.0,
 ) -> RiskTensor:
     """Assemble the weekly (W, N, 3) risk tensor over a study period.
 
@@ -248,9 +203,6 @@ def build_risk_tensor(
     values = np.zeros((w, n, 3))
     counts = np.zeros((w, n))
 
-    # bucket records by cell once; the safety channel may still need
-    # cross-week contributions when a decay window is configured
-    by_node: dict[int, list[AccidentRecord]] = {}
     for rec, node in zip(records, assignment):
         node = int(node)
         if node not in node_pos:
@@ -260,7 +212,8 @@ def build_risk_tensor(
         if label not in week_pos:
             continue  # outside the study period
         t = week_pos[label]
-        by_node.setdefault(i, []).append(rec)
+        w_sev = severity_weight(tables, rec.severity, rec.road_type, rec.speed_limit)
+        values[t, i, 0] += math.log(rec.casualties + 1.0) * w_sev
         values[t, i, 1] += infrastructure_risk(tables, rec)
         values[t, i, 2] += environmental_risk(tables, rec)
         counts[t, i] += 1.0
@@ -268,21 +221,6 @@ def build_risk_tensor(
     occupied = counts > 0
     values[:, :, 1][occupied] /= counts[occupied]
     values[:, :, 2][occupied] /= counts[occupied]
-
-    if tau_weeks <= 0.0:
-        for i, recs in by_node.items():
-            for rec in recs:
-                t = week_pos[week_label(rec.date)]
-                w_sev = severity_weight(
-                    tables, rec.severity, rec.road_type, rec.speed_limit
-                )
-                values[t, i, 0] += math.log(rec.casualties + 1.0) * w_sev
-    else:
-        for i, recs in by_node.items():
-            for t, week in enumerate(weeks):
-                values[t, i, 0] = traffic_safety_risk(
-                    tables, recs, week, week_pos, tau_weeks
-                )
     return RiskTensor(weeks, node_ids, values)
 
 
@@ -307,16 +245,32 @@ def save_tensor(tensor: RiskTensor, bin_path: str | Path, meta_path: str | Path)
         fh.write("\n")
 
 
-def load_tensor(bin_path: str | Path, meta_path: str | Path) -> RiskTensor:
-    with open(bin_path, "rb") as fh:
-        w, n, f = _HEADER.unpack(fh.read(_HEADER.size))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if payload.size != w * n * f:
-        raise ShapeMismatchError(
-            f"tensor payload holds {payload.size} values, header says {w * n * f}"
+def load_tensor(
+    bin_path: str | Path, meta_path: str | Path, stage: str = "features"
+) -> RiskTensor:
+    """Read a `save_tensor` pair. DataError if the header is cut short or
+    disagrees with the payload size, or the sidecar is not JSON; its message
+    says to run `stage`, the CLI command that writes the pair, again."""
+    blob = Path(bin_path).read_bytes()
+    if len(blob) < _HEADER.size:
+        raise DataError(
+            f"tensor {bin_path} holds {len(blob)} bytes, less than its "
+            f"{_HEADER.size}-byte header; run `{stage}` again"
         )
+    w, n, f = _HEADER.unpack_from(blob)
+    if min(w, n, f) < 0 or len(blob) != _HEADER.size + 8 * w * n * f:
+        raise DataError(
+            f"tensor {bin_path} holds {len(blob) - _HEADER.size} payload bytes but its "
+            f"header says {w} x {n} x {f} float64 values; run `{stage}` again"
+        )
+    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     with open(meta_path) as fh:
-        sidecar = json.load(fh)
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise DataError(
+                f"tensor sidecar {meta_path} is not valid JSON ({exc}); run `{stage}` again"
+            ) from exc
     meta = {
         k: v for k, v in sidecar.items() if k not in ("weeks", "node_ids", "features")
     }

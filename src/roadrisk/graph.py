@@ -32,14 +32,24 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def _haversine_rad(phi1, lam1, cos1, phi2, lam2, cos2) -> np.ndarray:
+    """Elementwise haversine (meters) from radians and precomputed cos(phi).
+
+    The one formula behind both the dense matrix and the kNN candidates, so a
+    pair's distance is bitwise the same whichever path computed it.
+    """
+    a = np.sin((phi1 - phi2) / 2.0) ** 2 + cos1 * cos2 * np.sin((lam1 - lam2) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 def pairwise_haversine_m(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
     """Dense symmetric distance matrix (meters) for small point sets."""
     phi = np.radians(np.asarray(lats, dtype=float))
     lam = np.radians(np.asarray(lons, dtype=float))
-    dphi = phi[:, None] - phi[None, :]
-    dlam = lam[:, None] - lam[None, :]
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    cos_phi = np.cos(phi)
+    return _haversine_rad(
+        phi[:, None], lam[:, None], cos_phi[:, None], phi[None, :], lam[None, :], cos_phi[None, :]
+    )
 
 
 @dataclass
@@ -109,42 +119,89 @@ def assign_to_nodes(
     x, y = _local_xy_m(lons, lats, lon0, lat0)
     cx = np.floor(x / cell_size_m).astype(np.int64)
     cy = np.floor(y / cell_size_m).astype(np.int64)
-    cells = {}
-    for i, key in enumerate(zip(cx.tolist(), cy.tolist())):
-        cells.setdefault(key, []).append(i)
-    nodes = []
-    assignment = np.empty(lons.size, dtype=np.int64)
-    for node_id, key in enumerate(sorted(cells)):
-        members = cells[key]
-        nodes.append(
-            (
-                node_id,
-                float(lons[members].mean()),
-                float(lats[members].mean()),
-                len(members),
-            )
-        )
-        assignment[members] = node_id
+    # unique rows come out in lexicographic (cx, cy) order
+    _, assignment, counts = np.unique(
+        np.column_stack((cx, cy)), axis=0, return_inverse=True, return_counts=True
+    )
+    assignment = assignment.ravel()
+    # A stable sort keeps each cell's members in input order, so .mean() over
+    # a contiguous slice sums the members in input order, pairwise. (Not
+    # np.add.reduceat: it sums sequentially and changes the last bits.)
+    order = np.argsort(assignment, kind="stable")
+    node_lons, node_lats = lons[order], lats[order]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
+    nodes = [
+        (node_id, float(node_lons[s : s + c].mean()), float(node_lats[s : s + c].mean()), c)
+        for node_id, (s, c) in enumerate(zip(starts, counts.tolist()))
+    ]
     return nodes, assignment
 
 
 def _merge_coincident(lons: np.ndarray, lats: np.ndarray, counts: np.ndarray):
-    """Merge nodes with exactly equal coordinates (keeps kernel weights < 1 off-diagonal)."""
-    seen: dict[tuple[float, float], int] = {}
-    keep, merged_counts = [], []
-    remap = np.empty(lons.size, dtype=np.int64)
-    for i in range(lons.size):
-        key = (float(lons[i]), float(lats[i]))
-        if key in seen:
-            j = seen[key]
-            merged_counts[j] += counts[i]
-            remap[i] = j
-        else:
-            seen[key] = len(keep)
-            remap[i] = len(keep)
-            keep.append(i)
-            merged_counts.append(int(counts[i]))
-    return np.array(keep, dtype=np.int64), np.array(merged_counts), remap
+    """Merge nodes with exactly equal coordinates (keeps kernel weights < 1 off-diagonal).
+
+    Returns (keep, merged_counts, remap): the first node of each coordinate
+    group in first-occurrence order, the group's summed member counts, and
+    each node's group index.
+    """
+    _, first, group = np.unique(
+        np.column_stack((lons, lats)), axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    remap = rank[group.ravel()]
+    merged_counts = np.zeros(first.size, dtype=np.int64)
+    np.add.at(merged_counts, remap, counts)
+    return np.sort(first), merged_counts, remap
+
+
+def _knn(lons: np.ndarray, lats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's k nearest other nodes by haversine, ties by ascending id.
+
+    Returns (neighbors, distances), both (n, k). Candidates come from a
+    KD-tree over unit-sphere points (chord length is monotone in great-circle
+    distance); their exact haversine then decides, so the result equals a
+    stable argsort of the dense distance matrix. Raises
+    DegenerateGeometryError if two nodes coincide.
+    """
+    from scipy.spatial import cKDTree  # deferred: costs ~0.25 s to import
+
+    n = lons.size
+    phi = np.radians(np.asarray(lats, dtype=float))
+    lam = np.radians(np.asarray(lons, dtype=float))
+    cos_phi = np.cos(phi)
+    points = np.column_stack((cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)))
+    tree = cKDTree(points)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k))
+    rows = np.arange(n)
+    width = min(n, 2 * (k + 1))
+    while rows.size:
+        _, cand = tree.query(points[rows], k=width)
+        r = rows[:, None]
+        d = _haversine_rad(phi[r], lam[r], cos_phi[r], phi[cand], lam[cand], cos_phi[cand])
+        is_self = cand == r
+        if (d[~is_self] == 0.0).any():
+            raise DegenerateGeometryError("coincident nodes present; merge them first")
+        d[is_self] = np.inf
+        ranked = np.lexsort((cand, d), axis=-1)
+        cand = np.take_along_axis(cand, ranked, axis=1)
+        d = np.take_along_axis(d, ranked, axis=1)
+        kth = d[:, k - 1]
+        # A point outside the candidate set is at least as far by computed
+        # chord as every candidate. Chord and haversine differ from exact
+        # arithmetic by absolute rounding of the unit-sphere coordinates and
+        # radians (~1e-8 m) plus a few ulps of relative error; the margin
+        # exceeds both by orders of magnitude. A row whose farthest non-self
+        # candidate clears its k-th distance by the margin therefore holds
+        # its true k nearest; any other row is queried again, wider.
+        farthest = np.where(np.isinf(d), -np.inf, d).max(axis=1)
+        done = (farthest - kth > 1e-9 * kth + 1e-6) | (width == n)
+        neighbors[rows[done]] = cand[done, :k]
+        distances[rows[done]] = d[done, :k]
+        rows = rows[~done]
+        width = min(n, 2 * width)
+    return neighbors, distances
 
 
 def build_adjacency(
@@ -162,15 +219,7 @@ def build_adjacency(
     n = lons.size
     if not (n > k >= 1):
         raise DegenerateGeometryError(f"need n > k >= 1, got n={n}, k={k}")
-    d = pairwise_haversine_m(lons, lats)
-    if (d[~np.eye(n, dtype=bool)] == 0.0).any():
-        raise DegenerateGeometryError("coincident nodes present; merge them first")
-    # argsort on (distance, node_id) keys: stable sort over id-ordered columns
-    d_search = d.copy()
-    np.fill_diagonal(d_search, np.inf)
-    order = np.argsort(d_search, axis=1, kind="stable")
-    neighbors = order[:, :k]
-    knn_d = np.take_along_axis(d, neighbors, axis=1)
+    neighbors, knn_d = _knn(lons, lats, k)
     if sigma_m is None:
         sigma_m = float(np.median(knn_d))
     if sigma_m <= 0:
@@ -236,27 +285,28 @@ def save_graph(
     with open(nodes_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "lon", "lat", "member_count", "config_hash"])
-        for i in graph.node_ids:
-            writer.writerow(
-                [
-                    i,
-                    repr(float(graph.lons[i])),
-                    repr(float(graph.lats[i])),
-                    int(graph.member_counts[i]),
-                    config_hash,
-                ]
+        writer.writerows(
+            [i, repr(lon), repr(lat), count, config_hash]
+            for i, lon, lat, count in zip(
+                graph.node_ids,
+                graph.lons.tolist(),
+                graph.lats.tolist(),
+                np.asarray(graph.member_counts, dtype=np.int64).tolist(),
             )
+        )
     coo = graph.adjacency.tocoo()
-    norm = graph.adjacency_norm.tocsr()
+    order = np.lexsort((coo.col, coo.row))
+    rows, cols = coo.row[order], coo.col[order]
+    norm = np.asarray(graph.adjacency_norm.tocsr()[rows, cols]).ravel()
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "weight", "normalized_weight", "config_hash"])
-        order = np.lexsort((coo.col, coo.row))
-        for idx in order:
-            i, j = int(coo.row[idx]), int(coo.col[idx])
-            writer.writerow(
-                [i, j, repr(float(coo.data[idx])), repr(float(norm[i, j])), config_hash]
+        writer.writerows(
+            [i, j, repr(w), repr(wn), config_hash]
+            for i, j, w, wn in zip(
+                rows.tolist(), cols.tolist(), coo.data[order].tolist(), norm.tolist()
             )
+        )
 
 
 def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = None) -> SpatialGraph:

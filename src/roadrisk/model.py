@@ -164,10 +164,16 @@ def save_checkpoint(
 
 
 def load_checkpoint(manifest_path, bin_path) -> dict[str, Tensor]:
-    """Read a `save_checkpoint` pair; DataError if the blob length disagrees
-    with the extent the manifest describes."""
+    """Read a `save_checkpoint` pair; DataError if the manifest is not JSON
+    or the blob length disagrees with the extent the manifest describes."""
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise DataError(
+                f"checkpoint manifest {manifest_path} is not valid JSON ({exc}); "
+                "run `train` again"
+            ) from exc
     dtype = np.dtype(manifest["dtype"])
     blob = Path(bin_path).read_bytes()
     entries = [

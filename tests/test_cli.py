@@ -144,6 +144,36 @@ def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path):
     assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
 
 
+def test_truncated_tensor_header_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    tensor = out / "processed.bin"
+    tensor.write_bytes(tensor.read_bytes()[:7])
+    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
+
+
+def test_short_tensor_payload_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    tensor = out / "processed.bin"
+    tensor.write_bytes(tensor.read_bytes()[:-8])
+    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
+
+
+def test_tensor_sidecar_not_json_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    (out / "risk_tensor.json").write_text("{not json")
+    assert cli.main(["diffuse", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(out / "risk_tensor.json") in caplog.text and "run `features` again" in caplog.text
+
+
+def test_checkpoint_manifest_not_json_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    (out / "params.json").write_text("{not json")
+    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(out / "params.json") in caplog.text and "run `train` again" in caplog.text
+
+
 def test_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\"data_csv\": \"x\"}")

@@ -138,20 +138,6 @@ def test_severity_weight_serious_dual_fast():
     assert ft.severity_weight(TABLES, 2, RoadType.DUAL_CARRIAGEWAY, 120.0) == pytest.approx(3.6)
 
 
-def test_temporal_weight_same_week():
-    assert ft.temporal_weight(5, 5) == 1.0
-    assert ft.temporal_weight(5, 5, tau_weeks=2.0) == 1.0
-
-
-def test_temporal_weight_indicator_mode():
-    assert ft.temporal_weight(6, 5) == 0.0
-
-
-def test_temporal_weight_decay_mode():
-    assert ft.temporal_weight(7, 5, tau_weeks=2.0) == pytest.approx(math.exp(-0.5))
-    assert ft.temporal_weight(4, 5, tau_weeks=2.0) == 0.0  # causal: nothing before the accident
-
-
 def test_infrastructure_risk_hand_case():
     rec = make_record(
         human=HumanControl.SCHOOL_PATROL,
@@ -191,22 +177,28 @@ def test_risk_bounds():
 PERIOD = (dt.date(2012, 6, 11), dt.date(2012, 7, 8))  # four ISO weeks
 
 
+def safety_channel(records):
+    """Channel 0 of a one-node tensor over PERIOD."""
+    return ft.build_risk_tensor(TABLES, records, [0] * len(records), [0], PERIOD).values[:, :, 0]
+
+
 def test_traffic_safety_no_accidents_is_zero():
-    assert ft.traffic_safety_risk(TABLES, [], "2012-W24") == 0.0
+    # week-local: an accident adds nothing to the weeks after it
+    rec = make_record(date=dt.date(2012, 6, 11))  # 2012-W24, the first week
+    safety = safety_channel([rec])
+    assert safety[0, 0] > 0.0
+    assert (safety[1:] == 0.0).all()
 
 
 def test_traffic_safety_single_accident_log2():
     rec = make_record(casualties=1, severity=3, road=RoadType.SINGLE_CARRIAGEWAY, speed=60.0)
-    got = ft.traffic_safety_risk(
-        TABLES, [rec], "2012-W24", {"2012-W24": 0}
-    )
-    assert got == pytest.approx(math.log(2.0))
+    assert safety_channel([rec])[0, 0] == pytest.approx(math.log(2.0))
 
 
 def test_traffic_safety_additive():
     rec = make_record()
-    one = ft.traffic_safety_risk(TABLES, [rec], "2012-W24", {"2012-W24": 0})
-    two = ft.traffic_safety_risk(TABLES, [rec, rec], "2012-W24", {"2012-W24": 0})
+    one = safety_channel([rec])[0, 0]
+    two = safety_channel([rec, rec])[0, 0]
     assert two == pytest.approx(2 * one)
 
 

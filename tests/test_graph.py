@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,3 +226,162 @@ def test_edge_counts_reported_both_ways():
     graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2))
     counts = graph.edge_counts()
     assert counts["directed"] == 2 * counts["undirected"]
+
+
+# -- the KD-tree builder against the dense O(n^2) builder -------------------
+
+
+def dense_adjacency(lons, lats, k, sigma_m=None):
+    """Reference builder: dense haversine matrix, stable argsort per row."""
+    n = lons.size
+    d = g.pairwise_haversine_m(lons, lats)
+    d_search = d.copy()
+    np.fill_diagonal(d_search, np.inf)
+    neighbors = np.argsort(d_search, axis=1, kind="stable")[:, :k]
+    knn_d = np.take_along_axis(d, neighbors, axis=1)
+    if sigma_m is None:
+        sigma_m = float(np.median(knn_d))
+    weights = np.exp(-(knn_d**2) / (2.0 * sigma_m**2))
+    rows = np.repeat(np.arange(n), k)
+    a = sparse.coo_matrix((weights.ravel(), (rows, neighbors.ravel())), shape=(n, n)).tocsr()
+    a = a.maximum(a.T)
+    a.setdiag(0.0)
+    a.eliminate_zeros()
+    return a, sigma_m
+
+
+def assert_same_adjacency(lons, lats, k):
+    got, sigma = g.build_adjacency(lons, lats, k)
+    want, want_sigma = dense_adjacency(lons, lats, k)
+    assert sigma == want_sigma
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def boundary_ties(lons, lats, k):
+    """Rows whose k-th and (k+1)-th nearest distances are bitwise equal."""
+    d = g.pairwise_haversine_m(lons, lats)
+    np.fill_diagonal(d, np.inf)
+    d.sort(axis=1)
+    return int((d[:, k - 1] == d[:, k]).sum())
+
+
+def dyadic_lattice(nx, ny, step=2.0**-10):
+    # exact binary coordinates at the origin: mirrored neighbours sit at
+    # bitwise-equal distances
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    return i.ravel() * step, j.ravel() * step
+
+
+@pytest.mark.parametrize("n", [30, 300, 2000])
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_knn_matches_dense_on_random_clouds(n, k):
+    rng = np.random.default_rng(n + k)
+    lons = -0.1 + rng.uniform(-0.2, 0.2, n)
+    lats = 51.5 + rng.uniform(-0.1, 0.1, n)
+    assert_same_adjacency(lons, lats, k)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (7, 23)])
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_knn_matches_dense_on_lattices_with_exact_ties(shape, k):
+    lons, lats = dyadic_lattice(*shape)
+    assert boundary_ties(lons, lats, k) > 0
+    assert_same_adjacency(lons, lats, k)
+    # the same lattice shape near London: near-ties within rounding
+    assert_same_adjacency(*grid_points(*shape), k)
+
+
+def test_knn_complete_graph_when_n_is_k_plus_one():
+    rng = np.random.default_rng(5)
+    lons = rng.uniform(-0.1, 0.1, 5)
+    lats = 51.5 + rng.uniform(-0.1, 0.1, 5)
+    assert_same_adjacency(lons, lats, 4)
+    a, _ = g.build_adjacency(lons, lats, k=4)
+    assert a.nnz == 5 * 4
+
+
+@pytest.mark.parametrize("copies", [2, 40])
+def test_knn_rejects_coincident_nodes_in_a_cloud(copies):
+    # more copies than the first query width still raise
+    rng = np.random.default_rng(6)
+    lons = rng.uniform(-0.1, 0.1, 300)
+    lats = 51.5 + rng.uniform(-0.1, 0.1, 300)
+    lons[100 : 100 + copies] = lons[7]
+    lats[100 : 100 + copies] = lats[7]
+    with pytest.raises(DegenerateGeometryError):
+        g.build_adjacency(lons, lats, k=2)
+
+
+def dict_loop_assign(lons, lats, cell_size_m, center):
+    """Reference: bucket point ids per cell in a dict, nodes in sorted-cell order."""
+    lons, lats = np.asarray(lons, dtype=float), np.asarray(lats, dtype=float)
+    x, y = g._local_xy_m(lons, lats, center[0], center[1])
+    cx = np.floor(x / cell_size_m).astype(np.int64)
+    cy = np.floor(y / cell_size_m).astype(np.int64)
+    cells = {}
+    for i, key in enumerate(zip(cx.tolist(), cy.tolist())):
+        cells.setdefault(key, []).append(i)
+    nodes, assignment = [], np.empty(lons.size, dtype=np.int64)
+    for node_id, key in enumerate(sorted(cells)):
+        members = cells[key]
+        nodes.append(
+            (node_id, float(lons[members].mean()), float(lats[members].mean()), len(members))
+        )
+        assignment[members] = node_id
+    return nodes, assignment
+
+
+def test_assign_matches_dict_loop_bitwise():
+    rng = np.random.default_rng(7)
+    lons = -0.1 + rng.uniform(-0.03, 0.03, 3000)
+    lats = 51.5 + rng.uniform(-0.03, 0.03, 3000)
+    # one crowded cell, interleaved with the rest of the input: more than 8
+    # members exercises numpy's blocked pairwise summation
+    lons[::97] = -0.1 + rng.uniform(0, 1e-4, lons[::97].size)
+    lats[::97] = 51.5 + rng.uniform(0, 1e-4, lats[::97].size)
+    center = (-0.1, 51.5)  # cells on both sides of the anchor: negative keys
+    got_nodes, got = g.assign_to_nodes(lons, lats, 150.0, center)
+    want_nodes, want = dict_loop_assign(lons, lats, 150.0, center)
+    assert max(node[3] for node in want_nodes) > 8
+    assert got_nodes == want_nodes  # float == float: bitwise for non-NaN
+    np.testing.assert_array_equal(got, want)
+
+
+def test_merge_coincident_keeps_first_occurrence_order():
+    lons = np.array([1.0, 2.0, 1.0, 3.0, 2.0, -0.0, 0.0])
+    lats = np.array([5.0, 6.0, 5.0, 7.0, 6.0, 1.0, 1.0])
+    keep, counts, remap = g._merge_coincident(lons, lats, np.arange(1, 8))
+    assert keep.tolist() == [0, 1, 3, 5]
+    assert counts.tolist() == [4, 7, 4, 13]
+    assert remap.tolist() == [0, 1, 0, 2, 1, 3, 3]
+
+
+def test_build_graph_fifty_thousand_nodes_memory():
+    rng = np.random.default_rng(8)
+    side = 50_000 ** 0.5
+    # one point per 150 m cell on a jittered square grid
+    ix, iy = np.divmod(np.arange(50_000), int(side) + 1)
+    x = (ix + rng.uniform(0.2, 0.8, ix.size)) * 150.0
+    y = (iy + rng.uniform(0.2, 0.8, iy.size)) * 150.0
+    lats = 51.0 + np.degrees(y / g.EARTH_RADIUS_M)
+    lons = -1.0 + np.degrees(x / (g.EARTH_RADIUS_M * math.cos(math.radians(51.0))))
+    tracemalloc.start()
+    try:
+        graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=150.0, k=4),
+                                 center=(-1.0, 51.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_nodes == 50_000
+    assert (graph.degrees > 0).all()
+    assert peak < 300 * 2**20
+
+
+def test_cli_import_does_not_load_the_kd_tree():
+    # scipy.spatial costs ~0.25 s to import; only the graph stage may pay it
+    src = str(Path(g.__file__).resolve().parents[1])
+    code = "import roadrisk.cli, sys; assert 'scipy.spatial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
