@@ -20,6 +20,7 @@ import numpy as np
 
 from . import ablation, diffusion, ingest, metrics, riskmap, validation
 from .config import RunConfig, write_manifest
+from .csvio import artifact_rows
 from .diffusion import MinMaxScaler
 from .errors import ConfigError, DataError, MissingArtifactError, NumericError
 from .features import (
@@ -76,8 +77,8 @@ def _load_graph(config: RunConfig):
 
 def _load_assignment(config: RunConfig) -> np.ndarray:
     path = _require(_out(config) / "assignment.csv", "node assignment (run `graph` first)")
-    with open(path, newline="") as fh:
-        return np.array([int(row["node_id"]) for row in csv.DictReader(fh)])
+    with artifact_rows(path, ["node_id"], "graph") as ((i_node,), rows):
+        return np.array([int(row[i_node]) for row in rows])
 
 
 def _load_training_data(config: RunConfig) -> tuple[TrainingData, RiskTensor, MinMaxScaler]:

@@ -55,6 +55,15 @@ class MissingArtifactError(DataError):
         self.path = path
 
 
+class CorruptArtifactError(DataError):
+    """An artifact file one stage wrote and a later stage cannot read."""
+
+    def __init__(self, path, line: int, problem: str, stage: str):
+        super().__init__(f"{path} line {line}: {problem}; run `{stage}` again")
+        self.path = path
+        self.line = line
+
+
 class InsufficientHistoryError(DataError):
     pass
 

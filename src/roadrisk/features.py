@@ -12,8 +12,10 @@ recalibrations are data edits, not code edits.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from importlib import resources
@@ -191,7 +193,11 @@ def build_risk_tensor(
 
     Safety risk is additive over a cell's accidents; infrastructure and
     environment are per-accident scores averaged within the cell, zero where
-    the cell saw no accidents.
+    the cell saw no accidents. Per-record scores use the same float64
+    operations, in the same order, as `severity_weight`,
+    `infrastructure_risk` and `environmental_risk`, and each cell sums its
+    records in record order, so the tensor is bitwise what a loop over the
+    records with those functions gives.
     """
     if len(records) != len(assignment):
         raise UnassignedRecordError("<length mismatch>")
@@ -203,20 +209,56 @@ def build_risk_tensor(
     values = np.zeros((w, n, 3))
     counts = np.zeros((w, n))
 
-    for rec, node in zip(records, assignment):
-        node = int(node)
-        if node not in node_pos:
-            raise ShapeMismatchError(f"record node {node} not in graph nodes")
-        i = node_pos[node]
-        label = week_label(rec.date)
-        if label not in week_pos:
-            continue  # outside the study period
-        t = week_pos[label]
-        w_sev = severity_weight(tables, rec.severity, rec.road_type, rec.speed_limit)
-        values[t, i, 0] += math.log(rec.casualties + 1.0) * w_sev
-        values[t, i, 1] += infrastructure_risk(tables, rec)
-        values[t, i, 2] += environmental_risk(tables, rec)
-        counts[t, i] += 1.0
+    cols = np.fromiter(
+        map(node_pos.get, map(int, assignment), itertools.repeat(-1)),
+        dtype=np.intp, count=len(records),
+    )
+    if (cols < 0).any():
+        node = int(assignment[int(np.argmax(cols < 0))])
+        raise ShapeMismatchError(f"record node {node} not in graph nodes")
+    date = operator.attrgetter("date")
+    week_of = {day: week_pos.get(week_label(day), -1) for day in set(map(date, records))}
+    rows = np.fromiter(map(week_of.__getitem__, map(date, records)), np.intp, len(records))
+    inside = rows >= 0  # the rest fall outside the study period
+    kept = list(itertools.compress(records, inside))
+
+    def column(name: str, table: dict, key=None) -> np.ndarray:
+        """`table[key(field)]` for field `name` of each kept record, as float64."""
+        fields = map(operator.attrgetter(name), kept)
+        if key is not None:
+            fields = map(key, fields)
+        return np.fromiter(map(table.__getitem__, fields), np.float64, len(kept))
+
+    def member_weights(name: str, table: dict) -> np.ndarray:
+        # enum members are singletons, so look them up by id: keyed by the
+        # member itself, each lookup calls the Python-level Enum.__hash__
+        return column(name, {id(member): w for member, w in table.items()}, key=id)
+
+    # math.log per distinct count: np.log need not match libm to the last bit
+    log_of = {c: math.log(c + 1.0) for c in {r.casualties for r in kept}}
+    speed = np.fromiter(map(operator.attrgetter("speed_limit"), kept), np.float64, len(kept))
+    w_sev = (
+        column("severity", tables.severity_w)
+        * member_weights("road_type", tables.road_w)
+        * speed_factor(speed)
+    )
+    infrastructure = (
+        member_weights("ped_human_control", tables.human_control_w)
+        + member_weights("ped_physical_facility", tables.physical_facility_w)
+        + member_weights("light", tables.light_w)
+        + member_weights("junction_control", tables.junction_control_w)
+    ) / 4.0
+    environment = (
+        member_weights("surface", tables.surface_w) + member_weights("weather", tables.weather_w)
+    ) / 2.0
+
+    # np.add.at adds unbuffered, in index order: each cell sums its records
+    # in record order, from 0.0, as the loop did
+    t, i = rows[inside], cols[inside]
+    np.add.at(values, (t, i, 0), column("casualties", log_of) * w_sev)
+    np.add.at(values, (t, i, 1), infrastructure)
+    np.add.at(values, (t, i, 2), environment)
+    np.add.at(counts, (t, i), 1.0)
 
     occupied = counts > 0
     values[:, :, 1][occupied] /= counts[occupied]

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .csvio import artifact_rows
 from .errors import DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -310,23 +311,32 @@ def save_graph(
 
 
 def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = None) -> SpatialGraph:
+    """Read a `save_graph` pair. CorruptArtifactError (exit 3) names the
+    line of a row that does not parse and says to run `graph` again."""
     ids, lons, lats, counts = [], [], [], []
-    with open(nodes_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ids.append(int(row["node_id"]))
-            lons.append(float(row["lon"]))
-            lats.append(float(row["lat"]))
-            counts.append(int(row["member_count"]))
+    with artifact_rows(nodes_path, ["node_id", "lon", "lat", "member_count"], "graph") as (
+        (i_id, i_lon, i_lat, i_count), rows
+    ):
+        for row in rows:
+            ids.append(int(row[i_id]))
+            lons.append(float(row[i_lon]))
+            lats.append(float(row[i_lat]))
+            counts.append(int(row[i_count]))
     n = len(ids)
-    rows, cols, w, wn = [], [], [], []
-    with open(edges_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(int(row["i"]))
-            cols.append(int(row["j"]))
-            w.append(float(row["weight"]))
-            wn.append(float(row["normalized_weight"]))
-    a = sparse.coo_matrix((w, (rows, cols)), shape=(n, n)).tocsr()
-    a_norm = sparse.coo_matrix((wn, (rows, cols)), shape=(n, n)).tocsr()
+    edge_i, edge_j, w, wn = [], [], [], []
+    with artifact_rows(edges_path, ["i", "j", "weight", "normalized_weight"], "graph") as (
+        (i_i, i_j, i_w, i_wn), rows
+    ):
+        for row in rows:
+            i, j = int(row[i_i]), int(row[i_j])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) names a node outside the {n} in {nodes_path}")
+            edge_i.append(i)
+            edge_j.append(j)
+            w.append(float(row[i_w]))
+            wn.append(float(row[i_wn]))
+    a = sparse.coo_matrix((w, (edge_i, edge_j)), shape=(n, n)).tocsr()
+    a_norm = sparse.coo_matrix((wn, (edge_i, edge_j)), shape=(n, n)).tocsr()
     return SpatialGraph(
         node_ids=ids,
         lons=np.array(lons),

@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import enum
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvio import artifact_rows
 from .errors import (
     ConfigError,
     MissingColumnError,
@@ -358,6 +360,34 @@ def _parse_date(text: str) -> dt.date:
     raise ValueError(f"unparseable date {text!r}")
 
 
+class _Memo(dict):
+    """`memo[text]` is `parse(text)`, computed once per distinct text.
+
+    A hit is a plain dict lookup. A `parse` that raises stores nothing, so
+    the error surfaces at every row holding that text.
+    """
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
+
+
+# the enum columns of a row, in LOGICAL_COLUMNS order
+_ROW_ENUMS = (
+    RoadType,
+    JunctionControl,
+    HumanControl,
+    PhysicalFacility,
+    LightCondition,
+    WeatherCondition,
+    SurfaceCondition,
+)
+
+
 def parse_accident_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
@@ -367,20 +397,31 @@ def parse_accident_csv(
     Rows with unusable coordinates, dates, severity or casualty counts are
     collected as rejects (line number + reason), never silently dropped.
     Raises TooManyRejectsError when more than half of the data rows reject.
+    Line numbers count the header as 1 and skip blank lines, as
+    `csv.DictReader` does; a short row reads its missing cells as blank.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     records: list[AccidentRecord] = []
     rejects: list[Reject] = []
+    # each distinct text is parsed once per call
+    dates = _Memo(_parse_date)
+    enums = tuple(_Memo(cls.parse) for cls in _ROW_ENUMS)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MissingColumnError("<header row>")
+        at = {name: i for i, name in enumerate(header)}  # last duplicate wins
         for logical in LOGICAL_COLUMNS:
-            if schema[logical] not in reader.fieldnames:
+            if schema[logical] not in at:
                 raise MissingColumnError(schema[logical])
-        for line_no, row in enumerate(reader, start=2):
+        cells = operator.itemgetter(*(at[schema[logical]] for logical in LOGICAL_COLUMNS))
+        width = len(header)
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [""] * (width - len(row))
             try:
-                records.append(_parse_row(row, schema))
+                records.append(_parse_row(list(map(str.strip, cells(row))), dates, enums))
             except ValueError as exc:
                 rejects.append(Reject(line_no, str(exc)))
     total = len(records) + len(rejects)
@@ -389,51 +430,53 @@ def parse_accident_csv(
     return records, rejects
 
 
-def _parse_row(row: dict, schema: dict[str, str]) -> AccidentRecord:
-    def cell(logical: str) -> str:
-        return (row.get(schema[logical]) or "").strip()
-
+def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> AccidentRecord:
+    """One record from a row's stripped cells in LOGICAL_COLUMNS order;
+    `dates` and `enums` memoise `_parse_date` and each `_ROW_ENUMS` parse."""
+    (accident_id, date, lon, lat, severity, casualties, road_type, speed,
+     junction_control, human_control, physical_facility, light, weather, surface) = cells
+    road_types, junction_controls, human_controls, facilities, lights, weathers, surfaces = enums
     try:
-        lon, lat = float(cell("lon")), float(cell("lat"))
+        lon, lat = float(lon), float(lat)
     except ValueError:
         raise ValueError("unparseable coordinates")
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise ValueError("coordinates out of range")
     if math.isnan(lon) or math.isnan(lat):
         raise ValueError("coordinates out of range")
-    date = _parse_date(cell("date"))
+    date = dates[date]
     try:
-        severity = int(cell("severity"))
+        severity = int(severity)
     except ValueError:
         raise ValueError("unparseable severity")
     if severity not in (1, 2, 3):
         raise ValueError(f"severity {severity} outside 1..3")
     try:
-        casualties = int(cell("casualties"))
+        casualties = int(casualties)
     except ValueError:
         raise ValueError("unparseable casualty count")
     if casualties < 1:
         raise ValueError("casualty count below 1")
     try:
-        speed = float(cell("speed_limit"))
+        speed = float(speed)
     except ValueError:
         speed = 0.0  # missing speed limit treated as unposted, not a reject
     speed = max(speed, 0.0)
     return AccidentRecord(
-        id=cell("accident_id"),
+        id=accident_id,
         date=date,
         lon=lon,
         lat=lat,
         severity=severity,
         casualties=casualties,
-        road_type=RoadType.parse(cell("road_type")),
+        road_type=road_types[road_type],
         speed_limit=speed,
-        junction_control=JunctionControl.parse(cell("junction_control")),
-        ped_human_control=HumanControl.parse(cell("ped_human_control")),
-        ped_physical_facility=PhysicalFacility.parse(cell("ped_physical_facility")),
-        light=LightCondition.parse(cell("light")),
-        weather=WeatherCondition.parse(cell("weather")),
-        surface=SurfaceCondition.parse(cell("surface")),
+        junction_control=junction_controls[junction_control],
+        ped_human_control=human_controls[human_control],
+        ped_physical_facility=facilities[physical_facility],
+        light=lights[light],
+        weather=weathers[weather],
+        surface=surfaces[surface],
     )
 
 
@@ -450,56 +493,70 @@ def write_rejects(
 def write_records(
     records: Sequence[AccidentRecord], path: str | Path, config_hash: str = ""
 ) -> None:
-    """Persist normalized records (logical column names, ISO dates)."""
+    """Persist normalized records (logical column names, ISO dates).
+
+    Enum cells read `_value_`, the attribute behind `Enum.value`, because
+    the property costs a Python-level descriptor call per cell.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOGICAL_COLUMNS + ["config_hash"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.id,
-                    r.date.isoformat(),
-                    repr(r.lon),
-                    repr(r.lat),
-                    r.severity,
-                    r.casualties,
-                    r.road_type.value,
-                    repr(r.speed_limit),
-                    r.junction_control.value,
-                    r.ped_human_control.value,
-                    r.ped_physical_facility.value,
-                    r.light.value,
-                    r.weather.value,
-                    r.surface.value,
-                    config_hash,
-                ]
-            )
+        writer.writerows(
+            [
+                r.id,
+                r.date.isoformat(),
+                repr(r.lon),
+                repr(r.lat),
+                r.severity,
+                r.casualties,
+                r.road_type._value_,
+                repr(r.speed_limit),
+                r.junction_control._value_,
+                r.ped_human_control._value_,
+                r.ped_physical_facility._value_,
+                r.light._value_,
+                r.weather._value_,
+                r.surface._value_,
+                config_hash,
+            ]
+            for r in records
+        )
 
 
 def read_records(path: str | Path) -> list[AccidentRecord]:
-    """Load records written by write_records."""
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                AccidentRecord(
-                    id=row["accident_id"],
-                    date=dt.date.fromisoformat(row["date"]),
-                    lon=float(row["lon"]),
-                    lat=float(row["lat"]),
-                    severity=int(row["severity"]),
-                    casualties=int(row["casualties"]),
-                    road_type=RoadType(row["road_type"]),
-                    speed_limit=float(row["speed_limit"]),
-                    junction_control=JunctionControl(row["junction_control"]),
-                    ped_human_control=HumanControl(row["ped_human_control"]),
-                    ped_physical_facility=PhysicalFacility(row["ped_physical_facility"]),
-                    light=LightCondition(row["light"]),
-                    weather=WeatherCondition(row["weather"]),
-                    surface=SurfaceCondition(row["surface"]),
-                )
+    """Load records written by write_records.
+
+    CorruptArtifactError (exit 3) names the line of a row that does not
+    parse: a short row, a number or date that does not convert, or an enum
+    value no member has.
+    """
+    # each distinct date and enum text is parsed once; a miss on an enum
+    # calls the class itself, which raises for a value no member has
+    dates = _Memo(dt.date.fromisoformat)
+    (road_types, junction_controls, human_controls, facilities,
+     lights, weathers, surfaces) = (_Memo(cls) for cls in _ROW_ENUMS)
+    with artifact_rows(path, LOGICAL_COLUMNS, "ingest") as (at, rows):
+        (i_id, i_date, i_lon, i_lat, i_severity, i_casualties, i_road, i_speed,
+         i_junction, i_human, i_facility, i_light, i_weather, i_surface) = at
+        return [
+            AccidentRecord(
+                id=row[i_id],
+                date=dates[row[i_date]],
+                lon=float(row[i_lon]),
+                lat=float(row[i_lat]),
+                severity=int(row[i_severity]),
+                casualties=int(row[i_casualties]),
+                road_type=road_types[row[i_road]],
+                speed_limit=float(row[i_speed]),
+                junction_control=junction_controls[row[i_junction]],
+                ped_human_control=human_controls[row[i_human]],
+                ped_physical_facility=facilities[row[i_facility]],
+                light=lights[row[i_light]],
+                weather=weathers[row[i_weather]],
+                surface=surfaces[row[i_surface]],
             )
-    return records
+            for row in rows
+        ]
 
 
 def filter_region(
@@ -592,20 +649,22 @@ def aggregate_temporal(
             raise UnassignedRecordError(rec.id)
     if n_nodes is None:
         n_nodes = (max((int(a) for a in assignment), default=-1)) + 1
+    dates = list(map(operator.attrgetter("date"), records))
     if period is not None:
         start, end = period
     elif records:
-        dates = [r.date for r in records]
         start, end = min(dates), max(dates)
     else:
         return AggregatedSeries(granularity, [], list(range(n_nodes)), np.zeros((0, n_nodes)))
     index = _period_range(start, end, granularity)
     pos = {label: i for i, label in enumerate(index)}
+    # one period row per distinct date; -1 outside the index
+    row_of = {day: pos.get(_period_label(day, granularity), -1) for day in set(dates)}
+    rows = np.fromiter(map(row_of.__getitem__, dates), dtype=np.intp, count=len(dates))
+    nodes = np.fromiter(map(int, assignment), dtype=np.intp, count=len(dates))
+    inside = rows >= 0
     values = np.zeros((len(index), n_nodes))
-    for rec, node in zip(records, assignment):
-        label = _period_label(rec.date, granularity)
-        if label in pos:
-            values[pos[label], int(node)] += 1.0
+    np.add.at(values, (rows[inside], nodes[inside]), 1.0)
     return AggregatedSeries(granularity, index, list(range(n_nodes)), values)
 
 

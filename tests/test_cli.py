@@ -174,6 +174,42 @@ def test_checkpoint_manifest_not_json_exit_code(pipeline, tmp_path, caplog):
     assert str(out / "params.json") in caplog.text and "run `train` again" in caplog.text
 
 
+def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    records = out / "records.csv"
+    lines = records.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[6] = "bogus"  # road_type
+    lines[5] = ",".join(cells)
+    records.write_text("\n".join(lines) + "\n")
+    assert cli.main(["snr", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{records} line 6:" in caplog.text and "'bogus' is not a valid RoadType" in caplog.text
+    assert "run `ingest` again" in caplog.text
+
+
+def test_truncated_records_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    records = out / "records.csv"
+    text = records.read_text()
+    records.write_text(text[: text.index("\n", len(text) // 2) + 30])  # 30 bytes into a row
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(records) in caplog.text and "row has fewer cells than its header" in caplog.text
+    assert "run `ingest` again" in caplog.text
+
+
+def test_non_integer_node_in_assignment_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    assignment = out / "assignment.csv"
+    lines = assignment.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "2.5"  # node_id
+    lines[3] = ",".join(cells)
+    assignment.write_text("\n".join(lines) + "\n")
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{assignment} line 4:" in caplog.text and "'2.5'" in caplog.text
+    assert "run `graph` again" in caplog.text
+
+
 def test_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\"data_csv\": \"x\"}")

@@ -304,3 +304,88 @@ def test_weight_tables_reject_nonpositive():
     }
     with pytest.raises(ValueError):
         ft.WeightTables.from_dict(raw)
+
+
+def loop_risk_tensor(tables, records, assignment, node_ids, period):
+    """The per-record loop `build_risk_tensor` replaced, kept as its oracle."""
+    node_pos = {int(n): i for i, n in enumerate(node_ids)}
+    weeks = ft.iso_weeks_between(period[0], period[1])
+    week_pos = {w: t for t, w in enumerate(weeks)}
+    values = np.zeros((len(weeks), len(node_ids), 3))
+    counts = np.zeros((len(weeks), len(node_ids)))
+    for rec, node in zip(records, assignment):
+        i = node_pos[int(node)]
+        label = ft.week_label(rec.date)
+        if label not in week_pos:
+            continue
+        t = week_pos[label]
+        w_sev = ft.severity_weight(tables, rec.severity, rec.road_type, rec.speed_limit)
+        values[t, i, 0] += math.log(rec.casualties + 1.0) * w_sev
+        values[t, i, 1] += ft.infrastructure_risk(tables, rec)
+        values[t, i, 2] += ft.environmental_risk(tables, rec)
+        counts[t, i] += 1.0
+    occupied = counts > 0
+    values[:, :, 1][occupied] /= counts[occupied]
+    values[:, :, 2][occupied] /= counts[occupied]
+    return values
+
+
+def seeded_records(n, seed):
+    """Records drawn over every enum member (UNKNOWN included), casualties
+    1-9, severities 1-3, non-round speeds, and dates reaching two weeks past
+    either end of PERIOD."""
+    rng = np.random.default_rng(seed)
+
+    def pick(enum_cls):
+        members = list(enum_cls)
+        return members[int(rng.integers(len(members)))]
+
+    start = PERIOD[0] - dt.timedelta(days=14)
+    span = (PERIOD[1] - PERIOD[0]).days + 29
+    return [
+        make_record(
+            date=start + dt.timedelta(days=int(rng.integers(span))),
+            severity=int(rng.integers(1, 4)),
+            casualties=int(rng.integers(1, 10)),
+            road=pick(RoadType),
+            speed=float(rng.choice([0.0, 20.0, 30.0, 40.0, 70.0, 37.3])),
+            junction=pick(JunctionControl),
+            human=pick(HumanControl),
+            facility=pick(PhysicalFacility),
+            light=pick(LightCondition),
+            weather=pick(WeatherCondition),
+            surface=pick(SurfaceCondition),
+            rid=str(k),
+        )
+        for k in range(n)
+    ]
+
+
+def test_build_tensor_matches_record_loop_bitwise():
+    records = seeded_records(3000, seed=11)
+    for member_enum, attr in [
+        (RoadType, "road_type"), (JunctionControl, "junction_control"),
+        (HumanControl, "ped_human_control"), (PhysicalFacility, "ped_physical_facility"),
+        (LightCondition, "light"), (WeatherCondition, "weather"), (SurfaceCondition, "surface"),
+    ]:
+        assert {getattr(r, attr) for r in records} == set(member_enum)
+    assert {r.casualties for r in records} == set(range(1, 10))
+    assert any(r.date < PERIOD[0] for r in records) and any(r.date > PERIOD[1] for r in records)
+    node_ids = [9, 4, 7, 0, 3, 12]  # not sorted, and node 12 gets no records
+    rng = np.random.default_rng(12)
+    assignment = [node_ids[int(k)] for k in rng.integers(0, 5, len(records))]
+    assert 12 not in assignment
+
+    tensor = ft.build_risk_tensor(TABLES, records, assignment, node_ids, PERIOD)
+    assert tensor.values.tobytes() == loop_risk_tensor(
+        TABLES, records, assignment, node_ids, PERIOD
+    ).tobytes()
+    assert (tensor.values[:, node_ids.index(12)] == 0.0).all()
+
+    order = rng.permutation(len(records))
+    shuffled = [records[k] for k in order]
+    shuffled_assignment = np.asarray(assignment)[order]  # numpy ints, as the CLI passes
+    tensor = ft.build_risk_tensor(TABLES, shuffled, shuffled_assignment, node_ids, PERIOD)
+    assert tensor.values.tobytes() == loop_risk_tensor(
+        TABLES, shuffled, shuffled_assignment, node_ids, PERIOD
+    ).tobytes()

@@ -10,7 +10,12 @@ import pytest
 from scipy import sparse
 
 from roadrisk import graph as g
-from roadrisk.errors import DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
+from roadrisk.errors import (
+    CorruptArtifactError,
+    DegenerateGeometryError,
+    EmptyInputError,
+    ZeroDegreeNodeError,
+)
 
 
 def test_haversine_zero_distance():
@@ -219,6 +224,70 @@ def test_build_graph_roundtrip(tmp_path):
     assert (loaded.lats == graph.lats).all()
     assert (loaded.adjacency != graph.adjacency).nnz == 0
     assert (loaded.adjacency_norm != graph.adjacency_norm).nnz == 0
+
+
+def dictreader_load_graph(nodes_path, edges_path):
+    """The `csv.DictReader` loader `load_graph` replaced, kept as its oracle."""
+    import csv
+
+    with open(nodes_path, newline="") as fh:
+        nodes = [(int(r["node_id"]), float(r["lon"]), float(r["lat"]), int(r["member_count"]))
+                 for r in csv.DictReader(fh)]
+    with open(edges_path, newline="") as fh:
+        edges = [(int(r["i"]), int(r["j"]), float(r["weight"]), float(r["normalized_weight"]))
+                 for r in csv.DictReader(fh)]
+    n = len(nodes)
+    i, j, w, wn = (list(c) for c in zip(*edges))
+    return (
+        [node[0] for node in nodes],
+        np.array([node[1] for node in nodes]),
+        np.array([node[2] for node in nodes]),
+        sparse.coo_matrix((w, (i, j)), shape=(n, n)).tocsr(),
+        sparse.coo_matrix((wn, (i, j)), shape=(n, n)).tocsr(),
+    )
+
+
+def test_load_graph_matches_dictreader_loader(tmp_path):
+    rng = np.random.default_rng(8)
+    lons = -0.1 + rng.uniform(-0.05, 0.05, 3000)
+    lats = 51.5 + rng.uniform(-0.03, 0.03, 3000)
+    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=150, k=4))
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    g.save_graph(graph, nodes_path, edges_path, "abc")
+
+    loaded = g.load_graph(nodes_path, edges_path)
+    ids, node_lons, node_lats, a, a_norm = dictreader_load_graph(nodes_path, edges_path)
+    assert loaded.n_nodes > 100
+    assert loaded.node_ids == ids
+    assert loaded.lons.tobytes() == node_lons.tobytes()
+    assert loaded.lats.tobytes() == node_lats.tobytes()
+    for got, want in ((loaded.adjacency, a), (loaded.adjacency_norm, a_norm)):
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "which, old, new, problem",
+    [
+        ("nodes", ",1,", ",one,", "'one'"),
+        ("edges", "\n0,", "\n0\n0,", "fewer cells"),
+        ("edges", "\n0,", "\n9,", "outside the 3"),
+    ],
+    ids=["node-count", "short-edge", "edge-endpoint"],
+)
+def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
+    lons, lats = grid_points(3, 1)
+    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2))
+    paths = {"nodes": tmp_path / "nodes.csv", "edges": tmp_path / "edges.csv"}
+    g.save_graph(graph, paths["nodes"], paths["edges"])
+    text = paths[which].read_text().replace("\r\n", "\n")
+    assert old in text
+    paths[which].write_text(text.replace(old, new, 1))
+    with pytest.raises(CorruptArtifactError) as info:
+        g.load_graph(paths["nodes"], paths["edges"])
+    assert problem in str(info.value) and str(paths[which]) in str(info.value)
+    assert str(info.value).endswith("run `graph` again")
 
 
 def test_edge_counts_reported_both_ways():

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from roadrisk import ingest
-from roadrisk.errors import MissingColumnError, TooManyRejectsError, UnassignedRecordError
+from roadrisk.errors import (
+    CorruptArtifactError,
+    MissingColumnError,
+    TooManyRejectsError,
+    UnassignedRecordError,
+)
 from roadrisk.ingest import (
     AccidentRecord,
     Granularity,
@@ -297,3 +302,207 @@ def test_snr_hand_case():
 def test_iso_weeks_between_spans_year_boundary():
     weeks = ingest.iso_weeks_between(dt.date(2012, 12, 24), dt.date(2013, 1, 8))
     assert weeks == ["2012-W52", "2013-W01", "2013-W02"]
+
+
+def loop_aggregate(records, assignment, granularity, n_nodes, period=None):
+    """The per-record loop `aggregate_temporal` replaced, kept as its oracle."""
+    if period is not None:
+        start, end = period
+    else:
+        start, end = min(r.date for r in records), max(r.date for r in records)
+    index = ingest._period_range(start, end, granularity)
+    pos = {label: i for i, label in enumerate(index)}
+    values = np.zeros((len(index), n_nodes))
+    for rec, node in zip(records, assignment):
+        label = ingest._period_label(rec.date, granularity)
+        if label in pos:
+            values[pos[label], int(node)] += 1.0
+    return index, values
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+@pytest.mark.parametrize(
+    "period", [None, (dt.date(2012, 3, 7), dt.date(2013, 2, 10))], ids=["observed", "period"]
+)
+def test_aggregate_matches_record_loop(granularity, period):
+    rng = np.random.default_rng(5)
+    # 2011-12-20 .. 2013-03-..: the period cuts records off at both ends
+    records = [
+        make_record(date=dt.date(2011, 12, 20) + dt.timedelta(days=int(d)), rid=str(i))
+        for i, d in enumerate(rng.integers(0, 450, 2000))
+    ]
+    assignment = np.asarray(rng.integers(0, 5, 2000))
+    series = ingest.aggregate_temporal(records, assignment, granularity, 6, period)
+    index, values = loop_aggregate(records, assignment, granularity, 6, period)
+    assert series.index == index
+    assert series.node_ids == list(range(6))
+    assert series.values.tobytes() == values.tobytes()
+
+
+def dictreader_parse(path, schema=None):
+    """The `csv.DictReader` parser `parse_accident_csv` replaced, kept as
+    its oracle (without the majority-rejects check)."""
+    import csv
+
+    schema = {**ingest.DEFAULT_SCHEMA, **(schema or {})}
+    records, rejects = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(csv.DictReader(fh), start=2):
+
+            def cell(logical):
+                return (raw.get(schema[logical]) or "").strip()
+
+            try:
+                try:
+                    lon, lat = float(cell("lon")), float(cell("lat"))
+                except ValueError:
+                    raise ValueError("unparseable coordinates")
+                if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+                    raise ValueError("coordinates out of range")
+                if math.isnan(lon) or math.isnan(lat):
+                    raise ValueError("coordinates out of range")
+                date = ingest._parse_date(cell("date"))
+                try:
+                    severity = int(cell("severity"))
+                except ValueError:
+                    raise ValueError("unparseable severity")
+                if severity not in (1, 2, 3):
+                    raise ValueError(f"severity {severity} outside 1..3")
+                try:
+                    casualties = int(cell("casualties"))
+                except ValueError:
+                    raise ValueError("unparseable casualty count")
+                if casualties < 1:
+                    raise ValueError("casualty count below 1")
+                try:
+                    speed = float(cell("speed_limit"))
+                except ValueError:
+                    speed = 0.0
+                records.append(AccidentRecord(
+                    id=cell("accident_id"), date=date, lon=lon, lat=lat,
+                    severity=severity, casualties=casualties,
+                    road_type=RoadType.parse(cell("road_type")),
+                    speed_limit=max(speed, 0.0),
+                    junction_control=ingest.JunctionControl.parse(cell("junction_control")),
+                    ped_human_control=ingest.HumanControl.parse(cell("ped_human_control")),
+                    ped_physical_facility=ingest.PhysicalFacility.parse(
+                        cell("ped_physical_facility")),
+                    light=LightCondition.parse(cell("light")),
+                    weather=WeatherCondition.parse(cell("weather")),
+                    surface=SurfaceCondition.parse(cell("surface")),
+                ))
+            except ValueError as exc:
+                rejects.append(ingest.Reject(line_no, str(exc)))
+    return records, rejects
+
+
+def test_parse_matches_dictreader_parser(tmp_path):
+    good = [
+        row(idx=f"G{i}", casualties=str(1 + i % 9), severity=str(1 + i % 3),
+            date=f"{1 + i % 28:02d}/{1 + i % 12:02d}/2012")
+        for i in range(30)
+    ] + [
+        row(idx="iso", date=" 2012-06-15 "),
+        row(idx=" padded ", lon=" -0.1 ", road=" Roundabout ", light="Darkness - lights lit"),
+        row(idx="labels", road="One way street", junction="Stop Sign", human="None within 50 metres",
+            facility="Zebra crossing", light="Darkness: No street lighting",
+            weather="Fog or mist", surface="Wet/Damp"),
+        row(idx="unknowns", road="-1", junction="", human="bogus", facility="99", light="",
+            weather="Hail", surface=""),
+        row(idx="speeds", speed=""),
+        row(idx="negative-speed", speed="-5"),
+        row(idx="blank-id", junction=" 3 "),
+        "short,01/02/2012,-0.1,51.5,2,1",  # missing cells read as blank
+        row(idx="quoted", road='"Slip road"'),
+    ]
+    bad = [
+        row(idx="r1", lon=""),
+        row(idx="r2", lat="north"),
+        row(idx="r3", lon="181"),
+        row(idx="r4", lat="nan"),
+        row(idx="r5", date="31/13/2012"),
+        row(idx="r6", date=""),
+        row(idx="r7", severity="x"),
+        row(idx="r8", severity="4"),
+        row(idx="r9", casualties="two"),
+        row(idx="r10", casualties="0"),
+        "",  # a blank line: skipped, not counted
+    ]
+    rows = [r for pair in zip(good, bad) for r in pair] + good[len(bad):]
+    path = tmp_path / "bom.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+
+    records, rejects = ingest.parse_accident_csv(path)
+    expected = dictreader_parse(path)
+    assert (records, rejects) == expected
+    assert len(rejects) == 10
+    assert {r.reason.split(" ")[0] for r in rejects} >= {"unparseable", "coordinates", "severity"}
+
+
+def all_members_records():
+    """Records covering every member of every enum field, ISO week 53
+    (2015-12-31, 2016-01-03), year boundaries, and floats whose repr needs
+    all 17 digits."""
+    dates = [dt.date(2015, 12, 31), dt.date(2016, 1, 3), dt.date(2016, 1, 4),
+             dt.date(2012, 12, 31), dt.date(2013, 1, 1), dt.date(2020, 2, 29)]
+    floats = [0.1 + 0.2, 1.0 / 3.0, -0.12780000000000002, 5e-324, 179.99999999999997, 0.0]
+    enum_fields = [
+        ("road_type", RoadType), ("junction_control", ingest.JunctionControl),
+        ("ped_human_control", ingest.HumanControl),
+        ("ped_physical_facility", ingest.PhysicalFacility), ("light", LightCondition),
+        ("weather", WeatherCondition), ("surface", SurfaceCondition),
+    ]
+    width = max(len(cls) for _, cls in enum_fields)
+    return [
+        AccidentRecord(
+            id=f'id "{k}", with comma',
+            date=dates[k % len(dates)],
+            lon=floats[k % len(floats)],
+            lat=-floats[(k + 1) % len(floats)],
+            severity=1 + k % 3,
+            casualties=1 + k,
+            speed_limit=floats[(k + 2) % len(floats)] * 100,
+            **{name: list(cls)[k % len(cls)] for name, cls in enum_fields},
+        )
+        for k in range(width)
+    ]
+
+
+def test_records_round_trip(tmp_path):
+    records = all_members_records()
+    assert any(ingest.week_label(r.date) == "2015-W53" for r in records)
+    path = tmp_path / "records.csv"
+    ingest.write_records(records, path, config_hash="abc")
+    back = ingest.read_records(path)
+    assert back == records
+    for a, b in zip(back, records):
+        assert math.copysign(1.0, a.lon) == math.copysign(1.0, b.lon)
+        assert a.road_type is b.road_type
+
+
+@pytest.mark.parametrize(
+    "damage, line, problem",
+    [
+        (lambda lines: lines[:2] + [lines[2].replace(",single_carriageway,", ",bogus,")]
+         + lines[3:], 3, "'bogus' is not a valid RoadType"),
+        (lambda lines: lines[:3] + [lines[3].replace(",dry,", ",,")] + lines[4:],
+         4, "'' is not a valid SurfaceCondition"),
+        (lambda lines: lines[:2] + [lines[2][:25]], 3, "fewer cells"),
+        (lambda lines: lines[:1] + [lines[1].replace(",2012-06-15,", ",15/06/2012,")]
+         + lines[2:], 2, "isoformat"),
+        (lambda lines: lines[:2] + [lines[2].replace(",3,1,", ",x,1,")] + lines[3:], 3, "'x'"),
+        (lambda lines: [lines[0].replace("weather,", "")] + lines[1:], 1, "'weather'"),
+    ],
+    ids=["enum", "blank-enum", "truncated", "date", "integer", "column"],
+)
+def test_read_records_fails_closed(tmp_path, damage, line, problem):
+    path = tmp_path / "records.csv"
+    ingest.write_records([make_record(rid=str(k)) for k in range(4)], path)
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    with pytest.raises(CorruptArtifactError) as info:
+        ingest.read_records(path)
+    message = str(info.value)
+    assert f"{path} line {line}:" in message and problem in message
+    assert message.endswith("run `ingest` again")
+    assert info.value.line == line
