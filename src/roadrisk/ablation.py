@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import config_hash
@@ -70,9 +71,9 @@ def arm_descriptor(
     channel_mask: tuple[int, int, int],
 ) -> dict:
     return {
-        "model": model_config.to_dict(),
-        "train": train_config.to_dict(),
-        "diffusion": diffusion_config.to_dict(),
+        "model": asdict(model_config),
+        "train": asdict(train_config),
+        "diffusion": asdict(diffusion_config),
         "channel_mask": list(channel_mask),
     }
 

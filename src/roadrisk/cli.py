@@ -87,13 +87,23 @@ def _load_training_data(config: RunConfig) -> tuple[TrainingData, RiskTensor, Mi
         _require(out / "risk_tensor.bin", "risk tensor (run `features` first)"),
         _require(out / "risk_tensor.json", "risk tensor sidecar"),
     )
+    sidecar = _require(out / "processed.json", "processed tensor sidecar")
     inputs = load_tensor(
         _require(out / "processed.bin", "processed tensor (run `diffuse` first)"),
-        _require(out / "processed.json", "processed tensor sidecar"),
+        sidecar,
         stage="diffuse",
     )
-    target_scaler = MinMaxScaler.from_dict(inputs.meta["target_scaler"])
-    fractions = tuple(inputs.meta["split_fractions"])
+    try:
+        target_scaler = MinMaxScaler.from_dict(inputs.meta["target_scaler"])
+        fractions = tuple(float(f) for f in inputs.meta["split_fractions"])
+        shapes = {target_scaler.minima.shape, target_scaler.maxima.shape}
+        if shapes != {(raw.values.shape[2],)} or len(fractions) != 3:
+            raise ValueError(f"scaler shapes {sorted(shapes)}, {len(fractions)} split fractions")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"{sidecar}: no readable target scaler and split fractions "
+            f"({type(exc).__name__}: {exc}); run `diffuse` again"
+        ) from exc
     splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
     targets = target_scaler.transform(raw.values)[:, :, TARGET_CHANNEL]
     data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
@@ -325,9 +335,17 @@ def cmd_map(config: RunConfig) -> list[str]:
     pred_path = _require(out / "predictions.csv", "predictions (run `predict` first)")
     graph = _load_graph(config)
     by_week: dict[str, dict[int, float]] = {}
-    with open(pred_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_week.setdefault(row["week"], {})[int(row["node_id"])] = float(row["value"])
+    columns = ["week", "node_id", "value"]
+    with artifact_rows(pred_path, columns, "predict") as ((i_week, i_node, i_value), rows):
+        for row in rows:
+            by_week.setdefault(row[i_week], {})[int(row[i_node])] = float(row[i_value])
+        # a ValueError here is reported at the table's last line
+        if len(by_week) != config.model.t_out:
+            raise ValueError(f"{len(by_week)} forecast weeks, the model forecasts {config.model.t_out}")
+        for week, values in by_week.items():
+            missing = [node for node in graph.node_ids if node not in values]
+            if missing:
+                raise ValueError(f"no forecast for node {missing[0]} in week {week}")
     zone_maps = []
     for week in sorted(by_week):
         values = np.array([by_week[week][node] for node in graph.node_ids])

@@ -10,13 +10,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .diffusion import DiffusionConfig
+from .diffusion import DiffusionConfig, preset
 from .errors import ConfigError
 from .graph import GraphParams
-from .ingest import RegionSpec
+from .ingest import LOGICAL_COLUMNS, RegionSpec
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -38,6 +38,51 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _object(raw, section: str, keys) -> dict:
+    """Config section `section` as a dict; null means the defaults.
+
+    A key outside `keys` raises ConfigError naming the section and the key,
+    so a typo fails instead of silently running on a default.
+    """
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object, not {raw!r}")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in config section {section!r}")
+    return raw
+
+
+def _section(cls, raw, section: str, /, base=None, **convert):
+    """Build dataclass `cls`, or override `base`, from one JSON section.
+
+    The dataclass fields are the schema. A key the section leaves out keeps
+    its default; a list becomes a tuple; `convert` maps a key to the function
+    that turns its JSON value into the field value.
+    """
+    kwargs = {
+        key: convert[key](value) if key in convert
+        else tuple(value) if isinstance(value, list) else value
+        for key, value in _object(raw, section, {f.name for f in fields(cls)}).items()
+    }
+    return cls(**kwargs) if base is None else replace(base, **kwargs)
+
+
+def _period(raw) -> tuple[dt.date, dt.date]:
+    start, end = raw
+    return dt.date.fromisoformat(start), dt.date.fromisoformat(end)
+
+
+def _diffusion(raw) -> DiffusionConfig:
+    """A `preset` key names the base that the section's other keys override."""
+    base = None
+    if isinstance(raw, dict) and "preset" in raw:
+        raw = dict(raw)
+        base = preset(raw.pop("preset"))
+    return _section(DiffusionConfig, raw, "diffusion", base=base, beta=float)
+
+
 @dataclass
 class RunConfig:
     data_csv: str
@@ -54,24 +99,9 @@ class RunConfig:
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def to_dict(self) -> dict:
-        return {
-            "data_csv": self.data_csv,
-            "out_dir": self.out_dir,
-            "region": {
-                "name": self.region.name,
-                "bbox": list(self.region.bbox),
-                "period": [d.isoformat() for d in self.region.period],
-            },
-            "schema": self.schema,
-            "graph": self.graph.to_dict(),
-            "diffusion": self.diffusion.to_dict(),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "seed": self.seed,
-            "weight_tables": self.weight_tables,
-            "mape_eps": self.mape_eps,
-            "split_fractions": list(self.split_fractions),
-        }
+        out = asdict(self)
+        out["region"]["period"] = [d.isoformat() for d in self.region.period]
+        return out
 
     @property
     def fingerprint(self) -> str:
@@ -80,31 +110,19 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         try:
-            region = RegionSpec(
-                name=raw["region"]["name"],
-                bbox=tuple(raw["region"]["bbox"]),
-                period=(
-                    dt.date.fromisoformat(raw["region"]["period"][0]),
-                    dt.date.fromisoformat(raw["region"]["period"][1]),
-                ),
-            )
-            cfg = cls(
-                data_csv=raw["data_csv"],
-                out_dir=raw["out_dir"],
-                region=region,
-                schema=dict(raw.get("schema", {})),
-                graph=GraphParams(**raw.get("graph", {})),
-                diffusion=DiffusionConfig.from_dict(raw.get("diffusion", {"preset": "Differentiated_B"})),
-                model=ModelConfig.from_dict(raw.get("model", {})) if raw.get("model") else ModelConfig(),
-                train=TrainConfig.from_dict(raw.get("train", {})) if raw.get("train") else TrainConfig(),
-                seed=int(raw.get("seed", 0)),
-                weight_tables=raw.get("weight_tables"),
-                mape_eps=float(raw.get("mape_eps", 1e-8)),
-                split_fractions=tuple(raw.get("split_fractions", (0.6, 0.2, 0.2))),
+            return _section(
+                cls, raw, "top level",
+                region=lambda r: _section(RegionSpec, r, "region", period=_period),
+                schema=lambda r: dict(_object(r, "schema", LOGICAL_COLUMNS)),
+                graph=lambda r: _section(GraphParams, r, "graph"),
+                diffusion=_diffusion,
+                model=lambda r: _section(ModelConfig, r, "model"),
+                train=lambda r: _section(TrainConfig, r, "train"),
+                seed=int,
+                mape_eps=float,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid run config: {exc}") from exc
-        return cfg
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":

@@ -12,7 +12,7 @@ deliberate over-smoothing for the ablation runner.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -27,7 +27,6 @@ class DiffusionConfig:
     alpha: tuple[float, float, float] = (0.25, 0.15, 0.3)
     iters: tuple[int, int, int] = (1, 1, 2)
     beta: float = 0.7
-    fuse_each_step: bool = False  # blend after every iteration instead of once at the end
 
     def __post_init__(self):
         if any(not (0.0 <= a <= 1.0) for a in self.alpha):
@@ -36,29 +35,6 @@ class DiffusionConfig:
             raise ConfigError(f"diffusion iteration counts must be >= 0: {self.iters}")
         if not (0.0 <= self.beta <= 1.0):
             raise ConfigError(f"fusion weight must lie in [0,1]: {self.beta}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "alpha": list(self.alpha),
-            "iters": list(self.iters),
-            "beta": self.beta,
-            "fuse_each_step": self.fuse_each_step,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DiffusionConfig":
-        if set(raw) == {"preset"} or ("preset" in raw and len(raw) == 1):
-            return preset(raw["preset"])
-        base = preset(raw["preset"]) if "preset" in raw else cls()
-        return replace(
-            base,
-            name=raw.get("name", raw.get("preset", base.name)),
-            alpha=tuple(raw.get("alpha", base.alpha)),
-            iters=tuple(raw.get("iters", base.iters)),
-            beta=float(raw.get("beta", base.beta)),
-            fuse_each_step=bool(raw.get("fuse_each_step", base.fuse_each_step)),
-        )
 
 
 def _cfg(name, alpha, iters) -> DiffusionConfig:
@@ -146,12 +122,6 @@ def apply_diffusion(
         if config.alpha[f] == 0.0 or config.iters[f] == 0:
             # fusing an unmoved signal with itself must stay the exact identity
             out[:, :, f] = original.T
-        elif config.fuse_each_step:
-            current = original.copy()
-            for _ in range(config.iters[f]):
-                stepped = diffuse_feature(current, a_norm, config.alpha[f], 1)
-                current = fuse(stepped, current, config.beta)
-            out[:, :, f] = current.T
         else:
             diffused = diffuse_feature(
                 original, a_norm, config.alpha[f], config.iters[f]
@@ -159,7 +129,7 @@ def apply_diffusion(
             out[:, :, f] = fuse(diffused, original, config.beta).T
     result = tensor.copy()
     result.values = out
-    result.meta = {**tensor.meta, "diffusion": config.to_dict()}
+    result.meta = {**tensor.meta, "diffusion": asdict(config)}
     return result
 
 

@@ -59,9 +59,6 @@ class GraphParams:
     k: int = 4
     sigma_m: float | None = None  # None: median of retained kNN distances
 
-    def to_dict(self) -> dict:
-        return {"cell_size_m": self.cell_size_m, "k": self.k, "sigma_m": self.sigma_m}
-
 
 @dataclass
 class SpatialGraph:

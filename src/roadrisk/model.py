@@ -43,7 +43,7 @@ class ModelConfig:
     spatial_attention: bool = True  # False: plain graph convolution (no attention mask)
 
     def __post_init__(self):
-        if self.d % self.heads != 0:
+        if self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if self.t_in < 1 or self.t_out < 1:
             raise ConfigError("window lengths must be >= 1")
@@ -51,22 +51,6 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.conv_kernel < 1:
             raise ConfigError("conv kernel must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "heads": self.heads,
-            "layers": self.layers,
-            "t_in": self.t_in,
-            "t_out": self.t_out,
-            "conv_kernel": self.conv_kernel,
-            "dropout": self.dropout,
-            "spatial_attention": self.spatial_attention,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(**raw)
 
 
 N_CHANNELS = 3
@@ -242,22 +226,15 @@ class RiskForecaster:
     def _heads_join(self, x: Tensor, n: int, t: int) -> Tensor:
         return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (n, t, self.config.d))
 
-    def _temporal_attention(self, h: Tensor, prefix: str, causal: bool) -> Tensor:
+    def _self_attention(self, h: Tensor, prefix: str, causal: bool) -> Tensor:
         p = self.params
-        n, t, d = h.shape
-        dk = d // self.config.heads
         stem = ad.conv1d(h, p[f"{prefix}.conv.w"], p[f"{prefix}.conv.b"], causal=causal)
-        q = self._heads_split(ad.matmul(stem, p[f"{prefix}.wq"]), n, t)
-        k = self._heads_split(ad.matmul(stem, p[f"{prefix}.wk"]), n, t)
-        v = self._heads_split(ad.matmul(stem, p[f"{prefix}.wv"]), n, t)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-        mask = causal_mask(t) if causal else None
-        attn = ad.softmax_rows(scores, mask=mask)
-        self._log_attention(prefix, attn, mask)
-        mixed = self._heads_join(ad.matmul(attn, v), n, t)
-        return ad.matmul(mixed, p[f"{prefix}.wo"])
+        return self._attention(stem, stem, prefix, causal_mask(h.shape[1]) if causal else None)
 
-    def _cross_attention(self, queries: Tensor, memory: Tensor, prefix: str) -> Tensor:
+    def _attention(
+        self, queries: Tensor, memory: Tensor, prefix: str, mask: np.ndarray | None
+    ) -> Tensor:
+        """Multi-head attention from each node's query weeks to its memory weeks."""
         p = self.params
         n, t_q, d = queries.shape
         t_m = memory.shape[1]
@@ -266,8 +243,8 @@ class RiskForecaster:
         k = self._heads_split(ad.matmul(memory, p[f"{prefix}.wk"]), n, t_m)
         v = self._heads_split(ad.matmul(memory, p[f"{prefix}.wv"]), n, t_m)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-        attn = ad.softmax_rows(scores)
-        self._log_attention(prefix, attn, None)
+        attn = ad.softmax_rows(scores, mask=mask)
+        self._log_attention(prefix, attn, mask)
         mixed = self._heads_join(ad.matmul(attn, v), n, t_q)
         return ad.matmul(mixed, p[f"{prefix}.wo"])
 
@@ -328,7 +305,7 @@ class RiskForecaster:
             enc = f"enc{layer}"
             h = self._sublayer(
                 h,
-                lambda z: self._temporal_attention(z, f"{enc}.attn", causal=False),
+                lambda z: self._self_attention(z, f"{enc}.attn", causal=False),
                 f"{enc}.ln1",
                 training,
                 rng,
@@ -348,14 +325,14 @@ class RiskForecaster:
             dec = f"dec{layer}"
             h = self._sublayer(
                 h,
-                lambda z: self._temporal_attention(z, f"{dec}.self", causal=True),
+                lambda z: self._self_attention(z, f"{dec}.self", causal=True),
                 f"{dec}.ln1",
                 training,
                 rng,
             )
             h = self._sublayer(
                 h,
-                lambda z: self._cross_attention(z, enc_out, f"{dec}.cross"),
+                lambda z: self._attention(z, enc_out, f"{dec}.cross", None),
                 f"{dec}.ln2",
                 training,
                 rng,

@@ -45,27 +45,12 @@ class TrainConfig:
             raise ConfigError("epoch counts must be >= 0")
         if self.lr_main < 0:
             raise ConfigError("learning rate must be >= 0")
+        if self.batch is not None and self.batch < 1:
+            raise ConfigError(f"batch must be >= 1 window, got {self.batch}")
 
     @property
     def finetune_lr(self) -> float:
         return self.lr_main / 10.0 if self.lr_finetune is None else self.lr_finetune
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs_main": self.epochs_main,
-            "epochs_finetune": self.epochs_finetune,
-            "lr_main": self.lr_main,
-            "lr_finetune": self.lr_finetune,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "seed": self.seed,
-            "batch": self.batch,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        return cls(**raw)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def test_truncated_checkpoint_exit_code(pipeline, tmp_path):
 def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path):
     config_path, out = copy_run(pipeline, tmp_path)
     model_config = json.loads(config_path.read_text())["model"]
-    wide = md.ModelConfig.from_dict({**model_config, "d": 16})
+    wide = md.ModelConfig(**{**model_config, "d": 16})
     md.save_checkpoint(md.init_params(wide), out / "params.json", out / "params.bin")
     assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
 
@@ -208,6 +208,63 @@ def test_non_integer_node_in_assignment_exit_code(pipeline, tmp_path, caplog):
     assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
     assert f"{assignment} line 4:" in caplog.text and "'2.5'" in caplog.text
     assert "run `graph` again" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "case", ["truncated row", "missing row", "missing week", "non-integer node"]
+)
+def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
+    config_path, out = copy_run(pipeline, tmp_path)
+    predictions = out / "predictions.csv"
+    lines = predictions.read_text().splitlines()
+    if case == "truncated row":
+        lines[4] = ",".join(lines[4].split(",")[:2])
+        where, problem = "line 5:", "row has fewer cells than its header"
+    elif case == "missing row":
+        node = lines.pop(30).split(",")[0]
+        where, problem = f"line {len(lines)}:", f"no forecast for node {node} in week"
+    elif case == "missing week":
+        del lines[-30:]
+        where, problem = f"line {len(lines)}:", "11 forecast weeks, the model forecasts 12"
+    else:
+        cells = lines[3].split(",")
+        cells[0] = "2.5"  # node_id
+        lines[3] = ",".join(cells)
+        where, problem = "line 4:", "'2.5'"
+    predictions.write_text("\n".join(lines) + "\n")
+    assert cli.main(["map", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{predictions} {where}" in caplog.text and problem in caplog.text
+    assert "run `predict` again" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("target_scaler", None), ("split_fractions", None),
+     ("target_scaler", {"minima": "low", "maxima": [1.0, 1.0, 1.0]}),
+     ("split_fractions", [0.6, 0.4])],
+)
+def test_processed_sidecar_without_scaler_or_splits_exit_code(
+    pipeline, tmp_path, caplog, key, value
+):
+    config_path, out = copy_run(pipeline, tmp_path)
+    sidecar = out / "processed.json"
+    meta = json.loads(sidecar.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(sidecar) in caplog.text and "run `diffuse` again" in caplog.text
+
+
+def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):
+    config_path, _ = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["diffusion"]["alphas"] = [0.1, 0.1, 0.1]
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["diffuse", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert "unknown key 'alphas' in config section 'diffusion'" in caplog.text
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,48 @@ def test_invalid_config_raises(tmp_path):
     raw["region"]["bbox"] = [0.0, 51.6, -0.2, 51.4]  # inverted
     with pytest.raises(ConfigError):
         RunConfig.from_dict(raw)
+    for section, key, value in [("model", "heads", 0), ("train", "batch", 0), ("train", "batch", -3)]:
+        raw = sample_config_dict(tmp_path)
+        raw[section][key] = value
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (None, "weight_table"),
+        (None, "split_fraction"),
+        ("region", "nmae"),
+        ("schema", "lattitude"),
+        ("graph", "kk"),
+        ("diffusion", "alphas"),
+        ("diffusion", "fuse_each_step"),
+        ("model", "width"),
+        ("train", "epoch"),
+    ],
+)
+def test_unknown_key_raises(tmp_path, section, key):
+    raw = sample_config_dict(tmp_path)
+    (raw if section is None else raw.setdefault(section, {}))[key] = 1
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in config section "
+                       f"'{section or 'top level'}'"):
+        RunConfig.from_dict(raw)
+
+
+def test_diffusion_preset_then_overrides(tmp_path):
+    raw = sample_config_dict(tmp_path)
+    raw["diffusion"] = {"preset": "Uniform_Strong", "iters": [1, 2, 3], "beta": 1}
+    diffusion = RunConfig.from_dict(raw).diffusion
+    assert diffusion.name == "Uniform_Strong"
+    assert diffusion.alpha == (0.3, 0.3, 0.3)
+    assert diffusion.iters == (1, 2, 3)
+    assert diffusion.beta == 1.0 and isinstance(diffusion.beta, float)
+
+
+def test_fixture_config_fingerprint_is_pinned():
+    path = Path(__file__).resolve().parents[1] / "configs" / "fixture.json"
+    assert RunConfig.load(path).fingerprint == "7b2e6fef1fb9"
 
 
 def test_missing_config_file(tmp_path):

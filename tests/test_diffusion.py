@@ -183,17 +183,21 @@ def test_deviation_from_constant_nonincreasing():
         assert after <= before + 1e-9
 
 
-def test_per_step_fusion_flag_changes_result():
+def test_per_step_fusion_is_scaled_alpha_without_fusion():
+    """Blending after every step is the plain update at alpha * beta, beta 1."""
     rng = np.random.default_rng(9)
     a = random_norm(5, seed=10)
     tensor = make_tensor(rng.uniform(0, 3, (3, 5, 3)))
-    cfg = df.DiffusionConfig(name="x", alpha=(0.4, 0.4, 0.4), iters=(3, 3, 3))
-    stepwise = df.DiffusionConfig(
-        name="x", alpha=(0.4, 0.4, 0.4), iters=(3, 3, 3), fuse_each_step=True
-    )
-    final_only = df.apply_diffusion(tensor, a, cfg).values
-    per_step = df.apply_diffusion(tensor, a, stepwise).values
-    assert not np.allclose(final_only, per_step)
+    alpha, iters, beta = (0.4, 0.2, 0.6), (3, 1, 2), 0.7
+    per_step = np.empty_like(tensor.values)
+    for f in range(3):
+        current = tensor.values[:, :, f].T
+        for _ in range(iters[f]):
+            current = df.fuse(df.diffuse_feature(current, a, alpha[f], 1), current, beta)
+        per_step[:, :, f] = current.T
+    scaled = df.DiffusionConfig(name="x", alpha=tuple(x * beta for x in alpha), iters=iters, beta=1.0)
+    np.testing.assert_allclose(df.apply_diffusion(tensor, a, scaled).values, per_step,
+                               rtol=0, atol=1e-12)
 
 
 def test_scale_minmax_basics():

@@ -96,7 +96,7 @@ def test_temporal_attention_single_step_is_identity_weight():
     model = RiskForecaster(cfg, ring_norm(3), seed=4)
     h = Tensor(np.random.default_rng(4).standard_normal((3, 1, 4)))
     model.attention_log = []
-    model._temporal_attention(h, "enc0.attn", causal=True)
+    model._self_attention(h, "enc0.attn", causal=True)
     attn = model.attention_log[-1]["weights"]
     np.testing.assert_array_equal(attn, np.ones_like(attn))
 
