@@ -7,11 +7,11 @@ fingerprint of its arm configuration so the comparison table is auditable.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import asdict
 from pathlib import Path
 
+from .artifacts import write_table
 from .config import config_hash
 from .diffusion import PRESETS, DiffusionConfig
 from .features import RiskTensor
@@ -78,16 +78,6 @@ def arm_descriptor(
     }
 
 
-def audit_arms_differ_only_in(reports: dict[str, EvalReport], factor: str) -> bool:
-    """True when every pair of arm configs is identical outside `factor`."""
-    stripped = []
-    for report in reports.values():
-        arm = dict(report.extra["arm"])
-        arm.pop(factor, None)
-        stripped.append(config_hash(arm))
-    return len(set(stripped)) == 1
-
-
 def run_feature_ablation(
     tensor: RiskTensor,
     graph: SpatialGraph,
@@ -131,25 +121,23 @@ def run_diffusion_ablation(
 
 def write_comparison_csv(reports: dict[str, EvalReport], path: str | Path) -> None:
     """One row per arm with bucket metrics side by side."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "arm",
-                "short_mae", "short_rmse", "short_mape",
-                "medium_mae", "medium_rmse", "medium_mape",
-                "long_mae", "long_rmse", "long_mape",
-                "masked_fraction", "best_val_loss", "config_fingerprint",
-            ]
-        )
-        for name, report in reports.items():
-            row = [name]
-            for bucket in ("short", "medium", "long"):
-                vals = report.buckets.get(bucket, {})
-                row += [vals.get("mae"), vals.get("rmse"), vals.get("mape")]
-            row += [
-                report.masked_fraction,
-                report.extra.get("best_val_loss"),
-                report.config_fingerprint,
-            ]
-            writer.writerow(row)
+    header = [
+        "arm",
+        "short_mae", "short_rmse", "short_mape",
+        "medium_mae", "medium_rmse", "medium_mape",
+        "long_mae", "long_rmse", "long_mape",
+        "masked_fraction", "best_val_loss", "config_fingerprint",
+    ]
+    rows = []
+    for name, report in reports.items():
+        row = [name]
+        for bucket in ("short", "medium", "long"):
+            vals = report.buckets.get(bucket, {})
+            row += [vals.get("mae"), vals.get("rmse"), vals.get("mape")]
+        row += [
+            report.masked_fraction,
+            report.extra.get("best_val_loss"),
+            report.config_fingerprint,
+        ]
+        rows.append(row)
+    write_table(path, header, rows)

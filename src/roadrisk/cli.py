@@ -9,8 +9,7 @@ error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import functools
 import logging
 import sys
 import time
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ablation, diffusion, ingest, metrics, riskmap, validation
+from . import ablation, ingest, metrics, riskmap, validation
+from .artifacts import artifact_rows, reading, write_json, write_table
 from .config import RunConfig, write_manifest
-from .csvio import artifact_rows
 from .diffusion import MinMaxScaler
 from .errors import ConfigError, DataError, MissingArtifactError, NumericError
 from .features import (
@@ -44,11 +43,23 @@ log = logging.getLogger("roadrisk")
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
-
-def _require(path: Path, name: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(name, str(path))
-    return path
+# The artifacts each command writes into the run's output directory; `map`
+# also writes one maps/risk_week_<week>.geojson per forecast week.
+OUTPUTS = {
+    "ingest": ["records.csv", "rejects.csv"],
+    "graph": ["nodes.csv", "edges.csv", "assignment.csv"],
+    "snr": ["snr.csv"],
+    "features": ["risk_tensor.bin", "risk_tensor.json"],
+    "diffuse": ["processed.bin", "processed.json"],
+    "train": ["params.json", "params.bin", "history.csv"],
+    "eval": ["report.json", "report.csv", "report_baselines.json"],
+    "predict": ["predictions.csv"],
+    "map": ["zones.csv"],
+    "validate-framework": ["validation.json", "validation.csv"],
+    "ablate-features": ["ablation_features.csv", "ablation_features.json"],
+    "ablate-diffusion": ["ablation_diffusion.csv", "ablation_diffusion.json"],
+}
+WRITER = {name: command for command, names in OUTPUTS.items() for name in names}
 
 
 def _out(config: RunConfig) -> Path:
@@ -57,65 +68,65 @@ def _out(config: RunConfig) -> Path:
     return out
 
 
+def _artifact(config: RunConfig, name: str) -> Path:
+    """The path of artifact `name`, which an earlier command must have written."""
+    path = _out(config) / name
+    if not path.exists():
+        raise MissingArtifactError(path, WRITER[name])
+    return path
+
+
+def _config_file(config: RunConfig, key: str) -> Path:
+    """The input file that the run config's `key` names."""
+    path = Path(getattr(config, key))
+    if not path.exists():
+        raise DataError(f"{path} not found; it is the run config's `{key}`")
+    return path
+
+
 def _tables(config: RunConfig) -> WeightTables:
     if config.weight_tables:
-        return WeightTables.load(_require(Path(config.weight_tables), "weight tables"))
+        return WeightTables.load(_config_file(config, "weight_tables"))
     return WeightTables.default()
 
 
 def _load_records(config: RunConfig) -> list:
-    path = _require(_out(config) / "records.csv", "records (run `ingest` first)")
-    return ingest.read_records(path)
+    return ingest.read_records(_artifact(config, "records.csv"))
 
 
 def _load_graph(config: RunConfig):
-    out = _out(config)
-    nodes = _require(out / "nodes.csv", "graph nodes (run `graph` first)")
-    edges = _require(out / "edges.csv", "graph edges (run `graph` first)")
-    return load_graph(nodes, edges, config.graph)
+    return load_graph(_artifact(config, "nodes.csv"), _artifact(config, "edges.csv"), config.graph)
 
 
 def _load_assignment(config: RunConfig) -> np.ndarray:
-    path = _require(_out(config) / "assignment.csv", "node assignment (run `graph` first)")
-    with artifact_rows(path, ["node_id"], "graph") as ((i_node,), rows):
+    path = _artifact(config, "assignment.csv")
+    with artifact_rows(path, ["node_id"], WRITER[path.name]) as ((i_node,), rows):
         return np.array([int(row[i_node]) for row in rows])
 
 
-def _load_training_data(config: RunConfig) -> tuple[TrainingData, RiskTensor, MinMaxScaler]:
-    out = _out(config)
-    raw = load_tensor(
-        _require(out / "risk_tensor.bin", "risk tensor (run `features` first)"),
-        _require(out / "risk_tensor.json", "risk tensor sidecar"),
-    )
-    sidecar = _require(out / "processed.json", "processed tensor sidecar")
-    inputs = load_tensor(
-        _require(out / "processed.bin", "processed tensor (run `diffuse` first)"),
-        sidecar,
-        stage="diffuse",
-    )
-    try:
+def _load_tensor(config: RunConfig, stem: str) -> RiskTensor:
+    """The tensor saved as `<stem>.bin` plus its `<stem>.json` sidecar."""
+    bin_path, meta_path = _artifact(config, f"{stem}.bin"), _artifact(config, f"{stem}.json")
+    return load_tensor(bin_path, meta_path, stage=WRITER[bin_path.name])
+
+
+def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
+    raw = _load_tensor(config, "risk_tensor")
+    inputs = _load_tensor(config, "processed")
+    with reading(_out(config) / "processed.json", WRITER["processed.json"]):
         target_scaler = MinMaxScaler.from_dict(inputs.meta["target_scaler"])
         fractions = tuple(float(f) for f in inputs.meta["split_fractions"])
         shapes = {target_scaler.minima.shape, target_scaler.maxima.shape}
         if shapes != {(raw.values.shape[2],)} or len(fractions) != 3:
             raise ValueError(f"scaler shapes {sorted(shapes)}, {len(fractions)} split fractions")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(
-            f"{sidecar}: no readable target scaler and split fractions "
-            f"({type(exc).__name__}: {exc}); run `diffuse` again"
-        ) from exc
     splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
     targets = target_scaler.transform(raw.values)[:, :, TARGET_CHANNEL]
     data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
-    return data, raw, target_scaler
+    return data, target_scaler
 
 
 def _load_model(config: RunConfig, graph) -> RiskForecaster:
-    out = _out(config)
-    params = load_checkpoint(
-        _require(out / "params.json", "checkpoint manifest (run `train` first)"),
-        _require(out / "params.bin", "checkpoint weights (run `train` first)"),
-    )
+    params = load_checkpoint(_artifact(config, "params.json"), _artifact(config, "params.bin"))
     expected = {name: t.shape for name, t in init_params(config.model).items()}
     found = {name: t.shape for name, t in params.items()}
     for name in sorted(expected.keys() | found.keys()):
@@ -126,6 +137,20 @@ def _load_model(config: RunConfig, graph) -> RiskForecaster:
                 "run `train` again"
             )
     return RiskForecaster(config.model, graph.adjacency_norm, params=params)
+
+
+def _forecast(config: RunConfig):
+    """Forecast the last test window with the trained model.
+
+    Returns the training data, the graph, the target scaler, the window's
+    first week, and the scaled forecast and its truth, each (nodes, t_out).
+    """
+    data, target_scaler = _load_training_data(config)
+    graph = _load_graph(config)
+    model = _load_model(config, graph)
+    start = data.last_test_window()
+    x, y = data.window(start)
+    return data, graph, target_scaler, start, model.predict(x), y
 
 
 def cmd_fixture(config: RunConfig) -> list[str]:
@@ -140,8 +165,9 @@ def cmd_fixture(config: RunConfig) -> list[str]:
 
 def cmd_ingest(config: RunConfig) -> list[str]:
     out = _out(config)
-    csv_path = _require(Path(config.data_csv), "accident CSV")
-    records, rejects = ingest.parse_accident_csv(csv_path, config.schema or None)
+    records, rejects = ingest.parse_accident_csv(
+        _config_file(config, "data_csv"), config.schema or None
+    )
     kept = ingest.filter_region(records, config.region)
     ingest.write_records(kept, out / "records.csv", config.fingerprint)
     ingest.write_rejects(rejects, out / "rejects.csv", config.fingerprint)
@@ -149,7 +175,7 @@ def cmd_ingest(config: RunConfig) -> list[str]:
         "parsed %d rows: %d in region %s, %d rejects",
         len(records) + len(rejects), len(kept), config.region.name, len(rejects),
     )
-    return ["records.csv", "rejects.csv"]
+    return OUTPUTS["ingest"]
 
 
 def cmd_graph(config: RunConfig) -> list[str]:
@@ -163,19 +189,18 @@ def cmd_graph(config: RunConfig) -> list[str]:
     )
     fingerprint = config.fingerprint
     save_graph(graph, out / "nodes.csv", out / "edges.csv", fingerprint)
-    with open(out / "assignment.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accident_id", "node_id", "config_hash"])
-        writer.writerows(
-            [record.id, node, fingerprint]
-            for record, node in zip(records, assignment.tolist())
-        )
+    write_table(
+        out / "assignment.csv",
+        ["accident_id", "node_id"],
+        ([record.id, node] for record, node in zip(records, assignment.tolist())),
+        fingerprint,
+    )
     counts = graph.edge_counts()
     log.info(
         "graph: %d nodes, %d undirected edges (%d stored), sigma=%.1f m",
         graph.n_nodes, counts["undirected"], counts["directed"], graph.params.sigma_m,
     )
-    return ["nodes.csv", "edges.csv", "assignment.csv"]
+    return OUTPUTS["graph"]
 
 
 def cmd_snr(config: RunConfig) -> list[str]:
@@ -188,14 +213,15 @@ def cmd_snr(config: RunConfig) -> list[str]:
             records, assignment, granularity, n_nodes=1, period=config.region.period
         )
         rows.append((granularity.value, ingest.snr(series), len(series.index)))
-    with open(out / "snr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["granularity", "snr", "periods", "config_hash"])
-        for name, value, periods in rows:
-            writer.writerow([name, repr(value), periods, config.fingerprint])
+    write_table(
+        out / "snr.csv",
+        ["granularity", "snr", "periods"],
+        ([name, repr(value), periods] for name, value, periods in rows),
+        config.fingerprint,
+    )
     for name, value, periods in rows:
         print(f"{name:>8}: SNR {value:8.3f} over {periods} periods")
-    return ["snr.csv"]
+    return OUTPUTS["snr"]
 
 
 def cmd_features(config: RunConfig) -> list[str]:
@@ -209,15 +235,12 @@ def cmd_features(config: RunConfig) -> list[str]:
     tensor.meta["config_hash"] = config.fingerprint
     save_tensor(tensor, out / "risk_tensor.bin", out / "risk_tensor.json")
     log.info("risk tensor: %d weeks x %d nodes x 3", tensor.n_weeks, tensor.n_nodes)
-    return ["risk_tensor.bin", "risk_tensor.json"]
+    return OUTPUTS["features"]
 
 
 def cmd_diffuse(config: RunConfig) -> list[str]:
     out = _out(config)
-    raw = load_tensor(
-        _require(out / "risk_tensor.bin", "risk tensor (run `features` first)"),
-        _require(out / "risk_tensor.json", "risk tensor sidecar"),
-    )
+    raw = _load_tensor(config, "risk_tensor")
     graph = _load_graph(config)
     data, input_scaler, target_scaler = prepare_training_data(
         raw,
@@ -238,12 +261,12 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
     )
     save_tensor(inputs, out / "processed.bin", out / "processed.json")
     log.info("diffused with %s, scaled on train weeks %s", config.diffusion.name, data.splits.train)
-    return ["processed.bin", "processed.json"]
+    return OUTPUTS["diffuse"]
 
 
 def cmd_train(config: RunConfig) -> list[str]:
     out = _out(config)
-    data, _, _ = _load_training_data(config)
+    data, _ = _load_training_data(config)
     graph = _load_graph(config)
     model = RiskForecaster(config.model, graph.adjacency_norm, seed=config.seed)
     result = train(model, data, config.train)
@@ -252,33 +275,29 @@ def cmd_train(config: RunConfig) -> list[str]:
         model.params, out / "params.json", out / "params.bin",
         extra={"config_hash": fingerprint},
     )
-    with open(out / "history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "phase", "lr", "train_loss", "val_loss", "is_best", "config_hash"]
-        )
-        for row in result.history:
-            writer.writerow(
-                [row["epoch"], row["phase"], row["lr"], repr(row["train_loss"]),
-                 repr(row["val_loss"]), int(row["is_best"]), fingerprint]
-            )
+    write_table(
+        out / "history.csv",
+        ["epoch", "phase", "lr", "train_loss", "val_loss", "is_best"],
+        (
+            [row["epoch"], row["phase"], row["lr"], repr(row["train_loss"]),
+             repr(row["val_loss"]), int(row["is_best"])]
+            for row in result.history
+        ),
+        fingerprint,
+    )
     log.info(
         "trained %d epochs; best validation L1 %.6f at epoch %d",
         len(result.history), result.best_val_loss, result.best_epoch,
     )
-    return ["params.json", "params.bin", "history.csv"]
+    return OUTPUTS["train"]
 
 
 def cmd_eval(config: RunConfig) -> list[str]:
     out = _out(config)
     started = time.time()
-    data, _, _ = _load_training_data(config)
-    graph = _load_graph(config)
-    model = _load_model(config, graph)
-    start = data.last_test_window()
-    x, y = data.window(start)
+    data, _, _, start, forecast, y = _forecast(config)
     report = metrics.horizon_report(
-        model.predict(x), y, eps=config.mape_eps,
+        forecast, y, eps=config.mape_eps,
         config_fingerprint=config.fingerprint, runtime_s=time.time() - started,
     )
     report.extra["window_start_week"] = data.inputs.weeks[start]
@@ -293,50 +312,46 @@ def cmd_eval(config: RunConfig) -> list[str]:
                                      config_fingerprint=config.fingerprint).to_dict()
         for name, pred in baselines.items()
     }
-    with open(out / "report_baselines.json", "w") as fh:
-        json.dump({"config_hash": config.fingerprint, "baselines": side}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report_baselines.json", {"config_hash": config.fingerprint, "baselines": side})
     for bucket, vals in report.buckets.items():
         log.info(
             "%s weeks %s: MAE %.4f RMSE %.4f MAPE %s",
             bucket, vals["weeks"], vals["mae"], vals["rmse"],
             "n/a" if vals["mape"] is None else f"{vals['mape']:.2f}%",
         )
-    return ["report.json", "report.csv", "report_baselines.json"]
+    return OUTPUTS["eval"]
 
 
 def cmd_predict(config: RunConfig) -> list[str]:
     out = _out(config)
-    data, raw, target_scaler = _load_training_data(config)
-    graph = _load_graph(config)
-    model = _load_model(config, graph)
-    start = data.last_test_window()
-    x, _ = data.window(start)
-    scaled = model.predict(x)  # (nodes, t_out)
+    data, graph, target_scaler, start, scaled, _ = _forecast(config)
     values = target_scaler.inverse_channel(scaled, TARGET_CHANNEL)
-    week_labels = raw.weeks[start + data.t_in : start + data.t_in + data.t_out]
-    fingerprint = config.fingerprint
-    with open(out / "predictions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "week", "value_scaled", "value", "config_hash"])
-        for t, week in enumerate(week_labels):
-            for i, node_id in enumerate(graph.node_ids):
-                writer.writerow(
-                    [node_id, week, repr(float(scaled[i, t])), repr(float(values[i, t])),
-                     fingerprint]
-                )
+    weeks = data.inputs.weeks
+    week_labels = weeks[start + data.t_in : start + data.t_in + data.t_out]
+    write_table(
+        out / "predictions.csv",
+        ["node_id", "week", "value_scaled", "value"],
+        (
+            [node_id, week, repr(float(scaled[i, t])), repr(float(values[i, t]))]
+            for t, week in enumerate(week_labels)
+            for i, node_id in enumerate(graph.node_ids)
+        ),
+        config.fingerprint,
+    )
     log.info("predicted %d weeks x %d nodes from window at %s",
-             len(week_labels), graph.n_nodes, raw.weeks[start])
-    return ["predictions.csv"]
+             len(week_labels), graph.n_nodes, weeks[start])
+    return OUTPUTS["predict"]
 
 
 def cmd_map(config: RunConfig) -> list[str]:
     out = _out(config)
-    pred_path = _require(out / "predictions.csv", "predictions (run `predict` first)")
+    pred_path = _artifact(config, "predictions.csv")
     graph = _load_graph(config)
     by_week: dict[str, dict[int, float]] = {}
     columns = ["week", "node_id", "value"]
-    with artifact_rows(pred_path, columns, "predict") as ((i_week, i_node, i_value), rows):
+    with artifact_rows(pred_path, columns, WRITER[pred_path.name]) as (
+        (i_week, i_node, i_value), rows
+    ):
         for row in rows:
             by_week.setdefault(row[i_week], {})[int(row[i_node])] = float(row[i_value])
         # a ValueError here is reported at the table's last line
@@ -360,46 +375,27 @@ def cmd_map(config: RunConfig) -> list[str]:
             raise NumericError(f"invalid GeoJSON written to {path}: {problems}")
     riskmap.write_zone_csv(zone_maps, out / "zones.csv", config.fingerprint)
     log.info("wrote %d weekly zone maps to %s", len(paths), maps_dir)
-    return [f"maps/{p.name}" for p in paths] + ["zones.csv"]
+    return [f"maps/{p.name}" for p in paths] + OUTPUTS["map"]
 
 
-def _ablation_inputs(config: RunConfig):
+def cmd_ablate(factor: str, config: RunConfig) -> list[str]:
+    """Train one arm per input-channel subset or per diffusion preset."""
     out = _out(config)
-    raw = load_tensor(
-        _require(out / "risk_tensor.bin", "risk tensor (run `features` first)"),
-        _require(out / "risk_tensor.json", "risk tensor sidecar"),
+    raw, graph = _load_tensor(config, "risk_tensor"), _load_graph(config)
+    if factor == "features":
+        reports = ablation.run_feature_ablation(
+            raw, graph, config.diffusion, config.model, config.train, mape_eps=config.mape_eps
+        )
+    else:
+        reports = ablation.run_diffusion_ablation(
+            raw, graph, config.model, config.train, mape_eps=config.mape_eps
+        )
+    ablation.write_comparison_csv(reports, out / f"ablation_{factor}.csv")
+    write_json(
+        out / f"ablation_{factor}.json",
+        {"config_hash": config.fingerprint, "arms": {k: r.to_dict() for k, r in reports.items()}},
     )
-    return raw, _load_graph(config)
-
-
-def cmd_ablate_features(config: RunConfig) -> list[str]:
-    out = _out(config)
-    raw, graph = _ablation_inputs(config)
-    reports = ablation.run_feature_ablation(
-        raw, graph, config.diffusion, config.model, config.train, mape_eps=config.mape_eps
-    )
-    ablation.write_comparison_csv(reports, out / "ablation_features.csv")
-    with open(out / "ablation_features.json", "w") as fh:
-        json.dump({"config_hash": config.fingerprint,
-                   "arms": {k: r.to_dict() for k, r in reports.items()}},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ["ablation_features.csv", "ablation_features.json"]
-
-
-def cmd_ablate_diffusion(config: RunConfig) -> list[str]:
-    out = _out(config)
-    raw, graph = _ablation_inputs(config)
-    reports = ablation.run_diffusion_ablation(
-        raw, graph, config.model, config.train, mape_eps=config.mape_eps
-    )
-    ablation.write_comparison_csv(reports, out / "ablation_diffusion.csv")
-    with open(out / "ablation_diffusion.json", "w") as fh:
-        json.dump({"config_hash": config.fingerprint,
-                   "arms": {k: r.to_dict() for k, r in reports.items()}},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ["ablation_diffusion.csv", "ablation_diffusion.json"]
+    return OUTPUTS[f"ablate-{factor}"]
 
 
 def cmd_validate_framework(config: RunConfig) -> list[str]:
@@ -415,7 +411,7 @@ def cmd_validate_framework(config: RunConfig) -> list[str]:
         report.grid_cells, report.weeks,
         {k: None if v is None else round(v, 3) for k, v in report.icc.items()},
     )
-    return ["validation.json", "validation.csv"]
+    return OUTPUTS["validate-framework"]
 
 
 COMMANDS = {
@@ -427,8 +423,12 @@ COMMANDS = {
     "diffuse": (cmd_diffuse, "spatially diffuse and scale the risk tensor"),
     "train": (cmd_train, "train the forecaster"),
     "eval": (cmd_eval, "evaluate on the final test window"),
-    "ablate-features": (cmd_ablate_features, "train arms over input-channel subsets"),
-    "ablate-diffusion": (cmd_ablate_diffusion, "train arms over diffusion presets"),
+    "ablate-features": (
+        functools.partial(cmd_ablate, "features"), "train arms over input-channel subsets"
+    ),
+    "ablate-diffusion": (
+        functools.partial(cmd_ablate, "diffusion"), "train arms over diffusion presets"
+    ),
     "validate-framework": (cmd_validate_framework, "risk-channel statistics battery"),
     "predict": (cmd_predict, "write per-node weekly predictions"),
     "map": (cmd_map, "classify predictions into zones and export GeoJSON"),

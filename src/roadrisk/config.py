@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from .artifacts import write_json
 from .diffusion import DiffusionConfig, preset
 from .errors import ConfigError
 from .graph import GraphParams
@@ -135,9 +136,7 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def write_manifest(
@@ -158,7 +157,5 @@ def write_manifest(
         "runtime_s": round(runtime_s, 3),
     }
     path = Path(out_dir) / f"manifest_{command.replace('-', '_')}.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path

@@ -49,17 +49,19 @@ class EmptyInputError(DataError):
 
 
 class MissingArtifactError(DataError):
-    def __init__(self, name: str, path: str):
-        super().__init__(f"required artifact {name!r} not found at {path}")
-        self.name = name
+    """An artifact file a stage needs and no earlier stage has written."""
+
+    def __init__(self, path, stage: str):
+        super().__init__(f"required artifact {path} not found; run `{stage}` first")
         self.path = path
 
 
 class CorruptArtifactError(DataError):
     """An artifact file one stage wrote and a later stage cannot read."""
 
-    def __init__(self, path, line: int, problem: str, stage: str):
-        super().__init__(f"{path} line {line}: {problem}; run `{stage}` again")
+    def __init__(self, path, line: int | None, problem: str, stage: str):
+        where = path if line is None else f"{path} line {line}"
+        super().__init__(f"{where}: {problem}; run `{stage}` again")
         self.path = path
         self.line = line
 

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import read_json, reading, write_json
 from .errors import DataError, ShapeMismatchError, UnassignedRecordError
 from .ingest import (
     AccidentRecord,
@@ -282,17 +283,17 @@ def save_tensor(tensor: RiskTensor, bin_path: str | Path, meta_path: str | Path)
         "features": list(FEATURE_NAMES),
         **tensor.meta,
     }
-    with open(meta_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, sidecar)
 
 
 def load_tensor(
     bin_path: str | Path, meta_path: str | Path, stage: str = "features"
 ) -> RiskTensor:
     """Read a `save_tensor` pair. DataError if the header is cut short or
-    disagrees with the payload size, or the sidecar is not JSON; its message
-    says to run `stage`, the CLI command that writes the pair, again."""
+    disagrees with the payload size, a value is not finite, or the sidecar
+    is not a JSON object whose week and node labels match the header; its
+    message says to run `stage`, the CLI command that writes the pair,
+    again."""
     blob = Path(bin_path).read_bytes()
     if len(blob) < _HEADER.size:
         raise DataError(
@@ -306,19 +307,16 @@ def load_tensor(
             f"header says {w} x {n} x {f} float64 values; run `{stage}` again"
         )
     payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    with open(meta_path) as fh:
-        try:
-            sidecar = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-            raise DataError(
-                f"tensor sidecar {meta_path} is not valid JSON ({exc}); run `{stage}` again"
-            ) from exc
+    sidecar = read_json(meta_path, stage)
+    with reading(meta_path, stage):
+        weeks = list(sidecar["weeks"])
+        node_ids = [int(i) for i in sidecar["node_ids"]]
+        if (len(weeks), len(node_ids), len(FEATURE_NAMES)) != (w, n, f):
+            raise ValueError(
+                f"{len(weeks)} weeks and {len(node_ids)} nodes label a {w} x {n} x {f} tensor"
+            )
     meta = {
         k: v for k, v in sidecar.items() if k not in ("weeks", "node_ids", "features")
     }
-    return RiskTensor(
-        weeks=list(sidecar["weeks"]),
-        node_ids=[int(i) for i in sidecar["node_ids"]],
-        values=payload.reshape(w, n, f).astype(np.float64),
-        meta=meta,
-    )
+    with reading(bin_path, stage):  # a value that is not finite
+        return RiskTensor(weeks, node_ids, payload.reshape(w, n, f).astype(np.float64), meta)

@@ -9,7 +9,6 @@ and normalized as D^-1/2 A D^-1/2 for stable iterative smoothing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .csvio import artifact_rows
-from .errors import DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
+from .artifacts import artifact_rows, write_table
+from .errors import ConfigError, DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -36,21 +35,12 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
 def _haversine_rad(phi1, lam1, cos1, phi2, lam2, cos2) -> np.ndarray:
     """Elementwise haversine (meters) from radians and precomputed cos(phi).
 
-    The one formula behind both the dense matrix and the kNN candidates, so a
-    pair's distance is bitwise the same whichever path computed it.
+    The one formula behind the kNN candidates and the dense distance matrix
+    the tests check them against, so a pair's distance is bitwise the same
+    whichever path computed it.
     """
     a = np.sin((phi1 - phi2) / 2.0) ** 2 + cos1 * cos2 * np.sin((lam1 - lam2) / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-
-
-def pairwise_haversine_m(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """Dense symmetric distance matrix (meters) for small point sets."""
-    phi = np.radians(np.asarray(lats, dtype=float))
-    lam = np.radians(np.asarray(lons, dtype=float))
-    cos_phi = np.cos(phi)
-    return _haversine_rad(
-        phi[:, None], lam[:, None], cos_phi[:, None], phi[None, :], lam[None, :], cos_phi[None, :]
-    )
 
 
 @dataclass
@@ -58,6 +48,14 @@ class GraphParams:
     cell_size_m: float = 150.0
     k: int = 4
     sigma_m: float | None = None  # None: median of retained kNN distances
+
+    def __post_init__(self):
+        if self.cell_size_m <= 0:
+            raise ConfigError(f"graph cell_size_m must be positive, not {self.cell_size_m}")
+        if self.k < 1:
+            raise ConfigError(f"graph k must be >= 1, not {self.k}")
+        if self.sigma_m is not None and self.sigma_m <= 0:
+            raise ConfigError(f"graph sigma_m must be positive or null, not {self.sigma_m}")
 
 
 @dataclass
@@ -280,31 +278,27 @@ def save_graph(
     graph: SpatialGraph, nodes_path: Path, edges_path: Path, config_hash: str = ""
 ) -> None:
     """Write nodes and edges CSVs; floats as shortest exact repr."""
-    with open(nodes_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "lon", "lat", "member_count", "config_hash"])
-        writer.writerows(
-            [i, repr(lon), repr(lat), count, config_hash]
-            for i, lon, lat, count in zip(
-                graph.node_ids,
-                graph.lons.tolist(),
-                graph.lats.tolist(),
-                np.asarray(graph.member_counts, dtype=np.int64).tolist(),
-            )
+    nodes = (
+        [i, repr(lon), repr(lat), count]
+        for i, lon, lat, count in zip(
+            graph.node_ids,
+            graph.lons.tolist(),
+            graph.lats.tolist(),
+            np.asarray(graph.member_counts, dtype=np.int64).tolist(),
         )
+    )
+    write_table(nodes_path, ["node_id", "lon", "lat", "member_count"], nodes, config_hash)
     coo = graph.adjacency.tocoo()
     order = np.lexsort((coo.col, coo.row))
     rows, cols = coo.row[order], coo.col[order]
     norm = np.asarray(graph.adjacency_norm.tocsr()[rows, cols]).ravel()
-    with open(edges_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "weight", "normalized_weight", "config_hash"])
-        writer.writerows(
-            [i, j, repr(w), repr(wn), config_hash]
-            for i, j, w, wn in zip(
-                rows.tolist(), cols.tolist(), coo.data[order].tolist(), norm.tolist()
-            )
+    edges = (
+        [i, j, repr(w), repr(wn)]
+        for i, j, w, wn in zip(
+            rows.tolist(), cols.tolist(), coo.data[order].tolist(), norm.tolist()
         )
+    )
+    write_table(edges_path, ["i", "j", "weight", "normalized_weight"], edges, config_hash)
 
 
 def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = None) -> SpatialGraph:

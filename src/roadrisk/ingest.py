@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import artifact_rows
+from .artifacts import artifact_rows, write_table
 from .errors import (
     ConfigError,
     MissingColumnError,
@@ -483,11 +483,7 @@ def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> Acci
 def write_rejects(
     rejects: Sequence[Reject], path: str | Path, config_hash: str = ""
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "reason", "config_hash"])
-        for r in rejects:
-            writer.writerow([r.line, r.reason, config_hash])
+    write_table(path, ["line", "reason"], ([r.line, r.reason] for r in rejects), config_hash)
 
 
 def write_records(
@@ -498,29 +494,26 @@ def write_records(
     Enum cells read `_value_`, the attribute behind `Enum.value`, because
     the property costs a Python-level descriptor call per cell.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOGICAL_COLUMNS + ["config_hash"])
-        writer.writerows(
-            [
-                r.id,
-                r.date.isoformat(),
-                repr(r.lon),
-                repr(r.lat),
-                r.severity,
-                r.casualties,
-                r.road_type._value_,
-                repr(r.speed_limit),
-                r.junction_control._value_,
-                r.ped_human_control._value_,
-                r.ped_physical_facility._value_,
-                r.light._value_,
-                r.weather._value_,
-                r.surface._value_,
-                config_hash,
-            ]
-            for r in records
-        )
+    rows = (
+        [
+            r.id,
+            r.date.isoformat(),
+            repr(r.lon),
+            repr(r.lat),
+            r.severity,
+            r.casualties,
+            r.road_type._value_,
+            repr(r.speed_limit),
+            r.junction_control._value_,
+            r.ped_human_control._value_,
+            r.ped_physical_facility._value_,
+            r.light._value_,
+            r.weather._value_,
+            r.surface._value_,
+        ]
+        for r in records
+    )
+    write_table(path, LOGICAL_COLUMNS, rows, config_hash)
 
 
 def read_records(path: str | Path) -> list[AccidentRecord]:

@@ -9,13 +9,12 @@ bucket value is the mean of its member weeks' values.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_table
 from .errors import AllMaskedError, ShapeMismatchError
 
 HORIZON_BUCKETS = (("short", 0, 4), ("medium", 4, 8), ("long", 8, 12))
@@ -77,29 +76,17 @@ class EvalReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scope", "week", "mae", "rmse", "mape", "config_fingerprint"])
-            for name, vals in self.buckets.items():
-                writer.writerow(
-                    [name, "", vals["mae"], vals["rmse"], vals["mape"], self.config_fingerprint]
-                )
-            for row in self.per_week:
-                writer.writerow(
-                    [
-                        "week",
-                        row["week"],
-                        row["mae"],
-                        row["rmse"],
-                        row["mape"],
-                        self.config_fingerprint,
-                    ]
-                )
+        rows = [
+            [name, "", vals["mae"], vals["rmse"], vals["mape"], self.config_fingerprint]
+            for name, vals in self.buckets.items()
+        ] + [
+            ["week", row["week"], row["mae"], row["rmse"], row["mape"], self.config_fingerprint]
+            for row in self.per_week
+        ]
+        write_table(path, ["scope", "week", "mae", "rmse", "mape", "config_fingerprint"], rows)
 
 
 def horizon_report(
@@ -151,11 +138,6 @@ def horizon_report(
         config_fingerprint=config_fingerprint,
         runtime_s=runtime_s,
     )
-
-
-def stability_series(report: EvalReport) -> list[float | None]:
-    """Per-week percentage errors, for stability plots."""
-    return [row["mape"] for row in report.per_week]
 
 
 def baseline_persistence(data, window_start: int) -> np.ndarray:

@@ -19,7 +19,6 @@ linear head maps hidden width to one score per node and week.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import read_json, reading, write_json
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeMismatchError
 
@@ -140,42 +140,33 @@ def save_checkpoint(
                 {"name": name, "shape": list(tensor.data.shape), "offset": offset}
             )
             offset += tensor.data.size
-    with open(manifest_path, "w") as fh:
-        json.dump(
-            {**(extra or {}), "dtype": "<f8", "parameters": manifest}, fh, indent=2
-        )
-        fh.write("\n")
+    write_json(manifest_path, {**(extra or {}), "dtype": "<f8", "parameters": manifest})
 
 
 def load_checkpoint(manifest_path, bin_path) -> dict[str, Tensor]:
-    """Read a `save_checkpoint` pair; DataError if the manifest is not JSON
-    or the blob length disagrees with the extent the manifest describes."""
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-            raise DataError(
-                f"checkpoint manifest {manifest_path} is not valid JSON ({exc}); "
-                "run `train` again"
-            ) from exc
-    dtype = np.dtype(manifest["dtype"])
+    """Read a `save_checkpoint` pair; DataError if the manifest is not a JSON
+    object with a dtype and parameter entries, or the blob length disagrees
+    with the extent the manifest describes."""
+    manifest = read_json(manifest_path, "train")
     blob = Path(bin_path).read_bytes()
-    entries = [
-        (entry, int(np.prod(entry["shape"]))) for entry in manifest["parameters"]
-    ]
-    expected = max((entry["offset"] + size for entry, size in entries), default=0)
-    if len(blob) != expected * dtype.itemsize:
-        raise DataError(
-            f"checkpoint {bin_path} holds {len(blob)} bytes but its manifest "
-            f"describes {expected * dtype.itemsize}; run `train` again"
-        )
-    flat = np.frombuffer(blob, dtype=dtype)
-    params = {}
-    for entry, size in entries:
-        chunk = flat[entry["offset"] : entry["offset"] + size]
-        params[entry["name"]] = Tensor(
-            chunk.reshape(entry["shape"]).astype(np.float64), requires_grad=True
-        )
+    with reading(manifest_path, "train"):
+        dtype = np.dtype(manifest["dtype"])
+        entries = [
+            (entry, int(np.prod(entry["shape"]))) for entry in manifest["parameters"]
+        ]
+        expected = max((entry["offset"] + size for entry, size in entries), default=0)
+        if len(blob) != expected * dtype.itemsize:
+            raise DataError(
+                f"checkpoint {bin_path} holds {len(blob)} bytes but its manifest "
+                f"describes {expected * dtype.itemsize}; run `train` again"
+            )
+        flat = np.frombuffer(blob, dtype=dtype)
+        params = {}
+        for entry, size in entries:
+            chunk = flat[entry["offset"] : entry["offset"] + size]
+            params[entry["name"]] = Tensor(
+                chunk.reshape(entry["shape"]).astype(np.float64), requires_grad=True
+            )
     return params
 
 

@@ -10,12 +10,12 @@ node-centroid points is written per forecast week.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .artifacts import read_json, write_json, write_table
 
 ZONE_LABELS = ("NoRisk", "VeryLow", "Low", "Medium", "High", "VeryHigh")
 ZERO_THRESHOLD = 1e-9
@@ -52,8 +52,10 @@ def classify_zones(
         cuts = np.percentile(values[positive], PERCENTILE_CUTS)
         # ties share the lower zone: strictly-above comparisons only
         zones[positive] = 1 + (values[positive, None] > cuts[None, :]).sum(axis=1)
-    less = (values[:, None] < values[None, :]).sum(axis=0)
-    equal = (values[:, None] == values[None, :]).sum(axis=0)
+    # the count of values below and equal to each value, from one sort
+    ordered = np.sort(values)
+    less = np.searchsorted(ordered, values, side="left")
+    equal = np.searchsorted(ordered, values, side="right") - less
     percentiles = 100.0 * (less + 0.5 * equal) / n
     return ZoneMap(week, node_ids, values, zones, percentiles)
 
@@ -105,36 +107,31 @@ def export_geojson(
     for zone_map in zone_maps:
         collection = zone_map_feature_collection(zone_map, lons, lats, config_hash)
         path = out_dir / f"risk_week_{zone_map.week}.geojson"
-        with open(path, "w") as fh:
-            json.dump(collection, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, collection)
         paths.append(path)
     return paths
 
 
 def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path, config_hash: str = "") -> None:
     """Companion table for plotting tools."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "week", "value", "zone", "zone_label", "percentile", "config_hash"])
-        for zone_map in zone_maps:
-            for i, node_id in enumerate(zone_map.node_ids):
-                writer.writerow(
-                    [
-                        node_id,
-                        zone_map.week,
-                        repr(float(zone_map.values[i])),
-                        int(zone_map.zones[i]),
-                        zone_map.zone_label(i),
-                        repr(float(zone_map.percentiles[i])),
-                        config_hash,
-                    ]
-                )
+    rows = (
+        [
+            node_id,
+            zone_map.week,
+            repr(float(zone_map.values[i])),
+            int(zone_map.zones[i]),
+            zone_map.zone_label(i),
+            repr(float(zone_map.percentiles[i])),
+        ]
+        for zone_map in zone_maps
+        for i, node_id in enumerate(zone_map.node_ids)
+    )
+    header = ["node_id", "week", "value", "zone", "zone_label", "percentile"]
+    write_table(path, header, rows, config_hash)
 
 
 def load_zone_geojson(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json(path, "map")
 
 
 def validate_geojson(obj: dict) -> list[str]:

@@ -11,13 +11,13 @@ seed, so the fixture is reproducible byte for byte.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_table
 from .graph import EARTH_RADIUS_M
 from .ingest import DEFAULT_SCHEMA, LOGICAL_COLUMNS, RegionSpec
 
@@ -140,9 +140,9 @@ def generate_rows(seed: int = FIXTURE_SEED) -> list[dict]:
 def write_fixture_csv(path: str | Path, seed: int = FIXTURE_SEED) -> int:
     """Write the dataset in the standard accident-table layout; returns rows."""
     rows = generate_rows(seed)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([DEFAULT_SCHEMA[c] for c in LOGICAL_COLUMNS])
-        for row in rows:
-            writer.writerow([row[c] for c in LOGICAL_COLUMNS])
+    write_table(
+        path,
+        [DEFAULT_SCHEMA[c] for c in LOGICAL_COLUMNS],
+        ([row[c] for c in LOGICAL_COLUMNS] for row in rows),
+    )
     return len(rows)

@@ -11,13 +11,12 @@ explained variance against next-week accident counts.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_table
 from .errors import InsufficientGroupsError
 from .features import FEATURE_NAMES, RiskTensor, WeightTables, build_risk_tensor
 from .graph import assign_to_nodes
@@ -193,33 +192,27 @@ class ValidationReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def save_csv(self, path: str | Path) -> None:
         """Row-per-metric layout with one column per risk channel."""
         def cell(value):
             return "" if value is None or (isinstance(value, float) and np.isnan(value)) else value
 
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric"] + list(FEATURE_NAMES))
-            writer.writerow(["cross_correlation_mean_abs_r"] + [cell(self.mean_abs_r[f]) for f in FEATURE_NAMES])
-            writer.writerow(["coeff_of_variation_percent"] + [cell(self.cv_percent[f]) for f in FEATURE_NAMES])
-            writer.writerow(["week_to_week_autocorr"] + [cell(self.lag1_autocorr[f]) for f in FEATURE_NAMES])
-            writer.writerow(["intraclass_corr"] + [cell(self.icc[f]) for f in FEATURE_NAMES])
-            writer.writerow(
-                ["between_grid_variance_percent"]
-                + [cell(None if self.icc[f] is None else 100.0 * self.icc[f]) for f in FEATURE_NAMES]
-            )
-            writer.writerow(["incremental_r2"] + [cell(v) for v in self.r2_sequence])
-            writer.writerow(
-                ["relative_improvement_percent"]
-                + ["base"]
-                + [cell(v) for v in self.r2_relative_improvement[1:]]
-            )
-            writer.writerow(["config_fingerprint", self.config_fingerprint, "", ""])
+        rows = [
+            ["cross_correlation_mean_abs_r"] + [cell(self.mean_abs_r[f]) for f in FEATURE_NAMES],
+            ["coeff_of_variation_percent"] + [cell(self.cv_percent[f]) for f in FEATURE_NAMES],
+            ["week_to_week_autocorr"] + [cell(self.lag1_autocorr[f]) for f in FEATURE_NAMES],
+            ["intraclass_corr"] + [cell(self.icc[f]) for f in FEATURE_NAMES],
+            ["between_grid_variance_percent"]
+            + [cell(None if self.icc[f] is None else 100.0 * self.icc[f]) for f in FEATURE_NAMES],
+            ["incremental_r2"] + [cell(v) for v in self.r2_sequence],
+            ["relative_improvement_percent"]
+            + ["base"]
+            + [cell(v) for v in self.r2_relative_improvement[1:]],
+            ["config_fingerprint", self.config_fingerprint, "", ""],
+        ]
+        write_table(path, ["metric"] + list(FEATURE_NAMES), rows)
 
 
 def framework_validation_report(

@@ -2,12 +2,23 @@ import numpy as np
 import pytest
 
 from roadrisk import ablation
+from roadrisk.config import config_hash
 from roadrisk.diffusion import PRESETS, preset
 from roadrisk.model import ModelConfig
 from roadrisk.training import TrainConfig, prepare_training_data
 
 TINY_MODEL = ModelConfig(d=8, heads=2, layers=1, t_in=6, t_out=6, conv_kernel=3, dropout=0.0)
 TINY_TRAIN = TrainConfig(epochs_main=1, epochs_finetune=0, lr_main=1e-3, seed=0, batch=64)
+
+
+def audit_arms_differ_only_in(reports, factor: str) -> bool:
+    """True when every pair of arm configs is identical outside `factor`."""
+    stripped = []
+    for report in reports.values():
+        arm = dict(report.extra["arm"])
+        arm.pop(factor, None)
+        stripped.append(config_hash(arm))
+    return len(set(stripped)) == 1
 
 
 def test_s_only_arm_masks_other_channels(fixture_tensor, fixture_graph):
@@ -39,7 +50,7 @@ def test_feature_arms_reported(feature_reports):
 
 
 def test_feature_arms_differ_only_in_mask(feature_reports):
-    assert ablation.audit_arms_differ_only_in(feature_reports, "channel_mask")
+    assert audit_arms_differ_only_in(feature_reports, "channel_mask")
     fingerprints = {r.config_fingerprint for r in feature_reports.values()}
     assert len(fingerprints) == 2  # full configs do differ
 
@@ -51,7 +62,7 @@ def test_diffusion_ablation_covers_all_presets(fixture_tensor, fixture_graph):
         fixture_tensor, graph, TINY_MODEL, TINY_TRAIN, presets=two
     )
     assert set(reports) == set(two)
-    assert ablation.audit_arms_differ_only_in(reports, "diffusion")
+    assert audit_arms_differ_only_in(reports, "diffusion")
 
 
 def test_preset_grid_has_eight_named_rows():

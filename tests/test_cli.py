@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -103,7 +104,7 @@ def test_history_records_both_phases(pipeline):
     assert phases == {"main", "finetune"}
 
 
-def test_missing_artifact_exit_code(tmp_path, fixture_csv):
+def test_missing_artifact_exit_code(tmp_path, fixture_csv, caplog):
     config = {
         "data_csv": str(fixture_csv),
         "out_dir": str(tmp_path / "fresh"),
@@ -116,6 +117,16 @@ def test_missing_artifact_exit_code(tmp_path, fixture_csv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert cli.main(["train", "--config", str(path)]) == cli.EXIT_DATA
+    assert "risk_tensor.bin not found; run `features` first" in caplog.text
+
+
+def test_every_artifact_has_a_writer(pipeline):
+    _, out = pipeline
+    written = {p.name for p in out.iterdir() if p.is_file() and not p.name.startswith("manifest_")}
+    assert written <= set(cli.WRITER)
+    for manifest in out.glob("manifest_*.json"):
+        for name in json.loads(manifest.read_text())["outputs"]:
+            assert (out / name).exists(), (manifest.name, name)
 
 
 def copy_run(pipeline, tmp_path):
@@ -160,6 +171,16 @@ def test_short_tensor_payload_exit_code(pipeline, tmp_path, caplog):
     assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
 
 
+def test_non_finite_tensor_value_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    tensor = out / "processed.bin"
+    blob = bytearray(tensor.read_bytes())
+    blob[12:20] = struct.pack("<d", float("nan"))  # the first value after the header
+    tensor.write_bytes(bytes(blob))
+    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
+
+
 def test_tensor_sidecar_not_json_exit_code(pipeline, tmp_path, caplog):
     config_path, out = copy_run(pipeline, tmp_path)
     (out / "risk_tensor.json").write_text("{not json")
@@ -172,6 +193,30 @@ def test_checkpoint_manifest_not_json_exit_code(pipeline, tmp_path, caplog):
     (out / "params.json").write_text("{not json")
     assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
     assert str(out / "params.json") in caplog.text and "run `train` again" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "name, command, edit",
+    [
+        ("params.json", "eval", lambda meta: {}),
+        ("params.json", "eval", lambda meta: {"dtype": "<f8"}),
+        ("params.json", "eval", lambda meta: {**meta, "dtype": "bogus"}),
+        ("params.json", "eval", lambda meta: [meta]),
+        ("risk_tensor.json", "diffuse", lambda meta: {}),
+        ("risk_tensor.json", "diffuse", lambda meta: {**meta, "weeks": meta["weeks"][:-1]}),
+        ("risk_tensor.json", "diffuse",
+         lambda meta: {**meta, "node_ids": ["2.5"] + meta["node_ids"][1:]}),
+    ],
+    ids=["empty manifest", "no parameters", "bogus dtype", "not an object", "empty sidecar",
+         "week count", "non-integer node"],
+)
+def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, name, command, edit):
+    config_path, out = copy_run(pipeline, tmp_path)
+    path = out / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
+    stage = "train" if name == "params.json" else "features"
+    assert str(path) in caplog.text and f"run `{stage}` again" in caplog.text
 
 
 def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):
@@ -265,6 +310,15 @@ def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):
     config_path.write_text(json.dumps(config))
     assert cli.main(["diffuse", "--config", str(config_path)]) == cli.EXIT_CONFIG
     assert "unknown key 'alphas' in config section 'diffusion'" in caplog.text
+
+
+def test_negative_cell_size_exit_code(pipeline, tmp_path, caplog):
+    config_path, _ = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["graph"]["cell_size_m"] = -150.0  # used to build a graph without a word
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["graph", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert "graph cell_size_m must be positive" in caplog.text
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -65,9 +65,13 @@ def test_invalid_config_raises(tmp_path):
     raw["region"]["bbox"] = [0.0, 51.6, -0.2, 51.4]  # inverted
     with pytest.raises(ConfigError):
         RunConfig.from_dict(raw)
-    for section, key, value in [("model", "heads", 0), ("train", "batch", 0), ("train", "batch", -3)]:
+    for section, key, value in [
+        ("model", "heads", 0), ("train", "batch", 0), ("train", "batch", -3),
+        ("graph", "cell_size_m", -150.0), ("graph", "cell_size_m", 0.0), ("graph", "k", 0),
+        ("graph", "k", -2), ("graph", "sigma_m", -5.0), ("graph", "sigma_m", 0.0),
+    ]:
         raw = sample_config_dict(tmp_path)
-        raw[section][key] = value
+        raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
 

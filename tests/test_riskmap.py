@@ -55,6 +55,19 @@ def test_percentiles_are_ranks():
     assert zones.percentiles.tolist() == [12.5, 37.5, 62.5, 87.5]
 
 
+@pytest.mark.parametrize("n", [1, 5, 300, 2000])
+def test_percentiles_match_pairwise_counts(n):
+    rng = np.random.default_rng(n)
+    values = np.round(rng.uniform(-1.0, 4.0, n), 1)  # many ties
+    values[rng.random(n) < 0.2] = 0.0
+    values[rng.random(n) < 0.2] = -0.0
+    less = (values[:, None] < values[None, :]).sum(axis=0)
+    equal = (values[:, None] == values[None, :]).sum(axis=0)
+    oracle = 100.0 * (less + 0.5 * equal) / n
+    got = rm.classify_zones(values, "w").percentiles
+    assert got.tobytes() == oracle.tobytes()
+
+
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         rm.classify_zones(np.array([1.0, np.nan]), "w")

@@ -223,6 +223,7 @@ def test_horizon_report_constant_mape():
     report = mt.horizon_report(y_hat, y)
     for bucket in report.buckets.values():
         assert bucket["mape"] == pytest.approx(3.0)
+    assert [row["mape"] for row in report.per_week] == pytest.approx([3.0] * 12)
 
 
 def test_horizon_report_bucket_means():
@@ -244,14 +245,6 @@ def test_horizon_report_short_run_reports_available_buckets():
     y = np.ones((3, 6))
     report = mt.horizon_report(y * 1.1, y)
     assert set(report.buckets) == {"short", "medium"}
-
-
-def test_stability_series_tracks_weekly_mape():
-    y = np.full((5, 12), 2.0)
-    report = mt.horizon_report(y * 1.03, y)
-    series = mt.stability_series(report)
-    assert len(series) == 12
-    assert all(v == pytest.approx(3.0) for v in series)
 
 
 def test_rmse_at_least_mae_on_reports():
