@@ -7,7 +7,6 @@ fingerprint of its arm configuration so the comparison table is auditable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,46 +35,39 @@ def _run_arm(
     train_config: TrainConfig,
     channel_mask: tuple[int, int, int],
     mape_eps: float,
-    arm_descriptor: dict,
+    fractions: tuple[float, float, float],
+    seed: int,
 ) -> EvalReport:
-    started = time.time()
+    """Train and evaluate one arm the way `train` and `eval` do: the model's
+    parameters come from `seed` and the windows from the split `fractions`."""
     data, _, _ = prepare_training_data(
         tensor,
         graph.adjacency_norm,
         diffusion_config,
         t_in=model_config.t_in,
         t_out=model_config.t_out,
+        fractions=fractions,
         channel_mask=channel_mask,
     )
-    model = RiskForecaster(model_config, graph.adjacency_norm, seed=train_config.seed)
+    model = RiskForecaster(model_config, graph.adjacency_norm, seed=seed)
     result = train(model, data, train_config)
     start = data.last_test_window()
     x, y = data.window(start)
-    report = horizon_report(
-        model.predict(x),
-        y,
-        eps=mape_eps,
-        config_fingerprint=config_hash(arm_descriptor),
-        runtime_s=time.time() - started,
-    )
-    report.extra["arm"] = arm_descriptor
-    report.extra["best_val_loss"] = result.best_val_loss
-    report.extra["best_epoch"] = result.best_epoch
-    return report
-
-
-def arm_descriptor(
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    diffusion_config: DiffusionConfig,
-    channel_mask: tuple[int, int, int],
-) -> dict:
-    return {
+    descriptor = {
         "model": asdict(model_config),
         "train": asdict(train_config),
         "diffusion": asdict(diffusion_config),
         "channel_mask": list(channel_mask),
+        "split_fractions": list(fractions),
+        "seed": seed,
     }
+    report = horizon_report(
+        model.predict(x), y, eps=mape_eps, config_fingerprint=config_hash(descriptor)
+    )
+    report.extra["arm"] = descriptor
+    report.extra["best_val_loss"] = result.best_val_loss
+    report.extra["best_epoch"] = result.best_epoch
+    return report
 
 
 def run_feature_ablation(
@@ -86,17 +78,18 @@ def run_feature_ablation(
     train_config: TrainConfig,
     arms: dict[str, tuple[int, int, int]] | None = None,
     mape_eps: float = 1e-8,
+    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    seed: int = 0,
 ) -> dict[str, EvalReport]:
     """Train one arm per input-channel subset; identical seeds across arms."""
     arms = arms or FEATURE_ARMS
-    reports = {}
-    for name, mask in arms.items():
-        descriptor = arm_descriptor(model_config, train_config, diffusion_config, mask)
-        reports[name] = _run_arm(
+    return {
+        name: _run_arm(
             tensor, graph, diffusion_config, model_config, train_config,
-            mask, mape_eps, descriptor,
+            mask, mape_eps, fractions, seed,
         )
-    return reports
+        for name, mask in arms.items()
+    }
 
 
 def run_diffusion_ablation(
@@ -106,17 +99,18 @@ def run_diffusion_ablation(
     train_config: TrainConfig,
     presets: dict[str, DiffusionConfig] | None = None,
     mape_eps: float = 1e-8,
+    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    seed: int = 0,
 ) -> dict[str, EvalReport]:
     """Train one arm per diffusion preset; identical seeds across arms."""
     presets = presets or PRESETS
-    reports = {}
-    for name, cfg in presets.items():
-        descriptor = arm_descriptor(model_config, train_config, cfg, (1, 1, 1))
-        reports[name] = _run_arm(
+    return {
+        name: _run_arm(
             tensor, graph, cfg, model_config, train_config,
-            (1, 1, 1), mape_eps, descriptor,
+            (1, 1, 1), mape_eps, fractions, seed,
         )
-    return reports
+        for name, cfg in presets.items()
+    }
 
 
 def write_comparison_csv(reports: dict[str, EvalReport], path: str | Path) -> None:

@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small on purpose: just the operations the forecasting model needs, each with
-a hand-derived backward rule and a finite-difference checker to verify them.
-Gradients are recorded on an explicit tape (a Wengert list): every op that
-touches a tracked tensor appends one backward closure, and ``Tape.backward``
-replays the closures in exact reverse order, accumulating ``+=`` into each
-input's ``grad`` buffer so fan-out is handled naturally.
+Small on purpose: just the operations the forecasting model needs, plus a
+finite-difference checker to verify them. Each op supplies only its forward
+value and one hand-derived vector-Jacobian product per input; ``_op`` does
+the rest. Gradients are recorded on an explicit tape (a Wengert list): every
+op that touches a tracked tensor appends one backward step, and
+``Tape.backward`` replays the steps in exact reverse order, accumulating
+``+=`` into each input's ``grad`` buffer so fan-out is handled naturally.
 
 Reductions along the graph-node axis (softmax denominators, message-passing
 contractions) sum their terms in sorted value order. Sorted summation depends
@@ -125,13 +126,31 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _finish(out: Tensor, backward) -> Tensor:
-    """Common tail for every op: finiteness check + tape recording."""
+def _op(data, *inputs) -> Tensor:
+    """Common protocol for every op: wrap the forward value and record one
+    backward step on the active tape.
+
+    `inputs` are (tensor, vjp) pairs, where vjp maps the output's gradient to
+    that input's gradient (a vector-Jacobian product). The output requires
+    grad when any input does. On replay, the step accumulates each tracked
+    input's vjp in argument order, so an input passed twice, as in
+    `mul(x, x)`, sums its two terms in a fixed order.
+    """
+    out = Tensor(data, any(t.requires_grad for t, _ in inputs))
     if CHECK_FINITE and not np.isfinite(out.data).all():
         raise FloatingPointError("non-finite value produced by an op")
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.add(backward)
+
+        def step():
+            g = out.grad
+            if g is None:
+                return
+            for t, vjp in inputs:
+                if t.requires_grad:
+                    t.accumulate(vjp(g))
+
+        tape.add(step)
     return out
 
 
@@ -153,75 +172,42 @@ def _sorted_sum(x: np.ndarray, axis: int) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return _finish(out, backward)
+    return _op(
+        a.data + b.data,
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    )
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _finish(out, backward)
+    return _op(
+        a.data - b.data,
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(-g, b.data.shape)),
+    )
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data, a.requires_grad)
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate(-out.grad)
-
-    return _finish(out, backward)
+    return _op(-a.data, (a, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _finish(out, backward)
+    return _op(
+        a.data * b.data,
+        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    )
 
 
 def scale(a, s: float) -> Tensor:
     """Multiply by a python scalar."""
     a = as_tensor(a)
     s = float(s)
-    out = Tensor(a.data * s, a.requires_grad)
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate(out.grad * s)
-
-    return _finish(out, backward)
+    return _op(a.data * s, (a, lambda g: g * s))
 
 
 def _matmul_check(a: Tensor, b: Tensor):
@@ -244,20 +230,11 @@ def matmul(a, b) -> Tensor:
         data = np.einsum("...ij,...jk->...ik", a.data, b.data)
     else:
         data = a.data @ b.data
-    out = Tensor(data, a.requires_grad or b.requires_grad)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.data.shape))
-
-    return _finish(out, backward)
+    return _op(
+        data,
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)),
+    )
 
 
 def matmul_sorted(a, b) -> Tensor:
@@ -274,18 +251,11 @@ def matmul_sorted(a, b) -> Tensor:
     if a.data.shape[:-2] != b.data.shape[:-2]:
         raise ShapeMismatchError("matmul_sorted requires identical batch dims")
     terms = a.data[..., :, :, None] * b.data[..., None, :, :]
-    out = Tensor(_sorted_sum(terms, axis=-2), a.requires_grad or b.requires_grad)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
-
-    return _finish(out, backward)
+    return _op(
+        _sorted_sum(terms, axis=-2),
+        (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
+        (b, lambda g: np.swapaxes(a.data, -1, -2) @ g),
+    )
 
 
 def neighbor_table(adjacency: np.ndarray) -> np.ndarray:
@@ -341,103 +311,58 @@ def edge_matmul_sorted(s, adjacency: np.ndarray, neighbors: np.ndarray, h) -> Te
     terms = h.data[..., cols, :]
     terms *= gate[..., None]
     np.copyto(terms, 0.0, where=pad[..., None])
-    out = Tensor(
-        _sorted_sum(terms, axis=-2),
-        h.requires_grad or (s is not None and s.requires_grad),
-    )
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if s is not None and s.requires_grad:
-            s.accumulate((g @ np.swapaxes(h.data, -1, -2)) * adjacency)
-        if h.requires_grad:
-            dense = adjacency if s is None else s.data * adjacency
-            h.accumulate(np.swapaxes(dense, -1, -2) @ g)
+    def grad_h(g):
+        dense = adjacency if s is None else s.data * adjacency
+        return np.swapaxes(dense, -1, -2) @ g
 
-    return _finish(out, backward)
+    weights = [] if s is None else [(s, lambda g: (g @ np.swapaxes(h.data, -1, -2)) * adjacency)]
+    return _op(_sorted_sum(terms, axis=-2), *weights, (h, grad_h))
 
 
 def transpose(a, axes: tuple) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes), a.requires_grad)
     inverse = np.argsort(axes)
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate(np.transpose(out.grad, inverse))
-
-    return _finish(out, backward)
+    return _op(np.transpose(a.data, axes), (a, lambda g: np.transpose(g, inverse)))
 
 
 def reshape(a, shape: tuple) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate(out.grad.reshape(a.data.shape))
-
-    return _finish(out, backward)
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(
+    bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return _op(
         np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
+        *(
+            (t, lambda g, lo=lo, hi=hi: np.split(g, [lo, hi], axis=axis)[1])
+            for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])
+        ),
     )
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t.accumulate(piece)
-
-    return _finish(out, backward)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), a.requires_grad)
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate(out.grad * (a.data > 0.0))
-
-    return _finish(out, backward)
+    return _op(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def abs_(a) -> Tensor:
     # subgradient 0 at exactly 0
     a = as_tensor(a)
-    out = Tensor(np.abs(a.data), a.requires_grad)
-
-    def backward():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate(out.grad * np.sign(a.data))
-
-    return _finish(out, backward)
+    return _op(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
 
-    def backward():
-        g = out.grad
-        if g is None or not a.requires_grad:
-            return
+    def grad(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.data.shape).copy())
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return _finish(out, backward)
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -470,16 +395,7 @@ def softmax_rows(x, mask: np.ndarray | None = None) -> Tensor:
         warnings.warn("softmax_rows: fully masked row(s) produced zero output")
         denom = np.where(dead, 1.0, denom)
     y = e / denom
-    out = Tensor(y, x.requires_grad)
-
-    def backward():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        x.accumulate(y * (g - inner))
-
-    return _finish(out, backward)
+    return _op(y, (x, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -491,27 +407,21 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(
-        xhat * gain.data + bias.data,
-        x.requires_grad or gain.requires_grad or bias.requires_grad,
+    y = xhat * gain.data + bias.data
+    lead = tuple(range(y.ndim - 1))
+
+    def grad_x(g):
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gx - m1 - xhat * m2)
+
+    return _op(
+        y,
+        (gain, lambda g: (g * xhat).sum(axis=lead)),
+        (bias, lambda g: g.sum(axis=lead)),
+        (x, grad_x),
     )
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            gain.accumulate((g * xhat).sum(axis=lead))
-        if bias.requires_grad:
-            bias.accumulate(g.sum(axis=lead))
-        if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (gx - m1 - xhat * m2))
-
-    return _finish(out, backward)
 
 
 def conv1d(x, weights, bias=None, causal: bool = False) -> Tensor:
@@ -541,31 +451,21 @@ def conv1d(x, weights, bias=None, causal: bool = False) -> Tensor:
         y += xp[:, j : j + t, :] @ weights.data[j]
     if bias is not None:
         y += bias.data
-    out = Tensor(
-        y,
-        x.requires_grad
-        or weights.requires_grad
-        or (bias is not None and bias.requires_grad),
-    )
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if bias is not None and bias.requires_grad:
-            bias.accumulate(g.sum(axis=(0, 1)))
-        if weights.requires_grad:
-            gw = np.zeros_like(weights.data)
-            for j in range(k):
-                gw[j] = np.einsum("ntc,ntd->cd", xp[:, j : j + t, :], g)
-            weights.accumulate(gw)
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[:, j : j + t, :] += g @ weights.data[j].T
-            x.accumulate(gxp[:, pad_l : pad_l + t, :])
+    def grad_w(g):
+        gw = np.zeros_like(weights.data)
+        for j in range(k):
+            gw[j] = np.einsum("ntc,ntd->cd", xp[:, j : j + t, :], g)
+        return gw
 
-    return _finish(out, backward)
+    def grad_x(g):
+        gxp = np.zeros_like(xp)
+        for j in range(k):
+            gxp[:, j : j + t, :] += g @ weights.data[j].T
+        return gxp[:, pad_l : pad_l + t, :]
+
+    biases = [] if bias is None else [(bias, lambda g: g.sum(axis=(0, 1)))]
+    return _op(y, *biases, (weights, grad_w), (x, grad_x))
 
 
 def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -575,13 +475,7 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
         return x
     keep = rng.random(x.data.shape) >= rate
     factor = keep / (1.0 - rate)
-    out = Tensor(x.data * factor, x.requires_grad)
-
-    def backward():
-        if out.grad is not None and x.requires_grad:
-            x.accumulate(out.grad * factor)
-
-    return _finish(out, backward)
+    return _op(x.data * factor, (x, lambda g: g * factor))
 
 
 def grad_check(

@@ -85,9 +85,16 @@ def _config_file(config: RunConfig, key: str) -> Path:
 
 
 def _tables(config: RunConfig) -> WeightTables:
-    if config.weight_tables:
-        return WeightTables.load(_config_file(config, "weight_tables"))
-    return WeightTables.default()
+    if not config.weight_tables:
+        return WeightTables.default()
+    path = _config_file(config, "weight_tables")
+    try:
+        return WeightTables.load(path)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        # not JSON, a missing table or enum key, or a weight that is not positive
+        raise ConfigError(
+            f"invalid weight tables in {path}, the run config's `weight_tables`: {exc!r}"
+        ) from exc
 
 
 def _load_records(config: RunConfig) -> list:
@@ -294,11 +301,9 @@ def cmd_train(config: RunConfig) -> list[str]:
 
 def cmd_eval(config: RunConfig) -> list[str]:
     out = _out(config)
-    started = time.time()
     data, _, _, start, forecast, y = _forecast(config)
     report = metrics.horizon_report(
-        forecast, y, eps=config.mape_eps,
-        config_fingerprint=config.fingerprint, runtime_s=time.time() - started,
+        forecast, y, eps=config.mape_eps, config_fingerprint=config.fingerprint
     )
     report.extra["window_start_week"] = data.inputs.weeks[start]
     report.save_json(out / "report.json")
@@ -382,13 +387,17 @@ def cmd_ablate(factor: str, config: RunConfig) -> list[str]:
     """Train one arm per input-channel subset or per diffusion preset."""
     out = _out(config)
     raw, graph = _load_tensor(config, "risk_tensor"), _load_graph(config)
+    # the arms train and evaluate as `train` and `eval` do
+    like_train = dict(
+        mape_eps=config.mape_eps, fractions=config.split_fractions, seed=config.seed
+    )
     if factor == "features":
         reports = ablation.run_feature_ablation(
-            raw, graph, config.diffusion, config.model, config.train, mape_eps=config.mape_eps
+            raw, graph, config.diffusion, config.model, config.train, **like_train
         )
     else:
         reports = ablation.run_diffusion_ablation(
-            raw, graph, config.model, config.train, mape_eps=config.mape_eps
+            raw, graph, config.model, config.train, **like_train
         )
     ablation.write_comparison_csv(reports, out / f"ablation_{factor}.csv")
     write_json(

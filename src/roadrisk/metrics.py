@@ -61,7 +61,6 @@ class EvalReport:
     masked_fraction: float
     mape_eps: float
     config_fingerprint: str = ""
-    runtime_s: float = 0.0
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -71,7 +70,6 @@ class EvalReport:
             "masked_fraction": self.masked_fraction,
             "mape_eps": self.mape_eps,
             "config_fingerprint": self.config_fingerprint,
-            "runtime_s": self.runtime_s,
             **self.extra,
         }
 
@@ -94,7 +92,6 @@ def horizon_report(
     y: np.ndarray,
     eps: float = 1e-8,
     config_fingerprint: str = "",
-    runtime_s: float = 0.0,
 ) -> EvalReport:
     """Bucketed report over a (nodes, weeks) forecast.
 
@@ -136,7 +133,6 @@ def horizon_report(
         masked_fraction=masked_fraction(y, eps),
         mape_eps=eps,
         config_fingerprint=config_fingerprint,
-        runtime_s=runtime_s,
     )
 
 

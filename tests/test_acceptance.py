@@ -5,6 +5,7 @@ criterion. The learning smoke test trains two full arms on the synthetic
 fixture and is the long pole (a few minutes); everything else is seconds.
 """
 
+import itertools
 import json
 import math
 import os
@@ -74,42 +75,68 @@ def test_gradient_integrity_every_op():
     path = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.7], [0.0, 0.7, 0.0]])
     path_nbrs = ad.neighbor_table(path)
 
-    def drop_fn():
-        return ad.sum_(ad.dropout(a, 0.3, np.random.default_rng(7), training=True))
+    def abs_sum(y):
+        return ad.sum_(ad.abs_(y))
 
+    def scaled_sum(y):
+        return ad.sum_(ad.mul(y, 1.5))
+
+    # name: (one op call, its tensor inputs, the scalar loss taken of its output)
     checks = {
-        "add": lambda: ad.sum_(ad.add(a, b)),
-        "sub": lambda: ad.sum_(ad.sub(a, b)),
-        "neg": lambda: ad.sum_(ad.neg(a)),
-        "mul": lambda: ad.sum_(ad.mul(a, b)),
-        "scale": lambda: ad.sum_(ad.scale(a, 2.5)),
-        "matmul": lambda: ad.sum_(ad.matmul(m1, m2)),
-        "matmul_sorted": lambda: ad.sum_(ad.matmul_sorted(sq, m1)),
-        "edge_matmul_sorted": lambda: ad.sum_(
-            ad.abs_(ad.edge_matmul_sorted(sq, path, path_nbrs, m1))
+        "add": (ad.add, (a, b), ad.sum_),
+        "sub": (ad.sub, (a, b), ad.sum_),
+        "neg": (ad.neg, (a,), ad.sum_),
+        "mul": (ad.mul, (a, b), ad.sum_),
+        "scale": (lambda x: ad.scale(x, 2.5), (a,), ad.sum_),
+        "matmul": (ad.matmul, (m1, m2), ad.sum_),
+        "matmul_sorted": (ad.matmul_sorted, (sq, m1), ad.sum_),
+        "edge_matmul_sorted": (
+            lambda s, h: ad.edge_matmul_sorted(s, path, path_nbrs, h), (sq, m1), abs_sum
         ),
-        "edge_matmul_sorted_plain": lambda: ad.sum_(
-            ad.abs_(ad.edge_matmul_sorted(None, path, path_nbrs, m1))
+        "edge_matmul_sorted_plain": (
+            lambda h: ad.edge_matmul_sorted(None, path, path_nbrs, h), (m1,), abs_sum
         ),
-        "transpose": lambda: ad.sum_(ad.mul(ad.transpose(a, (1, 0)), 1.5)),
-        "reshape": lambda: ad.sum_(ad.mul(ad.reshape(a, (4, 3)), 1.5)),
-        "concat": lambda: ad.sum_(ad.abs_(ad.concat([a, b], axis=1))),
-        "relu": lambda: ad.sum_(ad.relu(a)),
-        "abs": lambda: ad.sum_(ad.abs_(a)),
-        "mean": lambda: ad.mean_(ad.mul(a, a)),
-        "softmax": lambda: ad.sum_(ad.mul(ad.softmax_rows(sq), sq)),
-        "softmax_masked": lambda: ad.sum_(ad.mul(ad.softmax_rows(sq, mask=mask), sq)),
-        "layer_norm": lambda: ad.sum_(ad.abs_(ad.layer_norm(a, gain, bias))),
-        "conv1d": lambda: ad.sum_(ad.relu(ad.conv1d(conv_x, conv_w, conv_b, causal=True))),
-        "conv1d_same": lambda: ad.sum_(ad.conv1d(conv_x, conv_w, conv_b, causal=False)),
-        "dropout": drop_fn,
+        "transpose": (lambda x: ad.transpose(x, (1, 0)), (a,), scaled_sum),
+        "reshape": (lambda x: ad.reshape(x, (4, 3)), (a,), scaled_sum),
+        "concat": (lambda x, y: ad.concat([x, y], axis=1), (a, b), abs_sum),
+        "relu": (ad.relu, (a,), ad.sum_),
+        "abs": (ad.abs_, (a,), ad.sum_),
+        "sum": (
+            lambda x: ad.sum_(x, axis=1, keepdims=True), (a,), lambda y: ad.mean_(ad.mul(y, y))
+        ),
+        "softmax": (ad.softmax_rows, (sq,), lambda y: ad.sum_(ad.mul(y, sq))),
+        "softmax_masked": (
+            lambda x: ad.softmax_rows(x, mask=mask), (sq,), lambda y: ad.sum_(ad.mul(y, sq))
+        ),
+        "layer_norm": (ad.layer_norm, (a, gain, bias), abs_sum),
+        "conv1d": (
+            lambda x, w, c: ad.conv1d(x, w, c, causal=True), (conv_x, conv_w, conv_b),
+            lambda y: ad.sum_(ad.relu(y)),
+        ),
+        "conv1d_same": (
+            lambda x, w, c: ad.conv1d(x, w, c, causal=False), (conv_x, conv_w, conv_b), ad.sum_
+        ),
+        "dropout": (
+            lambda x: ad.dropout(x, 0.3, np.random.default_rng(7), training=True), (a,), ad.sum_
+        ),
     }
     params = [a, b, m1, m2, sq, gain, bias, conv_x, conv_w, conv_b]
     worst = {}
-    for name, fn in checks.items():
-        err = ad.grad_check(fn, params, max_coords=8, seed=1)
+    for name, (op, inputs, loss) in checks.items():
+        err = ad.grad_check(lambda: loss(op(*inputs)), params, max_coords=8, seed=1)
         assert err < 1e-4, f"{name}: {err}"
         worst[name] = err
+        # the tape protocol: one step per call when any input is tracked,
+        # none otherwise, and the output tracked exactly when an input is
+        for tracked in itertools.product((False, True), repeat=len(inputs)):
+            fresh = [Tensor(t.data.copy(), requires_grad=r) for t, r in zip(inputs, tracked)]
+            with ad.Tape() as tape:
+                out = op(*fresh)
+                assert out.requires_grad == any(tracked), f"{name} {tracked}"
+                assert len(tape) == int(any(tracked)), f"{name} {tracked}"
+                with ad.no_grad():
+                    op(*fresh)
+                assert len(tape) == int(any(tracked)), f"{name} under no_grad"
     assert time.time() - started < 60.0
     announce("gradient integrity: every op < 1e-4", f"worst {max(worst.values()):.2e}")
 
@@ -349,6 +376,7 @@ def smoke_runs(fixture_tensor, fixture_graph):
     return runs
 
 
+@pytest.mark.slow
 def test_learning_smoke_beats_persistence(smoke_runs):
     run = smoke_runs["SIE"]
     model_report = mt.horizon_report(run["pred"], run["y"])
@@ -366,6 +394,7 @@ def test_learning_smoke_beats_persistence(smoke_runs):
     )
 
 
+@pytest.mark.slow
 def test_learning_smoke_all_features_beat_safety_only(smoke_runs):
     full = mt.horizon_report(smoke_runs["SIE"]["pred"], smoke_runs["SIE"]["y"])
     solo = mt.horizon_report(smoke_runs["S"]["pred"], smoke_runs["S"]["y"])

@@ -1,11 +1,12 @@
 import json
 import shutil
 import struct
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from roadrisk import cli
+from roadrisk import ablation, cli
 from roadrisk import model as md
 from roadrisk.riskmap import load_zone_geojson, validate_geojson
 
@@ -85,10 +86,10 @@ def test_outputs_embed_config_hash(pipeline):
 
 def test_rerun_is_idempotent(pipeline):
     config_path, out = pipeline
-    tracked = ["risk_tensor.bin", "processed.bin", "predictions.csv", "zones.csv"]
+    tracked = ["risk_tensor.bin", "processed.bin", "report.json", "predictions.csv", "zones.csv"]
     before = {name: (out / name).read_bytes() for name in tracked}
     maps_before = {p.name: p.read_bytes() for p in (out / "maps").glob("*.geojson")}
-    for command in ("features", "diffuse", "predict", "map"):
+    for command in ("features", "diffuse", "eval", "predict", "map"):
         assert cli.main([command, "--config", str(config_path)]) == 0
     for name in tracked:
         assert (out / name).read_bytes() == before[name], name
@@ -321,6 +322,35 @@ def test_negative_cell_size_exit_code(pipeline, tmp_path, caplog):
     assert "graph cell_size_m must be positive" in caplog.text
 
 
+def _packaged_tables(edit):
+    raw = json.loads(resources.files("roadrisk.data").joinpath("weight_tables.json").read_text())
+    edit(raw)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("command", ["features", "validate-framework"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        _packaged_tables(lambda raw: raw["light"].update((k, -1.0) for k in raw["light"])),
+        _packaged_tables(lambda raw: raw.pop("light")),
+        _packaged_tables(lambda raw: raw["light"].pop("daylight")),
+        "[]",
+    ],
+    ids=["not-json", "negative-weight", "missing-table", "missing-enum-key", "not-object"],
+)
+def test_bad_weight_tables_exit_code(pipeline, tmp_path, caplog, command, text):
+    config_path, _ = copy_run(pipeline, tmp_path)
+    tables = tmp_path / "tables.json"
+    tables.write_text(text)
+    config = json.loads(config_path.read_text())
+    config["weight_tables"] = str(tables)
+    config_path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert str(tables) in caplog.text and "`weight_tables`" in caplog.text
+
+
 def test_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\"data_csv\": \"x\"}")
@@ -344,6 +374,26 @@ def test_predictions_inverse_transform(pipeline):
     assert len(lines) == 1 + 12 * 30
 
 
+def test_ablation_arm_trains_like_train(pipeline, tmp_path, monkeypatch):
+    # a split other than the default, and a top-level seed other than train.seed
+    config_path, out = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["split_fractions"] = [0.5, 0.25, 0.25]
+    config["seed"] = 3
+    config_path.write_text(json.dumps(config))
+    for command in ("diffuse", "train"):
+        assert cli.main([command, "--config", str(config_path)]) == 0
+    rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+    epoch, _, _, _, val_loss, _, _ = [row for row in rows if row[5] == "1"][-1]
+
+    monkeypatch.setattr(ablation, "FEATURE_ARMS", {"SIE": (1, 1, 1)})
+    assert cli.main(["ablate-features", "--config", str(config_path)]) == 0
+    arm = json.loads((out / "ablation_features.json").read_text())["arms"]["SIE"]
+    assert (arm["best_epoch"], arm["best_val_loss"]) == (int(epoch), float(val_loss))
+    assert arm["arm"]["split_fractions"] == [0.5, 0.25, 0.25] and arm["arm"]["seed"] == 3
+
+
+@pytest.mark.slow
 def test_ablation_commands(pipeline):
     config_path, out = pipeline
     assert cli.main(["ablate-features", "--config", str(config_path)]) == 0
