@@ -9,9 +9,10 @@ op that touches a tracked tensor appends one backward step, and
 ``+=`` into each input's ``grad`` buffer so fan-out is handled naturally.
 
 Reductions along the graph-node axis (softmax denominators, message-passing
-contractions) sum their terms in sorted value order. Sorted summation depends
-only on the multiset of addends, so relabeling the nodes permutes every
-intermediate bitwise instead of perturbing the last ulp.
+contractions) sum their terms in sorted value order, and the spatial attention
+logits use a contraction that rounds every node pair the same way, so
+relabeling the nodes permutes every intermediate bitwise instead of perturbing
+the last ulp.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 import warnings
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ShapeMismatchError
 
@@ -165,9 +167,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _sorted_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    # np.sort's output depends only on the multiset of values, so the
-    # subsequent sum is reordering-invariant bitwise.
-    return np.sort(x, axis=axis).sum(axis=axis)
+    # A sum's bits depend on the order of its terms and on the memory layout
+    # of the array: numpy sums a contiguous axis pairwise and a strided one
+    # term by term, and np.sort keeps the layout of its input. Sorting a
+    # C-ordered copy fixes both, so the result depends only on the multiset
+    # of values along `axis` and on the array's shape.
+    s = np.array(x, order="C")
+    s.sort(axis=axis)
+    return s.sum(axis=axis)
 
 
 def add(a, b) -> Tensor:
@@ -243,8 +250,8 @@ def matmul_sorted(a, b) -> Tensor:
     Use where the contracted axis is the graph-node axis: the result is then
     invariant (bitwise) to how the nodes are numbered. Costs an extra
     O(n log n) sort and materializes every product term, one per node pair.
-    The model's message passing uses `edge_matmul_sorted` instead; this dense
-    form is the reference that op is tested against.
+    The model's message passing uses `edge_matmul_sorted` and `edge_attention`
+    instead; this dense form is the reference those ops are tested against.
     """
     a, b = as_tensor(a), as_tensor(b)
     _matmul_check(a, b)
@@ -258,66 +265,274 @@ def matmul_sorted(a, b) -> Tensor:
     )
 
 
-def neighbor_table(adjacency: np.ndarray) -> np.ndarray:
-    """Column indices of each row's nonzeros, padded with -1 to the widest row.
+def neighbor_table(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """Edge list of a square adjacency (dense or scipy sparse), padded per row.
 
-    Returns an (n, max_degree) integer table; within a row, neighbors appear
-    in ascending column order.
+    Returns (neighbors, weights), both (n, max_degree): each row's nonzero
+    columns in ascending order, padded with -1 to the widest row, and the
+    adjacency values there, padded with 0.0. No (n, n) array is formed for
+    a sparse input.
     """
-    rows, cols = np.nonzero(adjacency)
-    n = adjacency.shape[0]
-    counts = np.bincount(rows, minlength=n)
-    table = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    table[rows, np.arange(rows.size) - starts[rows]] = cols
-    return table
+    a = sparse.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    n = a.shape[0]
+    counts = np.diff(a.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    slots = np.arange(a.nnz) - a.indptr[rows]
+    neighbors = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
+    weights = np.zeros(neighbors.shape)
+    neighbors[rows, slots] = a.indices
+    weights[rows, slots] = a.data
+    return neighbors, weights
 
 
-def edge_matmul_sorted(s, adjacency: np.ndarray, neighbors: np.ndarray, h) -> Tensor:
-    """`matmul_sorted(s * adjacency, h)` summed over graph edges only.
+def _edge_sum(gate: np.ndarray, neighbors: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows of `matmul_sorted(G, h)` for the (batch, rows, n) matrix G that is
+    `gate` (batch or 1, rows, max_degree) at the columns `neighbors` (rows,
+    max_degree) and zero elsewhere; h: (batch, n, d); `gate` must be 0.0 at
+    padding slots.
 
-    s: (..., n, n) attention weights, or None for the plain adjacency;
-    adjacency: constant (n, n) array; neighbors: its `neighbor_table`;
-    h: (..., n, d). Each output row gathers its neighbors' terms, pads the
-    neighbor axis with exact +0.0, and sums in sorted value order. The terms
-    the dense product would add for non-edges are all zeros, and in a sorted
-    sum zeros sit between the negatives and the positives, so dropping them
-    leaves the result bitwise equal to `matmul_sorted`. One exception, the
-    sign of a zero: where every dense term is -0.0 (an all-zero gate row over
-    negative features), a sum that starts from its first term gives -0.0,
-    while here a +0.0 pad can make it +0.0. numpy 2.4 starts sums from +0.0,
-    so there both give +0.0.
+    Each row gathers its neighbours' terms, with padding slots reading an
+    appended zero row, sorts them by value and adds them one after another
+    starting from +0.0, as numpy 2.4 sums the dense product's node axis. The
+    terms the
+    dense product adds for non-edges are all zeros, and in a sorted sum zeros
+    sit between the negatives and the positives, so dropping them leaves the
+    result bitwise equal to `matmul_sorted`. Terms are laid out (d, batch,
+    rows, max_degree), so the sort runs on contiguous lanes and the gate
+    broadcasts over the outermost axis.
+    """
+    batch, n, d = h.shape
+    features = np.concatenate([h.transpose(2, 0, 1), np.zeros((d, batch, 1))], axis=-1)
+    # take, unlike fancy indexing, returns the gathered slots C-ordered
+    terms = features.reshape(-1, n + 1).take(np.where(neighbors < 0, n, neighbors).ravel(), axis=1)
+    terms = terms.reshape((d, batch) + neighbors.shape)
+    terms *= gate
+    terms.sort(axis=-1)
+    total = np.zeros(terms.shape[:-1])
+    for slot in range(terms.shape[-1]):
+        total += terms[..., slot]
+    return total.transpose(1, 2, 0)
 
-    The backward uses dense products, forming `s * adjacency` only then.
+
+def _edge_transpose(gate: np.ndarray, neighbors: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`G^T @ g` for the matrix G of `_edge_sum`, gathered over each column's
+    incoming edges; the table's padding entries read a zero weight."""
+    n, width = neighbors.shape
+    flat = neighbors.ravel()
+    slots = np.flatnonzero(flat >= 0)
+    slots = slots[np.argsort(flat[slots], kind="stable")]  # by column, rows ascending
+    column = flat[slots]
+    counts = np.bincount(column, minlength=n)
+    table = np.full((n, counts.max(initial=0)), n * width)  # n * width: a zero slot
+    table[column, np.arange(slots.size) - (np.cumsum(counts) - counts)[column]] = slots
+    lead = gate.shape[:-2]
+    padded = np.concatenate([gate.reshape(lead + (n * width,)), np.zeros(lead + (1,))], axis=-1)
+    rows = np.minimum(table // max(width, 1), n - 1)
+    return (g[..., rows, :] * padded[..., table][..., None]).sum(axis=-2)
+
+
+def edge_matmul_sorted(neighbors: np.ndarray, edge_weights: np.ndarray, h) -> Tensor:
+    """`matmul_sorted(A, h)` summed over the edges of the constant adjacency A.
+
+    neighbors, edge_weights: A's `neighbor_table`; h: (..., n, d). Bitwise
+    equal to the dense product (see `_edge_sum`). The backward gathers each
+    node's incoming edges, so no (n, n) array is formed.
     """
     h = as_tensor(h)
-    s = None if s is None else as_tensor(s)
-    n = adjacency.shape[0]
-    if h.ndim < 2 or h.data.shape[-2] != n or neighbors.shape[0] != n:
+    if h.ndim < 2 or h.data.shape[-2] != neighbors.shape[0] or edge_weights.shape != neighbors.shape:
         raise ShapeMismatchError(
-            f"edge_matmul_sorted: adjacency {adjacency.shape}, neighbors "
-            f"{neighbors.shape} and features {h.data.shape} disagree"
+            f"edge_matmul_sorted: neighbors {neighbors.shape}, weights "
+            f"{edge_weights.shape} and features {h.data.shape} disagree"
         )
-    if s is not None and s.data.shape != h.data.shape[:-1] + (n,):
+    flat = h.data.reshape(-1, *h.data.shape[-2:])
+    return _op(
+        _edge_sum(edge_weights, neighbors, flat).reshape(h.data.shape),
+        (h, lambda g: _edge_transpose(edge_weights, neighbors, g)),
+    )
+
+
+# Node pairs held per row block by `edge_attention`: 16 MB of float64.
+BLOCK_ELEMENTS = 1 << 21
+# Node pairs up to which `edge_attention` keeps its probabilities for the
+# backward instead of recomputing them: 512 kB of float64.
+KEEP_ELEMENTS = 1 << 16
+
+
+def _row_blocks(n: int, block_rows: int):
+    """[lo, hi) bounds of consecutive row blocks. No block holds a single row
+    (unless n == 1): numpy sends a one-row product to BLAS gemv, which rounds
+    differently from the gemm every wider block uses."""
+    bounds = list(range(0, n, max(block_rows, 2))) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _attention_inputs(q: Tensor, k: Tensor, n: int):
+    """C-ordered (batch, n, d) copies of q and k, k transposed, the logit scale
+    and the row blocks, so that every caller rounds alike."""
+    if q.ndim < 2 or q.data.shape != k.data.shape or q.data.shape[-2] != n:
         raise ShapeMismatchError(
-            f"edge_matmul_sorted: weights {s.data.shape} do not match features {h.data.shape}"
+            f"attention queries {q.data.shape} and keys {k.data.shape} disagree on {n} nodes"
         )
-    pad = neighbors < 0
-    cols = np.where(pad, 0, neighbors)
-    rows = np.arange(n)[:, None]
-    gate = adjacency[rows, cols]
-    if s is not None:
-        gate = s.data[..., rows, cols] * gate
-    terms = h.data[..., cols, :]
-    terms *= gate[..., None]
-    np.copyto(terms, 0.0, where=pad[..., None])
+    d = q.data.shape[-1]
+    qc = np.ascontiguousarray(q.data.reshape(-1, n, d))
+    kc = np.ascontiguousarray(k.data.reshape(-1, n, d))
+    kt = np.ascontiguousarray(np.swapaxes(kc, 1, 2))
+    blocks = _row_blocks(n, BLOCK_ELEMENTS // max(qc.shape[0] * n, 1))
+    return qc, kc, kt, 1.0 / np.sqrt(d), blocks
 
-    def grad_h(g):
-        dense = adjacency if s is None else s.data * adjacency
-        return np.swapaxes(dense, -1, -2) @ g
 
-    weights = [] if s is None else [(s, lambda g: (g @ np.swapaxes(h.data, -1, -2)) * adjacency)]
-    return _op(_sorted_sum(terms, axis=-2), *weights, (h, grad_h))
+def _logits(a: np.ndarray, bt: np.ndarray, lo: int, hi: int, scale: float) -> np.ndarray:
+    # einsum without BLAS sums each entry's d products in order, so an entry's
+    # bits do not depend on its row or column position; BLAS rounds by position
+    return np.einsum("lid,ldj->lij", a[:, lo:hi], bt, optimize=False) * scale
+
+
+def _softmax_stats(z: np.ndarray):
+    """Unnormalised exponentials, row max and sorted-sum denominator."""
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e, m[..., 0], _sorted_sum(e, axis=-1)
+
+
+def attention_rows(q, k) -> np.ndarray:
+    """softmax(q k^T / sqrt(d)) over complete rows, as `edge_attention`
+    computes it; (..., n, n). For inspecting small graphs only."""
+    q, k = as_tensor(q), as_tensor(k)
+    n = q.data.shape[-2]
+    qc, _, kt, scale, blocks = _attention_inputs(q, k, n)
+    rows = np.empty((qc.shape[0], n, n))
+    for lo, hi in blocks:
+        e, _, denom = _softmax_stats(_logits(qc, kt, lo, hi, scale))
+        rows[:, lo:hi] = e / denom[..., None]
+    return rows.reshape(q.data.shape[:-1] + (n,))
+
+
+def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> Tensor:
+    """`matmul_sorted(softmax_rows(q k^T / sqrt(d)) * A, h)` in memory that
+    grows with edges.
+
+    q, k: (..., n, d); h: (..., n, d_h); neighbors, edge_weights: the
+    `neighbor_table` of the constant adjacency A. Attention is normalised
+    over all n nodes, but A keeps only its edges, so the op walks blocks of
+    complete rows, as many as fit in BLOCK_ELEMENTS node pairs. Per block it
+    forms the logits, the row max, the exponentials and their sorted-sum
+    denominator, divides at the edges only and sums each row's messages
+    (`_edge_sum`). It keeps the gated edge probabilities, the row max and
+    the denominator; the backward recomputes each block, unless all n x n
+    probabilities fit in KEEP_ELEMENTS.
+    Results are bitwise independent of the block size and of the inputs'
+    memory layout, and the output is bitwise equivariant under relabeling
+    the nodes.
+    """
+    q, k, h = as_tensor(q), as_tensor(k), as_tensor(h)
+    n, width = neighbors.shape
+    if h.ndim < 2 or h.data.shape[:-1] != q.data.shape[:-1] or edge_weights.shape != (n, width):
+        raise ShapeMismatchError(
+            f"edge_attention: queries {q.data.shape}, features {h.data.shape}, neighbors "
+            f"{neighbors.shape} and weights {edge_weights.shape} disagree"
+        )
+    qc, kc, kt, scale, blocks = _attention_inputs(q, k, n)
+    hc = np.ascontiguousarray(h.data.reshape(-1, n, h.data.shape[-1]))
+    batch = qc.shape[0]
+    # flat position of every slot within its C-ordered row block, padding
+    # slots reading column 0
+    slots_at = [
+        (np.arange(hi - lo)[:, None] * n + np.maximum(neighbors[lo:hi], 0)).ravel()
+        for lo, hi in blocks
+    ]
+
+    def at_slots(block, b):
+        """(batch, rows, width) entries of a (batch, rows, n) block at each slot."""
+        rows = block.shape[1]
+        return block.reshape(batch, -1).take(slots_at[b], axis=1).reshape(batch, rows, width)
+
+    gate = np.empty((batch, n, width))
+    row_max, denom = np.empty((batch, n)), np.empty((batch, n))
+    out = np.empty(hc.shape)
+    for b, (lo, hi) in enumerate(blocks):
+        e, row_max[:, lo:hi], denom[:, lo:hi] = _softmax_stats(_logits(qc, kt, lo, hi, scale))
+        gate[:, lo:hi] = at_slots(e, b) / denom[:, lo:hi, None] * edge_weights[lo:hi]
+        out[:, lo:hi] = _edge_sum(gate[:, lo:hi], neighbors[lo:hi], hc)
+    # a small graph keeps its one block of probabilities: at the fixture's
+    # 30 nodes recomputing them costs the backward more than their 86 kB
+    kept = e / denom[..., None] if len(blocks) == 1 and e.size <= KEEP_ELEMENTS else None
+    memo = {}
+
+    def grads(g):
+        """dq, dk and dh, computed together on the first input's call."""
+        if memo.get("g") is not g:
+            memo["g"] = g
+            memo["grads"] = attention_grads(np.ascontiguousarray(g.reshape(hc.shape)))
+        return memo["grads"]
+
+    def scatter(shape, at, values):
+        dense = np.zeros(shape)
+        dense.reshape(batch, -1)[:, at] = values
+        return dense
+
+    def attention_grads(g):
+        # dlogits = y * (g_y - sum over edges of g_y * y), where g_y, the
+        # gradient of the probabilities, is nonzero at the edges only
+        edge_rows, edge_slots = np.nonzero(neighbors >= 0)
+        edge_cols = neighbors[edge_rows, edge_slots]
+        edge_slot = edge_rows * width + edge_slots
+
+        def edges_in(major, minor, lo, hi):
+            """Flat positions, in a C-ordered (hi - lo, n) block indexed by
+            (major, minor), of the edges whose major index lies in lo:hi,
+            and their slots in (n, width)."""
+            sel = (major >= lo) & (major < hi)
+            return (major[sel] - lo) * n + minor[sel], edge_slot[sel]
+
+        g_y, shift = np.empty(gate.shape), np.empty(row_max.shape)
+        dq, dk, dh = np.empty(qc.shape), np.empty(kc.shape), np.empty(hc.shape)
+        ht = np.ascontiguousarray(np.swapaxes(hc, 1, 2))
+        for b, (lo, hi) in enumerate(blocks):
+            dot = at_slots(g[:, lo:hi] @ ht, b)  # <g_i, h_j> at each slot
+            g_y[:, lo:hi] = dot * edge_weights[lo:hi]
+            shift[:, lo:hi] = (gate[:, lo:hi] * dot).sum(axis=-1)
+            y = kept
+            if y is None:
+                y = np.exp(_logits(qc, kt, lo, hi, scale) - row_max[:, lo:hi, None])
+                y /= denom[:, lo:hi, None]
+            at, slot = edges_in(edge_rows, edge_cols, lo, hi)
+            dense = scatter(y.shape, at, g_y.reshape(batch, -1)[:, slot])
+            dense -= shift[:, lo:hi, None]
+            dense *= y
+            dq[:, lo:hi] = (dense @ kc) * scale
+
+        def columns(lo, hi, y):
+            # dk and dh sum over rows, so they take blocks of complete
+            # columns: y holds the probabilities of columns lo:hi, transposed
+            at, slot = edges_in(edge_cols, edge_rows, lo, hi)
+            dense = scatter(y.shape, at, g_y.reshape(batch, -1)[:, slot])
+            dense -= shift[:, None, :]
+            dense *= y
+            dk[:, lo:hi] = (dense @ qc) * scale
+            dh[:, lo:hi] = scatter(y.shape, at, gate.reshape(batch, -1)[:, slot]) @ g
+
+        if len(blocks) == 1:
+            # the logits einsum rounds q_i k_j and k_j q_i alike, so the
+            # transposed probabilities equal what a column block recomputes
+            columns(0, n, np.ascontiguousarray(np.swapaxes(y, 1, 2)))
+        else:
+            qt = np.ascontiguousarray(np.swapaxes(qc, 1, 2))
+            for lo, hi in blocks:
+                y = np.exp(_logits(kc, qt, lo, hi, scale) - row_max[:, None, :])
+                y /= denom[:, None, :]
+                columns(lo, hi, y)
+        return dq.reshape(q.data.shape), dk.reshape(k.data.shape), dh.reshape(h.data.shape)
+
+    return _op(
+        out.reshape(h.data.shape),
+        (q, lambda g: grads(g)[0]),
+        (k, lambda g: grads(g)[1]),
+        (h, lambda g: grads(g)[2]),
+    )
 
 
 def transpose(a, axes: tuple) -> Tensor:

@@ -42,7 +42,11 @@ from .ingest import (
 FEATURE_NAMES = ("traffic_safety", "infrastructure", "environmental")
 
 
-def _enum_table(enum_cls, weights: dict, unknown_default: float) -> dict:
+def _enum_table(enum_cls, name: str, weights: dict, unknown_default: float) -> dict:
+    known = {member.value for member in enum_cls if member.name != "UNKNOWN"}
+    for key in weights:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in weight table {name!r}")
     table = {}
     for member in enum_cls:
         if member.name == "UNKNOWN":
@@ -50,6 +54,19 @@ def _enum_table(enum_cls, weights: dict, unknown_default: float) -> dict:
         else:
             table[member] = float(weights[member.value])
     return table
+
+
+# WeightTables field -> (table name in the JSON file, enum the table covers)
+_ENUM_TABLES = {
+    "road_w": ("road_type", RoadType),
+    "human_control_w": ("human_control", HumanControl),
+    "physical_facility_w": ("physical_facility", PhysicalFacility),
+    "light_w": ("light", LightCondition),
+    "junction_control_w": ("junction_control", JunctionControl),
+    "surface_w": ("surface", SurfaceCondition),
+    "weather_w": ("weather", WeatherCondition),
+}
+_TABLE_KEYS = {"severity", "unknown_default"} | {key for key, _ in _ENUM_TABLES.values()}
 
 
 @dataclass
@@ -68,20 +85,17 @@ class WeightTables:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WeightTables":
+        for key in raw:
+            if key not in _TABLE_KEYS:
+                raise ValueError(f"unknown weight table {key!r}")
         unk = float(raw.get("unknown_default", 0.5))
+        enum_tables = {
+            attr: _enum_table(enum_cls, key, raw[key], unk)
+            for attr, (key, enum_cls) in _ENUM_TABLES.items()
+        }
         tables = cls(
             severity_w={int(k): float(v) for k, v in raw["severity"].items()},
-            road_w=_enum_table(RoadType, raw["road_type"], unk),
-            human_control_w=_enum_table(HumanControl, raw["human_control"], unk),
-            physical_facility_w=_enum_table(
-                PhysicalFacility, raw["physical_facility"], unk
-            ),
-            light_w=_enum_table(LightCondition, raw["light"], unk),
-            junction_control_w=_enum_table(
-                JunctionControl, raw["junction_control"], unk
-            ),
-            surface_w=_enum_table(SurfaceCondition, raw["surface"], unk),
-            weather_w=_enum_table(WeatherCondition, raw["weather"], unk),
+            **enum_tables,
             unknown_default=unk,
         )
         tables.validate()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .artifacts import read_json, reading, write_json
@@ -173,30 +174,35 @@ def load_checkpoint(manifest_path, bin_path) -> dict[str, Tensor]:
 class RiskForecaster:
     """Forward pass over a fixed graph; parameters live in a flat dict.
 
-    `attention_log` is refilled on every forward with the softmax outputs of
-    each attention site, for row-stochasticity checks and inspection. The
-    entries are the output arrays themselves, not copies: no op writes its
-    output in place, only parameters are updated in place.
+    The model keeps the graph's CSR adjacency and the neighbour table and edge
+    weights derived from it, never a dense (n, n) copy.
+
+    Attention capture is opt-in and off by default, as in training, `predict`
+    and the benchmark, where `attention_log` stays empty. With
+    `capture_attention` set, every forward refills the log with one entry
+    per attention site: complete softmax rows as `weights` and the additive
+    `mask`, for row-stochasticity checks and inspection at small n. Temporal
+    sites log their softmax output itself; spatial sites log (weeks, n, n)
+    rows computed for the log, since the fused op keeps only edges. Nothing
+    writes into a logged array after the forward: no op writes its output in
+    place, only parameters are updated in place.
     """
 
     def __init__(
         self,
         config: ModelConfig,
-        adjacency_norm: np.ndarray,
+        adjacency_norm,
         params: dict[str, Tensor] | None = None,
         seed: int = 0,
+        capture_attention: bool = False,
     ):
         self.config = config
-        self.a_norm = np.asarray(
-            adjacency_norm.toarray()
-            if hasattr(adjacency_norm, "toarray")
-            else adjacency_norm,
-            dtype=np.float64,
-        )
-        if self.a_norm.ndim != 2 or self.a_norm.shape[0] != self.a_norm.shape[1]:
+        self.a_norm = sparse.csr_matrix(adjacency_norm, dtype=np.float64)
+        if self.a_norm.shape[0] != self.a_norm.shape[1]:
             raise ShapeMismatchError("adjacency must be square")
-        self._neighbors = ad.neighbor_table(self.a_norm)
+        self._neighbors, self._edge_weights = ad.neighbor_table(self.a_norm)
         self.params = params if params is not None else init_params(config, seed)
+        self.capture_attention = capture_attention
         self.attention_log: list[dict] = []
         self._pe_enc = sinusoidal_encoding(config.t_in, config.d)
         self._pe_dec = sinusoidal_encoding(config.t_out, config.d)
@@ -205,10 +211,9 @@ class RiskForecaster:
     def n_nodes(self) -> int:
         return self.a_norm.shape[0]
 
-    def _log_attention(self, site: str, attn: Tensor, mask: np.ndarray | None):
-        self.attention_log.append(
-            {"site": site, "weights": attn.data, "mask": mask}
-        )
+    def _log_attention(self, site: str, weights: np.ndarray, mask: np.ndarray | None):
+        if self.capture_attention:
+            self.attention_log.append({"site": site, "weights": weights, "mask": mask})
 
     def _heads_split(self, x: Tensor, n: int, t: int) -> Tensor:
         h, dk = self.config.heads, self.config.d // self.config.heads
@@ -235,7 +240,7 @@ class RiskForecaster:
         v = self._heads_split(ad.matmul(memory, p[f"{prefix}.wv"]), n, t_m)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
         attn = ad.softmax_rows(scores, mask=mask)
-        self._log_attention(prefix, attn, mask)
+        self._log_attention(prefix, attn.data, mask)
         mixed = self._heads_join(ad.matmul(attn, v), n, t_q)
         return ad.matmul(mixed, p[f"{prefix}.wo"])
 
@@ -248,19 +253,17 @@ class RiskForecaster:
         and keeps its value via the outer residual.
         """
         p = self.params
-        d = h.shape[2]
         ht = ad.transpose(h, (1, 0, 2))  # (weeks, nodes, d)
         parts = []
         for f in range(N_PATTERNS):
-            s = None
             if self.config.spatial_attention:
                 q = ad.matmul(ht, p[f"{prefix}.p{f}.wq"])
                 k = ad.matmul(ht, p[f"{prefix}.p{f}.wk"])
-                s = ad.softmax_rows(
-                    ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
-                )
-                self._log_attention(f"{prefix}.p{f}", s, None)
-            message = ad.edge_matmul_sorted(s, self.a_norm, self._neighbors, ht)
+                message = ad.edge_attention(q, k, self._neighbors, self._edge_weights, ht)
+                if self.capture_attention:
+                    self._log_attention(f"{prefix}.p{f}", ad.attention_rows(q, k), None)
+            else:
+                message = ad.edge_matmul_sorted(self._neighbors, self._edge_weights, ht)
             parts.append(ad.relu(ad.matmul(message, p[f"{prefix}.p{f}.theta"])))
         combined = ad.add(ad.add(parts[0], parts[1]), parts[2])
         return ad.transpose(ad.scale(combined, 1.0 / N_PATTERNS), (1, 0, 2))

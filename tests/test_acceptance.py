@@ -73,7 +73,7 @@ def test_gradient_integrity_every_op():
     conv_x, conv_w, conv_b = p((2, 5, 3)), p((3, 3, 2)), p(2)
     mask = np.triu(np.full((3, 3), ad.MASK_VALUE), k=1)
     path = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.7], [0.0, 0.7, 0.0]])
-    path_nbrs = ad.neighbor_table(path)
+    path_nbrs, path_weights = ad.neighbor_table(path)
 
     def abs_sum(y):
         return ad.sum_(ad.abs_(y))
@@ -91,10 +91,12 @@ def test_gradient_integrity_every_op():
         "matmul": (ad.matmul, (m1, m2), ad.sum_),
         "matmul_sorted": (ad.matmul_sorted, (sq, m1), ad.sum_),
         "edge_matmul_sorted": (
-            lambda s, h: ad.edge_matmul_sorted(s, path, path_nbrs, h), (sq, m1), abs_sum
+            lambda h: ad.edge_matmul_sorted(path_nbrs, path_weights, h), (m1,), abs_sum
         ),
-        "edge_matmul_sorted_plain": (
-            lambda h: ad.edge_matmul_sorted(None, path, path_nbrs, h), (m1,), abs_sum
+        "edge_attention": (
+            lambda q, k, h: ad.edge_attention(q, k, path_nbrs, path_weights, h),
+            (m1, b, a),
+            abs_sum,
         ),
         "transpose": (lambda x: ad.transpose(x, (1, 0)), (a,), scaled_sum),
         "reshape": (lambda x: ad.reshape(x, (4, 3)), (a,), scaled_sum),
@@ -190,7 +192,7 @@ def test_causality_decoder_and_conv():
 
 def test_attention_rows_stochastic_every_layer():
     cfg = ModelConfig(d=8, heads=2, layers=2, t_in=5, t_out=4, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, random_norm(4, seed=5), seed=5)
+    model = RiskForecaster(cfg, random_norm(4, seed=5), seed=5, capture_attention=True)
     x = np.random.default_rng(5).uniform(0, 1, (4, 5, 3))
     model.predict(x)
     sites = 0
@@ -217,6 +219,37 @@ def test_node_permutation_equivariance():
         got = permuted.predict(x[p])
         assert np.abs(got - base[p]).max() == 0.0
     announce("node-permutation equivariance: bitwise on 5-node fixture")
+
+
+def knn_norm(n, seed, k=4):
+    """Symmetric normalized kNN kernel adjacency over seeded random points."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (n, 2))
+    dist = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    raw = np.zeros((n, n))
+    rows = np.arange(n)[:, None]
+    near = np.argsort(dist, axis=1)[:, 1 : k + 1]
+    raw[rows, near] = np.exp(-10.0 * dist[rows, near])
+    raw = np.maximum(raw, raw.T)
+    deg = raw.sum(axis=1)
+    return raw / np.sqrt(np.outer(deg, deg))
+
+
+def test_node_permutation_equivariance_300_nodes():
+    # at this size BLAS rounds node-pair products by position; the spatial
+    # logits must not
+    cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.0)
+    n = 300
+    a_norm = knn_norm(n, seed=30)
+    model = RiskForecaster(cfg, a_norm, seed=31)
+    x = np.random.default_rng(32).uniform(0, 1, (n, 12, 3))
+    base = model.predict(x)
+    for seed in range(3):
+        p = np.random.default_rng(seed).permutation(n)
+        permuted = RiskForecaster(cfg, a_norm[np.ix_(p, p)], params=model.params)
+        got = permuted.predict(x[p])
+        assert np.abs(got - base[p]).max() == 0.0, seed
+    announce("node-permutation equivariance: bitwise on a 300-node kNN graph")
 
 
 # --- criterion: diffusion correctness ----------------------------------------

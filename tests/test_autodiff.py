@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from roadrisk import autodiff as ad
 from roadrisk.autodiff import Tape, Tensor
@@ -101,103 +102,195 @@ def knn_norm(n, seed, k=4):
 
 def graph_inputs(n, seed, weeks=3, d=4):
     rng = np.random.default_rng(seed)
-    adjacency = knn_norm(n, seed)
-    s = ad.softmax_rows(Tensor(rng.standard_normal((weeks, n, n)))).data
-    h = rng.standard_normal((weeks, n, d))
-    return adjacency, s, h
+    return knn_norm(n, seed), rng.standard_normal((weeks, n, d))
 
 
 @pytest.mark.parametrize("n", [30, 300])
 def test_edge_matmul_sorted_matches_dense_bitwise(n):
-    adjacency, s, h = graph_inputs(n, seed=n)
-    neighbors = ad.neighbor_table(adjacency)
+    adjacency, h = graph_inputs(n, seed=n)
+    neighbors, weights = ad.neighbor_table(adjacency)
     assert neighbors.shape[1] < n  # the gather really skips non-edges
-    got = ad.edge_matmul_sorted(Tensor(s), adjacency, neighbors, Tensor(h)).data
-    want = ad.matmul_sorted(Tensor(s * adjacency), Tensor(h)).data
-    assert got.tobytes() == want.tobytes()
-    plain = ad.edge_matmul_sorted(None, adjacency, neighbors, Tensor(h)).data
-    dense = np.broadcast_to(adjacency, s.shape).copy()
-    assert plain.tobytes() == ad.matmul_sorted(Tensor(dense), Tensor(h)).data.tobytes()
+    sparse_table = ad.neighbor_table(sparse.csr_matrix(adjacency))
+    assert (sparse_table[0] == neighbors).all() and (sparse_table[1] == weights).all()
+    got = ad.edge_matmul_sorted(neighbors, weights, Tensor(h)).data
+    dense = np.broadcast_to(adjacency, h.shape[:-1] + (n,)).copy()
+    assert got.tobytes() == ad.matmul_sorted(Tensor(dense), Tensor(h)).data.tobytes()
 
 
-@pytest.mark.parametrize("attention", [True, False])
-def test_edge_matmul_sorted_gradients_match_dense_chain_bitwise(attention):
-    adjacency, s_data, h_data = graph_inputs(30, seed=7)
+def test_edge_matmul_sorted_gradient_matches_dense_chain():
+    adjacency, h_data = graph_inputs(30, seed=7)
     upstream = np.random.default_rng(8).standard_normal(h_data.shape)
 
-    def grads(edge):
-        s, h = param(s_data), param(h_data)
+    def grad(edge):
+        h = param(h_data)
         with Tape() as tape:
             if edge:
-                out = ad.edge_matmul_sorted(
-                    s if attention else None, adjacency, ad.neighbor_table(adjacency), h
-                )
+                out = ad.edge_matmul_sorted(*ad.neighbor_table(adjacency), h)
             else:
-                gate = (
-                    ad.mul(s, adjacency[None])
-                    if attention
-                    else Tensor(np.broadcast_to(adjacency, s_data.shape).copy())
-                )
-                out = ad.matmul_sorted(gate, h)
+                out = ad.matmul_sorted(Tensor(np.broadcast_to(adjacency, (3, 30, 30)).copy()), h)
             tape.backward(ad.sum_(ad.mul(out, upstream)))
-        return s.grad, h.grad
+        return h.grad
 
-    (s_edge, h_edge), (s_dense, h_dense) = grads(True), grads(False)
-    assert h_edge.tobytes() == h_dense.tobytes()
-    if attention:
-        assert s_edge.tobytes() == s_dense.tobytes()
-    else:
-        assert s_edge is None and s_dense is None
+    assert np.abs(grad(True) - grad(False)).max() <= 1e-12
 
 
 def test_edge_matmul_sorted_is_permutation_invariant_bitwise():
     n = 40
-    adjacency, s, h = graph_inputs(n, seed=9)
-    base = ad.edge_matmul_sorted(
-        Tensor(s), adjacency, ad.neighbor_table(adjacency), Tensor(h)
-    ).data
+    adjacency, h = graph_inputs(n, seed=9)
+    base = ad.edge_matmul_sorted(*ad.neighbor_table(adjacency), Tensor(h)).data
     for seed in range(10):
         p = np.random.default_rng(seed).permutation(n)
-        ap = adjacency[np.ix_(p, p)]
         got = ad.edge_matmul_sorted(
-            Tensor(s[:, p][:, :, p]), ap, ad.neighbor_table(ap), Tensor(h[:, p])
+            *ad.neighbor_table(adjacency[np.ix_(p, p)]), Tensor(h[:, p])
         ).data
         assert got.tobytes() == base[:, p].tobytes()
 
 
 def test_edge_matmul_sorted_isolated_node_and_zero_row():
-    # node 0 has no edges and the gate of node 1 is all zero; the features
-    # are all negative, so every dense term of those rows is -0.0, and the
-    # two sums may disagree in the sign of the zero (the documented exception)
+    # node 0 has no edges and the weights of node 1 are all zero; the
+    # features are all negative, so every dense term of those rows is -0.0,
+    # and the two sums may disagree in the sign of the zero
     n = 12
     adjacency = knn_norm(n, seed=10)
     adjacency[0, :] = adjacency[:, 0] = 0.0
-    s = ad.softmax_rows(Tensor(np.random.default_rng(11).standard_normal((2, n, n)))).data
-    s[:, 1, :] = 0.0
     h = -np.random.default_rng(12).uniform(0.5, 1.0, (2, n, 3))
-    neighbors = ad.neighbor_table(adjacency)
+    neighbors, weights = ad.neighbor_table(adjacency)
     assert (neighbors[0] == -1).all()
-    got = ad.edge_matmul_sorted(Tensor(s), adjacency, neighbors, Tensor(h)).data
-    want = ad.matmul_sorted(Tensor(s * adjacency), Tensor(h)).data
+    weights[1] = 0.0
+    dense = adjacency.copy()
+    dense[1] = 0.0
+    got = ad.edge_matmul_sorted(neighbors, weights, Tensor(h)).data
+    want = ad.matmul_sorted(Tensor(np.broadcast_to(dense, (2, n, n)).copy()), Tensor(h)).data
     assert np.array_equal(got, want)
     assert (got[:, :2] == 0.0).all()
     assert got[:, 2:].tobytes() == want[:, 2:].tobytes()
-    empty = np.zeros((n, n))
-    lone = ad.edge_matmul_sorted(None, empty, ad.neighbor_table(empty), Tensor(h)).data
+    empty = ad.neighbor_table(np.zeros((n, n)))
+    assert empty[0].shape == (n, 0)
+    lone = ad.edge_matmul_sorted(*empty, Tensor(h)).data
     assert lone.shape == h.shape and (lone == 0.0).all()
 
 
 def test_edge_matmul_sorted_shape_mismatch():
-    adjacency = knn_norm(5, seed=13)
+    neighbors, weights = ad.neighbor_table(knn_norm(5, seed=13))
     with pytest.raises(ShapeMismatchError):
-        ad.edge_matmul_sorted(
-            None, adjacency, ad.neighbor_table(adjacency), Tensor(np.ones((2, 4, 3)))
-        )
+        ad.edge_matmul_sorted(neighbors, weights, Tensor(np.ones((2, 4, 3))))
     with pytest.raises(ShapeMismatchError):
-        ad.edge_matmul_sorted(
-            Tensor(np.ones((2, 5, 4))), adjacency, ad.neighbor_table(adjacency),
-            Tensor(np.ones((2, 5, 3))),
-        )
+        ad.edge_matmul_sorted(neighbors, weights[:, :-1], Tensor(np.ones((2, 5, 3))))
+
+
+def attention_chain(q, k, adjacency, h):
+    """The dense composition `edge_attention` replaces."""
+    logits = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
+    s = ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(q.shape[-1])))
+    return ad.matmul_sorted(ad.mul(s, adjacency), h)
+
+
+def attention_results(adjacency, arrays, upstream, fused=True, views=False):
+    """Output and the gradients of q, k and h for sum(out * upstream)."""
+    if views:  # the layout the model passes: node-major arrays seen week-major
+        arrays = [np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2) for a in arrays]
+    q, k, h = (param(a) for a in arrays)
+    with Tape() as tape:
+        if fused:
+            neighbors, weights = ad.neighbor_table(adjacency)
+            out = ad.edge_attention(q, k, neighbors, weights, h)
+        else:
+            out = attention_chain(q, k, adjacency, h)
+        tape.backward(ad.sum_(ad.mul(out, upstream)))
+    return out.data, q.grad, k.grad, h.grad
+
+
+def attention_inputs(n, seed, weeks=3, d=4, d_h=5):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((weeks, n, width)) for width in (d, d, d_h)]
+    return arrays, rng.standard_normal((weeks, n, d_h))
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_edge_attention_matches_dense_chain(n):
+    adjacency = knn_norm(n, seed=20 + n)
+    arrays, upstream = attention_inputs(n, seed=n)
+    fused = attention_results(adjacency, arrays, upstream)
+    dense = attention_results(adjacency, arrays, upstream, fused=False)
+    for name, got, want in zip(["out", "dq", "dk", "dh"], fused, dense):
+        assert np.abs(got - want).max() <= 1e-12, name
+    rows = ad.attention_rows(arrays[0], arrays[1])
+    want = ad.softmax_rows(np.einsum("wid,wjd->wij", arrays[0], arrays[1]) / 2.0).data
+    assert np.abs(rows - want).max() <= 1e-12
+    assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+def test_edge_attention_bitwise_across_block_sizes_and_layouts(monkeypatch):
+    n, weeks = 61, 3
+    adjacency = knn_norm(n, seed=21)
+    arrays, upstream = attention_inputs(n, seed=22, weeks=weeks)
+    base = attention_results(adjacency, arrays, upstream)  # one block, kept
+    rows = ad.attention_rows(arrays[0], arrays[1])
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", 0)  # one block, recomputed
+    got = attention_results(adjacency, arrays, upstream)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, base))
+    for block_rows in (2, 7, 30):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", weeks * n * block_rows)
+        assert len(ad._row_blocks(n, block_rows)) > 1
+        got = attention_results(adjacency, arrays, upstream)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, base)), block_rows
+        got = attention_results(adjacency, arrays, upstream, views=True)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, base)), block_rows
+        assert ad.attention_rows(arrays[0], arrays[1]).tobytes() == rows.tobytes()
+
+
+def test_edge_attention_is_permutation_invariant_bitwise():
+    n = 300
+    adjacency = knn_norm(n, seed=23)
+    (q, k, h), _ = attention_inputs(n, seed=24, weeks=2, d=16, d_h=16)
+    base = ad.edge_attention(q, k, *ad.neighbor_table(adjacency), h).data
+    for seed in range(3):
+        p = np.random.default_rng(seed).permutation(n)
+        got = ad.edge_attention(
+            q[:, p], k[:, p], *ad.neighbor_table(adjacency[np.ix_(p, p)]), h[:, p]
+        ).data
+        assert got.tobytes() == base[:, p].tobytes(), seed
+
+
+def test_edge_attention_isolated_node():
+    n = 12
+    adjacency = knn_norm(n, seed=25)
+    adjacency[0, :] = adjacency[:, 0] = 0.0
+    arrays, upstream = attention_inputs(n, seed=26)
+    fused = attention_results(adjacency, arrays, upstream)
+    dense = attention_results(adjacency, arrays, upstream, fused=False)
+    assert (fused[0][:, 0] == 0.0).all() and (fused[1][:, 0] == 0.0).all()
+    for got, want in zip(fused, dense):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block_rows", [6, 2])
+def test_edge_attention_padded_row_with_node_zero_as_neighbor(monkeypatch, block_rows):
+    # row 1 has neighbours 0 and 2 and two padding slots; padding slots
+    # alias column 0, so a gradient written slot by slot would drop node 0
+    monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 3 * 6 * block_rows)
+    edges = [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4)]
+    adjacency = np.zeros((6, 6))
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 0.25 + 0.1 * (i + j)
+    neighbors, _ = ad.neighbor_table(adjacency)
+    assert neighbors.shape[1] == 4 and list(neighbors[1]) == [0, 2, -1, -1]
+    arrays, upstream = attention_inputs(6, seed=27)
+    fused = attention_results(adjacency, arrays, upstream)
+    dense = attention_results(adjacency, arrays, upstream, fused=False)
+    for name, got, want in zip(["out", "dq", "dk", "dh"], fused, dense):
+        assert np.abs(got - want).max() <= 1e-12, name
+
+
+def test_edge_attention_shape_mismatch():
+    neighbors, weights = ad.neighbor_table(knn_norm(5, seed=28))
+    ones = Tensor(np.ones((2, 5, 4)))
+    with pytest.raises(ShapeMismatchError):
+        ad.edge_attention(ones, Tensor(np.ones((2, 5, 3))), neighbors, weights, ones)
+    with pytest.raises(ShapeMismatchError):
+        ad.edge_attention(ones, ones, neighbors, weights, Tensor(np.ones((2, 4, 4))))
+    with pytest.raises(ShapeMismatchError):
+        ad.edge_attention(ones, ones, neighbors, weights[:, :-1], ones)
 
 
 def test_add_mul_broadcast_gradients():

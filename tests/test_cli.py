@@ -351,6 +351,26 @@ def test_bad_weight_tables_exit_code(pipeline, tmp_path, caplog, command, text):
     assert str(tables) in caplog.text and "`weight_tables`" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda raw: raw.update(lights={"daylight": 5.0}), "'lights'"),
+        (lambda raw: raw["light"].update(daylite=9.0), "'daylite'"),
+    ],
+    ids=["unknown-table", "unknown-category"],
+)
+def test_unknown_weight_table_key_exit_code(pipeline, tmp_path, caplog, edit, key):
+    # a misspelt table or category used to run silently on the packaged weights
+    config_path, _ = copy_run(pipeline, tmp_path)
+    tables = tmp_path / "tables.json"
+    tables.write_text(_packaged_tables(edit))
+    config = json.loads(config_path.read_text())
+    config["weight_tables"] = str(tables)
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert key in caplog.text and "`weight_tables`" in caplog.text
+
+
 def test_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\"data_csv\": \"x\"}")

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from roadrisk import autodiff as ad
 from roadrisk import model as md
@@ -93,7 +99,7 @@ def test_spatial_gcn_two_node_hand_oracle():
 
 def test_temporal_attention_single_step_is_identity_weight():
     cfg = tiny_config(t_in=1, t_out=1)
-    model = RiskForecaster(cfg, ring_norm(3), seed=4)
+    model = RiskForecaster(cfg, ring_norm(3), seed=4, capture_attention=True)
     h = Tensor(np.random.default_rng(4).standard_normal((3, 1, 4)))
     model.attention_log = []
     model._self_attention(h, "enc0.attn", causal=True)
@@ -103,7 +109,7 @@ def test_temporal_attention_single_step_is_identity_weight():
 
 def test_attention_rows_sum_to_one_everywhere():
     cfg = tiny_config(t_in=5, t_out=4)
-    model = RiskForecaster(cfg, ring_norm(4), seed=5)
+    model = RiskForecaster(cfg, ring_norm(4), seed=5, capture_attention=True)
     x = np.random.default_rng(5).uniform(0, 1, (4, 5, 3))
     model.predict(x)
     assert model.attention_log  # encoder + decoder sites
@@ -287,12 +293,13 @@ def np_spatial_gcn(p, prefix, h, a_norm):
 def np_forward(model, x):
     """Independent step-by-step dense re-implementation of the forward pass."""
     p, cfg = model.params, model.config
+    a_norm = model.a_norm.toarray()
     ln = lambda name, z: np_layernorm(z, p[f"{name}.gain"].data, p[f"{name}.bias"].data)
     h = x @ p["embed.w"].data + p["embed.b"].data + md.sinusoidal_encoding(cfg.t_in, cfg.d)
     for layer in range(cfg.layers):
         enc = f"enc{layer}"
         h = h + np_temporal_attention(p, f"{enc}.attn", ln(f"{enc}.ln1", h), False, cfg.heads)
-        h = h + np_spatial_gcn(p, f"{enc}.gcn", ln(f"{enc}.ln2", h), model.a_norm)
+        h = h + np_spatial_gcn(p, f"{enc}.gcn", ln(f"{enc}.ln2", h), a_norm)
     n = x.shape[0]
     dec = (
         np.zeros((n, cfg.t_out, cfg.d))
@@ -303,7 +310,7 @@ def np_forward(model, x):
         name = f"dec{layer}"
         dec = dec + np_temporal_attention(p, f"{name}.self", ln(f"{name}.ln1", dec), True, cfg.heads)
         dec = dec + np_cross_attention(p, f"{name}.cross", ln(f"{name}.ln2", dec), h, cfg.heads)
-        dec = dec + np_spatial_gcn(p, f"{name}.gcn", ln(f"{name}.ln3", dec), model.a_norm)
+        dec = dec + np_spatial_gcn(p, f"{name}.gcn", ln(f"{name}.ln3", dec), a_norm)
     return (dec @ p["head.w"].data + p["head.b"].data)[:, :, 0]
 
 
@@ -356,3 +363,69 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     clone = RiskForecaster(tiny_config(), ring_norm(3), params=loaded)
     x = np.random.default_rng(19).uniform(0, 1, (3, 2, 3))
     assert (clone.predict(x) == model.predict(x)).all()
+
+
+def test_attention_capture_is_off_by_default():
+    model = RiskForecaster(tiny_config(t_in=3, t_out=2), ring_norm(4), seed=20)
+    x = np.random.default_rng(20).uniform(0, 1, (4, 3, 3))
+    model.predict(x)
+    with ad.Tape() as tape:
+        tape.backward(ad.mean_(model.forward(x, training=True, rng=np.random.default_rng(0))))
+    assert model.attention_log == []
+
+
+def ring_csr(n, reach=2):
+    """Normalized ring lattice joining each node to `reach` neighbours per side."""
+    rows = np.repeat(np.arange(n), 2 * reach)
+    offsets = np.tile(np.r_[-reach:0, 1 : reach + 1], n)
+    a = sparse.csr_matrix((np.ones(rows.size), (rows, (rows + offsets) % n)), shape=(n, n))
+    inv = sparse.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+    return (inv @ a @ inv).tocsr()
+
+
+def test_model_on_csr_graph_allocates_no_node_pair_array():
+    n = 6500
+    graph = ring_csr(n)
+    tracemalloc.start()
+    try:
+        model = RiskForecaster(tiny_config(d=16, heads=2), graph, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert model._neighbors.shape == (n, 4)
+
+
+TRAIN_STEP_2000 = """
+import resource
+import numpy as np
+from scipy import sparse
+from roadrisk import autodiff as ad
+from roadrisk.model import ModelConfig, RiskForecaster
+
+n = 2000
+rows = np.repeat(np.arange(n), 4)
+cols = (rows + np.tile([-2, -1, 1, 2], n)) % n
+inv = sparse.diags(np.full(n, 0.5))  # every degree is 4
+graph = (inv @ sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)) @ inv).tocsr()
+cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
+model = RiskForecaster(cfg, graph, seed=0)
+rng = np.random.default_rng(0)
+x, y = rng.uniform(0, 1, (n, 12, 3)), rng.uniform(0, 1, (n, 12))
+with ad.Tape() as tape:
+    loss = ad.mean_(ad.abs_(ad.sub(model.forward(x, training=True, rng=rng), y)))
+    tape.backward(loss)
+assert all(t.grad is not None for t in model.params.values())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+def test_training_step_at_2000_nodes_stays_under_1_gb():
+    # in a child process, so that the peak is this step's alone
+    src = str(Path(md.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", TRAIN_STEP_2000], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    peak_kib = int(done.stdout.split()[-1])  # Linux reports ru_maxrss in KiB
+    assert peak_kib < 2**20, f"peak RSS {peak_kib / 2**10:.0f} MiB"

@@ -308,7 +308,7 @@ def test_attention_log_unchanged_by_backward_and_adam_step():
     # the log holds the softmax outputs themselves, not copies, so nothing
     # after the forward may write into them
     cfg = ModelConfig(d=4, heads=2, layers=1, t_in=3, t_out=2, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, ring_norm(4), seed=3)
+    model = RiskForecaster(cfg, ring_norm(4), seed=3, capture_attention=True)
     x = np.random.default_rng(3).uniform(0, 1, (4, 3, 3))
     before = {name: t.data.copy() for name, t in model.params.items()}
     optimizer = tr.Adam(model.params, tr.TrainConfig(lr_main=0.1))
