@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -98,6 +99,15 @@ class RunConfig:
     weight_tables: str | None = None  # None: packaged defaults
     mape_eps: float = 1e-8
     split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
+
+    def __post_init__(self):
+        fractions = self.split_fractions
+        if len(fractions) != 3 or min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
+            raise ConfigError(
+                f"split_fractions must be three fractions above 0 that sum to 1, got {fractions}"
+            )
+        if not 0 <= self.mape_eps < math.inf:
+            raise ConfigError(f"mape_eps must be finite and >= 0, got {self.mape_eps}")
 
     def to_dict(self) -> dict:
         out = asdict(self)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import functools
 import math
 import operator
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -38,7 +39,21 @@ def _norm_label(text: str) -> str:
 
 
 class _CodedEnum(enum.Enum):
-    """Enum whose members parse from numeric codes or text labels."""
+    """Enum whose members parse from numeric codes or text labels.
+
+    A member is declared on one line as its value, then its STATS19 code,
+    then the labels it also parses from, e.g.
+    `ROUNDABOUT = "roundabout", 1, "Roundabout"`. Only the value is the
+    member's `.value`; UNKNOWN, declared by value alone, claims no code or
+    label and is what anything unclaimed parses to.
+    """
+
+    def __new__(cls, value: str, code: int | None = None, *labels: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._code = code
+        member._label_texts = labels
+        return member
 
     @classmethod
     def parse(cls, raw: str | int | None) -> "_CodedEnum":
@@ -53,234 +68,100 @@ class _CodedEnum(enum.Enum):
             return cls._labels().get(_norm_label(text), cls.UNKNOWN)
 
     @classmethod
+    @functools.cache
     def _codes(cls) -> dict:
-        return cls.__dict__["_code_map"]
+        return {member._code: member for member in cls if member._code is not None}
 
     @classmethod
+    @functools.cache
     def _labels(cls) -> dict:
-        cache = cls.__dict__.get("_label_cache")
-        if cache is None:
-            cache = {}
-            for member, labels in cls.__dict__["_label_map"].items():
-                for label in labels:
-                    cache[_norm_label(label)] = member
-            setattr(cls, "_label_cache", cache)
-        return cache
+        return {_norm_label(label): member for member in cls for label in member._label_texts}
 
 
 class RoadType(_CodedEnum):
-    SINGLE_CARRIAGEWAY = "single_carriageway"
-    ONE_WAY = "one_way"
-    DUAL_CARRIAGEWAY = "dual_carriageway"
-    SLIP_ROAD = "slip_road"
-    ROUNDABOUT = "roundabout"
+    SINGLE_CARRIAGEWAY = "single_carriageway", 6, "Single carriageway"
+    ONE_WAY = "one_way", 2, "One way street", "One way"
+    DUAL_CARRIAGEWAY = "dual_carriageway", 3, "Dual carriageway"
+    SLIP_ROAD = "slip_road", 7, "Slip road"
+    ROUNDABOUT = "roundabout", 1, "Roundabout"
     UNKNOWN = "unknown"
-
-
-RoadType._code_map = {
-    1: RoadType.ROUNDABOUT,
-    2: RoadType.ONE_WAY,
-    3: RoadType.DUAL_CARRIAGEWAY,
-    6: RoadType.SINGLE_CARRIAGEWAY,
-    7: RoadType.SLIP_ROAD,
-}
-RoadType._label_map = {
-    RoadType.SINGLE_CARRIAGEWAY: ["Single carriageway"],
-    RoadType.ONE_WAY: ["One way street", "One way"],
-    RoadType.DUAL_CARRIAGEWAY: ["Dual carriageway"],
-    RoadType.SLIP_ROAD: ["Slip road"],
-    RoadType.ROUNDABOUT: ["Roundabout"],
-}
 
 
 class HumanControl(_CodedEnum):
-    SCHOOL_PATROL = "school_patrol"
-    AUTHORISED_PERSON = "authorised_person"
-    NONE_WITHIN_50M = "none_within_50m"
+    SCHOOL_PATROL = "school_patrol", 1, "Control by school crossing patrol"
+    AUTHORISED_PERSON = "authorised_person", 2, "Control by other authorised person"
+    NONE_WITHIN_50M = "none_within_50m", 0, "None within 50 metres", "None within 50 meters"
     UNKNOWN = "unknown"
-
-
-HumanControl._code_map = {
-    0: HumanControl.NONE_WITHIN_50M,
-    1: HumanControl.SCHOOL_PATROL,
-    2: HumanControl.AUTHORISED_PERSON,
-}
-HumanControl._label_map = {
-    HumanControl.SCHOOL_PATROL: ["Control by school crossing patrol"],
-    HumanControl.AUTHORISED_PERSON: ["Control by other authorised person"],
-    HumanControl.NONE_WITHIN_50M: ["None within 50 metres", "None within 50 meters"],
-}
 
 
 class PhysicalFacility(_CodedEnum):
-    FOOTBRIDGE_OR_SUBWAY = "footbridge_or_subway"
-    SIGNAL_JUNCTION_PHASE = "signal_junction_phase"
-    NON_JUNCTION_CROSSING = "non_junction_crossing"
-    ZEBRA = "zebra"
-    CENTRAL_REFUGE = "central_refuge"
-    NONE_WITHIN_50M = "none_within_50m"
-    UNKNOWN = "unknown"
-
-
-PhysicalFacility._code_map = {
-    0: PhysicalFacility.NONE_WITHIN_50M,
-    1: PhysicalFacility.ZEBRA,
-    4: PhysicalFacility.NON_JUNCTION_CROSSING,
-    5: PhysicalFacility.SIGNAL_JUNCTION_PHASE,
-    7: PhysicalFacility.FOOTBRIDGE_OR_SUBWAY,
-    8: PhysicalFacility.CENTRAL_REFUGE,
-}
-PhysicalFacility._label_map = {
-    PhysicalFacility.FOOTBRIDGE_OR_SUBWAY: ["Footbridge or subway"],
-    PhysicalFacility.SIGNAL_JUNCTION_PHASE: [
-        "Pedestrian phase at traffic signal junction"
-    ],
-    PhysicalFacility.NON_JUNCTION_CROSSING: [
+    FOOTBRIDGE_OR_SUBWAY = "footbridge_or_subway", 7, "Footbridge or subway"
+    SIGNAL_JUNCTION_PHASE = (
+        "signal_junction_phase", 5, "Pedestrian phase at traffic signal junction"
+    )
+    NON_JUNCTION_CROSSING = (
+        "non_junction_crossing", 4,
         "Non-junction pedestrian crossing",
         "Pelican, puffin, toucan or similar non-junction pedestrian light crossing",
-    ],
-    PhysicalFacility.ZEBRA: ["Zebra crossing", "Zebra"],
-    PhysicalFacility.CENTRAL_REFUGE: ["Central refuge"],
-    PhysicalFacility.NONE_WITHIN_50M: [
+    )
+    ZEBRA = "zebra", 1, "Zebra crossing", "Zebra"
+    CENTRAL_REFUGE = "central_refuge", 8, "Central refuge"
+    NONE_WITHIN_50M = (
+        "none_within_50m", 0,
         "No physical crossing within 50 meters",
         "No physical crossing facilities within 50 metres",
-    ],
-}
+    )
+    UNKNOWN = "unknown"
 
 
 class LightCondition(_CodedEnum):
-    DAYLIGHT = "daylight"
-    DARK_LIT = "dark_lit"
-    DARK_LIGHTING_UNKNOWN = "dark_lighting_unknown"
-    DARK_UNLIT = "dark_unlit"
-    DARK_NO_LIGHTING = "dark_no_lighting"
+    DAYLIGHT = "daylight", 1, "Daylight: Street light present", "Daylight"
+    DARK_LIT = (
+        "dark_lit", 4, "Darkness: Street lights present and lit", "Darkness - lights lit"
+    )
+    DARK_LIGHTING_UNKNOWN = (
+        "dark_lighting_unknown", 7,
+        "Darkness: Street lighting unknown", "Darkness - lighting unknown",
+    )
+    DARK_UNLIT = (
+        "dark_unlit", 5, "Darkness: Street lights present but unlit", "Darkness - lights unlit"
+    )
+    DARK_NO_LIGHTING = (
+        "dark_no_lighting", 6, "Darkness: No street lighting", "Darkness - no lighting"
+    )
     UNKNOWN = "unknown"
-
-
-LightCondition._code_map = {
-    1: LightCondition.DAYLIGHT,
-    4: LightCondition.DARK_LIT,
-    5: LightCondition.DARK_UNLIT,
-    6: LightCondition.DARK_NO_LIGHTING,
-    7: LightCondition.DARK_LIGHTING_UNKNOWN,
-}
-LightCondition._label_map = {
-    LightCondition.DAYLIGHT: ["Daylight: Street light present", "Daylight"],
-    LightCondition.DARK_LIT: [
-        "Darkness: Street lights present and lit",
-        "Darkness - lights lit",
-    ],
-    LightCondition.DARK_LIGHTING_UNKNOWN: [
-        "Darkness: Street lighting unknown",
-        "Darkness - lighting unknown",
-    ],
-    LightCondition.DARK_UNLIT: [
-        "Darkness: Street lights present but unlit",
-        "Darkness - lights unlit",
-    ],
-    LightCondition.DARK_NO_LIGHTING: [
-        "Darkness: No street lighting",
-        "Darkness - no lighting",
-    ],
-}
 
 
 class JunctionControl(_CodedEnum):
-    AUTHORISED_PERSON = "authorised_person"
-    AUTO_SIGNAL = "auto_signal"
-    STOP_SIGN = "stop_sign"
-    GIVE_WAY_OR_UNCONTROLLED = "give_way_or_uncontrolled"
+    AUTHORISED_PERSON = "authorised_person", 1, "Authorised person"
+    AUTO_SIGNAL = "auto_signal", 2, "Automatic traffic signal", "Auto traffic signal"
+    STOP_SIGN = "stop_sign", 3, "Stop Sign"
+    GIVE_WAY_OR_UNCONTROLLED = "give_way_or_uncontrolled", 4, "Give way or uncontrolled"
     UNKNOWN = "unknown"
-
-
-JunctionControl._code_map = {
-    1: JunctionControl.AUTHORISED_PERSON,
-    2: JunctionControl.AUTO_SIGNAL,
-    3: JunctionControl.STOP_SIGN,
-    4: JunctionControl.GIVE_WAY_OR_UNCONTROLLED,
-}
-JunctionControl._label_map = {
-    JunctionControl.AUTHORISED_PERSON: ["Authorised person"],
-    JunctionControl.AUTO_SIGNAL: ["Automatic traffic signal", "Auto traffic signal"],
-    JunctionControl.STOP_SIGN: ["Stop Sign"],
-    JunctionControl.GIVE_WAY_OR_UNCONTROLLED: ["Give way or uncontrolled"],
-}
 
 
 class WeatherCondition(_CodedEnum):
-    FINE = "fine"
-    FINE_HIGH_WINDS = "fine_high_winds"
-    RAIN = "rain"
-    FOG_OR_MIST = "fog_or_mist"
-    RAIN_HIGH_WINDS = "rain_high_winds"
-    SNOW = "snow"
-    SNOW_HIGH_WINDS = "snow_high_winds"
+    FINE = "fine", 1, "Fine without high winds", "Fine no high winds"
+    FINE_HIGH_WINDS = "fine_high_winds", 4, "Fine with high winds"
+    RAIN = "rain", 2, "Raining without high winds", "Raining no high winds"
+    FOG_OR_MIST = "fog_or_mist", 7, "Fog or mist"
+    RAIN_HIGH_WINDS = "rain_high_winds", 5, "Raining with high winds"
+    SNOW = "snow", 3, "Snowing without high winds", "Snowing no high winds"
+    SNOW_HIGH_WINDS = "snow_high_winds", 6, "Snowing with high winds"
     UNKNOWN = "unknown"
-
-
-WeatherCondition._code_map = {
-    1: WeatherCondition.FINE,
-    2: WeatherCondition.RAIN,
-    3: WeatherCondition.SNOW,
-    4: WeatherCondition.FINE_HIGH_WINDS,
-    5: WeatherCondition.RAIN_HIGH_WINDS,
-    6: WeatherCondition.SNOW_HIGH_WINDS,
-    7: WeatherCondition.FOG_OR_MIST,
-}
-WeatherCondition._label_map = {
-    WeatherCondition.FINE: ["Fine without high winds", "Fine no high winds"],
-    WeatherCondition.FINE_HIGH_WINDS: ["Fine with high winds"],
-    WeatherCondition.RAIN: ["Raining without high winds", "Raining no high winds"],
-    WeatherCondition.FOG_OR_MIST: ["Fog or mist"],
-    WeatherCondition.RAIN_HIGH_WINDS: ["Raining with high winds"],
-    WeatherCondition.SNOW: ["Snowing without high winds", "Snowing no high winds"],
-    WeatherCondition.SNOW_HIGH_WINDS: ["Snowing with high winds"],
-}
 
 
 class SurfaceCondition(_CodedEnum):
-    DRY = "dry"
-    WET_OR_DAMP = "wet_or_damp"
-    SNOW = "snow"
-    FLOOD = "flood"
-    FROST_OR_ICE = "frost_or_ice"
+    DRY = "dry", 1, "Dry"
+    WET_OR_DAMP = "wet_or_damp", 2, "Wet or damp", "Wet/Damp"
+    SNOW = "snow", 3, "Snow"
+    FLOOD = "flood", 5, "Flood (Over 3cm of water)", "Flood over 3cm. deep"
+    FROST_OR_ICE = "frost_or_ice", 4, "Frost/Ice", "Frost or ice"
     UNKNOWN = "unknown"
 
 
-SurfaceCondition._code_map = {
-    1: SurfaceCondition.DRY,
-    2: SurfaceCondition.WET_OR_DAMP,
-    3: SurfaceCondition.SNOW,
-    4: SurfaceCondition.FROST_OR_ICE,
-    5: SurfaceCondition.FLOOD,
-}
-SurfaceCondition._label_map = {
-    SurfaceCondition.DRY: ["Dry"],
-    SurfaceCondition.WET_OR_DAMP: ["Wet or damp", "Wet/Damp"],
-    SurfaceCondition.SNOW: ["Snow"],
-    SurfaceCondition.FLOOD: ["Flood (Over 3cm of water)", "Flood over 3cm. deep"],
-    SurfaceCondition.FROST_OR_ICE: ["Frost/Ice", "Frost or ice"],
-}
-
-
-LOGICAL_COLUMNS = [
-    "accident_id",
-    "date",
-    "lon",
-    "lat",
-    "severity",
-    "casualties",
-    "road_type",
-    "speed_limit",
-    "junction_control",
-    "ped_human_control",
-    "ped_physical_facility",
-    "light",
-    "weather",
-    "surface",
-]
-
-# physical names as used by the national open-data accident table
+# physical names as used by the national open-data accident table; the key
+# order is the column order of LOGICAL_COLUMNS and of records.csv
 DEFAULT_SCHEMA = {
     "accident_id": "Accident_Index",
     "date": "Date",
@@ -297,6 +178,7 @@ DEFAULT_SCHEMA = {
     "weather": "Weather_Conditions",
     "surface": "Road_Surface_Conditions",
 }
+LOGICAL_COLUMNS = list(DEFAULT_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -315,6 +197,13 @@ class AccidentRecord:
     light: LightCondition
     weather: WeatherCondition
     surface: SurfaceCondition
+
+
+# the enum columns of a row, in LOGICAL_COLUMNS order
+_ROW_ENUMS = tuple(
+    hint for hint in get_type_hints(AccidentRecord).values()
+    if isinstance(hint, type) and issubclass(hint, _CodedEnum)
+)
 
 
 @dataclass(frozen=True)
@@ -374,18 +263,6 @@ class _Memo(dict):
     def __missing__(self, text):
         value = self[text] = self.parse(text)
         return value
-
-
-# the enum columns of a row, in LOGICAL_COLUMNS order
-_ROW_ENUMS = (
-    RoadType,
-    JunctionControl,
-    HumanControl,
-    PhysicalFacility,
-    LightCondition,
-    WeatherCondition,
-    SurfaceCondition,
-)
 
 
 def parse_accident_csv(
@@ -582,25 +459,8 @@ def _period_range(
     start: dt.date, end: dt.date, granularity: Granularity
 ) -> list[str]:
     """All period labels from the one containing `start` through `end`."""
-    labels = []
-    if granularity is Granularity.DAILY:
-        day = start
-        while day <= end:
-            labels.append(day.isoformat())
-            day += dt.timedelta(days=1)
-    elif granularity is Granularity.WEEKLY:
-        day = start - dt.timedelta(days=start.isoweekday() - 1)  # back to Monday
-        while day <= end:
-            labels.append(week_label(day))
-            day += dt.timedelta(days=7)
-    else:
-        year, month = start.year, start.month
-        while (year, month) <= (end.year, end.month):
-            labels.append(f"{year}-{month:02d}")
-            month += 1
-            if month == 13:
-                year, month = year + 1, 1
-    return labels
+    days = (start + dt.timedelta(days=i) for i in range((end - start).days + 1))
+    return list(dict.fromkeys(_period_label(day, granularity) for day in days))
 
 
 def iso_weeks_between(start: dt.date, end: dt.date) -> list[str]:

@@ -43,8 +43,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_main < 0 or self.epochs_finetune < 0:
             raise ConfigError("epoch counts must be >= 0")
-        if self.lr_main < 0:
+        if self.lr_main < 0 or (self.lr_finetune is not None and self.lr_finetune < 0):
             raise ConfigError("learning rate must be >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"Adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if not self.eps > 0:
+            raise ConfigError(f"Adam eps must be > 0, got {self.eps}")
         if self.batch is not None and self.batch < 1:
             raise ConfigError(f"batch must be >= 1 window, got {self.batch}")
 

@@ -322,6 +322,26 @@ def test_negative_cell_size_exit_code(pipeline, tmp_path, caplog):
     assert "graph cell_size_m must be positive" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        # diffuse used to accept four fractions that train then refused as stale
+        ("diffuse", lambda c: c.update(split_fractions=[0.5, 0.2, 0.2, 0.1]), "split_fractions"),
+        # eval used to write "mape": Infinity, which is not JSON
+        ("eval", lambda c: c.update(mape_eps=-1.0), "mape_eps"),
+        ("train", lambda c: c["train"].update(beta1=1.5), "Adam betas"),
+    ],
+    ids=["split-fractions", "mape-eps", "beta1"],
+)
+def test_out_of_range_config_value_exit_code(pipeline, tmp_path, caplog, command, edit, message):
+    config_path, _ = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    edit(config)
+    config_path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert message in caplog.text
+
+
 def _packaged_tables(edit):
     raw = json.loads(resources.files("roadrisk.data").joinpath("weight_tables.json").read_text())
     edit(raw)

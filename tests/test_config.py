@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -69,9 +70,15 @@ def test_invalid_config_raises(tmp_path):
         ("model", "heads", 0), ("train", "batch", 0), ("train", "batch", -3),
         ("graph", "cell_size_m", -150.0), ("graph", "cell_size_m", 0.0), ("graph", "k", 0),
         ("graph", "k", -2), ("graph", "sigma_m", -5.0), ("graph", "sigma_m", 0.0),
+        ("train", "lr_finetune", -1.0), ("train", "beta1", 1.5), ("train", "beta1", -0.1),
+        ("train", "beta2", 1.0), ("train", "eps", 0.0), ("train", "eps", -1e-8),
+        (None, "split_fractions", [0.5, 0.2, 0.2, 0.1]), (None, "split_fractions", [0.6, 0.4]),
+        (None, "split_fractions", [1.0, 0.0, 0.0]), (None, "split_fractions", [1.2, -0.1, -0.1]),
+        (None, "split_fractions", [0.6, 0.2, 0.3]), (None, "mape_eps", -1.0),
+        (None, "mape_eps", math.inf), (None, "mape_eps", math.nan),
     ]:
         raw = sample_config_dict(tmp_path)
-        raw.setdefault(section, {})[key] = value
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
 

@@ -14,7 +14,10 @@ from roadrisk.errors import (
 from roadrisk.ingest import (
     AccidentRecord,
     Granularity,
+    HumanControl,
+    JunctionControl,
     LightCondition,
+    PhysicalFacility,
     RegionSpec,
     RoadType,
     SurfaceCondition,
@@ -116,6 +119,99 @@ def test_parse_text_labels(tmp_path):
     assert records[0].road_type is RoadType.ROUNDABOUT
     assert records[0].weather is WeatherCondition.FINE
     assert records[0].surface is SurfaceCondition.FROST_OR_ICE
+
+
+# Every coded member as literal data: (name, value, STATS19 code, labels).
+# Values are also the weight-table keys; 35 codes and 52 labels in all.
+CATEGORIES = {
+    RoadType: [
+        ("SINGLE_CARRIAGEWAY", "single_carriageway", 6, ["Single carriageway"]),
+        ("ONE_WAY", "one_way", 2, ["One way street", "One way"]),
+        ("DUAL_CARRIAGEWAY", "dual_carriageway", 3, ["Dual carriageway"]),
+        ("SLIP_ROAD", "slip_road", 7, ["Slip road"]),
+        ("ROUNDABOUT", "roundabout", 1, ["Roundabout"]),
+    ],
+    JunctionControl: [
+        ("AUTHORISED_PERSON", "authorised_person", 1, ["Authorised person"]),
+        ("AUTO_SIGNAL", "auto_signal", 2, ["Automatic traffic signal", "Auto traffic signal"]),
+        ("STOP_SIGN", "stop_sign", 3, ["Stop Sign"]),
+        ("GIVE_WAY_OR_UNCONTROLLED", "give_way_or_uncontrolled", 4,
+         ["Give way or uncontrolled"]),
+    ],
+    HumanControl: [
+        ("SCHOOL_PATROL", "school_patrol", 1, ["Control by school crossing patrol"]),
+        ("AUTHORISED_PERSON", "authorised_person", 2, ["Control by other authorised person"]),
+        ("NONE_WITHIN_50M", "none_within_50m", 0,
+         ["None within 50 metres", "None within 50 meters"]),
+    ],
+    PhysicalFacility: [
+        ("FOOTBRIDGE_OR_SUBWAY", "footbridge_or_subway", 7, ["Footbridge or subway"]),
+        ("SIGNAL_JUNCTION_PHASE", "signal_junction_phase", 5,
+         ["Pedestrian phase at traffic signal junction"]),
+        ("NON_JUNCTION_CROSSING", "non_junction_crossing", 4,
+         ["Non-junction pedestrian crossing",
+          "Pelican, puffin, toucan or similar non-junction pedestrian light crossing"]),
+        ("ZEBRA", "zebra", 1, ["Zebra crossing", "Zebra"]),
+        ("CENTRAL_REFUGE", "central_refuge", 8, ["Central refuge"]),
+        ("NONE_WITHIN_50M", "none_within_50m", 0,
+         ["No physical crossing within 50 meters",
+          "No physical crossing facilities within 50 metres"]),
+    ],
+    LightCondition: [
+        ("DAYLIGHT", "daylight", 1, ["Daylight: Street light present", "Daylight"]),
+        ("DARK_LIT", "dark_lit", 4,
+         ["Darkness: Street lights present and lit", "Darkness - lights lit"]),
+        ("DARK_LIGHTING_UNKNOWN", "dark_lighting_unknown", 7,
+         ["Darkness: Street lighting unknown", "Darkness - lighting unknown"]),
+        ("DARK_UNLIT", "dark_unlit", 5,
+         ["Darkness: Street lights present but unlit", "Darkness - lights unlit"]),
+        ("DARK_NO_LIGHTING", "dark_no_lighting", 6,
+         ["Darkness: No street lighting", "Darkness - no lighting"]),
+    ],
+    WeatherCondition: [
+        ("FINE", "fine", 1, ["Fine without high winds", "Fine no high winds"]),
+        ("FINE_HIGH_WINDS", "fine_high_winds", 4, ["Fine with high winds"]),
+        ("RAIN", "rain", 2, ["Raining without high winds", "Raining no high winds"]),
+        ("FOG_OR_MIST", "fog_or_mist", 7, ["Fog or mist"]),
+        ("RAIN_HIGH_WINDS", "rain_high_winds", 5, ["Raining with high winds"]),
+        ("SNOW", "snow", 3, ["Snowing without high winds", "Snowing no high winds"]),
+        ("SNOW_HIGH_WINDS", "snow_high_winds", 6, ["Snowing with high winds"]),
+    ],
+    SurfaceCondition: [
+        ("DRY", "dry", 1, ["Dry"]),
+        ("WET_OR_DAMP", "wet_or_damp", 2, ["Wet or damp", "Wet/Damp"]),
+        ("SNOW", "snow", 3, ["Snow"]),
+        ("FLOOD", "flood", 5, ["Flood (Over 3cm of water)", "Flood over 3cm. deep"]),
+        ("FROST_OR_ICE", "frost_or_ice", 4, ["Frost/Ice", "Frost or ice"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", list(CATEGORIES), ids=lambda cls: cls.__name__)
+def test_categories_parse_as_tabled(cls):
+    table = CATEGORIES[cls]
+    assert [m.name for m in cls] == [name for name, *_ in table] + ["UNKNOWN"]
+    assert cls.UNKNOWN.value == "unknown"
+    for name, value, code, labels in table:
+        member = cls[name]
+        assert member.value == value
+        assert cls.parse(code) is member
+        assert cls.parse(str(code)) is member
+        assert cls.parse(f" 0{code} ") is member
+        for label in labels:
+            assert cls.parse(label) is member
+            assert cls.parse("  " + label.upper().replace(" ", "_") + "!") is member
+            assert cls.parse(label.lower().replace(" ", " - ")) is member
+    for member in cls:
+        assert cls(member.value) is member
+    claimed = {code for _, _, code, _ in table}
+    for code in (-1, max(claimed) + 1, *(set(range(10)) - claimed)):
+        assert cls.parse(code) is cls.UNKNOWN
+        assert cls.parse(str(code)) is cls.UNKNOWN
+    for text in (None, "", "  ", "no such label", "1.0"):
+        assert cls.parse(text) is cls.UNKNOWN
+    with pytest.raises(ValueError):
+        cls("no_such_value")
 
 
 def test_parse_deterministic(tmp_path):
@@ -304,13 +400,62 @@ def test_iso_weeks_between_spans_year_boundary():
     assert weeks == ["2012-W52", "2013-W01", "2013-W02"]
 
 
+def branch_period_range(start, end, granularity):
+    """The three-branch calendar walk `_period_range` replaced, kept as its
+    oracle: days step by one, weeks by seven from the Monday of `start`'s
+    week, months by counting (year, month)."""
+    labels = []
+    if granularity is Granularity.DAILY:
+        day = start
+        while day <= end:
+            labels.append(day.isoformat())
+            day += dt.timedelta(days=1)
+    elif granularity is Granularity.WEEKLY:
+        day = start - dt.timedelta(days=start.isoweekday() - 1)
+        while day <= end:
+            labels.append(ingest.week_label(day))
+            day += dt.timedelta(days=7)
+    else:
+        year, month = start.year, start.month
+        while (year, month) <= (end.year, end.month):
+            labels.append(f"{year}-{month:02d}")
+            month += 1
+            if month == 13:
+                year, month = year + 1, 1
+    return labels
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+def test_period_range_matches_branch_walk(granularity):
+    day = dt.date
+    edges = [
+        (day(2015, 12, 28), day(2016, 1, 10)),  # ISO week 2015-W53
+        (day(2015, 12, 31), day(2016, 1, 3)),
+        (day(2012, 1, 31), day(2012, 2, 1)),
+        (day(2012, 2, 29), day(2012, 3, 1)),
+        (day(2012, 12, 31), day(2013, 1, 1)),
+        (day(2012, 12, 24), day(2013, 1, 8)),
+    ]
+    edges += [(start, start) for pair in edges for start in pair]
+    rng = np.random.default_rng(17)
+    randoms = [
+        (day(2009, 1, 1) + dt.timedelta(days=int(s)), day(2009, 1, 1) + dt.timedelta(days=int(s + n)))
+        for s, n in zip(rng.integers(0, 3650, 1000), rng.integers(0, 800, 1000))
+    ]
+    assert any(start.isocalendar()[1] == 53 for start, _ in randoms)
+    for start, end in edges + randoms:
+        assert ingest._period_range(start, end, granularity) == branch_period_range(
+            start, end, granularity
+        ), (start, end)
+
+
 def loop_aggregate(records, assignment, granularity, n_nodes, period=None):
     """The per-record loop `aggregate_temporal` replaced, kept as its oracle."""
     if period is not None:
         start, end = period
     else:
         start, end = min(r.date for r in records), max(r.date for r in records)
-    index = ingest._period_range(start, end, granularity)
+    index = branch_period_range(start, end, granularity)
     pos = {label: i for i, label in enumerate(index)}
     values = np.zeros((len(index), n_nodes))
     for rec, node in zip(records, assignment):
