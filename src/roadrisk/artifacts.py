@@ -1,27 +1,40 @@
 """How the artifacts the pipeline stages hand to each other look on disk.
 
-This is the one module that writes and reads their text formats. A table is
-a CSV file with a header row, and when a config hash is given, a last
+This is the one module that writes and reads their formats. A table is a
+CSV file with a header row, and when a config hash is given, a last
 `config_hash` column carries it on every row. A JSON artifact is one object
-with two-space indents, sorted keys and a final newline, so a rerun on the
-same inputs writes the same bytes.
+with two-space indents, sorted keys and a final newline. A column file is an
+uncompressed `.npz` archive of named numpy arrays whose members all carry
+the same fixed timestamp. A rerun on the same inputs writes the same bytes.
 
 Reading fails closed: a missing column, a short row, a cell that does not
-convert, a file that is not a JSON object, or a JSON field that is missing
-or has the wrong type ends in `CorruptArtifactError` (a `DataError`, exit 3)
-naming the file, the line where one is known, and the command that writes
-the file.
+convert, a file that is not a JSON object or not an `.npz` archive, or a
+field that is missing or has the wrong type ends in `CorruptArtifactError`
+(a `DataError`, exit 3) naming the file, the line where one is known, and
+the command that writes the file.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CorruptArtifactError
+
+
+def file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_table(
@@ -67,6 +80,34 @@ def read_json(path: str | Path, stage: str) -> dict:
         if not isinstance(obj, dict):
             raise TypeError(f"a JSON {type(obj).__name__} where an object belongs")
     return obj
+
+
+def write_columns(path: str | Path, columns: dict[str, np.ndarray]) -> None:
+    """Write `columns` as an `.npz` archive, one `<name>.npy` member each.
+
+    `np.savez` stamps each member with the time of writing; the default
+    `ZipInfo` timestamp (1980-01-01) keeps equal columns equal bytes.
+    """
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, values in columns.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(values), allow_pickle=False)
+
+
+def read_columns(path: str | Path, names: Sequence[str], stage: str) -> dict[str, np.ndarray]:
+    """The arrays `names` from a `write_columns` archive; `CorruptArtifactError`
+    if the file is not a readable archive or lacks one of them."""
+    with reading(path, stage):
+        if not zipfile.is_zipfile(path):
+            raise ValueError("not an .npz archive; it may be truncated")
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                missing = [name for name in names if name not in archive.files]
+                if missing:
+                    raise ValueError(f"no {missing[0]!r} column")
+                return {name: archive[name] for name in names}
+        except (OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"unreadable archive member: {exc}") from exc
 
 
 @contextmanager

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ablation, ingest, metrics, riskmap, validation
 from .artifacts import artifact_rows, reading, write_json, write_table
-from .config import RunConfig, write_manifest
+from .config import RunConfig, valid_split_fractions, write_manifest
 from .diffusion import MinMaxScaler
 from .errors import ConfigError, DataError, MissingArtifactError, NumericError
 from .features import (
@@ -46,7 +46,7 @@ EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 # The artifacts each command writes into the run's output directory; `map`
 # also writes one maps/risk_week_<week>.geojson per forecast week.
 OUTPUTS = {
-    "ingest": ["records.csv", "rejects.csv"],
+    "ingest": ["records.csv", "records.npz", "rejects.csv"],
     "graph": ["nodes.csv", "edges.csv", "assignment.csv"],
     "snr": ["snr.csv"],
     "features": ["risk_tensor.bin", "risk_tensor.json"],
@@ -97,8 +97,8 @@ def _tables(config: RunConfig) -> WeightTables:
         ) from exc
 
 
-def _load_records(config: RunConfig) -> list:
-    return ingest.read_records(_artifact(config, "records.csv"))
+def _load_records(config: RunConfig) -> ingest.RecordTable:
+    return ingest.read_records(_artifact(config, "records.npz"), _artifact(config, "records.csv"))
 
 
 def _load_graph(config: RunConfig):
@@ -124,8 +124,12 @@ def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
         target_scaler = MinMaxScaler.from_dict(inputs.meta["target_scaler"])
         fractions = tuple(float(f) for f in inputs.meta["split_fractions"])
         shapes = {target_scaler.minima.shape, target_scaler.maxima.shape}
-        if shapes != {(raw.values.shape[2],)} or len(fractions) != 3:
-            raise ValueError(f"scaler shapes {sorted(shapes)}, {len(fractions)} split fractions")
+        if shapes != {(raw.values.shape[2],)}:
+            raise ValueError(f"scaler shapes {sorted(shapes)}")
+        if not valid_split_fractions(fractions):
+            raise ValueError(
+                f"split fractions {list(fractions)} are not three fractions above 0 that sum to 1"
+            )
     splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
     targets = target_scaler.transform(raw.values)[:, :, TARGET_CHANNEL]
     data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
@@ -176,7 +180,7 @@ def cmd_ingest(config: RunConfig) -> list[str]:
         _config_file(config, "data_csv"), config.schema or None
     )
     kept = ingest.filter_region(records, config.region)
-    ingest.write_records(kept, out / "records.csv", config.fingerprint)
+    ingest.write_records(kept, out / "records.csv", out / "records.npz", config.fingerprint)
     ingest.write_rejects(rejects, out / "rejects.csv", config.fingerprint)
     log.info(
         "parsed %d rows: %d in region %s, %d rejects",
@@ -189,17 +193,14 @@ def cmd_graph(config: RunConfig) -> list[str]:
     out = _out(config)
     records = _load_records(config)
     graph, assignment = build_graph(
-        [r.lon for r in records],
-        [r.lat for r in records],
-        config.graph,
-        center=config.region.center,
+        records.lon, records.lat, config.graph, center=config.region.center
     )
     fingerprint = config.fingerprint
     save_graph(graph, out / "nodes.csv", out / "edges.csv", fingerprint)
     write_table(
         out / "assignment.csv",
         ["accident_id", "node_id"],
-        ([record.id, node] for record, node in zip(records, assignment.tolist())),
+        zip(records.id.tolist(), assignment.tolist()),
         fingerprint,
     )
     counts = graph.edge_counts()
@@ -213,7 +214,7 @@ def cmd_graph(config: RunConfig) -> list[str]:
 def cmd_snr(config: RunConfig) -> list[str]:
     out = _out(config)
     records = _load_records(config)
-    assignment = [0] * len(records)  # network totals: one logical node
+    assignment = np.zeros(len(records), dtype=np.intp)  # network totals: one logical node
     rows = []
     for granularity in ingest.Granularity:
         series = ingest.aggregate_temporal(

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .artifacts import write_json
+from .artifacts import file_sha256, write_json
 from .diffusion import DiffusionConfig, preset
 from .errors import ConfigError
 from .graph import GraphParams
@@ -32,12 +32,9 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
 
 
-def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def valid_split_fractions(fractions) -> bool:
+    """Three fractions, each above 0, that sum to 1 within 1e-9."""
+    return len(fractions) == 3 and min(fractions) > 0 and abs(sum(fractions) - 1.0) <= 1e-9
 
 
 def _object(raw, section: str, keys) -> dict:
@@ -102,7 +99,7 @@ class RunConfig:
 
     def __post_init__(self):
         fractions = self.split_fractions
-        if len(fractions) != 3 or min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
+        if not valid_split_fractions(fractions):
             raise ConfigError(
                 f"split_fractions must be three fractions above 0 that sum to 1, got {fractions}"
             )

@@ -15,7 +15,6 @@ import datetime as dt
 import itertools
 import json
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 from importlib import resources
@@ -27,16 +26,19 @@ import numpy as np
 from .artifacts import read_json, reading, write_json
 from .errors import DataError, ShapeMismatchError, UnassignedRecordError
 from .ingest import (
+    CATEGORIES,
     AccidentRecord,
+    Granularity,
     HumanControl,
     JunctionControl,
     LightCondition,
     PhysicalFacility,
+    RecordTable,
     RoadType,
     SurfaceCondition,
     WeatherCondition,
     iso_weeks_between,
-    week_label,
+    period_rows,
 )
 
 FEATURE_NAMES = ("traffic_safety", "infrastructure", "environmental")
@@ -134,37 +136,6 @@ def speed_factor(speed_limit_mph: float) -> float:
     return 0.5 + speed_limit_mph / 120.0
 
 
-def severity_weight(
-    tables: WeightTables,
-    severity: int,
-    road_type: RoadType,
-    speed_limit_mph: float,
-) -> float:
-    """Multiplicative severity x road-context x speed weight."""
-    return (
-        tables.severity_w[severity]
-        * tables.road_w[road_type]
-        * speed_factor(speed_limit_mph)
-    )
-
-
-def infrastructure_risk(tables: WeightTables, record: AccidentRecord) -> float:
-    """Mean of the four infrastructure factor weights, in (0, 1]."""
-    return (
-        tables.human_control_w[record.ped_human_control]
-        + tables.physical_facility_w[record.ped_physical_facility]
-        + tables.light_w[record.light]
-        + tables.junction_control_w[record.junction_control]
-    ) / 4.0
-
-
-def environmental_risk(tables: WeightTables, record: AccidentRecord) -> float:
-    """Mean of the surface and weather weights, in (0, 1]."""
-    return (
-        tables.surface_w[record.surface] + tables.weather_w[record.weather]
-    ) / 2.0
-
-
 @dataclass
 class RiskTensor:
     """(weeks, nodes, 3) array of risk values plus its axis labels."""
@@ -199,78 +170,70 @@ class RiskTensor:
 
 def build_risk_tensor(
     tables: WeightTables,
-    records: Sequence[AccidentRecord],
+    records: RecordTable | Sequence[AccidentRecord],
     assignment: Sequence[int],
     node_ids: Sequence[int],
     period: tuple[dt.date, dt.date],
 ) -> RiskTensor:
     """Assemble the weekly (W, N, 3) risk tensor over a study period.
 
-    Safety risk is additive over a cell's accidents; infrastructure and
-    environment are per-accident scores averaged within the cell, zero where
-    the cell saw no accidents. Per-record scores use the same float64
-    operations, in the same order, as `severity_weight`,
-    `infrastructure_risk` and `environmental_risk`, and each cell sums its
-    records in record order, so the tensor is bitwise what a loop over the
-    records with those functions gives.
+    Each accident scores three values: log(casualties + 1) times the
+    product of its severity weight, road-type weight and
+    `speed_factor(speed_limit)`; the mean of its four infrastructure
+    weights (human control, physical facility, light, junction control);
+    and the mean of its surface and weather weights. Safety risk sums a
+    cell's scores; infrastructure and environment average them within the
+    cell, zero where the cell saw no accidents. Each weight is looked up by
+    the record's category code, and the products and sums run in the order
+    written here, so every score is bitwise what per-record float arithmetic
+    gives, and each cell sums its records in record order.
     """
-    if len(records) != len(assignment):
+    table = RecordTable.from_records(records)
+    if len(table) != len(assignment):
         raise UnassignedRecordError("<length mismatch>")
     node_ids = list(node_ids)
     node_pos = {int(n): i for i, n in enumerate(node_ids)}
     weeks = iso_weeks_between(period[0], period[1])
-    week_pos = {w: t for t, w in enumerate(weeks)}
     w, n = len(weeks), len(node_ids)
     values = np.zeros((w, n, 3))
     counts = np.zeros((w, n))
 
+    nodes = np.asarray(assignment, dtype=np.int64)
     cols = np.fromiter(
-        map(node_pos.get, map(int, assignment), itertools.repeat(-1)),
-        dtype=np.intp, count=len(records),
+        map(node_pos.get, nodes.tolist(), itertools.repeat(-1)), dtype=np.intp, count=len(nodes)
     )
     if (cols < 0).any():
-        node = int(assignment[int(np.argmax(cols < 0))])
+        node = int(nodes[np.argmax(cols < 0)])
         raise ShapeMismatchError(f"record node {node} not in graph nodes")
-    date = operator.attrgetter("date")
-    week_of = {day: week_pos.get(week_label(day), -1) for day in set(map(date, records))}
-    rows = np.fromiter(map(week_of.__getitem__, map(date, records)), np.intp, len(records))
+    rows = period_rows(table.date, weeks, Granularity.WEEKLY)
     inside = rows >= 0  # the rest fall outside the study period
-    kept = list(itertools.compress(records, inside))
 
-    def column(name: str, table: dict, key=None) -> np.ndarray:
-        """`table[key(field)]` for field `name` of each kept record, as float64."""
-        fields = map(operator.attrgetter(name), kept)
-        if key is not None:
-            fields = map(key, fields)
-        return np.fromiter(map(table.__getitem__, fields), np.float64, len(kept))
-
-    def member_weights(name: str, table: dict) -> np.ndarray:
-        # enum members are singletons, so look them up by id: keyed by the
-        # member itself, each lookup calls the Python-level Enum.__hash__
-        return column(name, {id(member): w for member, w in table.items()}, key=id)
+    def weight(name: str, table_w: dict) -> np.ndarray:
+        """`table_w[member]` for each kept record's member in category `name`."""
+        by_code = np.array([table_w[member] for member in CATEGORIES[name]])
+        return by_code[getattr(table, name)[inside]]
 
     # math.log per distinct count: np.log need not match libm to the last bit
-    log_of = {c: math.log(c + 1.0) for c in {r.casualties for r in kept}}
-    speed = np.fromiter(map(operator.attrgetter("speed_limit"), kept), np.float64, len(kept))
+    casualties, per_record = np.unique(table.casualties[inside], return_inverse=True)
+    log_casualties = np.array([math.log(c + 1.0) for c in casualties.tolist()])[per_record]
+    severity_w = np.array([tables.severity_w[level] for level in (1, 2, 3)])
     w_sev = (
-        column("severity", tables.severity_w)
-        * member_weights("road_type", tables.road_w)
-        * speed_factor(speed)
+        severity_w[table.severity[inside] - 1]
+        * weight("road_type", tables.road_w)
+        * speed_factor(table.speed_limit[inside])
     )
     infrastructure = (
-        member_weights("ped_human_control", tables.human_control_w)
-        + member_weights("ped_physical_facility", tables.physical_facility_w)
-        + member_weights("light", tables.light_w)
-        + member_weights("junction_control", tables.junction_control_w)
+        weight("ped_human_control", tables.human_control_w)
+        + weight("ped_physical_facility", tables.physical_facility_w)
+        + weight("light", tables.light_w)
+        + weight("junction_control", tables.junction_control_w)
     ) / 4.0
-    environment = (
-        member_weights("surface", tables.surface_w) + member_weights("weather", tables.weather_w)
-    ) / 2.0
+    environment = (weight("surface", tables.surface_w) + weight("weather", tables.weather_w)) / 2.0
 
     # np.add.at adds unbuffered, in index order: each cell sums its records
-    # in record order, from 0.0, as the loop did
+    # in record order, from 0.0, as a per-record loop does
     t, i = rows[inside], cols[inside]
-    np.add.at(values, (t, i, 0), column("casualties", log_of) * w_sev)
+    np.add.at(values, (t, i, 0), log_casualties * w_sev)
     np.add.at(values, (t, i, 1), infrastructure)
     np.add.at(values, (t, i, 2), environment)
     np.add.at(counts, (t, i), 1.0)

@@ -115,10 +115,15 @@ def assign_to_nodes(
     x, y = _local_xy_m(lons, lats, lon0, lat0)
     cx = np.floor(x / cell_size_m).astype(np.int64)
     cy = np.floor(y / cell_size_m).astype(np.int64)
-    # unique rows come out in lexicographic (cx, cy) order
-    _, assignment, counts = np.unique(
-        np.column_stack((cx, cy)), axis=0, return_inverse=True, return_counts=True
-    )
+    # Nodes are the unique cells in lexicographic (cx, cy) order. One int64
+    # key per cell sorts in that order, and a 1-D unique over it is far
+    # cheaper than unique rows, which stay for a grid too wide for the key.
+    width = int(cy.max() - cy.min()) + 1
+    if (int(cx.max() - cx.min()) + 1) * width < 2**63:
+        cells, axis = (cx - cx.min()) * width + (cy - cy.min()), None
+    else:
+        cells, axis = np.column_stack((cx, cy)), 0
+    _, assignment, counts = np.unique(cells, axis=axis, return_inverse=True, return_counts=True)
     assignment = assignment.ravel()
     # A stable sort keeps each cell's members in input order, so .mean() over
     # a contiguous slice sums the members in input order, pairwise. (Not

@@ -7,6 +7,10 @@ regional export, so parsing goes through a logical-to-physical column mapping
 supplied in the run config. Categorical fields accept both the numeric codes
 from the official data dictionary and spelled-out labels; anything else maps
 to the Unknown variant rather than dropping the row.
+
+Parsing yields one `AccidentRecord` per row. Past the parse, records travel
+as a `RecordTable` of numpy columns: `write_records` stores both a readable
+`records.csv` and the columns as `records.npz`, which later stages load.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .artifacts import artifact_rows, write_table
+from .artifacts import file_sha256, read_columns, reading, write_columns, write_table
 from .errors import (
     ConfigError,
+    CorruptArtifactError,
+    DataError,
     MissingColumnError,
     TooManyRejectsError,
     UnassignedRecordError,
@@ -76,6 +82,14 @@ class _CodedEnum(enum.Enum):
     @functools.cache
     def _labels(cls) -> dict:
         return {_norm_label(label): member for member in cls for label in member._label_texts}
+
+    @classmethod
+    @functools.cache
+    def _positions(cls) -> dict:
+        """Each member's position in the enum, keyed by `id(member)`: keyed
+        by the member itself, each lookup calls the Python-level
+        `Enum.__hash__`."""
+        return {id(member): i for i, member in enumerate(cls)}
 
 
 class RoadType(_CodedEnum):
@@ -199,11 +213,91 @@ class AccidentRecord:
     surface: SurfaceCondition
 
 
-# the enum columns of a row, in LOGICAL_COLUMNS order
-_ROW_ENUMS = tuple(
-    hint for hint in get_type_hints(AccidentRecord).values()
+_FIELD_TYPES = get_type_hints(AccidentRecord)
+# the category fields of a record and their enums, in LOGICAL_COLUMNS order
+CATEGORIES = {
+    name: hint for name, hint in _FIELD_TYPES.items()
     if isinstance(hint, type) and issubclass(hint, _CodedEnum)
-)
+}
+_ROW_ENUMS = tuple(CATEGORIES.values())
+# the dtype of each RecordTable column, from the field's type
+_DTYPES = {
+    name: np.int8 if name in CATEGORIES
+    else {str: np.str_, dt.date: np.int64, int: np.int64, float: np.float64}[hint]
+    for name, hint in _FIELD_TYPES.items()
+}
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Records as numpy columns, one per `AccidentRecord` field, in record order.
+
+    `id` holds str; `date` holds day ordinals (`date.toordinal()`);
+    `severity` and `casualties` int64; `lon`, `lat` and `speed_limit`
+    float64; each category column (`CATEGORIES`) holds int8 codes, a
+    member's position in its enum.
+    """
+
+    id: np.ndarray
+    date: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    severity: np.ndarray
+    casualties: np.ndarray
+    road_type: np.ndarray
+    speed_limit: np.ndarray
+    junction_control: np.ndarray
+    ped_human_control: np.ndarray
+    ped_physical_facility: np.ndarray
+    light: np.ndarray
+    weather: np.ndarray
+    surface: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in _DTYPES}
+
+    @classmethod
+    def from_records(cls, records: "RecordTable | Sequence[AccidentRecord]") -> "RecordTable":
+        """The columns of `records`; a `RecordTable` is returned as it is.
+
+        DataError if an id ends in a NUL character: a numpy str column
+        would drop it.
+        """
+        if isinstance(records, cls):
+            return records
+        ids = [r.id for r in records]
+        nul = next((i for i in ids if i.endswith("\0")), None)
+        if nul is not None:
+            raise DataError(f"accident id {nul!r} ends in a NUL character")
+        columns = {"id": np.array(ids, dtype=np.str_)}
+        for name, dtype in _DTYPES.items():
+            if name == "id":
+                continue
+            values = map(operator.attrgetter(name), records)
+            if name == "date":
+                values = map(dt.date.toordinal, values)
+            elif name in CATEGORIES:
+                values = map(CATEGORIES[name]._positions().__getitem__, map(id, values))
+            columns[name] = np.fromiter(values, dtype, len(records))
+        return cls(**columns)
+
+
+# what each stored column's values satisfy; `parse_accident_csv` makes no other
+_IN_RANGE = {
+    "date": lambda d: (d >= 1) & (d <= dt.date.max.toordinal()),
+    "lon": np.isfinite,
+    "lat": np.isfinite,
+    "severity": lambda s: (s >= 1) & (s <= 3),
+    "casualties": lambda c: c >= 1,
+    **{
+        name: lambda c, size=len(enum_cls): (c >= 0) & (c < size)
+        for name, enum_cls in CATEGORIES.items()
+    },
+}
+_STAMP = "csv_sha256"
 
 
 @dataclass(frozen=True)
@@ -334,6 +428,8 @@ def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> Acci
         raise ValueError("unparseable casualty count")
     if casualties < 1:
         raise ValueError("casualty count below 1")
+    if casualties >= 2**63:  # RecordTable holds counts as int64
+        raise ValueError("casualty count above 2**63 - 1")
     try:
         speed = float(speed)
     except ValueError:
@@ -364,12 +460,18 @@ def write_rejects(
 
 
 def write_records(
-    records: Sequence[AccidentRecord], path: str | Path, config_hash: str = ""
+    records: Sequence[AccidentRecord],
+    csv_path: str | Path,
+    npz_path: str | Path,
+    config_hash: str = "",
 ) -> None:
-    """Persist normalized records (logical column names, ISO dates).
+    """Persist normalized records twice.
 
-    Enum cells read `_value_`, the attribute behind `Enum.value`, because
-    the property costs a Python-level descriptor call per cell.
+    `csv_path` is the readable copy (logical column names, ISO dates). No
+    stage reads it back: `npz_path` holds the same records as `RecordTable`
+    columns, stamped with the sha256 of `csv_path`. Enum cells read
+    `_value_`, the attribute behind `Enum.value`, because the property costs
+    a Python-level descriptor call per cell.
     """
     rows = (
         [
@@ -390,43 +492,47 @@ def write_records(
         ]
         for r in records
     )
-    write_table(path, LOGICAL_COLUMNS, rows, config_hash)
+    write_table(csv_path, LOGICAL_COLUMNS, rows, config_hash)
+    columns = RecordTable.from_records(records).columns()
+    write_columns(npz_path, {**columns, _STAMP: np.array(file_sha256(csv_path))})
 
 
-def read_records(path: str | Path) -> list[AccidentRecord]:
-    """Load records written by write_records.
+def read_records(npz_path: str | Path, csv_path: str | Path) -> RecordTable:
+    """Load the table `write_records` stored in `npz_path`.
 
-    CorruptArtifactError (exit 3) names the line of a row that does not
-    parse: a short row, a number or date that does not convert, or an enum
-    value no member has.
+    CorruptArtifactError (exit 3) names `npz_path` if it is not a readable
+    archive, lacks a column, or holds a column of another length or dtype
+    or a value the parser never makes (such as a code outside its category
+    or a coordinate that is not finite). It names `csv_path` if that file
+    no longer has the sha256 the table was stamped with, that is, if it was
+    edited after `ingest` wrote both.
     """
-    # each distinct date and enum text is parsed once; a miss on an enum
-    # calls the class itself, which raises for a value no member has
-    dates = _Memo(dt.date.fromisoformat)
-    (road_types, junction_controls, human_controls, facilities,
-     lights, weathers, surfaces) = (_Memo(cls) for cls in _ROW_ENUMS)
-    with artifact_rows(path, LOGICAL_COLUMNS, "ingest") as (at, rows):
-        (i_id, i_date, i_lon, i_lat, i_severity, i_casualties, i_road, i_speed,
-         i_junction, i_human, i_facility, i_light, i_weather, i_surface) = at
-        return [
-            AccidentRecord(
-                id=row[i_id],
-                date=dates[row[i_date]],
-                lon=float(row[i_lon]),
-                lat=float(row[i_lat]),
-                severity=int(row[i_severity]),
-                casualties=int(row[i_casualties]),
-                road_type=road_types[row[i_road]],
-                speed_limit=float(row[i_speed]),
-                junction_control=junction_controls[row[i_junction]],
-                ped_human_control=human_controls[row[i_human]],
-                ped_physical_facility=facilities[row[i_facility]],
-                light=lights[row[i_light]],
-                weather=weathers[row[i_weather]],
-                surface=surfaces[row[i_surface]],
-            )
-            for row in rows
-        ]
+    columns = read_columns(npz_path, [*_DTYPES, _STAMP], "ingest")
+    with reading(npz_path, "ingest"):
+        stamp = columns.pop(_STAMP)
+        if stamp.shape != () or stamp.dtype.kind != "U":
+            raise ValueError(f"{_STAMP} is not one string")
+        n = len(columns["id"])
+        for name, dtype in _DTYPES.items():
+            column = columns[name]
+            typed = column.dtype.kind == "U" if dtype is np.str_ else column.dtype == dtype
+            if column.shape != (n,) or not typed:
+                raise ValueError(
+                    f"column {name!r} holds {column.dtype} of shape {column.shape}, "
+                    f"not {n} values of {np.dtype(dtype)}"
+                )
+            if name in _IN_RANGE:
+                bad = np.flatnonzero(~_IN_RANGE[name](column))
+                if bad.size:
+                    value = column[bad[0]].item()
+                    raise ValueError(f"column {name!r} holds {value!r} at row {bad[0]}")
+    if file_sha256(csv_path) != str(stamp):
+        raise CorruptArtifactError(
+            csv_path, None,
+            f"its sha256 differs from the one {Path(npz_path).name} was stamped with, "
+            "so it changed after `ingest` wrote both", "ingest",
+        )
+    return RecordTable(**columns)
 
 
 def filter_region(
@@ -483,8 +589,20 @@ class AggregatedSeries:
         return float(self.values.sum())
 
 
+def period_rows(days: np.ndarray, index: list[str], granularity: Granularity) -> np.ndarray:
+    """Each day ordinal's row in `index`, a list of `granularity` period
+    labels; -1 for a day whose period is not in it."""
+    pos = {label: i for i, label in enumerate(index)}
+    distinct, inverse = np.unique(days, return_inverse=True)
+    rows = [
+        pos.get(_period_label(dt.date.fromordinal(day), granularity), -1)
+        for day in distinct.tolist()
+    ]
+    return np.array(rows, dtype=np.intp)[inverse]
+
+
 def aggregate_temporal(
-    records: Sequence[AccidentRecord],
+    records: RecordTable | Sequence[AccidentRecord],
     assignment: Sequence[int],
     granularity: Granularity,
     n_nodes: int | None = None,
@@ -495,26 +613,26 @@ def aggregate_temporal(
     `assignment` gives the node id of each record, aligned with `records`.
     The index spans `period` when given, otherwise the observed date range.
     """
-    if len(records) != len(assignment):
+    table = RecordTable.from_records(records)
+    if len(table) != len(assignment):
         raise UnassignedRecordError("<length mismatch>")
-    for rec, node in zip(records, assignment):
-        if node is None or int(node) < 0:
-            raise UnassignedRecordError(rec.id)
+    try:
+        nodes = np.asarray(assignment, dtype=np.intp)
+    except TypeError:  # a None
+        nodes = np.array([-1 if a is None else int(a) for a in assignment], dtype=np.intp)
+    unassigned = np.flatnonzero(nodes < 0)
+    if unassigned.size:
+        raise UnassignedRecordError(str(table.id[unassigned[0]]))
     if n_nodes is None:
-        n_nodes = (max((int(a) for a in assignment), default=-1)) + 1
-    dates = list(map(operator.attrgetter("date"), records))
+        n_nodes = int(nodes.max(initial=-1)) + 1
     if period is not None:
         start, end = period
-    elif records:
-        start, end = min(dates), max(dates)
+    elif len(table):
+        start, end = (dt.date.fromordinal(int(day)) for day in (table.date.min(), table.date.max()))
     else:
         return AggregatedSeries(granularity, [], list(range(n_nodes)), np.zeros((0, n_nodes)))
     index = _period_range(start, end, granularity)
-    pos = {label: i for i, label in enumerate(index)}
-    # one period row per distinct date; -1 outside the index
-    row_of = {day: pos.get(_period_label(day, granularity), -1) for day in set(dates)}
-    rows = np.fromiter(map(row_of.__getitem__, dates), dtype=np.intp, count=len(dates))
-    nodes = np.fromiter(map(int, assignment), dtype=np.intp, count=len(dates))
+    rows = period_rows(table.date, index, granularity)
     inside = rows >= 0
     values = np.zeros((len(index), n_nodes))
     np.add.at(values, (rows[inside], nodes[inside]), 1.0)

@@ -20,7 +20,7 @@ from .artifacts import write_json, write_table
 from .errors import InsufficientGroupsError
 from .features import FEATURE_NAMES, RiskTensor, WeightTables, build_risk_tensor
 from .graph import assign_to_nodes
-from .ingest import AccidentRecord, Granularity, RegionSpec, aggregate_temporal
+from .ingest import AccidentRecord, Granularity, RecordTable, RegionSpec, aggregate_temporal
 
 
 def cross_dimension_correlation(tensor: RiskTensor) -> tuple[np.ndarray, list[str]]:
@@ -216,7 +216,7 @@ class ValidationReport:
 
 
 def framework_validation_report(
-    records: list[AccidentRecord],
+    records: RecordTable | list[AccidentRecord],
     region: RegionSpec,
     tables: WeightTables | None = None,
     cell_size_m: float = 1000.0,
@@ -224,13 +224,12 @@ def framework_validation_report(
 ) -> ValidationReport:
     """Run the full battery on a coarse-grid rebuild of the risk features."""
     tables = tables or WeightTables.default()
-    nodes, assignment = assign_to_nodes(
-        [r.lon for r in records], [r.lat for r in records], cell_size_m, center=region.center
-    )
+    table = RecordTable.from_records(records)
+    nodes, assignment = assign_to_nodes(table.lon, table.lat, cell_size_m, center=region.center)
     node_ids = [node[0] for node in nodes]
-    tensor = build_risk_tensor(tables, records, assignment, node_ids, region.period)
+    tensor = build_risk_tensor(tables, table, assignment, node_ids, region.period)
     counts = aggregate_temporal(
-        records, assignment, Granularity.WEEKLY, len(node_ids), region.period
+        table, assignment, Granularity.WEEKLY, len(node_ids), region.period
     ).values
 
     mean_abs_r, notes_r = cross_dimension_correlation(tensor)

@@ -35,16 +35,21 @@ def pipeline(tmp_path_factory, fixture_csv):
     }
     config_path = root / "run.json"
     config_path.write_text(json.dumps(config))
-    for command in ("ingest", "graph", "snr", "features", "diffuse", "train",
-                    "eval", "predict", "map", "validate-framework"):
+    commands = ("ingest", "graph", "snr", "features", "diffuse", "train",
+                "eval", "predict", "map", "validate-framework")
+    for command in commands:
         assert cli.main([command, "--config", str(config_path)]) == 0, command
+    # every file a command leaves is in its cli.OUTPUTS entry
+    expected = {name for command in commands for name in cli.OUTPUTS[command]}
+    expected |= {f"manifest_{command.replace('-', '_')}.json" for command in commands}
+    assert {p.name for p in out_dir.iterdir()} == expected | {"maps"}
     return config_path, out_dir
 
 
 def test_artifacts_exist(pipeline):
     _, out = pipeline
     for name in (
-        "records.csv", "rejects.csv", "nodes.csv", "edges.csv", "assignment.csv",
+        "records.csv", "records.npz", "rejects.csv", "nodes.csv", "edges.csv", "assignment.csv",
         "snr.csv", "risk_tensor.bin", "risk_tensor.json", "processed.bin",
         "processed.json", "params.json", "params.bin", "history.csv",
         "report.json", "report.csv", "report_baselines.json",
@@ -229,7 +234,8 @@ def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):
     lines[5] = ",".join(cells)
     records.write_text("\n".join(lines) + "\n")
     assert cli.main(["snr", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{records} line 6:" in caplog.text and "'bogus' is not a valid RoadType" in caplog.text
+    # no stage parses records.csv; an edit shows as a changed digest
+    assert f"{records}: its sha256 differs" in caplog.text
     assert "run `ingest` again" in caplog.text
 
 
@@ -239,8 +245,34 @@ def test_truncated_records_exit_code(pipeline, tmp_path, caplog):
     text = records.read_text()
     records.write_text(text[: text.index("\n", len(text) // 2) + 30])  # 30 bytes into a row
     assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(records) in caplog.text and "row has fewer cells than its header" in caplog.text
+    assert f"{records}: its sha256 differs" in caplog.text
     assert "run `ingest` again" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["graph", "snr", "features", "validate-framework"])
+def test_damaged_records_npz_exit_code(pipeline, tmp_path, caplog, command):
+    config_path, out = copy_run(pipeline, tmp_path)
+    table = out / "records.npz"
+    blob = table.read_bytes()
+    table.write_bytes(blob[: len(blob) // 2])
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{table}: ValueError: not an .npz archive" in caplog.text
+    assert "run `ingest` again" in caplog.text
+
+
+def test_record_stages_build_no_record_objects(pipeline, tmp_path, monkeypatch):
+    from roadrisk import ingest
+
+    config_path, out = copy_run(pipeline, tmp_path)
+    tensor = (out / "risk_tensor.bin").read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage built an AccidentRecord")
+
+    monkeypatch.setattr(ingest.AccidentRecord, "__init__", refuse)
+    for command in ("graph", "snr", "features", "validate-framework"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    assert (out / "risk_tensor.bin").read_bytes() == tensor
 
 
 def test_non_integer_node_in_assignment_exit_code(pipeline, tmp_path, caplog):
@@ -302,6 +334,20 @@ def test_processed_sidecar_without_scaler_or_splits_exit_code(
     sidecar.write_text(json.dumps(meta))
     assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
     assert str(sidecar) in caplog.text and "run `diffuse` again" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_processed_sidecar_fractions_not_summing_to_one_exit_code(
+    pipeline, tmp_path, caplog, command
+):
+    config_path, out = copy_run(pipeline, tmp_path)
+    sidecar = out / "processed.json"
+    meta = json.loads(sidecar.read_text())
+    meta["split_fractions"] = [0.6, 0.2, 0.3]
+    sidecar.write_text(json.dumps(meta))
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{sidecar}: ValueError: split fractions [0.6, 0.2, 0.3]" in caplog.text
+    assert "run `diffuse` again" in caplog.text
 
 
 def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):

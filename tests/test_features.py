@@ -12,12 +12,40 @@ from roadrisk.ingest import (
     JunctionControl,
     LightCondition,
     PhysicalFacility,
+    RecordTable,
     RoadType,
     SurfaceCondition,
     WeatherCondition,
+    week_label,
 )
 
 TABLES = ft.WeightTables.default()
+
+
+# Per-record scores, the arithmetic `build_risk_tensor` does on columns,
+# kept as its oracles.
+def severity_weight(tables, severity, road_type, speed_limit_mph):
+    """Multiplicative severity x road-context x speed weight."""
+    return (
+        tables.severity_w[severity]
+        * tables.road_w[road_type]
+        * ft.speed_factor(speed_limit_mph)
+    )
+
+
+def infrastructure_risk(tables, record):
+    """Mean of the four infrastructure factor weights, in (0, 1]."""
+    return (
+        tables.human_control_w[record.ped_human_control]
+        + tables.physical_facility_w[record.ped_physical_facility]
+        + tables.light_w[record.light]
+        + tables.junction_control_w[record.junction_control]
+    ) / 4.0
+
+
+def environmental_risk(tables, record):
+    """Mean of the surface and weather weights, in (0, 1]."""
+    return (tables.surface_w[record.surface] + tables.weather_w[record.weather]) / 2.0
 
 
 def make_record(
@@ -127,15 +155,15 @@ def test_unknown_variants_use_default_weight():
 
 
 def test_severity_weight_fatal_roundabout():
-    assert ft.severity_weight(TABLES, 1, RoadType.ROUNDABOUT, 60.0) == pytest.approx(4.5)
+    assert severity_weight(TABLES, 1, RoadType.ROUNDABOUT, 60.0) == pytest.approx(4.5)
 
 
 def test_severity_weight_slight_single():
-    assert ft.severity_weight(TABLES, 3, RoadType.SINGLE_CARRIAGEWAY, 60.0) == pytest.approx(1.0)
+    assert severity_weight(TABLES, 3, RoadType.SINGLE_CARRIAGEWAY, 60.0) == pytest.approx(1.0)
 
 
 def test_severity_weight_serious_dual_fast():
-    assert ft.severity_weight(TABLES, 2, RoadType.DUAL_CARRIAGEWAY, 120.0) == pytest.approx(3.6)
+    assert severity_weight(TABLES, 2, RoadType.DUAL_CARRIAGEWAY, 120.0) == pytest.approx(3.6)
 
 
 def test_infrastructure_risk_hand_case():
@@ -145,16 +173,16 @@ def test_infrastructure_risk_hand_case():
         light=LightCondition.DAYLIGHT,
         junction=JunctionControl.AUTO_SIGNAL,
     )
-    assert ft.infrastructure_risk(TABLES, rec) == pytest.approx(0.2625)
+    assert infrastructure_risk(TABLES, rec) == pytest.approx(0.2625)
 
 
 def test_environmental_risk_hand_cases():
     dry_fine = make_record(surface=SurfaceCondition.DRY, weather=WeatherCondition.FINE)
-    assert ft.environmental_risk(TABLES, dry_fine) == pytest.approx(0.2)
+    assert environmental_risk(TABLES, dry_fine) == pytest.approx(0.2)
     icy_storm = make_record(
         surface=SurfaceCondition.FROST_OR_ICE, weather=WeatherCondition.SNOW_HIGH_WINDS
     )
-    assert ft.environmental_risk(TABLES, icy_storm) == pytest.approx(0.8)
+    assert environmental_risk(TABLES, icy_storm) == pytest.approx(0.8)
 
 
 def test_risk_bounds():
@@ -169,9 +197,9 @@ def test_risk_bounds():
             surface=rng.choice(list(SurfaceCondition)),
             weather=rng.choice(list(WeatherCondition)),
         )
-        assert 0.0 < ft.infrastructure_risk(TABLES, rec) <= 1.0
-        assert 0.0 < ft.environmental_risk(TABLES, rec) <= 1.0
-        assert ft.infrastructure_risk(TABLES, rec) >= infra_lo / 4
+        assert 0.0 < infrastructure_risk(TABLES, rec) <= 1.0
+        assert 0.0 < environmental_risk(TABLES, rec) <= 1.0
+        assert infrastructure_risk(TABLES, rec) >= infra_lo / 4
 
 
 PERIOD = (dt.date(2012, 6, 11), dt.date(2012, 7, 8))  # four ISO weeks
@@ -224,15 +252,15 @@ def brute_force_tensor(records, assignment, node_ids, weeks):
             cell = [
                 r
                 for r, a in zip(records, assignment)
-                if a == node and ft.week_label(r.date) == week
+                if a == node and week_label(r.date) == week
             ]
             for r in cell:
-                out[t, i, 0] += math.log(r.casualties + 1) * ft.severity_weight(
+                out[t, i, 0] += math.log(r.casualties + 1) * severity_weight(
                     TABLES, r.severity, r.road_type, r.speed_limit
                 )
             if cell:
-                out[t, i, 1] = np.mean([ft.infrastructure_risk(TABLES, r) for r in cell])
-                out[t, i, 2] = np.mean([ft.environmental_risk(TABLES, r) for r in cell])
+                out[t, i, 1] = np.mean([infrastructure_risk(TABLES, r) for r in cell])
+                out[t, i, 2] = np.mean([environmental_risk(TABLES, r) for r in cell])
     return out
 
 
@@ -315,14 +343,14 @@ def loop_risk_tensor(tables, records, assignment, node_ids, period):
     counts = np.zeros((len(weeks), len(node_ids)))
     for rec, node in zip(records, assignment):
         i = node_pos[int(node)]
-        label = ft.week_label(rec.date)
+        label = week_label(rec.date)
         if label not in week_pos:
             continue
         t = week_pos[label]
-        w_sev = ft.severity_weight(tables, rec.severity, rec.road_type, rec.speed_limit)
+        w_sev = severity_weight(tables, rec.severity, rec.road_type, rec.speed_limit)
         values[t, i, 0] += math.log(rec.casualties + 1.0) * w_sev
-        values[t, i, 1] += ft.infrastructure_risk(tables, rec)
-        values[t, i, 2] += ft.environmental_risk(tables, rec)
+        values[t, i, 1] += infrastructure_risk(tables, rec)
+        values[t, i, 2] += environmental_risk(tables, rec)
         counts[t, i] += 1.0
     occupied = counts > 0
     values[:, :, 1][occupied] /= counts[occupied]
@@ -381,6 +409,10 @@ def test_build_tensor_matches_record_loop_bitwise():
         TABLES, records, assignment, node_ids, PERIOD
     ).tobytes()
     assert (tensor.values[:, node_ids.index(12)] == 0.0).all()
+    table = RecordTable.from_records(records)
+    on_table = ft.build_risk_tensor(TABLES, table, np.asarray(assignment), node_ids, PERIOD)
+    assert on_table.values.tobytes() == tensor.values.tobytes()
+    assert on_table.weeks == tensor.weeks and on_table.node_ids == tensor.node_ids
 
     order = rng.permutation(len(records))
     shuffled = [records[k] for k in order]

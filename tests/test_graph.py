@@ -432,6 +432,40 @@ def test_assign_matches_dict_loop_bitwise():
     np.testing.assert_array_equal(got, want)
 
 
+def unique_rows_assignment(lons, lats, cell_size_m, center):
+    """The `np.unique(..., axis=0)` over (cx, cy) rows that the int64 cell
+    key replaced, kept as its oracle: (assignment, member counts)."""
+    x, y = g._local_xy_m(lons, lats, *center)
+    cx = np.floor(x / cell_size_m).astype(np.int64)
+    cy = np.floor(y / cell_size_m).astype(np.int64)
+    _, assignment, counts = np.unique(
+        np.column_stack((cx, cy)), axis=0, return_inverse=True, return_counts=True
+    )
+    return assignment.ravel(), counts
+
+
+@pytest.mark.parametrize(
+    "n, low, high, cell_size_m",
+    [(4000, -0.015, 0.015, 150.0), (200, 1e-6, 1e-5, 150.0), (1, 0.0, 0.0, 150.0),
+     (300, -0.015, 0.015, 1e-9)],
+    ids=["negative-cells", "one-cell", "one-point", "key-overflow"],
+)
+def test_assign_cell_key_matches_unique_rows(n, low, high, cell_size_m):
+    rng = np.random.default_rng(n)
+    center = (-0.1, 51.5)
+    lons = center[0] + rng.uniform(low, high, n)
+    lats = center[1] + rng.uniform(low, high, n)
+    nodes, assignment = g.assign_to_nodes(lons, lats, cell_size_m, center)
+    want, counts = unique_rows_assignment(lons, lats, cell_size_m, center)
+    np.testing.assert_array_equal(assignment, want)
+    assert [node[3] for node in nodes] == counts.tolist()
+    if low < 0:  # points on both sides of the anchor: negative cells
+        x, y = g._local_xy_m(lons, lats, *center)
+        assert (x < 0).any() and (y < 0).any()
+    else:
+        assert len(nodes) == 1
+
+
 def test_merge_coincident_keeps_first_occurrence_order():
     lons = np.array([1.0, 2.0, 1.0, 3.0, 2.0, -0.0, 0.0])
     lats = np.array([5.0, 6.0, 5.0, 7.0, 6.0, 1.0, 1.0])

@@ -482,6 +482,10 @@ def test_aggregate_matches_record_loop(granularity, period):
     assert series.index == index
     assert series.node_ids == list(range(6))
     assert series.values.tobytes() == values.tobytes()
+    table = ingest.RecordTable.from_records(records)
+    on_table = ingest.aggregate_temporal(table, assignment, granularity, 6, period)
+    assert on_table.index == index
+    assert on_table.values.tobytes() == values.tobytes()
 
 
 def dictreader_parse(path, schema=None):
@@ -519,6 +523,8 @@ def dictreader_parse(path, schema=None):
                     raise ValueError("unparseable casualty count")
                 if casualties < 1:
                     raise ValueError("casualty count below 1")
+                if casualties >= 2**63:
+                    raise ValueError("casualty count above 2**63 - 1")
                 try:
                     speed = float(cell("speed_limit"))
                 except ValueError:
@@ -571,6 +577,7 @@ def test_parse_matches_dictreader_parser(tmp_path):
         row(idx="r8", severity="4"),
         row(idx="r9", casualties="two"),
         row(idx="r10", casualties="0"),
+        row(idx="r11", casualties=str(2**63)),
         "",  # a blank line: skipped, not counted
     ]
     rows = [r for pair in zip(good, bad) for r in pair] + good[len(bad):]
@@ -581,7 +588,7 @@ def test_parse_matches_dictreader_parser(tmp_path):
     records, rejects = ingest.parse_accident_csv(path)
     expected = dictreader_parse(path)
     assert (records, rejects) == expected
-    assert len(rejects) == 10
+    assert len(rejects) == 11
     assert {r.reason.split(" ")[0] for r in rejects} >= {"unparseable", "coordinates", "severity"}
 
 
@@ -614,40 +621,124 @@ def all_members_records():
     ]
 
 
+def write_pair(tmp_path, records):
+    csv_path, npz_path = tmp_path / "records.csv", tmp_path / "records.npz"
+    ingest.write_records(records, csv_path, npz_path, config_hash="abc")
+    return csv_path, npz_path
+
+
 def test_records_round_trip(tmp_path):
     records = all_members_records()
     assert any(ingest.week_label(r.date) == "2015-W53" for r in records)
-    path = tmp_path / "records.csv"
-    ingest.write_records(records, path, config_hash="abc")
-    back = ingest.read_records(path)
-    assert back == records
-    for a, b in zip(back, records):
-        assert math.copysign(1.0, a.lon) == math.copysign(1.0, b.lon)
-        assert a.road_type is b.road_type
+    assert any(math.copysign(1.0, r.lat) < 0 and r.lat == 0.0 for r in records)  # -0.0
+    csv_path, npz_path = write_pair(tmp_path, records)
+    back = ingest.read_records(npz_path, csv_path)
+    expected = {
+        "id": [r.id for r in records],
+        "date": [r.date.toordinal() for r in records],
+        **{name: [getattr(r, name) for r in records]
+           for name in ("lon", "lat", "severity", "casualties", "speed_limit")},
+        **{name: [list(cls).index(getattr(r, name)) for r in records]
+           for name, cls in ingest.CATEGORIES.items()},
+    }
+    assert sorted(back.columns()) == sorted(expected)
+    in_memory = ingest.RecordTable.from_records(records).columns()
+    for name, column in back.columns().items():
+        assert column.dtype == in_memory[name].dtype, name
+        assert column.tobytes() == np.array(expected[name], dtype=column.dtype).tobytes(), name
+    assert back.id[0] == 'id "0", with comma'
+
+    # the readable copy: one row per record, in the logical column order
+    import csv
+
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [*ingest.LOGICAL_COLUMNS, "config_hash"]
+    for r, cells in zip(records, rows[1:]):
+        assert cells[:4] == [r.id, r.date.isoformat(), repr(r.lon), repr(r.lat)]
+        assert cells[6] == r.road_type.value and cells[-2] == r.surface.value
+        assert cells[-1] == "abc"
+
+
+def test_record_table_refuses_an_id_it_would_shorten():
+    from roadrisk.errors import DataError
+
+    with pytest.raises(DataError, match="ends in a NUL character"):
+        ingest.RecordTable.from_records([make_record(rid="A1"), make_record(rid="A2\0")])
+
+
+def test_records_npz_is_byte_identical_across_reruns(tmp_path, monkeypatch):
+    import time
+
+    records = all_members_records()
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_pair(tmp_path / "a", records)[1].read_bytes()
+    monkeypatch.setattr(time, "time", lambda: 2e9)  # a rerun years later
+    assert write_pair(tmp_path / "b", records)[1].read_bytes() == first
+
+
+def rewrite(edit):
+    """Damage that rewrites the archive's bytes."""
+    def damage(path):
+        path.write_bytes(edit(path.read_bytes()))
+    return damage
+
+
+def recolumn(name, edit):
+    """Damage that stores a well-formed archive with column `name` edited;
+    `edit` returning None drops the column."""
+    from roadrisk.artifacts import write_columns
+
+    def damage(path):
+        with np.load(path) as archive:
+            columns = {key: archive[key] for key in archive.files}
+        columns[name] = edit(columns[name])
+        write_columns(path, {key: c for key, c in columns.items() if c is not None})
+    return damage
+
+
+def at_row(row, value):
+    return lambda c: np.where(np.arange(c.size) == row, value, c).astype(c.dtype)
 
 
 @pytest.mark.parametrize(
-    "damage, line, problem",
+    "damage, problem",
     [
-        (lambda lines: lines[:2] + [lines[2].replace(",single_carriageway,", ",bogus,")]
-         + lines[3:], 3, "'bogus' is not a valid RoadType"),
-        (lambda lines: lines[:3] + [lines[3].replace(",dry,", ",,")] + lines[4:],
-         4, "'' is not a valid SurfaceCondition"),
-        (lambda lines: lines[:2] + [lines[2][:25]], 3, "fewer cells"),
-        (lambda lines: lines[:1] + [lines[1].replace(",2012-06-15,", ",15/06/2012,")]
-         + lines[2:], 2, "isoformat"),
-        (lambda lines: lines[:2] + [lines[2].replace(",3,1,", ",x,1,")] + lines[3:], 3, "'x'"),
-        (lambda lines: [lines[0].replace("weather,", "")] + lines[1:], 1, "'weather'"),
+        (recolumn("road_type", at_row(2, len(RoadType))),
+         f"column 'road_type' holds {len(RoadType)} at row 2"),
+        (recolumn("surface", at_row(1, -1)), "column 'surface' holds -1 at row 1"),
+        (rewrite(lambda blob: blob[: len(blob) // 2]), "not an .npz archive"),
+        (recolumn("date", at_row(3, 0)), "column 'date' holds 0 at row 3"),
+        (recolumn("severity", lambda c: c.astype(np.float64)), "column 'severity' holds float64"),
+        (recolumn("weather", lambda c: None), "no 'weather' column"),
+        (rewrite(lambda blob: b"not a zip archive"), "not an .npz archive"),
+        (recolumn("lat", lambda c: c[:-1]), "column 'lat' holds float64 of shape (3,)"),
+        (recolumn("road_type", lambda c: c.astype(np.int64)), "column 'road_type' holds int64"),
+        (recolumn("lon", at_row(3, np.inf)), "column 'lon' holds inf at row 3"),
+        (recolumn("lat", at_row(0, np.nan)), "column 'lat' holds nan at row 0"),
+        (recolumn("csv_sha256", lambda c: np.array([str(c)])), "csv_sha256 is not one string"),
     ],
-    ids=["enum", "blank-enum", "truncated", "date", "integer", "column"],
+    ids=["enum", "blank-enum", "truncated", "date", "integer", "column", "not-zip", "length",
+         "code-dtype", "infinite-lon", "nan-lat", "stamp"],
 )
-def test_read_records_fails_closed(tmp_path, damage, line, problem):
-    path = tmp_path / "records.csv"
-    ingest.write_records([make_record(rid=str(k)) for k in range(4)], path)
-    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+def test_read_records_fails_closed(tmp_path, damage, problem):
+    csv_path, npz_path = write_pair(tmp_path, [make_record(rid=str(k)) for k in range(4)])
+    damage(npz_path)
     with pytest.raises(CorruptArtifactError) as info:
-        ingest.read_records(path)
+        ingest.read_records(npz_path, csv_path)
     message = str(info.value)
-    assert f"{path} line {line}:" in message and problem in message
+    assert message.startswith(f"{npz_path}: ") and problem in message, message
     assert message.endswith("run `ingest` again")
-    assert info.value.line == line
+    assert info.value.path == npz_path and info.value.line is None
+
+
+def test_read_records_detects_an_edited_csv(tmp_path):
+    csv_path, npz_path = write_pair(tmp_path, [make_record(rid=str(k)) for k in range(4)])
+    ingest.read_records(npz_path, csv_path)
+    csv_path.write_text(csv_path.read_text().replace(",single_carriageway,", ",roundabout,", 1))
+    with pytest.raises(CorruptArtifactError) as info:
+        ingest.read_records(npz_path, csv_path)
+    message = str(info.value)
+    assert message.startswith(f"{csv_path}: ") and "sha256" in message
+    assert message.endswith("run `ingest` again")

