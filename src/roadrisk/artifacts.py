@@ -8,8 +8,9 @@ uncompressed `.npz` archive of named numpy arrays whose members all carry
 the same fixed timestamp. A rerun on the same inputs writes the same bytes.
 
 Reading fails closed: a missing column, a short row, a cell that does not
-convert, a file that is not a JSON object or not an `.npz` archive, or a
-field that is missing or has the wrong type ends in `CorruptArtifactError`
+convert, a file that is not a JSON object or not an `.npz` archive, a
+field that is missing or has the wrong type, or archive members other than
+those their reader declares end in `CorruptArtifactError`
 (a `DataError`, exit 3) naming the file, the line where one is known, and
 the command that writes the file.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -94,20 +96,63 @@ def write_columns(path: str | Path, columns: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(fh, np.asarray(values), allow_pickle=False)
 
 
-def read_columns(path: str | Path, names: Sequence[str], stage: str) -> dict[str, np.ndarray]:
-    """The arrays `names` from a `write_columns` archive; `CorruptArtifactError`
-    if the file is not a readable archive or lacks one of them."""
+def read_columns(
+    path: str | Path, schema: dict[str, tuple[type, tuple]], stage: str
+) -> dict[str, np.ndarray]:
+    """The members of a `write_columns` archive, checked against `schema`.
+
+    `schema` maps each member's name to its dtype and shape. `np.str_`
+    accepts a str array of any width. A shape entry is a length, or a name
+    whose length every member that uses it must share; the first member to
+    use it fixes it. `CorruptArtifactError` if the file is not a readable
+    archive, lacks a declared member or holds an undeclared one, or a member
+    has another dtype or shape or holds a float that is not finite.
+    """
     with reading(path, stage):
         if not zipfile.is_zipfile(path):
             raise ValueError("not an .npz archive; it may be truncated")
         try:
             with np.load(path, allow_pickle=False) as archive:
-                missing = [name for name in names if name not in archive.files]
+                missing = [name for name in schema if name not in archive.files]
                 if missing:
                     raise ValueError(f"no {missing[0]!r} column")
-                return {name: archive[name] for name in names}
+                extra = [name for name in archive.files if name not in schema]
+                if extra:
+                    raise ValueError(f"undeclared {extra[0]!r} column")
+                columns = {name: archive[name] for name in schema}
         except (OSError, EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"unreadable archive member: {exc}") from exc
+        lengths: dict[str, int] = {}
+        for name, (dtype, shape) in schema.items():
+            column = columns[name]
+            for n, size in zip(shape, column.shape):
+                if isinstance(n, str):
+                    lengths.setdefault(n, size)
+            want = tuple(lengths.get(n, n) for n in shape)
+            typed = column.dtype.kind == "U" if dtype is np.str_ else column.dtype == dtype
+            if column.shape != want or not typed:
+                kind = "string" if dtype is np.str_ else np.dtype(dtype).name
+                if shape == ():
+                    raise ValueError(f"{name} is not one {kind}")
+                raise ValueError(
+                    f"column {name!r} holds {column.dtype} of shape {column.shape}, "
+                    f"not {kind} of shape {want}"
+                )
+            if column.dtype.kind == "f":
+                bad = np.argwhere(~np.isfinite(column))
+                if len(bad):
+                    at = tuple(bad[0].tolist())
+                    where = f"row {at[0]}" if len(at) == 1 else f"index {list(at)}"
+                    raise ValueError(f"column {name!r} holds {column[at].item()!r} at {where}")
+        return columns
+
+
+def finite(cell: str) -> float:
+    """The float in a table cell; ValueError if it does not parse or is not finite."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ablation, ingest, metrics, riskmap, validation
-from .artifacts import artifact_rows, reading, write_json, write_table
+from .artifacts import artifact_rows, finite, reading, write_json, write_table
 from .config import RunConfig, valid_split_fractions, write_manifest
 from .diffusion import MinMaxScaler
 from .errors import ConfigError, DataError, MissingArtifactError, NumericError
@@ -30,7 +30,7 @@ from .features import (
     save_tensor,
 )
 from .graph import build_graph, load_graph, save_graph
-from .model import RiskForecaster, init_params, load_checkpoint, save_checkpoint
+from .model import RiskForecaster, load_checkpoint, save_checkpoint
 from .training import (
     TARGET_CHANNEL,
     TrainingData,
@@ -51,7 +51,7 @@ OUTPUTS = {
     "snr": ["snr.csv"],
     "features": ["risk_tensor.bin", "risk_tensor.json"],
     "diffuse": ["processed.bin", "processed.json"],
-    "train": ["params.json", "params.bin", "history.csv"],
+    "train": ["params.npz", "history.csv"],
     "eval": ["report.json", "report.csv", "report_baselines.json"],
     "predict": ["predictions.csv"],
     "map": ["zones.csv"],
@@ -136,20 +136,6 @@ def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
     return data, target_scaler
 
 
-def _load_model(config: RunConfig, graph) -> RiskForecaster:
-    params = load_checkpoint(_artifact(config, "params.json"), _artifact(config, "params.bin"))
-    expected = {name: t.shape for name, t in init_params(config.model).items()}
-    found = {name: t.shape for name, t in params.items()}
-    for name in sorted(expected.keys() | found.keys()):
-        if expected.get(name) != found.get(name):
-            raise DataError(
-                f"checkpoint parameter {name!r} has shape {found.get(name, 'missing')} "
-                f"but the model config needs {expected.get(name, 'none')}; "
-                "run `train` again"
-            )
-    return RiskForecaster(config.model, graph.adjacency_norm, params=params)
-
-
 def _forecast(config: RunConfig):
     """Forecast the last test window with the trained model.
 
@@ -158,7 +144,8 @@ def _forecast(config: RunConfig):
     """
     data, target_scaler = _load_training_data(config)
     graph = _load_graph(config)
-    model = _load_model(config, graph)
+    params = load_checkpoint(_artifact(config, "params.npz"), config.model)
+    model = RiskForecaster(config.model, graph.adjacency_norm, params=params)
     start = data.last_test_window()
     x, y = data.window(start)
     return data, graph, target_scaler, start, model.predict(x), y
@@ -250,7 +237,7 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
     out = _out(config)
     raw = _load_tensor(config, "risk_tensor")
     graph = _load_graph(config)
-    data, input_scaler, target_scaler = prepare_training_data(
+    data, _, target_scaler = prepare_training_data(
         raw,
         graph.adjacency_norm,
         config.diffusion,
@@ -262,7 +249,6 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
     inputs.meta.update(
         {
             "config_hash": config.fingerprint,
-            "input_scaler": input_scaler.to_dict(),
             "target_scaler": target_scaler.to_dict(),
             "split_fractions": list(config.split_fractions),
         }
@@ -279,10 +265,7 @@ def cmd_train(config: RunConfig) -> list[str]:
     model = RiskForecaster(config.model, graph.adjacency_norm, seed=config.seed)
     result = train(model, data, config.train)
     fingerprint = config.fingerprint
-    save_checkpoint(
-        model.params, out / "params.json", out / "params.bin",
-        extra={"config_hash": fingerprint},
-    )
+    save_checkpoint(model.params, out / "params.npz", fingerprint)
     write_table(
         out / "history.csv",
         ["epoch", "phase", "lr", "train_loss", "val_loss", "is_best"],
@@ -359,7 +342,7 @@ def cmd_map(config: RunConfig) -> list[str]:
         (i_week, i_node, i_value), rows
     ):
         for row in rows:
-            by_week.setdefault(row[i_week], {})[int(row[i_node])] = float(row[i_value])
+            by_week.setdefault(row[i_week], {})[int(row[i_node])] = finite(row[i_value])
         # a ValueError here is reported at the table's last line
         if len(by_week) != config.model.t_out:
             raise ValueError(f"{len(by_week)} forecast weeks, the model forecasts {config.model.t_out}")

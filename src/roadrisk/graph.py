@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .artifacts import artifact_rows, write_table
+from .artifacts import artifact_rows, finite, write_table
 from .errors import ConfigError, DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -308,15 +308,16 @@ def save_graph(
 
 def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = None) -> SpatialGraph:
     """Read a `save_graph` pair. CorruptArtifactError (exit 3) names the
-    line of a row that does not parse and says to run `graph` again."""
+    line of a row that does not parse or holds a coordinate or weight that
+    is not finite, and says to run `graph` again."""
     ids, lons, lats, counts = [], [], [], []
     with artifact_rows(nodes_path, ["node_id", "lon", "lat", "member_count"], "graph") as (
         (i_id, i_lon, i_lat, i_count), rows
     ):
         for row in rows:
             ids.append(int(row[i_id]))
-            lons.append(float(row[i_lon]))
-            lats.append(float(row[i_lat]))
+            lons.append(finite(row[i_lon]))
+            lats.append(finite(row[i_lat]))
             counts.append(int(row[i_count]))
     n = len(ids)
     edge_i, edge_j, w, wn = [], [], [], []
@@ -329,8 +330,8 @@ def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = 
                 raise ValueError(f"edge ({i}, {j}) names a node outside the {n} in {nodes_path}")
             edge_i.append(i)
             edge_j.append(j)
-            w.append(float(row[i_w]))
-            wn.append(float(row[i_wn]))
+            w.append(finite(row[i_w]))
+            wn.append(finite(row[i_wn]))
     a = sparse.coo_matrix((w, (edge_i, edge_j)), shape=(n, n)).tocsr()
     a_norm = sparse.coo_matrix((wn, (edge_i, edge_j)), shape=(n, n)).tocsr()
     return SpatialGraph(

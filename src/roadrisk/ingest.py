@@ -285,11 +285,10 @@ class RecordTable:
         return cls(**columns)
 
 
-# what each stored column's values satisfy; `parse_accident_csv` makes no other
+# what each stored column's values satisfy beyond `read_columns`' finite
+# floats; `parse_accident_csv` makes no other
 _IN_RANGE = {
     "date": lambda d: (d >= 1) & (d <= dt.date.max.toordinal()),
-    "lon": np.isfinite,
-    "lat": np.isfinite,
     "severity": lambda s: (s >= 1) & (s <= 3),
     "casualties": lambda c: c >= 1,
     **{
@@ -434,7 +433,7 @@ def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> Acci
         speed = float(speed)
     except ValueError:
         speed = 0.0  # missing speed limit treated as unposted, not a reject
-    speed = max(speed, 0.0)
+    speed = max(speed, 0.0) if math.isfinite(speed) else 0.0  # so is nan or inf
     return AccidentRecord(
         id=accident_id,
         date=date,
@@ -501,31 +500,21 @@ def read_records(npz_path: str | Path, csv_path: str | Path) -> RecordTable:
     """Load the table `write_records` stored in `npz_path`.
 
     CorruptArtifactError (exit 3) names `npz_path` if it is not a readable
-    archive, lacks a column, or holds a column of another length or dtype
-    or a value the parser never makes (such as a code outside its category
-    or a coordinate that is not finite). It names `csv_path` if that file
-    no longer has the sha256 the table was stamped with, that is, if it was
-    edited after `ingest` wrote both.
+    archive, lacks a column or holds an extra one, or holds a column of
+    another length or dtype or a value the parser never makes (such as a
+    code outside its category or a float that is not finite). It names
+    `csv_path` if that file no longer has the sha256 the table was stamped
+    with, that is, if it was edited after `ingest` wrote both.
     """
-    columns = read_columns(npz_path, [*_DTYPES, _STAMP], "ingest")
+    schema = {name: (dtype, ("rows",)) for name, dtype in _DTYPES.items()}
+    columns = read_columns(npz_path, {**schema, _STAMP: (np.str_, ())}, "ingest")
+    stamp = columns.pop(_STAMP)
     with reading(npz_path, "ingest"):
-        stamp = columns.pop(_STAMP)
-        if stamp.shape != () or stamp.dtype.kind != "U":
-            raise ValueError(f"{_STAMP} is not one string")
-        n = len(columns["id"])
-        for name, dtype in _DTYPES.items():
-            column = columns[name]
-            typed = column.dtype.kind == "U" if dtype is np.str_ else column.dtype == dtype
-            if column.shape != (n,) or not typed:
-                raise ValueError(
-                    f"column {name!r} holds {column.dtype} of shape {column.shape}, "
-                    f"not {n} values of {np.dtype(dtype)}"
-                )
-            if name in _IN_RANGE:
-                bad = np.flatnonzero(~_IN_RANGE[name](column))
-                if bad.size:
-                    value = column[bad[0]].item()
-                    raise ValueError(f"column {name!r} holds {value!r} at row {bad[0]}")
+        for name, in_range in _IN_RANGE.items():
+            bad = np.flatnonzero(~in_range(columns[name]))
+            if bad.size:
+                value = columns[name][bad[0]].item()
+                raise ValueError(f"column {name!r} holds {value!r} at row {bad[0]}")
     if file_sha256(csv_path) != str(stamp):
         raise CorruptArtifactError(
             csv_path, None,

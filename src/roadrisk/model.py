@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
-from .artifacts import read_json, reading, write_json
+from .artifacts import read_columns, write_columns
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -128,47 +127,23 @@ def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     }
 
 
-def save_checkpoint(
-    params: dict[str, Tensor], manifest_path, bin_path, extra: dict | None = None
-) -> None:
-    """JSON manifest (names, shapes, offsets) + flat little-endian float64 blob."""
-    manifest, offset = [], 0
-    with open(bin_path, "wb") as fh:
-        for name, tensor in params.items():
-            blob = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-            fh.write(blob)
-            manifest.append(
-                {"name": name, "shape": list(tensor.data.shape), "offset": offset}
-            )
-            offset += tensor.data.size
-    write_json(manifest_path, {**(extra or {}), "dtype": "<f8", "parameters": manifest})
+def save_checkpoint(params: dict[str, Tensor], path, config_hash: str) -> None:
+    """Write `params` as a `write_columns` archive: one float64 member per
+    parameter, plus a 0-d `config_hash` string."""
+    columns = {name: t.data for name, t in params.items()}
+    write_columns(path, {**columns, "config_hash": np.array(config_hash)})
 
 
-def load_checkpoint(manifest_path, bin_path) -> dict[str, Tensor]:
-    """Read a `save_checkpoint` pair; DataError if the manifest is not a JSON
-    object with a dtype and parameter entries, or the blob length disagrees
-    with the extent the manifest describes."""
-    manifest = read_json(manifest_path, "train")
-    blob = Path(bin_path).read_bytes()
-    with reading(manifest_path, "train"):
-        dtype = np.dtype(manifest["dtype"])
-        entries = [
-            (entry, int(np.prod(entry["shape"]))) for entry in manifest["parameters"]
-        ]
-        expected = max((entry["offset"] + size for entry, size in entries), default=0)
-        if len(blob) != expected * dtype.itemsize:
-            raise DataError(
-                f"checkpoint {bin_path} holds {len(blob)} bytes but its manifest "
-                f"describes {expected * dtype.itemsize}; run `train` again"
-            )
-        flat = np.frombuffer(blob, dtype=dtype)
-        params = {}
-        for entry, size in entries:
-            chunk = flat[entry["offset"] : entry["offset"] + size]
-            params[entry["name"]] = Tensor(
-                chunk.reshape(entry["shape"]).astype(np.float64), requires_grad=True
-            )
-    return params
+def load_checkpoint(path, config: ModelConfig) -> dict[str, Tensor]:
+    """The parameters `save_checkpoint` stored in `path`.
+
+    CorruptArtifactError (exit 3) unless the archive holds exactly the
+    parameters of a model built from `config`, each float64 of its shape
+    and finite, and its `config_hash`.
+    """
+    schema = {name: (np.float64, t.shape) for name, t in init_params(config).items()}
+    columns = read_columns(path, {**schema, "config_hash": (np.str_, ())}, "train")
+    return {name: Tensor(columns[name], requires_grad=True) for name in schema}
 
 
 class RiskForecaster:

@@ -4,6 +4,7 @@ import struct
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roadrisk import ablation, cli
@@ -51,7 +52,7 @@ def test_artifacts_exist(pipeline):
     for name in (
         "records.csv", "records.npz", "rejects.csv", "nodes.csv", "edges.csv", "assignment.csv",
         "snr.csv", "risk_tensor.bin", "risk_tensor.json", "processed.bin",
-        "processed.json", "params.json", "params.bin", "history.csv",
+        "processed.json", "params.npz", "history.csv",
         "report.json", "report.csv", "report_baselines.json",
         "predictions.csv", "zones.csv", "validation.json", "validation.csv",
     ):
@@ -81,7 +82,8 @@ def test_outputs_embed_config_hash(pipeline):
     assert report["config_fingerprint"] == manifest_hash
     first_map = sorted((out / "maps").glob("*.geojson"))[0]
     assert load_zone_geojson(first_map)["config_hash"] == manifest_hash
-    assert json.loads((out / "params.json").read_text())["config_hash"] == manifest_hash
+    with np.load(out / "params.npz") as checkpoint:
+        assert checkpoint["config_hash"] == manifest_hash
     for name in ("records.csv", "nodes.csv", "edges.csv", "assignment.csv",
                  "history.csv", "snr.csv", "predictions.csv", "zones.csv"):
         lines = (out / name).read_text().splitlines()
@@ -146,19 +148,23 @@ def copy_run(pipeline, tmp_path):
     return path, Path(config["out_dir"])
 
 
-def test_truncated_checkpoint_exit_code(pipeline, tmp_path):
+def test_truncated_checkpoint_exit_code(pipeline, tmp_path, caplog):
     config_path, out = copy_run(pipeline, tmp_path)
-    blob = out / "params.bin"
-    blob.write_bytes(blob.read_bytes()[:-12])
+    checkpoint = out / "params.npz"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:-12])
     assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{checkpoint}: ValueError: not an .npz archive" in caplog.text
+    assert "run `train` again" in caplog.text
 
 
-def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path):
+def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path, caplog):
     config_path, out = copy_run(pipeline, tmp_path)
     model_config = json.loads(config_path.read_text())["model"]
     wide = md.ModelConfig(**{**model_config, "d": 16})
-    md.save_checkpoint(md.init_params(wide), out / "params.json", out / "params.bin")
+    md.save_checkpoint(md.init_params(wide), out / "params.npz", "another width")
     assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert (f"{out / 'params.npz'}: ValueError: column 'embed.w' holds float64 of shape (3, 16), "
+            "not float64 of shape (3, 8); run `train` again") in caplog.text
 
 
 def test_truncated_tensor_header_exit_code(pipeline, tmp_path, caplog):
@@ -194,35 +200,64 @@ def test_tensor_sidecar_not_json_exit_code(pipeline, tmp_path, caplog):
     assert str(out / "risk_tensor.json") in caplog.text and "run `features` again" in caplog.text
 
 
-def test_checkpoint_manifest_not_json_exit_code(pipeline, tmp_path, caplog):
-    config_path, out = copy_run(pipeline, tmp_path)
-    (out / "params.json").write_text("{not json")
-    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(out / "params.json") in caplog.text and "run `train` again" in caplog.text
+def recolumn(edit):
+    """Damage that stores a well-formed archive whose members `edit` changed."""
+    from roadrisk.artifacts import write_columns
+
+    def damage(path):
+        with np.load(path) as archive:
+            columns = {key: archive[key] for key in archive.files}
+        edit(columns)
+        write_columns(path, columns)
+    return damage
+
+
+def set_item(name, index, value):
+    def edit(columns):
+        columns[name][index] = value
+    return edit
 
 
 @pytest.mark.parametrize(
-    "name, command, edit",
+    "damage, problem",
     [
-        ("params.json", "eval", lambda meta: {}),
-        ("params.json", "eval", lambda meta: {"dtype": "<f8"}),
-        ("params.json", "eval", lambda meta: {**meta, "dtype": "bogus"}),
-        ("params.json", "eval", lambda meta: [meta]),
-        ("risk_tensor.json", "diffuse", lambda meta: {}),
-        ("risk_tensor.json", "diffuse", lambda meta: {**meta, "weeks": meta["weeks"][:-1]}),
-        ("risk_tensor.json", "diffuse",
-         lambda meta: {**meta, "node_ids": ["2.5"] + meta["node_ids"][1:]}),
+        (lambda path: path.write_bytes(b"not a zip archive"),
+         "not an .npz archive; it may be truncated"),
+        (recolumn(lambda columns: columns.pop("head.b")), "no 'head.b' column"),
+        (recolumn(lambda columns: columns.update({"head.c": np.zeros(1)})),
+         "undeclared 'head.c' column"),
+        (recolumn(lambda columns: columns.update({"head.w": columns["head.w"].astype(np.float32)})),
+         "column 'head.w' holds float32 of shape (8, 1), not float64 of shape (8, 1)"),
+        (recolumn(set_item("embed.w", (1, 2), np.nan)), "column 'embed.w' holds nan at index [1, 2]"),
+        (recolumn(set_item("head.b", 0, -np.inf)), "column 'head.b' holds -inf at row 0"),
     ],
-    ids=["empty manifest", "no parameters", "bogus dtype", "not an object", "empty sidecar",
-         "week count", "non-integer node"],
+    ids=["not-zip", "missing-parameter", "extra-parameter", "float32", "nan", "infinite"],
 )
-def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, name, command, edit):
+def test_damaged_checkpoint_exit_code(pipeline, tmp_path, caplog, damage, problem):
     config_path, out = copy_run(pipeline, tmp_path)
-    path = out / name
+    checkpoint = out / "params.npz"
+    damage(checkpoint)
+    for command in ("eval", "predict"):
+        caplog.clear()
+        assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA, command
+        assert f"{checkpoint}: ValueError: {problem}; run `train` again" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: {},
+        lambda meta: {**meta, "weeks": meta["weeks"][:-1]},
+        lambda meta: {**meta, "node_ids": ["2.5"] + meta["node_ids"][1:]},
+    ],
+    ids=["empty sidecar", "week count", "non-integer node"],
+)
+def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, edit):
+    config_path, out = copy_run(pipeline, tmp_path)
+    path = out / "risk_tensor.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
-    stage = "train" if name == "params.json" else "features"
-    assert str(path) in caplog.text and f"run `{stage}` again" in caplog.text
+    assert cli.main(["diffuse", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert str(path) in caplog.text and "run `features` again" in caplog.text
 
 
 def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):
@@ -289,7 +324,7 @@ def test_non_integer_node_in_assignment_exit_code(pipeline, tmp_path, caplog):
 
 
 @pytest.mark.parametrize(
-    "case", ["truncated row", "missing row", "missing week", "non-integer node"]
+    "case", ["truncated row", "missing row", "missing week", "non-integer node", "non-finite value"]
 )
 def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -304,11 +339,16 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
     elif case == "missing week":
         del lines[-30:]
         where, problem = f"line {len(lines)}:", "11 forecast weeks, the model forecasts 12"
-    else:
+    elif case == "non-integer node":
         cells = lines[3].split(",")
         cells[0] = "2.5"  # node_id
         lines[3] = ",".join(cells)
         where, problem = "line 4:", "'2.5'"
+    else:
+        cells = lines[3].split(",")
+        cells[3] = "nan"  # value
+        lines[3] = ",".join(cells)
+        where, problem = "line 4:", "'nan' is not a finite number"
     predictions.write_text("\n".join(lines) + "\n")
     assert cli.main(["map", "--config", str(config_path)]) == cli.EXIT_DATA
     assert f"{predictions} {where}" in caplog.text and problem in caplog.text

@@ -287,8 +287,14 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
         ("nodes", ",1,", ",one,", "'one'"),
         ("edges", "\n0,", "\n0\n0,", "fewer cells"),
         ("edges", "\n0,", "\n9,", "outside the 3"),
+        ("nodes", "\n0,-0.1,", "\n0,inf,", "line 2: 'inf' is not a finite number"),
+        ("nodes", ",51.5,1,\n2,", ",nan,1,\n2,", "line 3: 'nan' is not a finite number"),
+        ("edges", "\n0,2,0.13533528334200767,", "\n0,2,nan,",
+         "line 3: 'nan' is not a finite number"),
+        ("edges", ",0.639364714414821,\n2,", ",-inf,\n2,", "line 5: '-inf' is not a finite number"),
     ],
-    ids=["node-count", "short-edge", "edge-endpoint"],
+    ids=["node-count", "short-edge", "edge-endpoint", "infinite-lon", "nan-lat", "nan-weight",
+         "infinite-normalized-weight"],
 )
 def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
     lons, lats = grid_points(3, 1)

@@ -592,6 +592,15 @@ def test_parse_matches_dictreader_parser(tmp_path):
     assert {r.reason.split(" ")[0] for r in rejects} >= {"unparseable", "coordinates", "severity"}
 
 
+def test_non_finite_speed_limit_reads_as_unposted(tmp_path):
+    speeds = ["nan", "inf", "-inf", "NaN"]
+    path = make_csv(tmp_path, [row(idx=str(i), speed=s) for i, s in enumerate(speeds)])
+    records, rejects = ingest.parse_accident_csv(path)
+    assert rejects == [] and [r.speed_limit for r in records] == [0.0] * len(speeds)
+    csv_path, npz_path = write_pair(tmp_path, records)
+    assert ingest.read_records(npz_path, csv_path).speed_limit.tolist() == [0.0] * len(speeds)
+
+
 def all_members_records():
     """Records covering every member of every enum field, ISO week 53
     (2015-12-31, 2016-01-03), year boundaries, and floats whose repr needs
@@ -718,9 +727,10 @@ def at_row(row, value):
         (recolumn("lon", at_row(3, np.inf)), "column 'lon' holds inf at row 3"),
         (recolumn("lat", at_row(0, np.nan)), "column 'lat' holds nan at row 0"),
         (recolumn("csv_sha256", lambda c: np.array([str(c)])), "csv_sha256 is not one string"),
+        (recolumn("speed_limit", at_row(1, np.nan)), "column 'speed_limit' holds nan at row 1"),
     ],
     ids=["enum", "blank-enum", "truncated", "date", "integer", "column", "not-zip", "length",
-         "code-dtype", "infinite-lon", "nan-lat", "stamp"],
+         "code-dtype", "infinite-lon", "nan-lat", "stamp", "nan-speed"],
 )
 def test_read_records_fails_closed(tmp_path, damage, problem):
     csv_path, npz_path = write_pair(tmp_path, [make_record(rid=str(k)) for k in range(4)])

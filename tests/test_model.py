@@ -354,15 +354,25 @@ def test_dropout_changes_training_forward_only():
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = RiskForecaster(tiny_config(), ring_norm(3), seed=19)
-    manifest, blob = tmp_path / "params.json", tmp_path / "params.bin"
-    md.save_checkpoint(model.params, manifest, blob)
-    loaded = md.load_checkpoint(manifest, blob)
-    assert set(loaded) == set(model.params)
+    path = tmp_path / "params.npz"
+    md.save_checkpoint(model.params, path, "hash")
+    loaded = md.load_checkpoint(path, tiny_config())
+    assert list(loaded) == list(model.params)
     for name in model.params:
         assert (loaded[name].data == model.params[name].data).all()
     clone = RiskForecaster(tiny_config(), ring_norm(3), params=loaded)
     x = np.random.default_rng(19).uniform(0, 1, (3, 2, 3))
     assert (clone.predict(x) == model.predict(x)).all()
+
+
+def test_checkpoint_is_byte_identical_across_saves(tmp_path, monkeypatch):
+    import time
+
+    params = md.init_params(tiny_config(), seed=19)
+    md.save_checkpoint(params, tmp_path / "a.npz", "hash")
+    monkeypatch.setattr(time, "time", lambda: 2e9)  # a save years later
+    md.save_checkpoint(params, tmp_path / "b.npz", "hash")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 
 def test_attention_capture_is_off_by_default():
