@@ -122,6 +122,10 @@ def read_columns(
                 columns = {name: archive[name] for name in schema}
         except (OSError, EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"unreadable archive member: {exc}") from exc
+        # np.load hands back the raw bytes of a member that is not a .npy array
+        raw = [name for name, column in columns.items() if not isinstance(column, np.ndarray)]
+        if raw:
+            raise ValueError(f"member {raw[0]!r} is not a .npy array")
         lengths: dict[str, int] = {}
         for name, (dtype, shape) in schema.items():
             column = columns[name]

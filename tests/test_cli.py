@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import zipfile
 from importlib import resources
 from pathlib import Path
 
@@ -200,6 +201,21 @@ def test_tensor_sidecar_not_json_exit_code(pipeline, tmp_path, caplog):
     assert str(out / "risk_tensor.json") in caplog.text and "run `features` again" in caplog.text
 
 
+def test_checkpoint_manifest_not_json_exit_code(pipeline, tmp_path, caplog):
+    # each .npy member opens with a header naming its dtype and shape
+    config_path, out = copy_run(pipeline, tmp_path)
+    checkpoint = out / "params.npz"
+    with zipfile.ZipFile(checkpoint) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members["head.b.npy"] = b"{not json"
+    with zipfile.ZipFile(checkpoint, "w") as archive:
+        for name, blob in members.items():
+            archive.writestr(name, blob)
+    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{checkpoint}: ValueError: member 'head.b' is not a .npy array" in caplog.text
+    assert "run `train` again" in caplog.text
+
+
 def recolumn(edit):
     """Damage that stores a well-formed archive whose members `edit` changed."""
     from roadrisk.artifacts import write_columns
@@ -243,21 +259,43 @@ def test_damaged_checkpoint_exit_code(pipeline, tmp_path, caplog, damage, proble
         assert f"{checkpoint}: ValueError: {problem}; run `train` again" in caplog.text
 
 
+def rejson(edit):
+    """Damage that stores the JSON value `edit` makes of the file's object."""
+    def damage(path):
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return damage
+
+
+def one_array(path):
+    """Damage that stores a single unnamed array where named members belong."""
+    with np.load(path) as archive:
+        values = archive["embed.w"]
+    with open(path, "wb") as fh:
+        np.save(fh, values)
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "name, command, damage",
     [
-        lambda meta: {},
-        lambda meta: {**meta, "weeks": meta["weeks"][:-1]},
-        lambda meta: {**meta, "node_ids": ["2.5"] + meta["node_ids"][1:]},
+        ("params.npz", "eval", recolumn(lambda columns: columns.clear())),
+        ("params.npz", "eval",
+         recolumn(lambda columns: [columns.pop(key) for key in list(columns) if key != "config_hash"])),
+        ("params.npz", "eval", one_array),
+        ("risk_tensor.json", "diffuse", rejson(lambda meta: {})),
+        ("risk_tensor.json", "diffuse", rejson(lambda meta: {**meta, "weeks": meta["weeks"][:-1]})),
+        ("risk_tensor.json", "diffuse",
+         rejson(lambda meta: {**meta, "node_ids": ["2.5"] + meta["node_ids"][1:]})),
     ],
-    ids=["empty sidecar", "week count", "non-integer node"],
+    ids=["empty manifest", "no parameters", "not an object", "empty sidecar", "week count",
+         "non-integer node"],
 )
-def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, edit):
+def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, name, command, damage):
     config_path, out = copy_run(pipeline, tmp_path)
-    path = out / "risk_tensor.json"
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    assert cli.main(["diffuse", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(path) in caplog.text and "run `features` again" in caplog.text
+    path = out / name
+    damage(path)
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
+    stage = "train" if name == "params.npz" else "features"
+    assert str(path) in caplog.text and f"run `{stage}` again" in caplog.text
 
 
 def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):
