@@ -21,7 +21,7 @@ from . import ablation, ingest, metrics, riskmap, validation
 from .artifacts import artifact_rows, finite, reading, write_json, write_table
 from .config import RunConfig, valid_split_fractions, write_manifest
 from .diffusion import MinMaxScaler
-from .errors import ConfigError, DataError, MissingArtifactError, NumericError
+from .errors import ConfigError, CorruptArtifactError, DataError, MissingArtifactError, NumericError
 from .features import (
     RiskTensor,
     WeightTables,
@@ -35,6 +35,7 @@ from .training import (
     TARGET_CHANNEL,
     TrainingData,
     prepare_training_data,
+    scale_targets,
     split_temporal,
     train,
 )
@@ -105,10 +106,20 @@ def _load_graph(config: RunConfig):
     return load_graph(_artifact(config, "nodes.csv"), _artifact(config, "edges.csv"), config.graph)
 
 
-def _load_assignment(config: RunConfig) -> np.ndarray:
+def _load_assignment(config: RunConfig, records: ingest.RecordTable) -> np.ndarray:
+    """The node of each record in `records`, in their order."""
     path = _artifact(config, "assignment.csv")
-    with artifact_rows(path, ["node_id"], WRITER[path.name]) as ((i_node,), rows):
-        return np.array([int(row[i_node]) for row in rows])
+    ids, nodes = [], []
+    with artifact_rows(path, ["accident_id", "node_id"], WRITER[path.name]) as (
+        (i_id, i_node), rows
+    ):
+        for row in rows:
+            ids.append(row[i_id])
+            nodes.append(int(row[i_node]))
+    if ids != records.id.tolist():
+        problem = f"its {len(ids)} accident ids are not the {len(records)} of records.npz in order"
+        raise CorruptArtifactError(path, None, problem, WRITER[path.name])
+    return np.array(nodes)
 
 
 def _load_tensor(config: RunConfig, stem: str) -> RiskTensor:
@@ -118,22 +129,26 @@ def _load_tensor(config: RunConfig, stem: str) -> RiskTensor:
 
 
 def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
+    """The processed inputs, and the raw targets scaled as `diffuse` scaled them."""
     raw = _load_tensor(config, "risk_tensor")
     inputs = _load_tensor(config, "processed")
+    if (inputs.weeks, inputs.node_ids) != (raw.weeks, raw.node_ids):
+        raise CorruptArtifactError(
+            _out(config) / "processed.bin", None,
+            f"its {inputs.n_weeks} weeks and {inputs.n_nodes} nodes are not the "
+            f"{raw.n_weeks} weeks and {raw.n_nodes} nodes of risk_tensor.bin",
+            WRITER["processed.bin"],
+        )
     with reading(_out(config) / "processed.json", WRITER["processed.json"]):
-        target_scaler = MinMaxScaler.from_dict(inputs.meta["target_scaler"])
         fractions = tuple(float(f) for f in inputs.meta["split_fractions"])
-        shapes = {target_scaler.minima.shape, target_scaler.maxima.shape}
-        if shapes != {(raw.values.shape[2],)}:
-            raise ValueError(f"scaler shapes {sorted(shapes)}")
         if not valid_split_fractions(fractions):
             raise ValueError(
                 f"split fractions {list(fractions)} are not three fractions above 0 that sum to 1"
             )
     splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
-    targets = target_scaler.transform(raw.values)[:, :, TARGET_CHANNEL]
+    targets, scaler = scale_targets(raw, splits)
     data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
-    return data, target_scaler
+    return data, scaler
 
 
 def _forecast(config: RunConfig):
@@ -142,13 +157,13 @@ def _forecast(config: RunConfig):
     Returns the training data, the graph, the target scaler, the window's
     first week, and the scaled forecast and its truth, each (nodes, t_out).
     """
-    data, target_scaler = _load_training_data(config)
+    data, scaler = _load_training_data(config)
     graph = _load_graph(config)
     params = load_checkpoint(_artifact(config, "params.npz"), config.model)
     model = RiskForecaster(config.model, graph.adjacency_norm, params=params)
     start = data.last_test_window()
     x, y = data.window(start)
-    return data, graph, target_scaler, start, model.predict(x), y
+    return data, graph, scaler, start, model.predict(x), y
 
 
 def cmd_fixture(config: RunConfig) -> list[str]:
@@ -223,7 +238,7 @@ def cmd_features(config: RunConfig) -> list[str]:
     out = _out(config)
     records = _load_records(config)
     graph = _load_graph(config)
-    assignment = _load_assignment(config)
+    assignment = _load_assignment(config, records)
     tensor = build_risk_tensor(
         _tables(config), records, assignment, graph.node_ids, config.region.period
     )
@@ -237,7 +252,7 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
     out = _out(config)
     raw = _load_tensor(config, "risk_tensor")
     graph = _load_graph(config)
-    data, _, target_scaler = prepare_training_data(
+    data, _, _ = prepare_training_data(
         raw,
         graph.adjacency_norm,
         config.diffusion,
@@ -247,11 +262,7 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
     )
     inputs = data.inputs
     inputs.meta.update(
-        {
-            "config_hash": config.fingerprint,
-            "target_scaler": target_scaler.to_dict(),
-            "split_fractions": list(config.split_fractions),
-        }
+        {"config_hash": config.fingerprint, "split_fractions": list(config.split_fractions)}
     )
     save_tensor(inputs, out / "processed.bin", out / "processed.json")
     log.info("diffused with %s, scaled on train weeks %s", config.diffusion.name, data.splits.train)
@@ -313,8 +324,8 @@ def cmd_eval(config: RunConfig) -> list[str]:
 
 def cmd_predict(config: RunConfig) -> list[str]:
     out = _out(config)
-    data, graph, target_scaler, start, scaled, _ = _forecast(config)
-    values = target_scaler.inverse_channel(scaled, TARGET_CHANNEL)
+    data, graph, scaler, start, scaled, _ = _forecast(config)
+    values = scaler.inverse_channel(scaled, TARGET_CHANNEL)
     weeks = data.inputs.weeks
     week_labels = weeks[start + data.t_in : start + data.t_in + data.t_out]
     write_table(

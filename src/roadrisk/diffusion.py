@@ -11,7 +11,6 @@ deliberate over-smoothing for the ablation runner.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -172,25 +171,3 @@ class MinMaxScaler:
         self._check()
         span = self.maxima[channel] - self.minima[channel]
         return values * span + self.minima[channel]
-
-    def transform_tensor(self, tensor: RiskTensor) -> RiskTensor:
-        out = tensor.copy()
-        clipped = self.transform(tensor.values)
-        if (clipped < -1e-9).any() or (clipped > 1 + 1e-9).any():
-            warnings.warn(
-                "values outside the fitted range were scaled beyond [0,1]"
-            )
-        out.values = clipped
-        out.meta = {**tensor.meta, "scaling": self.to_dict()}
-        return out
-
-    def to_dict(self) -> dict:
-        self._check()
-        return {"minima": self.minima.tolist(), "maxima": self.maxima.tolist()}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MinMaxScaler":
-        return cls(
-            minima=np.asarray(raw["minima"], dtype=float),
-            maxima=np.asarray(raw["maxima"], dtype=float),
-        )

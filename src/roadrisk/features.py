@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import read_json, reading, write_json
-from .errors import DataError, ShapeMismatchError, UnassignedRecordError
+from .errors import DataError, ShapeMismatchError
 from .ingest import (
     CATEGORIES,
     AccidentRecord,
@@ -190,7 +190,7 @@ def build_risk_tensor(
     """
     table = RecordTable.from_records(records)
     if len(table) != len(assignment):
-        raise UnassignedRecordError("<length mismatch>")
+        raise DataError(f"{len(table)} records but {len(assignment)} node assignments")
     node_ids = list(node_ids)
     node_pos = {int(n): i for i, n in enumerate(node_ids)}
     weeks = iso_weeks_between(period[0], period[1])

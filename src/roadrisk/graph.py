@@ -18,7 +18,9 @@ import numpy as np
 from scipy import sparse
 
 from .artifacts import artifact_rows, finite, write_table
-from .errors import ConfigError, DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
+from .errors import (
+    ConfigError, CorruptArtifactError, DegenerateGeometryError, EmptyInputError, ZeroDegreeNodeError
+)
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -295,21 +297,21 @@ def save_graph(
     write_table(nodes_path, ["node_id", "lon", "lat", "member_count"], nodes, config_hash)
     coo = graph.adjacency.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    rows, cols = coo.row[order], coo.col[order]
-    norm = np.asarray(graph.adjacency_norm.tocsr()[rows, cols]).ravel()
     edges = (
-        [i, j, repr(w), repr(wn)]
-        for i, j, w, wn in zip(
-            rows.tolist(), cols.tolist(), coo.data[order].tolist(), norm.tolist()
+        [i, j, repr(w)]
+        for i, j, w in zip(
+            coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()
         )
     )
-    write_table(edges_path, ["i", "j", "weight", "normalized_weight"], edges, config_hash)
+    write_table(edges_path, ["i", "j", "weight"], edges, config_hash)
 
 
 def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = None) -> SpatialGraph:
-    """Read a `save_graph` pair. CorruptArtifactError (exit 3) names the
-    line of a row that does not parse or holds a coordinate or weight that
-    is not finite, and says to run `graph` again."""
+    """Read a `save_graph` pair; `adjacency_norm` is `normalize_sym` of the
+    stored weights. CorruptArtifactError (exit 3) names the line of a row
+    that does not parse or holds a coordinate that is not finite or a weight
+    that is not finite and above 0, or names a node without edges, and says
+    to run `graph` again."""
     ids, lons, lats, counts = [], [], [], []
     with artifact_rows(nodes_path, ["node_id", "lon", "lat", "member_count"], "graph") as (
         (i_id, i_lon, i_lat, i_count), rows
@@ -320,10 +322,8 @@ def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = 
             lats.append(finite(row[i_lat]))
             counts.append(int(row[i_count]))
     n = len(ids)
-    edge_i, edge_j, w, wn = [], [], [], []
-    with artifact_rows(edges_path, ["i", "j", "weight", "normalized_weight"], "graph") as (
-        (i_i, i_j, i_w, i_wn), rows
-    ):
+    edge_i, edge_j, w = [], [], []
+    with artifact_rows(edges_path, ["i", "j", "weight"], "graph") as ((i_i, i_j, i_w), rows):
         for row in rows:
             i, j = int(row[i_i]), int(row[i_j])
             if not (0 <= i < n and 0 <= j < n):
@@ -331,9 +331,13 @@ def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = 
             edge_i.append(i)
             edge_j.append(j)
             w.append(finite(row[i_w]))
-            wn.append(finite(row[i_wn]))
+            if w[-1] <= 0.0:
+                raise ValueError(f"edge weight {row[i_w]!r} is not above 0")
     a = sparse.coo_matrix((w, (edge_i, edge_j)), shape=(n, n)).tocsr()
-    a_norm = sparse.coo_matrix((wn, (edge_i, edge_j)), shape=(n, n)).tocsr()
+    try:
+        a_norm = normalize_sym(a)
+    except ZeroDegreeNodeError as exc:
+        raise CorruptArtifactError(edges_path, None, str(exc), "graph") from exc
     return SpatialGraph(
         node_ids=ids,
         lons=np.array(lons),

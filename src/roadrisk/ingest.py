@@ -604,7 +604,7 @@ def aggregate_temporal(
     """
     table = RecordTable.from_records(records)
     if len(table) != len(assignment):
-        raise UnassignedRecordError("<length mismatch>")
+        raise DataError(f"{len(table)} records but {len(assignment)} node assignments")
     try:
         nodes = np.asarray(assignment, dtype=np.intp)
     except TypeError:  # a None

@@ -13,7 +13,6 @@ lowest validation loss, never the final epoch.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,20 +168,22 @@ def prepare_training_data(
     """Diffuse, scale, and window the raw risk tensor.
 
     Both scalers fit on the training span only. Returns the windowed data
-    plus (input_scaler, target_scaler); the target scaler inverts predictions
-    back to raw safety-risk units.
+    plus the input and the target scaler; the target scaler inverts
+    predictions back to raw safety-risk units.
     """
     splits = split_temporal(raw_tensor.n_weeks, t_in, t_out, fractions)
-    diffused = apply_diffusion(raw_tensor, a_norm, diffusion_config)
-    input_scaler = MinMaxScaler().fit(diffused, week_range=splits.train)
-    with warnings.catch_warnings():
-        # validation/test weeks legitimately exceed the training fit range
-        warnings.simplefilter("ignore", UserWarning)
-        inputs = input_scaler.transform_tensor(diffused)
-    target_scaler = MinMaxScaler().fit(raw_tensor, week_range=splits.train)
-    targets = target_scaler.transform(raw_tensor.values)[:, :, TARGET_CHANNEL]
+    inputs = apply_diffusion(raw_tensor, a_norm, diffusion_config)
+    input_scaler = MinMaxScaler().fit(inputs, week_range=splits.train)
+    inputs.values = input_scaler.transform(inputs.values)
+    targets, scaler = scale_targets(raw_tensor, splits)
     data = TrainingData(inputs, targets, t_in, t_out, splits, channel_mask)
-    return data, input_scaler, target_scaler
+    return data, input_scaler, scaler
+
+
+def scale_targets(raw_tensor: RiskTensor, splits: TemporalSplits) -> tuple[np.ndarray, MinMaxScaler]:
+    """The raw safety channel min-max scaled over the training span, and its scaler."""
+    scaler = MinMaxScaler().fit(raw_tensor, week_range=splits.train)
+    return scaler.transform(raw_tensor.values)[:, :, TARGET_CHANNEL], scaler
 
 
 class Adam:

@@ -395,9 +395,7 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("target_scaler", None), ("split_fractions", None),
-     ("target_scaler", {"minima": "low", "maxima": [1.0, 1.0, 1.0]}),
-     ("split_fractions", [0.6, 0.4])],
+    [("split_fractions", None), ("split_fractions", [0.6, 0.4])],
 )
 def test_processed_sidecar_without_scaler_or_splits_exit_code(
     pipeline, tmp_path, caplog, key, value
@@ -412,6 +410,39 @@ def test_processed_sidecar_without_scaler_or_splits_exit_code(
     sidecar.write_text(json.dumps(meta))
     assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
     assert str(sidecar) in caplog.text and "run `diffuse` again" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_stale_processed_tensor_exit_code(pipeline, tmp_path, caplog, command):
+    # a coarser graph gives risk_tensor.bin fewer nodes than the processed tensor
+    config_path, out = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["graph"]["cell_size_m"] = 450.0
+    config_path.write_text(json.dumps(config))
+    for stage in ("graph", "features"):
+        assert cli.main([stage, "--config", str(config_path)]) == 0, stage
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{out / 'processed.bin'}: its 156 weeks and 30 nodes are not" in caplog.text
+    assert "run `diffuse` again" in caplog.text
+
+
+@pytest.mark.parametrize("change", ["shuffled rows", "shorter period"])
+def test_stale_assignment_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
+    config_path, out = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    if change == "shuffled rows":
+        header, *rows = fixture_csv.read_text().splitlines()
+        np.random.default_rng(3).shuffle(rows)
+        config["data_csv"] = str(tmp_path / "shuffled.csv")
+        Path(config["data_csv"]).write_text("\n".join([header, *rows]) + "\n")
+    else:
+        config["region"]["period"] = ["2011-01-03", "2012-12-30"]
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["ingest", "--config", str(config_path)]) == 0
+    # features without graph: assignment.csv still lists the old records
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{out / 'assignment.csv'}: its " in caplog.text
+    assert "run `graph` again" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])

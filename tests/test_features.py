@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roadrisk import features as ft
-from roadrisk.errors import ShapeMismatchError
+from roadrisk.errors import DataError, ShapeMismatchError
 from roadrisk.ingest import (
     AccidentRecord,
     HumanControl,
@@ -305,6 +305,11 @@ def test_build_tensor_rejects_foreign_node():
     rec = make_record()
     with pytest.raises(ShapeMismatchError):
         ft.build_risk_tensor(TABLES, [rec], [7], [0, 1], PERIOD)
+
+
+def test_build_tensor_length_mismatch_states_both_lengths():
+    with pytest.raises(DataError, match="^5 records but 4 node assignments$"):
+        ft.build_risk_tensor(TABLES, FIVE_RECORDS, FIVE_ASSIGNMENT[:4], [0, 1], PERIOD)
 
 
 def test_tensor_roundtrip(tmp_path):

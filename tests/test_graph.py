@@ -248,16 +248,16 @@ def dictreader_load_graph(nodes_path, edges_path):
         nodes = [(int(r["node_id"]), float(r["lon"]), float(r["lat"]), int(r["member_count"]))
                  for r in csv.DictReader(fh)]
     with open(edges_path, newline="") as fh:
-        edges = [(int(r["i"]), int(r["j"]), float(r["weight"]), float(r["normalized_weight"]))
-                 for r in csv.DictReader(fh)]
+        edges = [(int(r["i"]), int(r["j"]), float(r["weight"])) for r in csv.DictReader(fh)]
     n = len(nodes)
-    i, j, w, wn = (list(c) for c in zip(*edges))
+    i, j, w = (list(c) for c in zip(*edges))
+    a = sparse.coo_matrix((w, (i, j)), shape=(n, n)).tocsr()
     return (
         [node[0] for node in nodes],
         np.array([node[1] for node in nodes]),
         np.array([node[2] for node in nodes]),
-        sparse.coo_matrix((w, (i, j)), shape=(n, n)).tocsr(),
-        sparse.coo_matrix((wn, (i, j)), shape=(n, n)).tocsr(),
+        a,
+        g.normalize_sym(a),
     )
 
 
@@ -275,7 +275,11 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
     assert loaded.node_ids == ids
     assert loaded.lons.tobytes() == node_lons.tobytes()
     assert loaded.lats.tobytes() == node_lats.tobytes()
-    for got, want in ((loaded.adjacency, a), (loaded.adjacency_norm, a_norm)):
+    # the normalised adjacency is derived on load, bitwise what build_graph computed
+    for got, want in (
+        (loaded.adjacency, a), (loaded.adjacency_norm, a_norm),
+        (loaded.adjacency_norm, graph.adjacency_norm),
+    ):
         assert got.indptr.tolist() == want.indptr.tolist()
         assert got.indices.tolist() == want.indices.tolist()
         assert got.data.tobytes() == want.data.tobytes()
@@ -291,10 +295,15 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
         ("nodes", ",51.5,1,\n2,", ",nan,1,\n2,", "line 3: 'nan' is not a finite number"),
         ("edges", "\n0,2,0.13533528334200767,", "\n0,2,nan,",
          "line 3: 'nan' is not a finite number"),
-        ("edges", ",0.639364714414821,\n2,", ",-inf,\n2,", "line 5: '-inf' is not a finite number"),
+        ("edges", "\n1,0,0.606530659712636,", "\n1,0,0.0,",
+         "line 4: edge weight '0.0' is not above 0"),
+        ("edges", "\n2,1,0.6065306597126334,", "\n2,1,-0.6065306597126334,",
+         "line 7: edge weight '-0.6065306597126334' is not above 0"),
+        ("edges", "\n2,0,0.13533528334200767,\n2,1,0.6065306597126334,\n", "\n",
+         "node 2 has zero degree"),
     ],
     ids=["node-count", "short-edge", "edge-endpoint", "infinite-lon", "nan-lat", "nan-weight",
-         "infinite-normalized-weight"],
+         "zero-weight", "negative-weight", "zero-degree-node"],
 )
 def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
     lons, lats = grid_points(3, 1)

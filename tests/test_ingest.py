@@ -7,6 +7,7 @@ import pytest
 from roadrisk import ingest
 from roadrisk.errors import (
     CorruptArtifactError,
+    DataError,
     MissingColumnError,
     TooManyRejectsError,
     UnassignedRecordError,
@@ -362,6 +363,12 @@ def test_aggregate_unassigned_raises():
     rec = make_record()
     with pytest.raises(UnassignedRecordError):
         ingest.aggregate_temporal([rec], [-1], Granularity.DAILY)
+
+
+def test_aggregate_length_mismatch_states_both_lengths():
+    records = [make_record(rid="a"), make_record(rid="b")]
+    with pytest.raises(DataError, match="^2 records but 1 node assignments$"):
+        ingest.aggregate_temporal(records, [0], Granularity.DAILY)
 
 
 def test_weekly_index_has_no_gaps():
