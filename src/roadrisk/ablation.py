@@ -1,4 +1,5 @@
-"""Ablation runners: input-channel subsets and diffusion presets.
+"""Ablation runner: one experiment over arms of input-channel subsets or
+diffusion presets.
 
 Every arm trains a fresh model from the same parameter seed on the same
 windows; arms differ only in the ablated factor, and each report carries a
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from .artifacts import write_table
 from .config import config_hash
-from .diffusion import PRESETS, DiffusionConfig
+from .diffusion import DiffusionConfig
 from .features import RiskTensor
 from .graph import SpatialGraph
 from .metrics import EvalReport, horizon_report
@@ -27,90 +28,49 @@ FEATURE_ARMS = {
 }
 
 
-def _run_arm(
+def run_ablation(
     tensor: RiskTensor,
     graph: SpatialGraph,
-    diffusion_config: DiffusionConfig,
+    arms: dict[str, tuple[DiffusionConfig, tuple[int, int, int]]],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    channel_mask: tuple[int, int, int],
-    mape_eps: float,
-    fractions: tuple[float, float, float],
-    seed: int,
-) -> EvalReport:
-    """Train and evaluate one arm the way `train` and `eval` do: the model's
-    parameters come from `seed` and the windows from the split `fractions`."""
-    data, _, _ = prepare_training_data(
-        tensor,
-        graph.adjacency_norm,
-        diffusion_config,
-        t_in=model_config.t_in,
-        t_out=model_config.t_out,
-        fractions=fractions,
-        channel_mask=channel_mask,
-    )
-    model = RiskForecaster(model_config, graph.adjacency_norm, seed=seed)
-    result = train(model, data, train_config)
-    start = data.last_test_window()
-    x, y = data.window(start)
-    descriptor = {
-        "model": asdict(model_config),
-        "train": asdict(train_config),
-        "diffusion": asdict(diffusion_config),
-        "channel_mask": list(channel_mask),
-        "split_fractions": list(fractions),
-        "seed": seed,
-    }
-    report = horizon_report(
-        model.predict(x), y, eps=mape_eps, config_fingerprint=config_hash(descriptor)
-    )
-    report.extra["arm"] = descriptor
-    report.extra["best_val_loss"] = result.best_val_loss
-    report.extra["best_epoch"] = result.best_epoch
-    return report
-
-
-def run_feature_ablation(
-    tensor: RiskTensor,
-    graph: SpatialGraph,
-    diffusion_config: DiffusionConfig,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    arms: dict[str, tuple[int, int, int]] | None = None,
     mape_eps: float = 1e-8,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
     seed: int = 0,
 ) -> dict[str, EvalReport]:
-    """Train one arm per input-channel subset; identical seeds across arms."""
-    arms = arms or FEATURE_ARMS
-    return {
-        name: _run_arm(
-            tensor, graph, diffusion_config, model_config, train_config,
-            mask, mape_eps, fractions, seed,
+    """Train and evaluate one arm per `(diffusion config, channel mask)` in
+    `arms`, the way `train` and `eval` do: every arm's parameters come from
+    `seed` and its windows from the split `fractions`."""
+    reports = {}
+    for name, (diffusion_config, channel_mask) in arms.items():
+        data, _, _ = prepare_training_data(
+            tensor,
+            graph.adjacency_norm,
+            diffusion_config,
+            t_in=model_config.t_in,
+            t_out=model_config.t_out,
+            fractions=fractions,
+            channel_mask=channel_mask,
         )
-        for name, mask in arms.items()
-    }
-
-
-def run_diffusion_ablation(
-    tensor: RiskTensor,
-    graph: SpatialGraph,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    presets: dict[str, DiffusionConfig] | None = None,
-    mape_eps: float = 1e-8,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
-) -> dict[str, EvalReport]:
-    """Train one arm per diffusion preset; identical seeds across arms."""
-    presets = presets or PRESETS
-    return {
-        name: _run_arm(
-            tensor, graph, cfg, model_config, train_config,
-            (1, 1, 1), mape_eps, fractions, seed,
+        model = RiskForecaster(model_config, graph.adjacency_norm, seed=seed)
+        result = train(model, data, train_config)
+        x, y = data.window(data.last_test_window())
+        descriptor = {
+            "model": asdict(model_config),
+            "train": asdict(train_config),
+            "diffusion": asdict(diffusion_config),
+            "channel_mask": list(channel_mask),
+            "split_fractions": list(fractions),
+            "seed": seed,
+        }
+        report = horizon_report(
+            model.predict(x), y, eps=mape_eps, config_fingerprint=config_hash(descriptor)
         )
-        for name, cfg in presets.items()
-    }
+        report.extra["arm"] = descriptor
+        report.extra["best_val_loss"] = result.best_val_loss
+        report.extra["best_epoch"] = result.best_epoch
+        reports[name] = report
+    return reports
 
 
 def write_comparison_csv(reports: dict[str, EvalReport], path: str | Path) -> None:

@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small on purpose: just the operations the forecasting model needs, plus a
-finite-difference checker to verify them. Each op supplies only its forward
+Small on purpose: just the operations the forecasting model needs; the tests
+check each against finite differences. Each op supplies only its forward
 value and one hand-derived vector-Jacobian product per input; ``_op`` does
 the rest. Gradients are recorded on an explicit tape (a Wengert list): every
 op that touches a tracked tensor appends one backward step, and
@@ -691,48 +691,3 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     keep = rng.random(x.data.shape) >= rate
     factor = keep / (1.0 - rate)
     return _op(x.data * factor, (x, lambda g: g * factor))
-
-
-def grad_check(
-    function,
-    params,
-    eps: float = 1e-5,
-    max_coords: int = 24,
-    seed: int = 0,
-) -> float:
-    """Compare tape gradients against central finite differences.
-
-    `function` must take no arguments, close over `params` (an iterable of
-    Tensors with requires_grad), and return a scalar Tensor. Returns the
-    maximum error over sampled coordinates, relative with a unit floor:
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    with Tape() as tape:
-        loss = function()
-        tape.backward(loss)
-    analytic = [
-        np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params
-    ]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        coords = range(n) if n <= max_coords else rng.choice(n, max_coords, False)
-        for i in coords:
-            saved = flat[i]
-            flat[i] = saved + eps
-            with no_grad():
-                up = function().item()
-            flat[i] = saved - eps
-            with no_grad():
-                down = function().item()
-            flat[i] = saved
-            numeric = (up - down) / (2.0 * eps)
-            got = a.reshape(-1)[i]
-            err = abs(got - numeric) / max(1.0, abs(got), abs(numeric))
-            worst = max(worst, err)
-    return worst

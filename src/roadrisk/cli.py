@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ablation, ingest, metrics, riskmap, validation
-from .artifacts import artifact_rows, finite, reading, write_json, write_table
+from .artifacts import artifact_rows, file_sha256, finite, reading, write_json, write_table
 from .config import RunConfig, valid_split_fractions, write_manifest
-from .diffusion import MinMaxScaler
+from .diffusion import PRESETS, MinMaxScaler
 from .errors import ConfigError, CorruptArtifactError, DataError, MissingArtifactError, NumericError
 from .features import (
     RiskTensor,
@@ -106,16 +106,22 @@ def _load_graph(config: RunConfig):
     return load_graph(_artifact(config, "nodes.csv"), _artifact(config, "edges.csv"), config.graph)
 
 
-def _load_assignment(config: RunConfig, records: ingest.RecordTable) -> np.ndarray:
-    """The node of each record in `records`, in their order."""
+def _load_assignment(
+    config: RunConfig, records: ingest.RecordTable, node_ids: list[int]
+) -> np.ndarray:
+    """The node of each record in `records`, in their order; each is one of `node_ids`."""
     path = _artifact(config, "assignment.csv")
     ids, nodes = [], []
+    known = set(node_ids)
     with artifact_rows(path, ["accident_id", "node_id"], WRITER[path.name]) as (
         (i_id, i_node), rows
     ):
         for row in rows:
             ids.append(row[i_id])
-            nodes.append(int(row[i_node]))
+            node = int(row[i_node])
+            if node not in known:
+                raise ValueError(f"node {node} is not a node of nodes.csv")
+            nodes.append(node)
     if ids != records.id.tolist():
         problem = f"its {len(ids)} accident ids are not the {len(records)} of records.npz in order"
         raise CorruptArtifactError(path, None, problem, WRITER[path.name])
@@ -128,23 +134,27 @@ def _load_tensor(config: RunConfig, stem: str) -> RiskTensor:
     return load_tensor(bin_path, meta_path, stage=WRITER[bin_path.name])
 
 
+# the processed.json key holding the sha256 of the risk_tensor.bin that `diffuse` read
+_RAW_STAMP = "risk_tensor_sha256"
+
+
 def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
     """The processed inputs, and the raw targets scaled as `diffuse` scaled them."""
     raw = _load_tensor(config, "risk_tensor")
     inputs = _load_tensor(config, "processed")
-    if (inputs.weeks, inputs.node_ids) != (raw.weeks, raw.node_ids):
-        raise CorruptArtifactError(
-            _out(config) / "processed.bin", None,
-            f"its {inputs.n_weeks} weeks and {inputs.n_nodes} nodes are not the "
-            f"{raw.n_weeks} weeks and {raw.n_nodes} nodes of risk_tensor.bin",
-            WRITER["processed.bin"],
-        )
     with reading(_out(config) / "processed.json", WRITER["processed.json"]):
+        stamp = str(inputs.meta[_RAW_STAMP])
         fractions = tuple(float(f) for f in inputs.meta["split_fractions"])
         if not valid_split_fractions(fractions):
             raise ValueError(
                 f"split fractions {list(fractions)} are not three fractions above 0 that sum to 1"
             )
+    if stamp != file_sha256(_artifact(config, "risk_tensor.bin")):
+        raise CorruptArtifactError(
+            _out(config) / "processed.bin", None,
+            "it was diffused from a risk_tensor.bin with another sha256 than the one there now",
+            WRITER["processed.bin"],
+        )
     splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
     targets, scaler = scale_targets(raw, splits)
     data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
@@ -238,7 +248,7 @@ def cmd_features(config: RunConfig) -> list[str]:
     out = _out(config)
     records = _load_records(config)
     graph = _load_graph(config)
-    assignment = _load_assignment(config, records)
+    assignment = _load_assignment(config, records, graph.node_ids)
     tensor = build_risk_tensor(
         _tables(config), records, assignment, graph.node_ids, config.region.period
     )
@@ -262,7 +272,11 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
     )
     inputs = data.inputs
     inputs.meta.update(
-        {"config_hash": config.fingerprint, "split_fractions": list(config.split_fractions)}
+        {
+            "config_hash": config.fingerprint,
+            "split_fractions": list(config.split_fractions),
+            _RAW_STAMP: file_sha256(_artifact(config, "risk_tensor.bin")),
+        }
     )
     save_tensor(inputs, out / "processed.bin", out / "processed.json")
     log.info("diffused with %s, scaled on train weeks %s", config.diffusion.name, data.splits.train)
@@ -382,18 +396,15 @@ def cmd_ablate(factor: str, config: RunConfig) -> list[str]:
     """Train one arm per input-channel subset or per diffusion preset."""
     out = _out(config)
     raw, graph = _load_tensor(config, "risk_tensor"), _load_graph(config)
-    # the arms train and evaluate as `train` and `eval` do
-    like_train = dict(
-        mape_eps=config.mape_eps, fractions=config.split_fractions, seed=config.seed
-    )
     if factor == "features":
-        reports = ablation.run_feature_ablation(
-            raw, graph, config.diffusion, config.model, config.train, **like_train
-        )
+        arms = {name: (config.diffusion, mask) for name, mask in ablation.FEATURE_ARMS.items()}
     else:
-        reports = ablation.run_diffusion_ablation(
-            raw, graph, config.model, config.train, **like_train
-        )
+        arms = {name: (preset, (1, 1, 1)) for name, preset in PRESETS.items()}
+    # the arms train and evaluate as `train` and `eval` do
+    reports = ablation.run_ablation(
+        raw, graph, arms, config.model, config.train,
+        mape_eps=config.mape_eps, fractions=config.split_fractions, seed=config.seed,
+    )
     ablation.write_comparison_csv(reports, out / f"ablation_{factor}.csv")
     write_json(
         out / f"ablation_{factor}.json",

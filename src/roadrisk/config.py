@@ -142,9 +142,6 @@ class RunConfig:
             raise ConfigError(f"cannot read run config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
-
 
 def write_manifest(
     out_dir: str | Path,

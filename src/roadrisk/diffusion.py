@@ -126,10 +126,8 @@ def apply_diffusion(
                 original, a_norm, config.alpha[f], config.iters[f]
             )
             out[:, :, f] = fuse(diffused, original, config.beta).T
-    result = tensor.copy()
-    result.values = out
-    result.meta = {**tensor.meta, "diffusion": asdict(config)}
-    return result
+    meta = {**tensor.meta, "diffusion": asdict(config)}
+    return RiskTensor(list(tensor.weeks), list(tensor.node_ids), out, meta)
 
 
 @dataclass
@@ -162,10 +160,6 @@ class MinMaxScaler:
         safe = np.where(span == 0.0, 1.0, span)
         out = (values - self.minima) / safe
         return np.where(span == 0.0, 0.0, out)
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        self._check()
-        return values * (self.maxima - self.minima) + self.minima
 
     def inverse_channel(self, values: np.ndarray, channel: int) -> np.ndarray:
         self._check()

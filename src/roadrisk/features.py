@@ -162,11 +162,6 @@ class RiskTensor:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    def copy(self) -> "RiskTensor":
-        return RiskTensor(
-            list(self.weeks), list(self.node_ids), self.values.copy(), dict(self.meta)
-        )
-
 
 def build_risk_tensor(
     tables: WeightTables,

@@ -573,10 +573,6 @@ class AggregatedSeries:
     def totals(self) -> np.ndarray:
         return self.values.sum(axis=1)
 
-    @property
-    def total_count(self) -> float:
-        return float(self.values.sum())
-
 
 def period_rows(days: np.ndarray, index: list[str], granularity: Granularity) -> np.ndarray:
     """Each day ordinal's row in `index`, a list of `granularity` period
@@ -605,10 +601,7 @@ def aggregate_temporal(
     table = RecordTable.from_records(records)
     if len(table) != len(assignment):
         raise DataError(f"{len(table)} records but {len(assignment)} node assignments")
-    try:
-        nodes = np.asarray(assignment, dtype=np.intp)
-    except TypeError:  # a None
-        nodes = np.array([-1 if a is None else int(a) for a in assignment], dtype=np.intp)
+    nodes = np.asarray(assignment, dtype=np.intp)
     unassigned = np.flatnonzero(nodes < 0)
     if unassigned.size:
         raise UnassignedRecordError(str(table.id[unassigned[0]]))

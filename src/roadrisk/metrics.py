@@ -9,7 +9,7 @@ bucket value is the mean of its member weeks' values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +64,10 @@ class EvalReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "buckets": self.buckets,
-            "per_week": self.per_week,
-            "masked_fraction": self.masked_fraction,
-            "mape_eps": self.mape_eps,
-            "config_fingerprint": self.config_fingerprint,
-            **self.extra,
-        }
+        """The fields, with the entries of `extra` at the top level."""
+        out = asdict(self)
+        out.update(out.pop("extra"))
+        return out
 
     def save_json(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

@@ -120,22 +120,6 @@ class TrainingData:
                 f"({self.inputs.n_weeks}, {self.inputs.n_nodes})"
             )
 
-    @classmethod
-    def from_tensor(
-        cls,
-        tensor: RiskTensor,
-        t_in: int,
-        t_out: int,
-        fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-        channel_mask: tuple[int, int, int] = (1, 1, 1),
-        targets: np.ndarray | None = None,
-    ) -> "TrainingData":
-        """Single-tensor construction; targets default to its safety channel."""
-        splits = split_temporal(tensor.n_weeks, t_in, t_out, fractions)
-        if targets is None:
-            targets = tensor.values[:, :, TARGET_CHANNEL].copy()
-        return cls(tensor, targets, t_in, t_out, splits, channel_mask)
-
     def window(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """(x, y): x is (nodes, t_in, 3) masked input, y is (nodes, t_out)."""
         x = self.inputs.values[start : start + self.t_in].transpose(1, 0, 2).copy()
@@ -240,18 +224,6 @@ class TrainResult:
     best_val_loss: float = math.inf
 
 
-def _grad_norms(params: dict[str, Tensor]) -> dict[str, float]:
-    worst = sorted(
-        (
-            (float(np.abs(t.grad).max()), name)
-            for name, t in params.items()
-            if t.grad is not None
-        ),
-        reverse=True,
-    )
-    return {name: value for value, name in worst[:5]}
-
-
 def train(model: RiskForecaster, data: TrainingData, config: TrainConfig) -> TrainResult:
     """Main phase then fine-tune from the best checkpoint; deterministic."""
     train_starts = data.train_windows()
@@ -282,8 +254,7 @@ def train(model: RiskForecaster, data: TrainingData, config: TrainConfig) -> Tra
                     if not math.isfinite(value):
                         raise NonFiniteLossError(
                             f"non-finite loss at epoch {epoch_counter}, "
-                            f"batch {b0 // batch}: {value}; "
-                            f"largest recent grads {_grad_norms(model.params)}"
+                            f"batch {b0 // batch}: {value}"
                         )
                     tape.backward(loss)
                 optimizer.step(lr)

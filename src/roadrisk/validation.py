@@ -11,7 +11,7 @@ explained variance against next-week accident counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -175,21 +175,12 @@ class ValidationReport:
     config_fingerprint: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "mean_abs_r": self.mean_abs_r,
-            "cv_percent": self.cv_percent,
-            "lag1_autocorr": self.lag1_autocorr,
-            "icc": self.icc,
-            "between_grid_variance_percent": {
-                k: (None if v is None else 100.0 * v) for k, v in self.icc.items()
-            },
-            "r2_sequence": self.r2_sequence,
-            "r2_relative_improvement": self.r2_relative_improvement,
-            "grid_cells": self.grid_cells,
-            "weeks": self.weeks,
-            "notes": self.notes,
-            "config_fingerprint": self.config_fingerprint,
+        """The fields, plus the ICC as a percentage of variance between cells."""
+        out = asdict(self)
+        out["between_grid_variance_percent"] = {
+            k: (None if v is None else 100.0 * v) for k, v in self.icc.items()
         }
+        return out
 
     def save_json(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

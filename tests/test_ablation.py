@@ -36,10 +36,9 @@ def test_s_only_arm_masks_other_channels(fixture_tensor, fixture_graph):
 @pytest.fixture(scope="module")
 def feature_reports(fixture_tensor, fixture_graph):
     graph, _ = fixture_graph
-    return ablation.run_feature_ablation(
-        fixture_tensor, graph, preset("Differentiated_B"), TINY_MODEL, TINY_TRAIN,
-        arms={"SIE": (1, 1, 1), "S": (1, 0, 0)},
-    )
+    diffusion = preset("Differentiated_B")
+    arms = {"SIE": (diffusion, (1, 1, 1)), "S": (diffusion, (1, 0, 0))}
+    return ablation.run_ablation(fixture_tensor, graph, arms, TINY_MODEL, TINY_TRAIN)
 
 
 def test_feature_arms_reported(feature_reports):
@@ -57,10 +56,8 @@ def test_feature_arms_differ_only_in_mask(feature_reports):
 
 def test_diffusion_ablation_covers_all_presets(fixture_tensor, fixture_graph):
     graph, _ = fixture_graph
-    two = {k: PRESETS[k] for k in ("No_Diffusion", "Differentiated_B")}
-    reports = ablation.run_diffusion_ablation(
-        fixture_tensor, graph, TINY_MODEL, TINY_TRAIN, presets=two
-    )
+    two = {k: (PRESETS[k], (1, 1, 1)) for k in ("No_Diffusion", "Differentiated_B")}
+    reports = ablation.run_ablation(fixture_tensor, graph, two, TINY_MODEL, TINY_TRAIN)
     assert set(reports) == set(two)
     assert audit_arms_differ_only_in(reports, "diffusion")
 

@@ -34,6 +34,8 @@ from roadrisk.ingest import (
 from roadrisk.model import ModelConfig, RiskForecaster
 from roadrisk.synthetic import fixture_region
 
+from helpers import grad_check
+
 REAL_DATA_ENV = "ROADRISK_STATS19_CSV"
 
 
@@ -125,7 +127,7 @@ def test_gradient_integrity_every_op():
     params = [a, b, m1, m2, sq, gain, bias, conv_x, conv_w, conv_b]
     worst = {}
     for name, (op, inputs, loss) in checks.items():
-        err = ad.grad_check(lambda: loss(op(*inputs)), params, max_coords=8, seed=1)
+        err = grad_check(lambda: loss(op(*inputs)), params, max_coords=8, seed=1)
         assert err < 1e-4, f"{name}: {err}"
         worst[name] = err
         # the tape protocol: one step per call when any input is tracked,
@@ -153,7 +155,7 @@ def test_gradient_integrity_end_to_end():
     def loss_fn():
         return ad.mean_(ad.abs_(ad.sub(model.forward(x), target)))
 
-    err = ad.grad_check(loss_fn, list(model.params.values()), max_coords=4, seed=0)
+    err = grad_check(loss_fn, list(model.params.values()), max_coords=4, seed=0)
     elapsed = time.time() - started
     assert err < 1e-3
     assert elapsed < 60.0

@@ -6,6 +6,8 @@ from roadrisk import autodiff as ad
 from roadrisk.autodiff import Tape, Tensor
 from roadrisk.errors import ShapeMismatchError
 
+from helpers import grad_check
+
 
 def param(data, seed=None):
     return Tensor(np.asarray(data, dtype=float), requires_grad=True)
@@ -29,7 +31,7 @@ def test_matmul_gradient_against_finite_differences():
     rng = np.random.default_rng(0)
     a = param(rng.standard_normal((2, 3)))
     b = param(rng.standard_normal((3, 2)))
-    err = ad.grad_check(lambda: ad.sum_(ad.matmul(a, b)), [a, b])
+    err = grad_check(lambda: ad.sum_(ad.matmul(a, b)), [a, b])
     assert err < 1e-9
 
 
@@ -47,7 +49,7 @@ def test_matmul_broadcast_weight_gradient():
     rng = np.random.default_rng(2)
     x = param(rng.standard_normal((3, 4, 5)))
     w = param(rng.standard_normal((5, 2)))
-    err = ad.grad_check(lambda: ad.sum_(ad.matmul(x, w)), [x, w])
+    err = grad_check(lambda: ad.sum_(ad.matmul(x, w)), [x, w])
     assert err < 1e-7
 
 
@@ -82,7 +84,7 @@ def test_matmul_sorted_gradient():
     rng = np.random.default_rng(5)
     a = param(rng.standard_normal((3, 3)))
     b = param(rng.standard_normal((3, 2)))
-    err = ad.grad_check(lambda: ad.sum_(ad.matmul_sorted(a, b)), [a, b])
+    err = grad_check(lambda: ad.sum_(ad.matmul_sorted(a, b)), [a, b])
     assert err < 1e-7
 
 
@@ -301,7 +303,7 @@ def test_add_mul_broadcast_gradients():
     def f():
         return ad.sum_(ad.mul(ad.add(a, b), b))
 
-    assert ad.grad_check(f, [a, b]) < 1e-7
+    assert grad_check(f, [a, b]) < 1e-7
 
 
 def test_fanout_accumulates():
@@ -345,7 +347,7 @@ def test_softmax_gradient():
     def f():
         return ad.sum_(ad.matmul(ad.softmax_rows(x), w))
 
-    assert ad.grad_check(f, [x, w]) < 1e-4
+    assert grad_check(f, [x, w]) < 1e-4
 
 
 def test_softmax_masked_gradient():
@@ -356,7 +358,7 @@ def test_softmax_masked_gradient():
     def f():
         return ad.sum_(ad.mul(ad.softmax_rows(x, mask=mask), x))
 
-    assert ad.grad_check(f, [x]) < 1e-4
+    assert grad_check(f, [x]) < 1e-4
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -382,7 +384,7 @@ def test_layer_norm_gradient():
     def f():
         return ad.sum_(ad.abs_(ad.layer_norm(x, gain, bias)))
 
-    assert ad.grad_check(f, [x, gain, bias]) < 1e-4
+    assert grad_check(f, [x, gain, bias]) < 1e-4
 
 
 def naive_conv1d(x, w, b, causal):
@@ -437,7 +439,7 @@ def test_conv1d_gradient():
     def f():
         return ad.sum_(ad.relu(ad.conv1d(x, w, b, causal=True)))
 
-    assert ad.grad_check(f, [x, w, b]) < 1e-4
+    assert grad_check(f, [x, w, b]) < 1e-4
 
 
 def test_concat_and_transpose_gradients():
@@ -449,7 +451,7 @@ def test_concat_and_transpose_gradients():
         joined = ad.concat([a, b], axis=1)
         return ad.sum_(ad.mul(ad.transpose(joined, (1, 0)), 2.0))
 
-    assert ad.grad_check(f, [a, b]) < 1e-9
+    assert grad_check(f, [a, b]) < 1e-9
 
 
 def test_reshape_roundtrip_gradient():
@@ -458,7 +460,7 @@ def test_reshape_roundtrip_gradient():
     def f():
         return ad.sum_(ad.mul(ad.reshape(x, (2, 3)), ad.reshape(x, (2, 3))))
 
-    assert ad.grad_check(f, [x]) < 1e-7
+    assert grad_check(f, [x]) < 1e-7
 
 
 def test_dropout_eval_mode_is_identity():
@@ -480,7 +482,7 @@ def test_linear_function_gradient_is_exact():
     rng = np.random.default_rng(17)
     x = param(rng.standard_normal((3, 3)))
     c = rng.standard_normal((3, 3))
-    err = ad.grad_check(lambda: ad.sum_(ad.mul(x, c)), [x])
+    err = grad_check(lambda: ad.sum_(ad.mul(x, c)), [x])
     assert err < 1e-9
 
 
@@ -492,7 +494,7 @@ def test_softmax_matmul_chain_gradient():
     def f():
         return ad.mean_(ad.softmax_rows(ad.matmul(a, b)))
 
-    assert ad.grad_check(f, [a, b]) < 1e-4
+    assert grad_check(f, [a, b]) < 1e-4
 
 
 def test_backward_deterministic():

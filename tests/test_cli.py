@@ -361,6 +361,20 @@ def test_non_integer_node_in_assignment_exit_code(pipeline, tmp_path, caplog):
     assert "run `graph` again" in caplog.text
 
 
+@pytest.mark.parametrize("node", ["999", "-1"])
+def test_assignment_node_outside_graph_exit_code(pipeline, tmp_path, caplog, node):
+    config_path, out = copy_run(pipeline, tmp_path)
+    assignment = out / "assignment.csv"
+    lines = assignment.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = node  # node_id
+    lines[3] = ",".join(cells)
+    assignment.write_text("\n".join(lines) + "\n")
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{assignment} line 4: node {node} is not a node of nodes.csv" in caplog.text
+    assert "run `graph` again" in caplog.text
+
+
 @pytest.mark.parametrize(
     "case", ["truncated row", "missing row", "missing week", "non-integer node", "non-finite value"]
 )
@@ -395,7 +409,7 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("split_fractions", None), ("split_fractions", [0.6, 0.4])],
+    [("split_fractions", None), ("split_fractions", [0.6, 0.4]), ("risk_tensor_sha256", None)],
 )
 def test_processed_sidecar_without_scaler_or_splits_exit_code(
     pipeline, tmp_path, caplog, key, value
@@ -422,7 +436,23 @@ def test_stale_processed_tensor_exit_code(pipeline, tmp_path, caplog, command):
     for stage in ("graph", "features"):
         assert cli.main([stage, "--config", str(config_path)]) == 0, stage
     assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{out / 'processed.bin'}: its 156 weeks and 30 nodes are not" in caplog.text
+    assert f"{out / 'processed.bin'}: it was diffused from a risk_tensor.bin" in caplog.text
+    assert "run `diffuse` again" in caplog.text
+
+
+def test_processed_tensor_from_reweighted_features_exit_code(pipeline, tmp_path, caplog):
+    # same weeks and nodes, other values: only the sha256 stamp tells them apart
+    config_path, out = copy_run(pipeline, tmp_path)
+    tables = tmp_path / "tables.json"
+    tables.write_text(_packaged_tables(
+        lambda raw: raw["severity"].update((k, 3 * v) for k, v in raw["severity"].items())
+    ))
+    config = json.loads(config_path.read_text())
+    config["weight_tables"] = str(tables)
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["features", "--config", str(config_path)]) == 0
+    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{out / 'processed.bin'}: it was diffused from a risk_tensor.bin" in caplog.text
     assert "run `diffuse` again" in caplog.text
 
 

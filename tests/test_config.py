@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from roadrisk.artifacts import write_json
 from roadrisk.config import RunConfig, config_hash, file_sha256, write_manifest
 from roadrisk.errors import ConfigError
 from roadrisk.ingest import RegionSpec
@@ -38,7 +39,7 @@ def test_config_roundtrip(tmp_path):
     assert cfg.train.epochs_main == 2
     assert cfg.seed == 3
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    write_json(path, cfg.to_dict())
     again = RunConfig.load(path)
     assert again.to_dict() == cfg.to_dict()
     assert again.fingerprint == cfg.fingerprint

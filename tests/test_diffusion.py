@@ -217,8 +217,10 @@ def test_scale_roundtrip():
     rng = np.random.default_rng(11)
     tensor = make_tensor(rng.uniform(0, 7, (8, 3, 3)))
     scaler = df.MinMaxScaler().fit(tensor)
-    back = scaler.inverse(scaler.transform(tensor.values))
-    np.testing.assert_allclose(back, tensor.values, atol=1e-12)
+    scaled = scaler.transform(tensor.values)
+    for channel in range(3):
+        back = scaler.inverse_channel(scaled[:, :, channel], channel)
+        np.testing.assert_allclose(back, tensor.values[:, :, channel], atol=1e-12)
 
 
 def test_scale_fit_range_restricts_to_training_weeks():

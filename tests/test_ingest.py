@@ -312,7 +312,7 @@ def test_aggregate_empty_records_zero_series():
         period=(dt.date(2012, 1, 2), dt.date(2012, 1, 29)),
     )
     assert series.values.shape == (4, 3)
-    assert series.total_count == 0.0
+    assert series.values.sum() == 0.0
 
 
 def test_aggregate_seven_consecutive_days():
@@ -352,7 +352,7 @@ def test_aggregate_totals_conserved():
     totals = []
     for g in Granularity:
         series = ingest.aggregate_temporal(records, assignment, g, n_nodes=4)
-        totals.append(series.total_count)
+        totals.append(series.values.sum())
         labels = series.index
         assert labels == sorted(labels)
         assert len(set(labels)) == len(labels)

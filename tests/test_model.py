@@ -15,6 +15,8 @@ from roadrisk.autodiff import Tape, Tensor
 from roadrisk.errors import ConfigError, ShapeMismatchError
 from roadrisk.model import ModelConfig, RiskForecaster
 
+from helpers import grad_check
+
 
 def ring_norm(n):
     a = np.zeros((n, n))
@@ -214,7 +216,7 @@ def test_full_model_gradient_check():
     def loss_fn():
         return ad.mean_(ad.abs_(ad.sub(model.forward(x), target)))
 
-    err = ad.grad_check(loss_fn, list(model.params.values()), max_coords=4, seed=0)
+    err = grad_check(loss_fn, list(model.params.values()), max_coords=4, seed=0)
     assert err < 1e-3
 
 
