@@ -13,6 +13,13 @@ contractions) sum their terms in sorted value order, and the spatial attention
 logits use a contraction that rounds every node pair the same way, so
 relabeling the nodes permutes every intermediate bitwise instead of perturbing
 the last ulp.
+
+One op uses a second thread: `edge_attention`'s forward at region scale runs
+the last half of its weeks on a thread of its own, started and joined inside
+the call. Weeks are independent and the split is always in two, never sized
+by the core count, so results do not depend on the machine. Its backward
+stays on one thread: its dense products already run on BLAS threads, and a
+two-way split measured slower there.
 """
 
 from __future__ import annotations
@@ -116,9 +123,17 @@ class Tensor:
         self.grad = None
 
     def accumulate(self, g: np.ndarray):
+        if g.shape != self.data.shape:
+            raise ShapeMismatchError(
+                f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}"
+            )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 turns -0.0 into +0.0, as adding g to zeros does, and the
+            # buffer keeps the data's memory layout: later reductions of the
+            # gradient round by layout
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -385,17 +400,20 @@ def _attention_inputs(q: Tensor, k: Tensor, n: int):
     return qc, kc, kt, 1.0 / np.sqrt(d), blocks
 
 
-def _logits(a: np.ndarray, bt: np.ndarray, lo: int, hi: int, scale: float) -> np.ndarray:
+def _logits(a: np.ndarray, bt: np.ndarray, lo: int, hi: int, scale: float, out=None) -> np.ndarray:
     # einsum without BLAS sums each entry's d products in order, so an entry's
     # bits do not depend on its row or column position; BLAS rounds by position
-    return np.einsum("lid,ldj->lij", a[:, lo:hi], bt, optimize=False) * scale
+    out = np.einsum("lid,ldj->lij", a[:, lo:hi], bt, optimize=False, out=out)
+    out *= scale
+    return out
 
 
-def _softmax_stats(z: np.ndarray):
-    """Unnormalised exponentials, row max and sorted-sum denominator."""
+def _shifted_exp(z: np.ndarray) -> np.ndarray:
+    """Overwrite the logits z with exp(z - row max); returns the row max."""
     m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e, m[..., 0], _sorted_sum(e, axis=-1)
+    z -= m
+    np.exp(z, out=z)
+    return m[..., 0]
 
 
 def attention_rows(q, k) -> np.ndarray:
@@ -406,8 +424,9 @@ def attention_rows(q, k) -> np.ndarray:
     qc, _, kt, scale, blocks = _attention_inputs(q, k, n)
     rows = np.empty((qc.shape[0], n, n))
     for lo, hi in blocks:
-        e, _, denom = _softmax_stats(_logits(qc, kt, lo, hi, scale))
-        rows[:, lo:hi] = e / denom[..., None]
+        e = _logits(qc, kt, lo, hi, scale)
+        _shifted_exp(e)
+        rows[:, lo:hi] = e / _sorted_sum(e, axis=-1)[..., None]
     return rows.reshape(q.data.shape[:-1] + (n,))
 
 
@@ -424,9 +443,17 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     (`_edge_sum`). It keeps the gated edge probabilities, the row max and
     the denominator; the backward recomputes each block, unless all n x n
     probabilities fit in KEEP_ELEMENTS.
-    Results are bitwise independent of the block size and of the inputs'
-    memory layout, and the output is bitwise equivariant under relabeling
-    the nodes.
+    When it recomputes them, the forward splits the weeks in two fixed
+    halves: the first ceil(weeks / 2) run on the calling thread and the rest
+    on one `threading.Thread`, joined before the op returns, each writing its
+    own slices of the kept arrays and of one logits buffer. The
+    split is fixed rather than sized by the core count so that no result
+    depends on the machine. The backward stays serial: its dense products
+    call BLAS, which already uses the machine's threads, and a two-way
+    split of it measured slower.
+    Results are bitwise independent of the block size, of the week split
+    and of the inputs' memory layout, and the output is bitwise equivariant
+    under relabeling the nodes.
     """
     q, k, h = as_tensor(q), as_tensor(k), as_tensor(h)
     n, width = neighbors.shape
@@ -446,20 +473,62 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     ]
 
     def at_slots(block, b):
-        """(batch, rows, width) entries of a (batch, rows, n) block at each slot."""
-        rows = block.shape[1]
-        return block.reshape(batch, -1).take(slots_at[b], axis=1).reshape(batch, rows, width)
+        """(weeks, rows, width) entries of a (weeks, rows, n) block at each slot."""
+        weeks, rows = block.shape[:2]
+        return block.reshape(weeks, -1).take(slots_at[b], axis=1).reshape(weeks, rows, width)
 
     gate = np.empty((batch, n, width))
     row_max, denom = np.empty((batch, n)), np.empty((batch, n))
     out = np.empty(hc.shape)
-    for b, (lo, hi) in enumerate(blocks):
-        e, row_max[:, lo:hi], denom[:, lo:hi] = _softmax_stats(_logits(qc, kt, lo, hi, scale))
-        gate[:, lo:hi] = at_slots(e, b) / denom[:, lo:hi, None] * edge_weights[lo:hi]
-        out[:, lo:hi] = _edge_sum(gate[:, lo:hi], neighbors[lo:hi], hc)
     # a small graph keeps its one block of probabilities: at the fixture's
     # 30 nodes recomputing them costs the backward more than their 86 kB
-    kept = e / denom[..., None] if len(blocks) == 1 and e.size <= KEEP_ELEMENTS else None
+    keep = len(blocks) == 1 and batch * n * n <= KEEP_ELEMENTS
+    kept = np.empty((batch, n, n)) if keep else None
+    # one logits buffer for both halves: temporaries that each thread allocated
+    # itself stayed in the allocator's per-thread pools and raised peak memory
+    block_rows = max(hi - lo for lo, hi in blocks)
+    logits = np.empty(batch * block_rows * n)
+
+    def forward(w0, w1, buf):
+        """Fill weeks w0:w1 of gate, row_max, denom and out, block by block,
+        with the logits in `buf`."""
+        for b, (lo, hi) in enumerate(blocks):
+            e = buf[: (w1 - w0) * (hi - lo) * n].reshape(w1 - w0, hi - lo, n)
+            _logits(qc[w0:w1], kt[w0:w1], lo, hi, scale, out=e)
+            row_max[w0:w1, lo:hi] = _shifted_exp(e)
+            edges = at_slots(e, b)
+            if kept is not None:
+                kept[:] = e
+            # e is C-ordered, so sorting it in place sums as `_sorted_sum` does
+            e.sort(axis=-1)
+            denom[w0:w1, lo:hi] = e.sum(axis=-1)
+            gate[w0:w1, lo:hi] = edges / denom[w0:w1, lo:hi, None] * edge_weights[lo:hi]
+            out[w0:w1, lo:hi] = _edge_sum(gate[w0:w1, lo:hi], neighbors[lo:hi], hc[w0:w1])
+
+    # Weeks are independent, so a second thread takes the last half of them
+    # and writes disjoint slices. Always two halves, whatever the machine's
+    # core count, so the split never changes a bit.
+    mid = batch if keep else (batch + 1) // 2
+    failure = []
+
+    def second_half():
+        try:
+            forward(mid, batch, logits[mid * block_rows * n :])
+        except BaseException as exc:  # re-raised by the caller after the join
+            failure.append(exc)
+
+    worker = threading.Thread(target=second_half) if mid < batch else None
+    if worker is not None:
+        worker.start()
+    try:
+        forward(0, mid, logits)
+    finally:
+        if worker is not None:
+            worker.join()
+    if failure:
+        raise failure[0]
+    if kept is not None:
+        kept /= denom[..., None]
     memo = {}
 
     def grads(g):

@@ -127,16 +127,23 @@ def assign_to_nodes(
         cells, axis = np.column_stack((cx, cy)), 0
     _, assignment, counts = np.unique(cells, axis=axis, return_inverse=True, return_counts=True)
     assignment = assignment.ravel()
-    # A stable sort keeps each cell's members in input order, so .mean() over
-    # a contiguous slice sums the members in input order, pairwise. (Not
+    # A stable sort keeps each cell's members in input order. Cells with the
+    # same member count are gathered into the C-ordered rows of one (cells,
+    # count) array, whose row-wise .mean() sums each row in input order,
+    # pairwise, as .mean() over the cell's 1-D slice does. (Not
     # np.add.reduceat: it sums sequentially and changes the last bits.)
     order = np.argsort(assignment, kind="stable")
     node_lons, node_lats = lons[order], lats[order]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
-    nodes = [
-        (node_id, float(node_lons[s : s + c].mean()), float(node_lats[s : s + c].mean()), c)
-        for node_id, (s, c) in enumerate(zip(starts, counts.tolist()))
-    ]
+    starts = np.cumsum(counts) - counts
+    centroid_lons, centroid_lats = np.empty(counts.size), np.empty(counts.size)
+    for c in np.unique(counts):
+        group = np.flatnonzero(counts == c)
+        members = starts[group, None] + np.arange(c)
+        centroid_lons[group] = node_lons[members].mean(axis=1)
+        centroid_lats[group] = node_lats[members].mean(axis=1)
+    nodes = list(
+        zip(range(counts.size), centroid_lons.tolist(), centroid_lats.tolist(), counts.tolist())
+    )
     return nodes, assignment
 
 

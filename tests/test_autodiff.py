@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -295,6 +297,57 @@ def test_edge_attention_shape_mismatch():
         ad.edge_attention(ones, ones, neighbors, weights[:, :-1], ones)
 
 
+def threads_running_edge_sum(monkeypatch):
+    """Record the thread of every `_edge_sum` call the forward makes."""
+    seen, original = [], ad._edge_sum
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(ad, "_edge_sum", recording)
+    return seen
+
+
+@pytest.mark.parametrize("weeks", [5, 1])
+def test_edge_attention_week_split_matches_one_thread_bitwise(monkeypatch, weeks):
+    n = 300
+    adjacency = knn_norm(n, seed=31)
+    arrays, upstream = attention_inputs(n, seed=32, weeks=weeks, d=16, d_h=16)
+    seen = threads_running_edge_sum(monkeypatch)
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", weeks * n * n)  # kept: one thread
+    base = attention_results(adjacency, arrays, upstream)
+    assert set(seen) == {threading.get_ident()}
+    seen.clear()
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", 0)  # recomputed: weeks split in two
+    got = attention_results(adjacency, arrays, upstream)
+    assert len(set(seen)) == min(weeks, 2)
+    for name, a, b in zip(["out", "dq", "dk", "dh"], got, base):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_edge_attention_worker_failure_reaches_caller(monkeypatch):
+    n, weeks = 40, 4
+    neighbors, weights = ad.neighbor_table(knn_norm(n, seed=33))
+    (q, k, h), _ = attention_inputs(n, seed=34, weeks=weeks)
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", 0)
+    original = ad._edge_sum
+
+    def failing_off_caller(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker half")
+        return original(*args)
+
+    monkeypatch.setattr(ad, "_edge_sum", failing_off_caller)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker half"):
+        ad.edge_attention(q, k, neighbors, weights, h)
+    assert threading.active_count() == before
+    monkeypatch.setattr(ad, "_edge_sum", original)
+    ad.edge_attention(q, k, neighbors, weights, h)
+    assert threading.active_count() == before
+
+
 def test_add_mul_broadcast_gradients():
     rng = np.random.default_rng(6)
     a = param(rng.standard_normal((4, 3)))
@@ -529,3 +582,15 @@ def test_backward_requires_scalar_loss():
         y = ad.mul(x, 2.0)
         with pytest.raises(ShapeMismatchError):
             tape.backward(y)
+
+
+def test_accumulate_first_buffer():
+    x = Tensor(np.zeros((3, 2)).T, requires_grad=True)  # a Fortran-ordered view
+    x.accumulate(np.array([[-0.0, 1.0, -2.0], [3.0, -0.0, 0.5]]))
+    assert x.grad.tolist() == [[0.0, 1.0, -2.0], [3.0, 0.0, 0.5]]
+    assert not np.signbit(x.grad[x.grad == 0.0]).any()  # -0.0 + 0.0 is +0.0
+    assert x.grad.flags.f_contiguous  # the data's layout, as zeros_like gave
+    x.accumulate(np.ones((2, 3)))
+    assert x.grad.tolist() == [[1.0, 2.0, -1.0], [4.0, 1.0, 1.5]]
+    with pytest.raises(ShapeMismatchError):
+        x.accumulate(np.ones(3))  # would broadcast: a VJP of the wrong shape

@@ -447,6 +447,28 @@ def test_assign_matches_dict_loop_bitwise():
     np.testing.assert_array_equal(got, want)
 
 
+def test_assign_centroids_grouped_by_count_match_dict_loop_bitwise():
+    # cells of many member counts, several cells per count, their members
+    # interleaved in the input: counts past 8 and 128 cross numpy's unrolled
+    # and blocked pairwise summation
+    rng = np.random.default_rng(8)
+    counts = [1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 300, 1500] * 3
+    cell = np.repeat(np.arange(len(counts)), counts)
+    rng.shuffle(cell)
+    # cell i is every other grid column, i.e. 300i to 300i + 150 m east of
+    # the anchor; members keep 10 m clear of its edges
+    center = (-0.1, 51.5)
+    x = cell * 300.0 + rng.uniform(10.0, 140.0, cell.size)
+    y = rng.uniform(10.0, 140.0, cell.size)
+    lons = center[0] + np.degrees(x / (g.EARTH_RADIUS_M * math.cos(math.radians(center[1]))))
+    lats = center[1] + np.degrees(y / g.EARTH_RADIUS_M)
+    got_nodes, got = g.assign_to_nodes(lons, lats, 150.0, center)
+    want_nodes, want = dict_loop_assign(lons, lats, 150.0, center)
+    assert sorted(node[3] for node in want_nodes) == sorted(counts)
+    assert got_nodes == want_nodes  # float == float: bitwise for non-NaN
+    np.testing.assert_array_equal(got, want)
+
+
 def unique_rows_assignment(lons, lats, cell_size_m, center):
     """The `np.unique(..., axis=0)` over (cx, cy) rows that the int64 cell
     key replaced, kept as its oracle: (assignment, member counts)."""

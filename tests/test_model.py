@@ -441,3 +441,72 @@ def test_training_step_at_2000_nodes_stays_under_1_gb():
                           env={**os.environ, "PYTHONPATH": src})
     peak_kib = int(done.stdout.split()[-1])  # Linux reports ru_maxrss in KiB
     assert peak_kib < 2**20, f"peak RSS {peak_kib / 2**10:.0f} MiB"
+
+
+def zero_filled_accumulate(self, g):
+    """`Tensor.accumulate` as it was before its first buffer became g + 0.0."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+@pytest.mark.parametrize("n", [30, 300])
+def test_first_gradient_buffer_matches_zero_fill_bitwise(monkeypatch, n):
+    cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
+    model = RiskForecaster(cfg, ring_csr(n), seed=n)
+    rng = np.random.default_rng(n)
+    x, y = rng.uniform(0, 1, (n, 12, 3)), rng.uniform(0, 1, (n, 12))
+
+    def step_grads():
+        for t in model.params.values():
+            t.zero_grad()
+        with ad.Tape() as tape:
+            out = model.forward(x, training=True, rng=np.random.default_rng(0))
+            tape.backward(ad.mean_(ad.abs_(ad.sub(out, y))))
+        return {name: t.grad for name, t in model.params.items()}
+
+    got = step_grads()
+    monkeypatch.setattr(Tensor, "accumulate", zero_filled_accumulate)
+    want = step_grads()
+    for name, g in want.items():
+        assert got[name].tobytes() == g.tobytes(), name
+
+
+FORECAST_300 = """
+import hashlib, os, sys
+if sys.argv[1:] == ["pinned"]:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from scipy import sparse
+from roadrisk.model import ModelConfig, RiskForecaster
+
+n = 300
+rng = np.random.default_rng(3)
+points = rng.uniform(0, 1, (n, 2))
+near = np.argsort(((points[:, None] - points[None]) ** 2).sum(-1), axis=1)[:, 1:5]
+a = sparse.csr_matrix((np.ones(4 * n), (np.repeat(np.arange(n), 4), near.ravel())), shape=(n, n))
+a = a.maximum(a.T)
+inv = sparse.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
+forecast = RiskForecaster(cfg, inv @ a @ inv, seed=4).predict(rng.uniform(0, 1, (n, 12, 3)))
+print(hashlib.sha256(forecast.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_forecast_is_bitwise_independent_of_thread_count():
+    # The spatial attention forward splits the weeks over two threads and the
+    # BLAS library picks its own thread count, so one 300-node forecast runs
+    # in child processes under one and two BLAS threads, and pinned to one
+    # CPU. Gradients are not compared: the attention backward's dq and dk
+    # still depend on the BLAS thread count (ROADMAP, open items).
+    src = str(Path(md.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    runs = [({**env, "OPENBLAS_NUM_THREADS": t}, []) for t in ("1", "2")] + [(env, ["pinned"])]
+    digests = {
+        subprocess.run([sys.executable, "-c", FORECAST_300, *args], check=True,
+                       capture_output=True, text=True, env=run_env, timeout=120).stdout.strip()
+        for run_env, args in runs
+    }
+    assert len(digests) == 1, digests
