@@ -6,6 +6,10 @@ CSV file with a header row, and when a config hash is given, a last
 with two-space indents, sorted keys and a final newline. A column file is an
 uncompressed `.npz` archive of named numpy arrays whose members all carry
 the same fixed timestamp. A rerun on the same inputs writes the same bytes.
+One artifact is written elsewhere: `riskmap.export_geojson` formats the
+weekly GeoJSON maps itself, in `write_json`'s layout, because json's
+indenting encoder runs in pure Python and made the maps the largest cost of
+a forecast. A test holds their bytes to what `write_json` writes.
 
 Reading fails closed: a missing column, a short row, a cell that does not
 convert, a file that is not a JSON object or not an `.npz` archive, a

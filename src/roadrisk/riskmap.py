@@ -5,17 +5,22 @@ threshold form the no-risk zone, and the remaining values split at their
 20/40/60/80th percentiles into five ascending zones, ties sharing the lower
 zone. Rank-based cutoffs make the zones invariant to any strictly
 increasing rescaling of the predictions. One GeoJSON FeatureCollection of
-node-centroid points is written per forecast week.
+node-centroid points is written per forecast week. Its text is formatted
+here from the map's columns, byte for byte what `artifacts.write_json`
+writes for the same object (a test holds it to that oracle), and each
+node's point and id are formatted once per export.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_json, write_table
+from .artifacts import read_json, write_table
+from .errors import ShapeMismatchError
 
 ZONE_LABELS = ("NoRisk", "VeryLow", "Low", "Medium", "High", "VeryHigh")
 ZERO_THRESHOLD = 1e-9
@@ -40,12 +45,17 @@ def classify_zones(
     node_ids: list[int] | None = None,
     zero_threshold: float = ZERO_THRESHOLD,
 ) -> ZoneMap:
-    """Rank predictions into the six zones for one week."""
+    """Rank predictions into the six zones for one week.
+
+    ShapeMismatchError if `node_ids` does not hold one id per prediction.
+    """
     values = np.asarray(predictions, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("predictions must be finite")
     n = values.size
     node_ids = list(range(n)) if node_ids is None else list(node_ids)
+    if len(node_ids) != n:
+        raise ShapeMismatchError(f"week {week}: {len(node_ids)} node ids for {n} predictions")
     zones = np.zeros(n, dtype=int)
     positive = values > zero_threshold
     if positive.any():
@@ -60,37 +70,36 @@ def classify_zones(
     return ZoneMap(week, node_ids, values, zones, percentiles)
 
 
-def zone_map_feature_collection(
-    zone_map: ZoneMap,
-    lons: np.ndarray,
-    lats: np.ndarray,
-    config_hash: str = "",
-) -> dict:
-    features = []
-    for i, node_id in enumerate(zone_map.node_ids):
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [float(lons[i]), float(lats[i])],
-                },
-                "properties": {
-                    "node_id": int(node_id),
-                    "week": zone_map.week,
-                    "zone": int(zone_map.zones[i]),
-                    "zone_label": zone_map.zone_label(i),
-                    "value": float(zone_map.values[i]),
-                    "percentile": float(zone_map.percentiles[i]),
-                },
-            }
-        )
-    return {
-        "type": "FeatureCollection",
-        "config_hash": config_hash,
-        "week": zone_map.week,
-        "features": features,
-    }
+def _json_floats(column) -> list[str]:
+    """Each float of `column` spelled as json spells it: `float.__repr__`,
+    or NaN/Infinity, from one C-encoded list. No float's text holds ", "."""
+    values = np.asarray(column, dtype=float).tolist()
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _feature_heads(node_ids: list[int], lons: list[str], lats: list[str]) -> list[str]:
+    """Each node's feature text up to its percentile: the part no week changes."""
+    return [
+        '    {\n      "geometry": {\n        "coordinates": [\n'
+        f'          {lon},\n          {lat}\n        ],\n        "type": "Point"\n'
+        f'      }},\n      "properties": {{\n        "node_id": {node_id},\n'
+        '        "percentile": '
+        for node_id, lon, lat in zip(node_ids, lons, lats)
+    ]
+
+
+def _check_columns(zone_map: ZoneMap, **columns) -> None:
+    """ShapeMismatchError unless the map's columns, and any further
+    `columns`, each hold one entry per node id."""
+    n = len(zone_map.node_ids)
+    columns.update(
+        values=zone_map.values, zones=zone_map.zones, percentiles=zone_map.percentiles
+    )
+    for name, column in columns.items():
+        if np.shape(column) != (n,):
+            raise ShapeMismatchError(
+                f"week {zone_map.week}: {name} of shape {np.shape(column)} for {n} node ids"
+            )
 
 
 def export_geojson(
@@ -100,20 +109,49 @@ def export_geojson(
     out_dir: str | Path,
     config_hash: str = "",
 ) -> list[Path]:
-    """One file per week: risk_week_<label>.geojson. Returns written paths."""
+    """One file per week: risk_week_<label>.geojson. Returns written paths.
+
+    Each file is a FeatureCollection of node-centroid points in
+    `artifacts.write_json`'s layout, formatted here from the map's columns.
+    ShapeMismatchError if a map's columns or the coordinates do not hold
+    one entry per node id.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    lon_text, lat_text = _json_floats(lons), _json_floats(lats)
+    config_text = json.dumps(config_hash)
+    labels = [json.dumps(label) for label in ZONE_LABELS]
+    head_ids, heads, paths = None, [], []
     for zone_map in zone_maps:
-        collection = zone_map_feature_collection(zone_map, lons, lats, config_hash)
+        _check_columns(zone_map, lons=lons, lats=lats)
+        ids = [int(node_id) for node_id in zone_map.node_ids]
+        if ids != head_ids:
+            head_ids, heads = ids, _feature_heads(ids, lon_text, lat_text)
+        week = json.dumps(zone_map.week)
+        zones = [int(zone) for zone in np.asarray(zone_map.zones).tolist()]
+        features = ",\n".join(
+            f'{head}{percentile},\n        "value": {value},\n        "week": {week},\n'
+            f'        "zone": {zone},\n        "zone_label": {labels[zone]}\n'
+            '      },\n      "type": "Feature"\n    }'
+            for head, percentile, value, zone in zip(
+                heads, _json_floats(zone_map.percentiles), _json_floats(zone_map.values), zones
+            )
+        )
+        features = f"[\n{features}\n  ]" if features else "[]"
         path = out_dir / f"risk_week_{zone_map.week}.geojson"
-        write_json(path, collection)
+        path.write_text(
+            f'{{\n  "config_hash": {config_text},\n  "features": {features},\n'
+            f'  "type": "FeatureCollection",\n  "week": {week}\n}}\n'
+        )
         paths.append(path)
     return paths
 
 
 def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path, config_hash: str = "") -> None:
-    """Companion table for plotting tools."""
+    """Companion table for plotting tools; ShapeMismatchError as for
+    `export_geojson`."""
+    for zone_map in zone_maps:
+        _check_columns(zone_map)
     rows = (
         [
             node_id,
@@ -136,6 +174,8 @@ def load_zone_geojson(path: str | Path) -> dict:
 
 def validate_geojson(obj: dict) -> list[str]:
     """Structural checks per the GeoJSON spec; returns a list of problems."""
+    if not isinstance(obj, dict):
+        return ["root must be an object"]
     problems = []
     if obj.get("type") != "FeatureCollection":
         problems.append("root type must be FeatureCollection")
@@ -144,6 +184,9 @@ def validate_geojson(obj: dict) -> list[str]:
         return problems + ["features must be a list"]
     for idx, feature in enumerate(features):
         where = f"features[{idx}]"
+        if not isinstance(feature, dict):
+            problems.append(f"{where}: must be an object")
+            continue
         if feature.get("type") != "Feature":
             problems.append(f"{where}: type must be Feature")
         if not isinstance(feature.get("properties"), dict):
@@ -153,10 +196,11 @@ def validate_geojson(obj: dict) -> list[str]:
             problems.append(f"{where}: geometry must be a Point")
             continue
         coords = geometry.get("coordinates")
+        # json reads true and false as bool, which is an int
         if (
             not isinstance(coords, list)
             or len(coords) != 2
-            or not all(isinstance(c, (int, float)) for c in coords)
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coords)
         ):
             problems.append(f"{where}: coordinates must be [lon, lat] numbers")
             continue

@@ -50,3 +50,33 @@ def training_data(tensor, t_in, t_out, fractions=(0.6, 0.2, 0.2), channel_mask=(
     splits = split_temporal(tensor.n_weeks, t_in, t_out, fractions)
     targets = tensor.values[:, :, TARGET_CHANNEL].copy()
     return TrainingData(tensor, targets, t_in, t_out, splits, channel_mask)
+
+
+def zone_map_feature_collection(zone_map, lons, lats, config_hash="") -> dict:
+    """One week's map as a dict; with `artifacts.write_json` it is the oracle
+    for the text `riskmap.export_geojson` formats itself."""
+    features = []
+    for i, node_id in enumerate(zone_map.node_ids):
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {
+                    "type": "Point",
+                    "coordinates": [float(lons[i]), float(lats[i])],
+                },
+                "properties": {
+                    "node_id": int(node_id),
+                    "week": zone_map.week,
+                    "zone": int(zone_map.zones[i]),
+                    "zone_label": zone_map.zone_label(i),
+                    "value": float(zone_map.values[i]),
+                    "percentile": float(zone_map.percentiles[i]),
+                },
+            }
+        )
+    return {
+        "type": "FeatureCollection",
+        "config_hash": config_hash,
+        "week": zone_map.week,
+        "features": features,
+    }

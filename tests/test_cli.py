@@ -10,6 +10,7 @@ import pytest
 
 from roadrisk import ablation, cli
 from roadrisk import model as md
+from roadrisk.artifacts import write_json
 from roadrisk.riskmap import load_zone_geojson, validate_geojson
 
 
@@ -90,6 +91,18 @@ def test_outputs_embed_config_hash(pipeline):
         lines = (out / name).read_text().splitlines()
         assert lines[0].split(",")[-1] == "config_hash", name
         assert lines[1].split(",")[-1] == manifest_hash, name
+
+
+def test_json_artifacts_keep_the_write_json_layout(pipeline, tmp_path):
+    # the maps are formatted by hand in this layout; any drift shows here
+    _, out = pipeline
+    paths = sorted(out.glob("*.json")) + sorted((out / "maps").glob("*.geojson"))
+    assert len(paths) > 12
+    for path in paths:
+        again = tmp_path / path.name
+        with open(path) as fh:
+            write_json(again, json.load(fh))
+        assert again.read_bytes() == path.read_bytes(), path.name
 
 
 def test_rerun_is_idempotent(pipeline):

@@ -3,7 +3,22 @@ import json
 import numpy as np
 import pytest
 
+from helpers import zone_map_feature_collection
 from roadrisk import riskmap as rm
+from roadrisk.artifacts import write_json
+from roadrisk.errors import ShapeMismatchError
+
+
+def assert_export_matches_oracle(tmp_path, zone_maps, lons, lats, config_hash):
+    """export_geojson writes, file for file, the bytes of write_json on the
+    dict the maps used to be built as."""
+    paths = rm.export_geojson(zone_maps, lons, lats, tmp_path / "maps", config_hash)
+    assert [p.name for p in paths] == [f"risk_week_{m.week}.geojson" for m in zone_maps]
+    for zone_map, path in zip(zone_maps, paths):
+        oracle = tmp_path / "oracle.json"
+        write_json(oracle, zone_map_feature_collection(zone_map, lons, lats, config_hash))
+        assert path.read_bytes() == oracle.read_bytes(), path.name
+    return paths
 
 
 def test_all_zero_predictions_all_norisk():
@@ -139,3 +154,88 @@ def test_zone_csv(tmp_path):
     assert lines[0].startswith("node_id,week,value,zone")
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "3"
+
+
+@pytest.mark.parametrize("n", [1, 30, 300])
+def test_export_is_bytewise_the_write_json_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    lons = rng.uniform(-0.2, 0.1, n)
+    lats = rng.uniform(51.4, 51.6, n)
+    node_ids = rng.permutation(10 * n)[:n].tolist()
+    zone_maps = []
+    for week in ("2013-W40", "2013-W41", "2013-W42"):
+        values = np.round(rng.uniform(-1.0, 4.0, n), 2)  # ties and non-positives
+        zone_maps.append(rm.classify_zones(values, week, node_ids))
+    assert_export_matches_oracle(tmp_path, zone_maps, lons, lats, "3f9a")
+
+
+def test_export_of_a_map_without_nodes(tmp_path):
+    zone_map = rm.classify_zones(np.zeros(0), "2013-W40", [])
+    (path,) = assert_export_matches_oracle(tmp_path, [zone_map], np.zeros(0), np.zeros(0), "h")
+    assert '\n  "features": [],\n' in path.read_text()
+    assert rm.load_zone_geojson(path)["features"] == []
+
+
+def test_export_spells_floats_and_strings_as_json_does(tmp_path):
+    values = np.array([-0.0, 5e-324, 1e16, 1e-07, 1.0 / 3.0, 2.5])
+    lons = np.array([-0.0, -0.1278, 0.0, -179.99999999999997, 1e-07, 180.0])
+    lats = np.array([51.5, -0.0, 1.0 / 3.0, 5e-324, -90.0, float("nan")])
+    # a quote and a non-ASCII character, which json writes as an escape
+    week = 'W"40-\u00e9'
+    zone_map = rm.classify_zones(values, week, [0, 1, 2, 3, 4, 5])
+    (path,) = assert_export_matches_oracle(tmp_path, [zone_map], lons, lats, 'cfg"\u00fc')
+    text = path.read_text()
+    assert text.isascii()
+    for spelled in ("-0.0", "5e-324", "1e+16", "1e-07", "0.3333333333333333", "NaN"):
+        assert spelled in text
+
+
+def test_export_of_maps_whose_node_lists_differ(tmp_path):
+    lons, lats = np.array([-0.1, -0.2, -0.3]), np.array([51.1, 51.2, 51.3])
+    zone_maps = [
+        rm.classify_zones(np.array([0.0, 1.0, 2.0]), "2013-W40", [10, 11, 12]),
+        rm.classify_zones(np.array([3.0, 1.0, 0.5]), "2013-W41", [12, 10, 11]),
+        rm.classify_zones(np.array([3.0, 2.0, 1.0]), "2013-W42", [12, 10, 11]),
+        rm.classify_zones(np.array([1.0, 2.0, 3.0]), "2013-W43", [10, 11, 12]),
+    ]
+    assert_export_matches_oracle(tmp_path, zone_maps, lons, lats, "cfg")
+
+
+def test_node_ids_shorter_than_values_is_an_error(tmp_path):
+    values = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ShapeMismatchError):
+        rm.classify_zones(values, "w", node_ids=[7, 8])
+    zone_map = rm.ZoneMap("w", [7, 8], values, np.array([1, 3, 5]), np.array([1.0, 50.0, 99.0]))
+    with pytest.raises(ShapeMismatchError):
+        rm.export_geojson([zone_map], np.zeros(3), np.zeros(3), tmp_path)
+    with pytest.raises(ShapeMismatchError):
+        rm.write_zone_csv([zone_map], tmp_path / "zones.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("short", ["lons", "lats"])
+def test_coordinates_shorter_than_nodes_is_an_error(tmp_path, short):
+    zone_map = rm.classify_zones(np.array([1.0, 2.0, 3.0]), "w", [7, 8, 9])
+    coords = {"lons": np.zeros(3), "lats": np.zeros(3)}
+    coords[short] = np.zeros(2)
+    with pytest.raises(ShapeMismatchError):
+        rm.export_geojson([zone_map], coords["lons"], coords["lats"], tmp_path)
+
+
+def test_validator_reports_non_objects_instead_of_raising():
+    point = {"type": "Point", "coordinates": [0.0, 0.0]}
+    for features in ([1], [{"type": "Feature", "geometry": "x", "properties": {}}],
+                     [{"type": "Feature", "geometry": point, "properties": [1]}]):
+        problems = rm.validate_geojson({"type": "FeatureCollection", "features": features})
+        assert len(problems) == 1, features
+    assert rm.validate_geojson([1]) == ["root must be an object"]
+
+
+def test_validator_rejects_boolean_coordinates():
+    feature = {
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [True, False]},
+        "properties": {},
+    }
+    problems = rm.validate_geojson({"type": "FeatureCollection", "features": [feature]})
+    assert problems == ["features[0]: coordinates must be [lon, lat] numbers"]
