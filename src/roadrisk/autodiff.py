@@ -28,7 +28,6 @@ import threading
 import warnings
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ShapeMismatchError
 
@@ -280,28 +279,6 @@ def matmul_sorted(a, b) -> Tensor:
     )
 
 
-def neighbor_table(adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """Edge list of a square adjacency (dense or scipy sparse), padded per row.
-
-    Returns (neighbors, weights), both (n, max_degree): each row's nonzero
-    columns in ascending order, padded with -1 to the widest row, and the
-    adjacency values there, padded with 0.0. No (n, n) array is formed for
-    a sparse input.
-    """
-    a = sparse.csr_matrix(adjacency, dtype=np.float64, copy=True)
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    n = a.shape[0]
-    counts = np.diff(a.indptr)
-    rows = np.repeat(np.arange(n), counts)
-    slots = np.arange(a.nnz) - a.indptr[rows]
-    neighbors = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
-    weights = np.zeros(neighbors.shape)
-    neighbors[rows, slots] = a.indices
-    weights[rows, slots] = a.data
-    return neighbors, weights
-
-
 def _edge_sum(gate: np.ndarray, neighbors: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Rows of `matmul_sorted(G, h)` for the (batch, rows, n) matrix G that is
     `gate` (batch or 1, rows, max_degree) at the columns `neighbors` (rows,
@@ -351,7 +328,7 @@ def _edge_transpose(gate: np.ndarray, neighbors: np.ndarray, g: np.ndarray) -> n
 def edge_matmul_sorted(neighbors: np.ndarray, edge_weights: np.ndarray, h) -> Tensor:
     """`matmul_sorted(A, h)` summed over the edges of the constant adjacency A.
 
-    neighbors, edge_weights: A's `neighbor_table`; h: (..., n, d). Bitwise
+    neighbors, edge_weights: A's `graph.EdgeTable`; h: (..., n, d). Bitwise
     equal to the dense product (see `_edge_sum`). The backward gathers each
     node's incoming edges, so no (n, n) array is formed.
     """
@@ -435,7 +412,7 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     grows with edges.
 
     q, k: (..., n, d); h: (..., n, d_h); neighbors, edge_weights: the
-    `neighbor_table` of the constant adjacency A. Attention is normalised
+    `graph.EdgeTable` of the constant adjacency A. Attention is normalised
     over all n nodes, but A keeps only its edges, so the op walks blocks of
     complete rows, as many as fit in BLOCK_ELEMENTS node pairs. Per block it
     forms the logits, the row max, the exponentials and their sorted-sum

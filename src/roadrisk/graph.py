@@ -4,7 +4,9 @@ Accident locations are grouped on a square grid (local equirectangular
 projection around the region centroid); each occupied cell becomes a node at
 the mean position of its members. Nodes are linked to their k nearest
 neighbors with Gaussian kernel weights over haversine distance, symmetrized,
-and normalized as D^-1/2 A D^-1/2 for stable iterative smoothing.
+and normalized as D^-1/2 A D^-1/2 for stable iterative smoothing. The graph
+is held as padded numpy edge tables; scipy is imported only for the kd-tree
+that finds the neighbours.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .artifacts import artifact_rows, finite, write_table
 from .errors import (
@@ -60,14 +61,51 @@ class GraphParams:
             raise ConfigError(f"graph sigma_m must be positive or null, not {self.sigma_m}")
 
 
+class EdgeTable(NamedTuple):
+    """A square matrix by its nonzero entries, padded per row: `neighbors`
+    (n, max_degree) holds each row's columns in ascending order, padded with
+    -1, and `weights` the values there, padded with 0.0."""
+
+    neighbors: np.ndarray
+    weights: np.ndarray
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, values) of the stored entries, by row, then column."""
+        stored = self.neighbors >= 0
+        return np.nonzero(stored)[0], self.neighbors[stored], self.weights[stored]
+
+
+def _edge_table(key: np.ndarray, weights: np.ndarray, n: int) -> EdgeTable:
+    """The table of the entries at rows, columns `divmod(key, n)`, given by ascending key."""
+    rows, cols = np.divmod(key, n)
+    counts = np.bincount(rows, minlength=n)
+    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    neighbors = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
+    table = np.zeros(neighbors.shape)
+    neighbors[rows, slots] = cols
+    table[rows, slots] = weights
+    return EdgeTable(neighbors, table)
+
+
+def _row_sums(a: EdgeTable) -> np.ndarray:
+    """Each row's sum over its edges alone, by `np.add.reduceat` as scipy's
+    CSR row sum takes it: numpy sums a row of 8 or more in 8 interleaved
+    parts, so padding zeros would change the rounding."""
+    rows, _, weights = a.entries()
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    total = np.zeros(a.neighbors.shape[0])
+    total[rows[starts]] = np.add.reduceat(weights, starts)
+    return total
+
+
 @dataclass
 class SpatialGraph:
     node_ids: list[int]
     lons: np.ndarray
     lats: np.ndarray
     member_counts: np.ndarray
-    adjacency: sparse.csr_matrix       # symmetric, zero diagonal
-    adjacency_norm: sparse.csr_matrix  # D^-1/2 A D^-1/2
+    edges: EdgeTable           # kernel weights; symmetric, no self loops
+    adjacency_norm: EdgeTable  # D^-1/2 A D^-1/2 over the same edges
     params: GraphParams = field(default_factory=GraphParams)
 
     @property
@@ -76,11 +114,20 @@ class SpatialGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        return _row_sums(self.edges)
+
+    @property
+    def adjacency(self):
+        """The kernel weights as a scipy CSR matrix, built on each access.
+        No stage reads it, so scipy is imported only here."""
+        from scipy import sparse
+
+        rows, cols, weights = self.edges.entries()
+        return sparse.csr_matrix((weights, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
 
     def edge_counts(self) -> dict:
         """Stored (directed) entries and undirected pair count."""
-        directed = self.adjacency.nnz
+        directed = int((self.edges.neighbors >= 0).sum())
         return {"directed": directed, "undirected": directed // 2}
 
 
@@ -219,12 +266,13 @@ def build_adjacency(
     lats: np.ndarray,
     k: int,
     sigma_m: float | None = None,
-) -> tuple[sparse.csr_matrix, float]:
+) -> tuple[EdgeTable, float]:
     """Gaussian-kernel kNN adjacency, symmetrized with elementwise max.
 
     Entry (i, j) is exp(-d_ij^2 / (2 sigma^2)) when j is among i's k nearest
-    neighbors (self excluded; distance ties broken by ascending node id).
-    Returns (A, sigma) where sigma is the bandwidth actually used.
+    neighbors (self excluded; distance ties broken by ascending node id). A
+    weight that underflows to 0.0 is no edge. Returns (A, sigma) where sigma
+    is the bandwidth actually used.
     """
     n = lons.size
     if not (n > k >= 1):
@@ -234,25 +282,30 @@ def build_adjacency(
         sigma_m = float(np.median(knn_d))
     if sigma_m <= 0:
         raise DegenerateGeometryError("sigma must be positive")
-    weights = np.exp(-(knn_d**2) / (2.0 * sigma_m**2))
-    rows = np.repeat(np.arange(n), k)
-    a = sparse.coo_matrix(
-        (weights.ravel(), (rows, neighbors.ravel())), shape=(n, n)
-    ).tocsr()
-    a = a.maximum(a.T)
-    a.setdiag(0.0)
-    a.eliminate_zeros()
-    return a, sigma_m
+    weights = np.tile(np.exp(-(knn_d**2) / (2.0 * sigma_m**2)).ravel(), 2)
+    rows, cols = np.repeat(np.arange(n), k), neighbors.ravel()
+    # each pair in both directions, by pair, then weight: a pair's last entry
+    # holds its larger weight, and one that underflowed to 0.0 is no edge
+    key = np.concatenate((rows * n + cols, cols * n + rows))
+    order = np.lexsort((weights, key))
+    key, weights = key[order], weights[order]
+    keep = np.append(key[1:] != key[:-1], True) & (weights > 0.0)
+    return _edge_table(key[keep], weights[keep], n), sigma_m
 
 
-def normalize_sym(a: sparse.csr_matrix) -> sparse.csr_matrix:
-    """D^-1/2 A D^-1/2; every node must have positive degree."""
-    degrees = np.asarray(a.sum(axis=1)).ravel()
+def normalize_sym(a: EdgeTable) -> EdgeTable:
+    """D^-1/2 A D^-1/2 over A's edges; every node must have positive degree.
+
+    Each weight is (d_i^-1/2 * a_ij) * d_j^-1/2, rounded as scipy's product
+    of the diagonal matrices rounds it.
+    """
+    degrees = _row_sums(a)
     zero = np.flatnonzero(degrees <= 0.0)
     if zero.size:
         raise ZeroDegreeNodeError(int(zero[0]))
-    inv_sqrt = sparse.diags(1.0 / np.sqrt(degrees))
-    return (inv_sqrt @ a @ inv_sqrt).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    # padding slots read the last node's factor and a zero weight
+    return EdgeTable(a.neighbors, inv_sqrt[:, None] * a.weights * inv_sqrt[a.neighbors])
 
 
 def build_graph(
@@ -281,7 +334,7 @@ def build_graph(
         lons=node_lons,
         lats=node_lats,
         member_counts=counts,
-        adjacency=a,
+        edges=a,
         adjacency_norm=a_norm,
         params=GraphParams(params.cell_size_m, params.k, sigma),
     )
@@ -302,14 +355,8 @@ def save_graph(
         )
     )
     write_table(nodes_path, ["node_id", "lon", "lat", "member_count"], nodes, config_hash)
-    coo = graph.adjacency.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    edges = (
-        [i, j, repr(w)]
-        for i, j, w in zip(
-            coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()
-        )
-    )
+    rows, cols, weights = (column.tolist() for column in graph.edges.entries())
+    edges = ([i, j, repr(w)] for i, j, w in zip(rows, cols, weights))
     write_table(edges_path, ["i", "j", "weight"], edges, config_hash)
 
 
@@ -317,8 +364,9 @@ def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = 
     """Read a `save_graph` pair; `adjacency_norm` is `normalize_sym` of the
     stored weights. CorruptArtifactError (exit 3) names the line of a row
     that does not parse or holds a coordinate that is not finite or a weight
-    that is not finite and above 0, or names a node without edges, and says
-    to run `graph` again."""
+    that is not finite and above 0, or names an edge listed twice, an edge
+    without a mirror of equal weight or a node without edges, and says to
+    run `graph` again."""
     ids, lons, lats, counts = [], [], [], []
     with artifact_rows(nodes_path, ["node_id", "lon", "lat", "member_count"], "graph") as (
         (i_id, i_lon, i_lat, i_count), rows
@@ -329,28 +377,39 @@ def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = 
             lats.append(finite(row[i_lat]))
             counts.append(int(row[i_count]))
     n = len(ids)
-    edge_i, edge_j, w = [], [], []
+    key, w = [], []
     with artifact_rows(edges_path, ["i", "j", "weight"], "graph") as ((i_i, i_j, i_w), rows):
         for row in rows:
             i, j = int(row[i_i]), int(row[i_j])
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) names a node outside the {n} in {nodes_path}")
-            edge_i.append(i)
-            edge_j.append(j)
+            key.append(i * n + j)
             w.append(finite(row[i_w]))
             if w[-1] <= 0.0:
                 raise ValueError(f"edge weight {row[i_w]!r} is not above 0")
-    a = sparse.coo_matrix((w, (edge_i, edge_j)), shape=(n, n)).tocsr()
+    key = np.array(key, dtype=np.intp)
+    order = np.argsort(key)
+    key, w = key[order], np.array(w)[order]
+    a = _edge_table(key, w, n)
     try:
         a_norm = normalize_sym(a)
     except ZeroDegreeNodeError as exc:
         raise CorruptArtifactError(edges_path, None, str(exc), "graph") from exc
+    mirror = (key % n) * n + key // n
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    for bad, problem in (
+        (key[1:] == key[:-1], "is listed twice"),
+        ((key[at] != mirror) | (w[at] != w), "has no mirror of equal weight"),
+    ):
+        if bad.any():
+            i, j = divmod(int(key[np.argmax(bad)]), n)
+            raise CorruptArtifactError(edges_path, None, f"edge ({i}, {j}) {problem}", "graph")
     return SpatialGraph(
         node_ids=ids,
         lons=np.array(lons),
         lats=np.array(lats),
         member_counts=np.array(counts),
-        adjacency=a,
+        edges=a,
         adjacency_norm=a_norm,
         params=params or GraphParams(),
     )

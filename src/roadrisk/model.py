@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from .artifacts import read_columns, write_columns
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeMismatchError
+from .graph import EdgeTable
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ def load_checkpoint(path, config: ModelConfig) -> dict[str, Tensor]:
 class RiskForecaster:
     """Forward pass over a fixed graph; parameters live in a flat dict.
 
-    The model keeps the graph's CSR adjacency and the neighbour table and edge
-    weights derived from it, never a dense (n, n) copy.
+    The model keeps the graph's normalised adjacency as its edge table, never
+    a dense (n, n) copy.
 
     Attention capture is opt-in and off by default, as in training, `predict`
     and the benchmark, where `attention_log` stays empty. With
@@ -166,16 +166,13 @@ class RiskForecaster:
     def __init__(
         self,
         config: ModelConfig,
-        adjacency_norm,
+        adjacency_norm: EdgeTable,
         params: dict[str, Tensor] | None = None,
         seed: int = 0,
         capture_attention: bool = False,
     ):
         self.config = config
-        self.a_norm = sparse.csr_matrix(adjacency_norm, dtype=np.float64)
-        if self.a_norm.shape[0] != self.a_norm.shape[1]:
-            raise ShapeMismatchError("adjacency must be square")
-        self._neighbors, self._edge_weights = ad.neighbor_table(self.a_norm)
+        self.a_norm = adjacency_norm
         self.params = params if params is not None else init_params(config, seed)
         self.capture_attention = capture_attention
         self.attention_log: list[dict] = []
@@ -184,7 +181,7 @@ class RiskForecaster:
 
     @property
     def n_nodes(self) -> int:
-        return self.a_norm.shape[0]
+        return self.a_norm.neighbors.shape[0]
 
     def _log_attention(self, site: str, weights: np.ndarray, mask: np.ndarray | None):
         if self.capture_attention:
@@ -234,11 +231,11 @@ class RiskForecaster:
             if self.config.spatial_attention:
                 q = ad.matmul(ht, p[f"{prefix}.p{f}.wq"])
                 k = ad.matmul(ht, p[f"{prefix}.p{f}.wk"])
-                message = ad.edge_attention(q, k, self._neighbors, self._edge_weights, ht)
+                message = ad.edge_attention(q, k, *self.a_norm, ht)
                 if self.capture_attention:
                     self._log_attention(f"{prefix}.p{f}", ad.attention_rows(q, k), None)
             else:
-                message = ad.edge_matmul_sorted(self._neighbors, self._edge_weights, ht)
+                message = ad.edge_matmul_sorted(*self.a_norm, ht)
             parts.append(ad.relu(ad.matmul(message, p[f"{prefix}.p{f}.theta"])))
         combined = ad.add(ad.add(parts[0], parts[1]), parts[2])
         return ad.transpose(ad.scale(combined, 1.0 / N_PATTERNS), (1, 0, 2))

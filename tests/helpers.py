@@ -1,9 +1,48 @@
 """Test helpers that the pipeline itself never calls."""
 
 import numpy as np
+from scipy import sparse
 
 from roadrisk.autodiff import Tape, no_grad
+from roadrisk.graph import EdgeTable
 from roadrisk.training import TARGET_CHANNEL, TrainingData, split_temporal
+
+
+def neighbor_table(adjacency) -> EdgeTable:
+    """The edge table of a square adjacency, dense or scipy sparse: the
+    oracle for the tables the pipeline builds without scipy.
+
+    Each row's nonzero columns in ascending order, padded with -1 to the
+    widest row, and the adjacency values there, padded with 0.0. No (n, n)
+    array is formed for a sparse input.
+    """
+    a = sparse.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    n = a.shape[0]
+    counts = np.diff(a.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    slots = np.arange(a.nnz) - a.indptr[rows]
+    neighbors = np.full((n, counts.max(initial=0)), -1, dtype=np.intp)
+    weights = np.zeros(neighbors.shape)
+    neighbors[rows, slots] = a.indices
+    weights[rows, slots] = a.data
+    return EdgeTable(neighbors, weights)
+
+
+def csr(table: EdgeTable) -> sparse.csr_matrix:
+    """An edge table as the scipy CSR matrix it stands for."""
+    stored = table.neighbors >= 0
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    n = table.neighbors.shape[0]
+    return sparse.csr_matrix((table.weights[stored], table.neighbors[stored], indptr), shape=(n, n))
+
+
+def scipy_normalize(a: sparse.csr_matrix) -> sparse.csr_matrix:
+    """D^-1/2 A D^-1/2 through scipy, as the graph was normalised before it
+    became numpy edge tables: the oracle `graph.normalize_sym` matches bitwise."""
+    inv_sqrt = sparse.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+    return (inv_sqrt @ a @ inv_sqrt).tocsr()
 
 
 def grad_check(function, params, eps=1e-5, max_coords=24, seed=0) -> float:

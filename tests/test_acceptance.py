@@ -34,7 +34,7 @@ from roadrisk.ingest import (
 from roadrisk.model import ModelConfig, RiskForecaster
 from roadrisk.synthetic import fixture_region
 
-from helpers import grad_check
+from helpers import grad_check, neighbor_table
 
 REAL_DATA_ENV = "ROADRISK_STATS19_CSV"
 
@@ -75,7 +75,7 @@ def test_gradient_integrity_every_op():
     conv_x, conv_w, conv_b = p((2, 5, 3)), p((3, 3, 2)), p(2)
     mask = np.triu(np.full((3, 3), ad.MASK_VALUE), k=1)
     path = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.7], [0.0, 0.7, 0.0]])
-    path_nbrs, path_weights = ad.neighbor_table(path)
+    path_nbrs, path_weights = neighbor_table(path)
 
     def abs_sum(y):
         return ad.sum_(ad.abs_(y))
@@ -148,7 +148,7 @@ def test_gradient_integrity_every_op():
 def test_gradient_integrity_end_to_end():
     started = time.time()
     cfg = ModelConfig(d=4, heads=2, layers=1, t_in=2, t_out=2, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, ring_norm(3), seed=13)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=13)
     x = np.random.default_rng(13).uniform(0, 1, (3, 2, 3))
     target = np.random.default_rng(14).uniform(0, 1, (3, 2))
 
@@ -166,7 +166,7 @@ def test_gradient_integrity_end_to_end():
 
 def test_causality_decoder_and_conv():
     cfg = ModelConfig(d=8, heads=2, layers=1, t_in=4, t_out=6, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, ring_norm(4), seed=3)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(4)), seed=3)
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (4, 4, 3))
     with ad.no_grad():
@@ -194,7 +194,8 @@ def test_causality_decoder_and_conv():
 
 def test_attention_rows_stochastic_every_layer():
     cfg = ModelConfig(d=8, heads=2, layers=2, t_in=5, t_out=4, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, random_norm(4, seed=5), seed=5, capture_attention=True)
+    a_norm = neighbor_table(random_norm(4, seed=5))
+    model = RiskForecaster(cfg, a_norm, seed=5, capture_attention=True)
     x = np.random.default_rng(5).uniform(0, 1, (4, 5, 3))
     model.predict(x)
     sites = 0
@@ -212,12 +213,12 @@ def test_attention_rows_stochastic_every_layer():
 def test_node_permutation_equivariance():
     cfg = ModelConfig(d=8, heads=2, layers=1, t_in=3, t_out=3, conv_kernel=3, dropout=0.0)
     a_norm = random_norm(5, seed=8)
-    model = RiskForecaster(cfg, a_norm, seed=9)
+    model = RiskForecaster(cfg, neighbor_table(a_norm), seed=9)
     x = np.random.default_rng(8).uniform(0, 1, (5, 3, 3))
     base = model.predict(x)
     for seed in range(10):
         p = np.random.default_rng(seed).permutation(5)
-        permuted = RiskForecaster(cfg, a_norm[np.ix_(p, p)], params=model.params)
+        permuted = RiskForecaster(cfg, neighbor_table(a_norm[np.ix_(p, p)]), params=model.params)
         got = permuted.predict(x[p])
         assert np.abs(got - base[p]).max() == 0.0
     announce("node-permutation equivariance: bitwise on 5-node fixture")
@@ -243,12 +244,12 @@ def test_node_permutation_equivariance_300_nodes():
     cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.0)
     n = 300
     a_norm = knn_norm(n, seed=30)
-    model = RiskForecaster(cfg, a_norm, seed=31)
+    model = RiskForecaster(cfg, neighbor_table(a_norm), seed=31)
     x = np.random.default_rng(32).uniform(0, 1, (n, 12, 3))
     base = model.predict(x)
     for seed in range(3):
         p = np.random.default_rng(seed).permutation(n)
-        permuted = RiskForecaster(cfg, a_norm[np.ix_(p, p)], params=model.params)
+        permuted = RiskForecaster(cfg, neighbor_table(a_norm[np.ix_(p, p)]), params=model.params)
         got = permuted.predict(x[p])
         assert np.abs(got - base[p]).max() == 0.0, seed
     announce("node-permutation equivariance: bitwise on a 300-node kNN graph")
@@ -270,7 +271,7 @@ def test_diffusion_against_dense_oracle():
             alpha=tuple(rng.uniform(0, 1, 3)),
             iters=tuple(int(i) for i in rng.integers(0, 4, 3)),
         )
-        got = df.apply_diffusion(tensor, a, cfg).values
+        got = df.apply_diffusion(tensor, neighbor_table(a), cfg).values
         want = np.empty_like(got)
         for f in range(3):
             for t in range(w):
@@ -291,7 +292,8 @@ def test_diffusion_no_diffusion_identity_and_nonexpansive():
     tensor = RiskTensor(
         [f"w{t}" for t in range(4)], list(range(6)), rng.uniform(0, 5, (4, 6, 3))
     )
-    out = df.apply_diffusion(tensor, random_norm(6, seed=0), df.preset("No_Diffusion"))
+    a_norm = neighbor_table(random_norm(6, seed=0))
+    out = df.apply_diffusion(tensor, a_norm, df.preset("No_Diffusion"))
     assert (out.values == tensor.values).all()
 
     # non-expansiveness in the Euclidean norm: the update is a convex
@@ -304,7 +306,7 @@ def test_diffusion_no_diffusion_identity_and_nonexpansive():
         x = local.standard_normal(n)
         alpha = float(local.uniform(0, 1))
         iters = int(local.integers(1, 4))
-        stepped = df.diffuse_feature(x, a, alpha, iters)
+        stepped = df.diffuse_feature(x, neighbor_table(a), alpha, iters)
         assert np.linalg.norm(stepped) <= np.linalg.norm(x) + 1e-12
     announce("No_Diffusion exact identity; non-expansive (L2) on 100 seeded graphs")
 

@@ -8,7 +8,7 @@ from roadrisk import autodiff as ad
 from roadrisk.autodiff import Tape, Tensor
 from roadrisk.errors import ShapeMismatchError
 
-from helpers import grad_check
+from helpers import grad_check, neighbor_table
 
 
 def param(data, seed=None):
@@ -112,9 +112,9 @@ def graph_inputs(n, seed, weeks=3, d=4):
 @pytest.mark.parametrize("n", [30, 300])
 def test_edge_matmul_sorted_matches_dense_bitwise(n):
     adjacency, h = graph_inputs(n, seed=n)
-    neighbors, weights = ad.neighbor_table(adjacency)
+    neighbors, weights = neighbor_table(adjacency)
     assert neighbors.shape[1] < n  # the gather really skips non-edges
-    sparse_table = ad.neighbor_table(sparse.csr_matrix(adjacency))
+    sparse_table = neighbor_table(sparse.csr_matrix(adjacency))
     assert (sparse_table[0] == neighbors).all() and (sparse_table[1] == weights).all()
     got = ad.edge_matmul_sorted(neighbors, weights, Tensor(h)).data
     dense = np.broadcast_to(adjacency, h.shape[:-1] + (n,)).copy()
@@ -129,7 +129,7 @@ def test_edge_matmul_sorted_gradient_matches_dense_chain():
         h = param(h_data)
         with Tape() as tape:
             if edge:
-                out = ad.edge_matmul_sorted(*ad.neighbor_table(adjacency), h)
+                out = ad.edge_matmul_sorted(*neighbor_table(adjacency), h)
             else:
                 out = ad.matmul_sorted(Tensor(np.broadcast_to(adjacency, (3, 30, 30)).copy()), h)
             tape.backward(ad.sum_(ad.mul(out, upstream)))
@@ -141,11 +141,11 @@ def test_edge_matmul_sorted_gradient_matches_dense_chain():
 def test_edge_matmul_sorted_is_permutation_invariant_bitwise():
     n = 40
     adjacency, h = graph_inputs(n, seed=9)
-    base = ad.edge_matmul_sorted(*ad.neighbor_table(adjacency), Tensor(h)).data
+    base = ad.edge_matmul_sorted(*neighbor_table(adjacency), Tensor(h)).data
     for seed in range(10):
         p = np.random.default_rng(seed).permutation(n)
         got = ad.edge_matmul_sorted(
-            *ad.neighbor_table(adjacency[np.ix_(p, p)]), Tensor(h[:, p])
+            *neighbor_table(adjacency[np.ix_(p, p)]), Tensor(h[:, p])
         ).data
         assert got.tobytes() == base[:, p].tobytes()
 
@@ -158,7 +158,7 @@ def test_edge_matmul_sorted_isolated_node_and_zero_row():
     adjacency = knn_norm(n, seed=10)
     adjacency[0, :] = adjacency[:, 0] = 0.0
     h = -np.random.default_rng(12).uniform(0.5, 1.0, (2, n, 3))
-    neighbors, weights = ad.neighbor_table(adjacency)
+    neighbors, weights = neighbor_table(adjacency)
     assert (neighbors[0] == -1).all()
     weights[1] = 0.0
     dense = adjacency.copy()
@@ -168,14 +168,14 @@ def test_edge_matmul_sorted_isolated_node_and_zero_row():
     assert np.array_equal(got, want)
     assert (got[:, :2] == 0.0).all()
     assert got[:, 2:].tobytes() == want[:, 2:].tobytes()
-    empty = ad.neighbor_table(np.zeros((n, n)))
+    empty = neighbor_table(np.zeros((n, n)))
     assert empty[0].shape == (n, 0)
     lone = ad.edge_matmul_sorted(*empty, Tensor(h)).data
     assert lone.shape == h.shape and (lone == 0.0).all()
 
 
 def test_edge_matmul_sorted_shape_mismatch():
-    neighbors, weights = ad.neighbor_table(knn_norm(5, seed=13))
+    neighbors, weights = neighbor_table(knn_norm(5, seed=13))
     with pytest.raises(ShapeMismatchError):
         ad.edge_matmul_sorted(neighbors, weights, Tensor(np.ones((2, 4, 3))))
     with pytest.raises(ShapeMismatchError):
@@ -196,7 +196,7 @@ def attention_results(adjacency, arrays, upstream, fused=True, views=False):
     q, k, h = (param(a) for a in arrays)
     with Tape() as tape:
         if fused:
-            neighbors, weights = ad.neighbor_table(adjacency)
+            neighbors, weights = neighbor_table(adjacency)
             out = ad.edge_attention(q, k, neighbors, weights, h)
         else:
             out = attention_chain(q, k, adjacency, h)
@@ -247,11 +247,11 @@ def test_edge_attention_is_permutation_invariant_bitwise():
     n = 300
     adjacency = knn_norm(n, seed=23)
     (q, k, h), _ = attention_inputs(n, seed=24, weeks=2, d=16, d_h=16)
-    base = ad.edge_attention(q, k, *ad.neighbor_table(adjacency), h).data
+    base = ad.edge_attention(q, k, *neighbor_table(adjacency), h).data
     for seed in range(3):
         p = np.random.default_rng(seed).permutation(n)
         got = ad.edge_attention(
-            q[:, p], k[:, p], *ad.neighbor_table(adjacency[np.ix_(p, p)]), h[:, p]
+            q[:, p], k[:, p], *neighbor_table(adjacency[np.ix_(p, p)]), h[:, p]
         ).data
         assert got.tobytes() == base[:, p].tobytes(), seed
 
@@ -277,7 +277,7 @@ def test_edge_attention_padded_row_with_node_zero_as_neighbor(monkeypatch, block
     adjacency = np.zeros((6, 6))
     for i, j in edges:
         adjacency[i, j] = adjacency[j, i] = 0.25 + 0.1 * (i + j)
-    neighbors, _ = ad.neighbor_table(adjacency)
+    neighbors, _ = neighbor_table(adjacency)
     assert neighbors.shape[1] == 4 and list(neighbors[1]) == [0, 2, -1, -1]
     arrays, upstream = attention_inputs(6, seed=27)
     fused = attention_results(adjacency, arrays, upstream)
@@ -287,7 +287,7 @@ def test_edge_attention_padded_row_with_node_zero_as_neighbor(monkeypatch, block
 
 
 def test_edge_attention_shape_mismatch():
-    neighbors, weights = ad.neighbor_table(knn_norm(5, seed=28))
+    neighbors, weights = neighbor_table(knn_norm(5, seed=28))
     ones = Tensor(np.ones((2, 5, 4)))
     with pytest.raises(ShapeMismatchError):
         ad.edge_attention(ones, Tensor(np.ones((2, 5, 3))), neighbors, weights, ones)
@@ -328,7 +328,7 @@ def test_edge_attention_week_split_matches_one_thread_bitwise(monkeypatch, weeks
 
 def test_edge_attention_worker_failure_reaches_caller(monkeypatch):
     n, weeks = 40, 4
-    neighbors, weights = ad.neighbor_table(knn_norm(n, seed=33))
+    neighbors, weights = neighbor_table(knn_norm(n, seed=33))
     (q, k, h), _ = attention_inputs(n, seed=34, weeks=weeks)
     monkeypatch.setattr(ad, "KEEP_ELEMENTS", 0)
     original = ad._edge_sum

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import zipfile
 from importlib import resources
 from pathlib import Path
@@ -160,6 +163,20 @@ def copy_run(pipeline, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     return path, Path(config["out_dir"])
+
+
+def test_diffuse_and_train_load_no_scipy(pipeline, tmp_path):
+    # the graph is numpy edge tables: only the graph stage imports scipy
+    config_path, _ = copy_run(pipeline, tmp_path)
+    code = (
+        "import sys; from roadrisk import cli\n"
+        "for stage in ('diffuse', 'train'):\n"
+        f"    assert cli.main([stage, '--config', {str(config_path)!r}]) == 0, stage\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_truncated_checkpoint_exit_code(pipeline, tmp_path, caplog):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
+from helpers import csr, neighbor_table
 from roadrisk import diffusion as df
+from roadrisk import graph as g
 from roadrisk.errors import ConfigError, ShapeMismatchError
 from roadrisk.features import RiskTensor
 
@@ -30,20 +31,20 @@ def make_tensor(values):
 
 
 def test_alpha_zero_is_identity():
-    a = ring_norm(4)
+    a = neighbor_table(ring_norm(4))
     x = np.arange(4.0)
     np.testing.assert_array_equal(df.diffuse_feature(x, a, 0.0, 5), x)
     np.testing.assert_array_equal(df.diffuse_feature(x, a, 0.7, 0), x)
 
 
 def test_two_node_half_step():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = neighbor_table(np.array([[0.0, 1.0], [1.0, 0.0]]))
     out = df.diffuse_feature(np.array([1.0, 0.0]), a, 0.5, 1)
     np.testing.assert_allclose(out, [0.5, 0.5])
 
 
 def test_constant_vector_fixed_point():
-    a = ring_norm(6)
+    a = neighbor_table(ring_norm(6))
     x = np.full(6, 3.7)
     for alpha, iters in [(0.3, 1), (0.9, 4)]:
         np.testing.assert_allclose(df.diffuse_feature(x, a, alpha, iters), x, atol=1e-12)
@@ -51,7 +52,7 @@ def test_constant_vector_fixed_point():
 
 def test_diffuse_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        df.diffuse_feature(np.ones(3), ring_norm(4), 0.5, 1)
+        df.diffuse_feature(np.ones(3), neighbor_table(ring_norm(4)), 0.5, 1)
 
 
 def test_fuse_endpoints():
@@ -97,7 +98,7 @@ def test_config_validation():
 def test_no_diffusion_preset_is_exact_identity():
     rng = np.random.default_rng(0)
     tensor = make_tensor(rng.uniform(0, 5, (6, 5, 3)))
-    out = df.apply_diffusion(tensor, ring_norm(5), df.preset("No_Diffusion"))
+    out = df.apply_diffusion(tensor, neighbor_table(ring_norm(5)), df.preset("No_Diffusion"))
     assert (out.values == tensor.values).all()
 
 
@@ -119,23 +120,52 @@ def test_apply_diffusion_matches_dense_oracle():
     a = random_norm(4, seed=2)
     tensor = make_tensor(rng.uniform(0, 3, (5, 4, 3)))
     cfg = df.preset("Differentiated_B")
-    got = df.apply_diffusion(tensor, a, cfg)
+    got = df.apply_diffusion(tensor, neighbor_table(a), cfg)
     np.testing.assert_allclose(got.values, brute_force_apply(tensor.values, a, cfg), atol=1e-12)
 
 
-def test_apply_diffusion_accepts_sparse():
-    rng = np.random.default_rng(3)
-    a = random_norm(5, seed=4)
-    tensor = make_tensor(rng.uniform(0, 3, (4, 5, 3)))
-    cfg = df.preset("Uniform_Strong")
-    dense = df.apply_diffusion(tensor, a, cfg)
-    sparse_out = df.apply_diffusion(tensor, sparse.csr_matrix(a), cfg)
-    np.testing.assert_allclose(sparse_out.values, dense.values, atol=1e-14)
+def scipy_apply(values, a, cfg):
+    """`apply_diffusion` through scipy's CSR product, as it ran before the
+    graph became numpy edge tables."""
+    out = np.empty_like(values)
+    for f in range(3):
+        original = values[:, :, f].T
+        x = original.copy()
+        for _ in range(cfg.iters[f]):
+            x = (1.0 - cfg.alpha[f]) * x + cfg.alpha[f] * (a @ x)
+        out[:, :, f] = df.fuse(x, original, cfg.beta).T
+    return out
+
+
+def knn_table(n, seed):
+    rng = np.random.default_rng(seed)
+    lons, lats = -0.1 + rng.uniform(-0.2, 0.2, n), 51.5 + rng.uniform(-0.1, 0.1, n)
+    return g.normalize_sym(g.build_adjacency(lons, lats, 4)[0])
+
+
+def test_apply_diffusion_matches_scipy_bitwise():
+    a = knn_table(300, seed=3)
+    tensor = make_tensor(np.random.default_rng(3).uniform(0, 3, (20, 300, 3)))
+    for name in ("Differentiated_B", "Over_Diffusion"):
+        got = df.apply_diffusion(tensor, a, df.preset(name)).values
+        assert got.tobytes() == scipy_apply(tensor.values, csr(a), df.preset(name)).tobytes()
+
+
+@pytest.mark.parametrize("n", [30, 2000, 6500])
+def test_product_matches_scipy_bitwise(n):
+    a = knn_table(n, seed=n)
+    values = np.random.default_rng(n).uniform(-1, 3, (156, n, 3))
+    # the (N, W) view of one channel that apply_diffusion passes, a copy, one column
+    for x in (values[:, :, 1].T, np.ascontiguousarray(values[:, :, 2].T), values[:1, :, 0].T):
+        assert df._product(a, x).tobytes() == (csr(a) @ x).tobytes()
+    # one alpha-1 step of a vector is the product alone
+    x = values[0, :, 0]
+    assert df.diffuse_feature(x, a, 1.0, 1).tobytes() == (0.0 * x + csr(a) @ x).tobytes()
 
 
 def test_weeks_independent():
     rng = np.random.default_rng(5)
-    a = random_norm(4, seed=6)
+    a = neighbor_table(random_norm(4, seed=6))
     values = rng.uniform(0, 2, (6, 4, 3))
     cfg = df.preset("Differentiated_A")
     full = df.apply_diffusion(make_tensor(values), a, cfg).values
@@ -152,7 +182,7 @@ def test_non_expansive_in_euclidean_norm():
         a = random_norm(n, seed=seed)
         x = np.random.default_rng(seed + 1000).standard_normal(n)
         alpha = float(rng.uniform(0, 1))
-        stepped = df.diffuse_feature(x, a, alpha, 1)
+        stepped = df.diffuse_feature(x, neighbor_table(a), alpha, 1)
         assert np.linalg.norm(stepped) <= np.linalg.norm(x) + 1e-12
 
 
@@ -165,7 +195,7 @@ def test_sup_norm_can_expand():
     a_norm = a / np.sqrt(np.outer(deg, deg))
     assert a_norm[1].sum() > 1.0 + 1e-9
     x = np.array([1.0, 0.0, 1.0])
-    stepped = df.diffuse_feature(x, a_norm, 1.0, 1)
+    stepped = df.diffuse_feature(x, neighbor_table(a_norm), 1.0, 1)
     assert np.abs(stepped).max() > np.abs(x).max() + 0.1
     assert np.linalg.norm(stepped) <= np.linalg.norm(x) + 1e-12
 
@@ -178,7 +208,7 @@ def test_deviation_from_constant_nonincreasing():
         x = np.random.default_rng(seed).uniform(0, 5, n)
         alpha = float(rng.uniform(0.05, 0.95))
         before = np.abs(x - x.mean()).sum()
-        stepped = df.diffuse_feature(x, a, alpha, 1)
+        stepped = df.diffuse_feature(x, neighbor_table(a), alpha, 1)
         after = np.abs(stepped - x.mean()).sum()
         assert after <= before + 1e-9
 
@@ -186,7 +216,7 @@ def test_deviation_from_constant_nonincreasing():
 def test_per_step_fusion_is_scaled_alpha_without_fusion():
     """Blending after every step is the plain update at alpha * beta, beta 1."""
     rng = np.random.default_rng(9)
-    a = random_norm(5, seed=10)
+    a = neighbor_table(random_norm(5, seed=10))
     tensor = make_tensor(rng.uniform(0, 3, (3, 5, 3)))
     alpha, iters, beta = (0.4, 0.2, 0.6), (3, 1, 2), 0.7
     per_step = np.empty_like(tensor.values)

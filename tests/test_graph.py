@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from helpers import csr, neighbor_table, scipy_normalize
 from roadrisk import graph as g
 from roadrisk.errors import (
     CorruptArtifactError,
@@ -125,7 +126,8 @@ def test_adjacency_weight_at_sigma():
     # two nodes at distance d with sigma=d -> weight exp(-1/2)
     lons, lats = grid_points(2, 1, spacing_m=300.0)
     d = g.haversine_m(lons[0], lats[0], lons[1], lats[1])
-    a, sigma = g.build_adjacency(lons, lats, k=1, sigma_m=d)
+    table, sigma = g.build_adjacency(lons, lats, k=1, sigma_m=d)
+    a = csr(table)
     assert sigma == d
     assert a[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert a[1, 0] == a[0, 1]
@@ -133,7 +135,7 @@ def test_adjacency_weight_at_sigma():
 
 def test_adjacency_symmetric_zero_diagonal():
     lons, lats = grid_points(4, 3)
-    a, _ = g.build_adjacency(lons, lats, k=3)
+    a = csr(g.build_adjacency(lons, lats, k=3)[0])
     assert (a != a.T).nnz == 0
     assert a.diagonal().sum() == 0.0
     assert a.nnz <= 2 * 3 * lons.size
@@ -144,7 +146,7 @@ def test_adjacency_tie_break_by_node_id():
     lons, lats = grid_points(3, 1, spacing_m=250.0)
     d = pairwise_haversine_m(lons, lats)
     assert d[1, 0] == pytest.approx(d[1, 2], rel=1e-9)
-    a, _ = g.build_adjacency(lons, lats, k=1, sigma_m=300.0)
+    a = csr(g.build_adjacency(lons, lats, k=1, sigma_m=300.0)[0])
     # pre-symmetrization row 1 would hold only (1,0); max-symmetrization
     # restores (1,2) because node 2's nearest neighbor is node 1
     assert a[1, 0] > 0 and a[1, 2] > 0
@@ -158,8 +160,7 @@ def test_adjacency_equidistant_complete_graph():
     lons = np.array([0.0, lon_step, lon_step / 2])
     lats = np.array([0.0, 0.0, 0.0])
     lats[2] = math.degrees(side * math.sqrt(3) / 2 / g.EARTH_RADIUS_M)
-    a, _ = g.build_adjacency(lons, lats, k=2, sigma_m=side)
-    vals = a.data
+    vals = csr(g.build_adjacency(lons, lats, k=2, sigma_m=side)[0]).data
     assert vals.size == 6
     assert np.allclose(vals, vals[0], rtol=1e-6)
 
@@ -170,8 +171,8 @@ def test_adjacency_rejects_coincident_nodes():
 
 
 def test_normalize_two_node_graph():
-    a = sparse.csr_matrix(np.array([[0.0, 0.37], [0.37, 0.0]]))
-    norm = g.normalize_sym(a).toarray()
+    a = neighbor_table(np.array([[0.0, 0.37], [0.37, 0.0]]))
+    norm = csr(g.normalize_sym(a)).toarray()
     np.testing.assert_allclose(norm, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
@@ -180,7 +181,7 @@ def test_normalize_ring_constant_eigenvector():
     ring = np.zeros((n, n))
     for i in range(n):
         ring[i, (i + 1) % n] = ring[(i + 1) % n, i] = 0.8
-    norm = g.normalize_sym(sparse.csr_matrix(ring)).toarray()
+    norm = csr(g.normalize_sym(neighbor_table(ring))).toarray()
     ones = np.ones(n)
     np.testing.assert_allclose(norm @ ones, ones, atol=1e-12)
 
@@ -191,13 +192,13 @@ def test_normalize_spectral_radius_at_most_one():
         raw = rng.uniform(0.1, 1.0, (5, 5))
         raw = np.triu(raw, 1)
         raw = raw + raw.T
-        norm = g.normalize_sym(sparse.csr_matrix(raw)).toarray()
+        norm = csr(g.normalize_sym(neighbor_table(raw))).toarray()
         eigs = np.linalg.eigvalsh(norm)
         assert np.abs(eigs).max() <= 1 + 1e-9
 
 
 def test_normalize_zero_degree_raises():
-    a = sparse.csr_matrix(np.array([[0.0, 0.0], [0.0, 0.0]]))
+    a = neighbor_table(np.array([[0.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ZeroDegreeNodeError):
         g.normalize_sym(a)
 
@@ -207,16 +208,15 @@ def test_normalize_scale_invariance():
     raw = rng.uniform(0.1, 1.0, (6, 6))
     raw = np.triu(raw, 1)
     raw = raw + raw.T
-    base = g.normalize_sym(sparse.csr_matrix(raw)).toarray()
-    scaled = g.normalize_sym(sparse.csr_matrix(raw * 7.3)).toarray()
+    base = csr(g.normalize_sym(neighbor_table(raw))).toarray()
+    scaled = csr(g.normalize_sym(neighbor_table(raw * 7.3))).toarray()
     np.testing.assert_allclose(scaled, base, atol=1e-14)
 
 
 def test_sigma_monotonicity():
     lons, lats = grid_points(3, 3)
-    a1, _ = g.build_adjacency(lons, lats, k=3, sigma_m=100.0)
-    a2, _ = g.build_adjacency(lons, lats, k=3, sigma_m=400.0)
-    d1, d2 = a1.toarray(), a2.toarray()
+    d1 = csr(g.build_adjacency(lons, lats, k=3, sigma_m=100.0)[0]).toarray()
+    d2 = csr(g.build_adjacency(lons, lats, k=3, sigma_m=400.0)[0]).toarray()
     stored = d1 > 0
     assert (d2[stored] >= d1[stored]).all()
 
@@ -237,7 +237,8 @@ def test_build_graph_roundtrip(tmp_path):
     assert (loaded.lons == graph.lons).all()
     assert (loaded.lats == graph.lats).all()
     assert (loaded.adjacency != graph.adjacency).nnz == 0
-    assert (loaded.adjacency_norm != graph.adjacency_norm).nnz == 0
+    for got, want in zip(loaded.adjacency_norm, graph.adjacency_norm):
+        assert got.tobytes() == want.tobytes()
 
 
 def dictreader_load_graph(nodes_path, edges_path):
@@ -257,7 +258,7 @@ def dictreader_load_graph(nodes_path, edges_path):
         np.array([node[1] for node in nodes]),
         np.array([node[2] for node in nodes]),
         a,
-        g.normalize_sym(a),
+        scipy_normalize(a),
     )
 
 
@@ -277,8 +278,8 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
     assert loaded.lats.tobytes() == node_lats.tobytes()
     # the normalised adjacency is derived on load, bitwise what build_graph computed
     for got, want in (
-        (loaded.adjacency, a), (loaded.adjacency_norm, a_norm),
-        (loaded.adjacency_norm, graph.adjacency_norm),
+        (loaded.adjacency, a), (csr(loaded.adjacency_norm), a_norm),
+        (csr(loaded.adjacency_norm), csr(graph.adjacency_norm)),
     ):
         assert got.indptr.tolist() == want.indptr.tolist()
         assert got.indices.tolist() == want.indices.tolist()
@@ -301,9 +302,16 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
          "line 7: edge weight '-0.6065306597126334' is not above 0"),
         ("edges", "\n2,0,0.13533528334200767,\n2,1,0.6065306597126334,\n", "\n",
          "node 2 has zero degree"),
+        ("edges", "\n0,2,0.13533528334200767,",
+         "\n0,2,0.13533528334200767,\n0,2,0.13533528334200767,", "edge (0, 2) is listed twice"),
+        ("edges", "\n2,0,0.13533528334200767,\n", "\n",
+         "edge (0, 2) has no mirror of equal weight"),
+        ("edges", "\n2,0,0.13533528334200767,", "\n2,0,0.1353352833420077,",
+         "edge (0, 2) has no mirror of equal weight"),
     ],
     ids=["node-count", "short-edge", "edge-endpoint", "infinite-lon", "nan-lat", "nan-weight",
-         "zero-weight", "negative-weight", "zero-degree-node"],
+         "zero-weight", "negative-weight", "zero-degree-node", "duplicate-edge", "one-way-edge",
+         "unequal-mirror"],
 )
 def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
     lons, lats = grid_points(3, 1)
@@ -339,22 +347,61 @@ def dense_adjacency(lons, lats, k, sigma_m=None):
     knn_d = np.take_along_axis(d, neighbors, axis=1)
     if sigma_m is None:
         sigma_m = float(np.median(knn_d))
-    weights = np.exp(-(knn_d**2) / (2.0 * sigma_m**2))
+    return scipy_kernel(neighbors, np.exp(-(knn_d**2) / (2.0 * sigma_m**2))), sigma_m
+
+
+def scipy_kernel(neighbors, weights):
+    """The (n, k) kNN kernel weights assembled through scipy, as
+    `build_adjacency` assembled them before the graph became numpy edge
+    tables: the symmetric max, no diagonal, no zero entries."""
+    n, k = neighbors.shape
     rows = np.repeat(np.arange(n), k)
     a = sparse.coo_matrix((weights.ravel(), (rows, neighbors.ravel())), shape=(n, n)).tocsr()
     a = a.maximum(a.T)
     a.setdiag(0.0)
     a.eliminate_zeros()
-    return a, sigma_m
+    return a
 
 
-def assert_same_adjacency(lons, lats, k):
-    got, sigma = g.build_adjacency(lons, lats, k)
-    want, want_sigma = dense_adjacency(lons, lats, k)
-    assert sigma == want_sigma
+def assert_same_csr(got, want):
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def assert_same_adjacency(lons, lats, k):
+    table, sigma = g.build_adjacency(lons, lats, k)
+    want, want_sigma = dense_adjacency(lons, lats, k)
+    assert sigma == want_sigma
+    assert_same_csr(csr(table), want)
+
+
+@pytest.mark.parametrize("n", [30, 2000, 6500])
+def test_edge_tables_match_scipy_bitwise(n, monkeypatch):
+    # the symmetric max, the dropped underflows, the degrees and the
+    # normalised weights, each against the scipy path the tables replaced
+    rng = np.random.default_rng(n)
+    lons = -0.1 + rng.uniform(-0.2, 0.2, n)
+    lats = 51.5 + rng.uniform(-0.1, 0.1, n)
+    neighbors, knn_d = g._knn(lons, lats, 4)
+    sigma = float(np.median(knn_d))
+    # haversine is symmetric, so only distances jittered per direction make
+    # the two weights of a pair differ and the max choose between them
+    jittered = knn_d * rng.uniform(0.9, 1.1, knn_d.shape)
+    for distances in (knn_d, jittered):
+        monkeypatch.setattr(g, "_knn", lambda *args, d=distances: (neighbors, d))
+        for bandwidth in (sigma, sigma / 30):
+            table, _ = g.build_adjacency(lons, lats, 4, bandwidth)
+            weights = np.exp(-(distances**2) / (2.0 * bandwidth**2))
+            want = scipy_kernel(neighbors, weights)
+            assert_same_csr(csr(table), want)
+            degrees = g._row_sums(table)
+            assert degrees.tobytes() == np.asarray(want.sum(axis=1)).ravel().tobytes()
+        assert (weights == 0.0).any() and (weights > 0.0).any()  # some underflowed at sigma / 30
+    monkeypatch.undo()
+    table, _ = g.build_adjacency(lons, lats, 4, sigma)
+    assert table.neighbors.shape[1] >= 8  # rows numpy sums in 8 interleaved parts
+    assert_same_csr(csr(g.normalize_sym(table)), scipy_normalize(csr(table)))
 
 
 def boundary_ties(lons, lats, k):
@@ -396,8 +443,7 @@ def test_knn_complete_graph_when_n_is_k_plus_one():
     lons = rng.uniform(-0.1, 0.1, 5)
     lats = 51.5 + rng.uniform(-0.1, 0.1, 5)
     assert_same_adjacency(lons, lats, 4)
-    a, _ = g.build_adjacency(lons, lats, k=4)
-    assert a.nnz == 5 * 4
+    assert csr(g.build_adjacency(lons, lats, k=4)[0]).nnz == 5 * 4
 
 
 @pytest.mark.parametrize("copies", [2, 40])
@@ -534,8 +580,9 @@ def test_build_graph_fifty_thousand_nodes_memory():
 
 
 def test_cli_import_does_not_load_the_kd_tree():
-    # scipy.spatial costs ~0.25 s to import; only the graph stage may pay it
+    # scipy costs ~0.25 s to import; only the graph stage may pay it, for cKDTree
     src = str(Path(g.__file__).resolve().parents[1])
-    code = "import roadrisk.cli, sys; assert 'scipy.spatial' not in sys.modules"
+    code = ("import roadrisk.cli, sys; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})

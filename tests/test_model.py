@@ -15,7 +15,7 @@ from roadrisk.autodiff import Tape, Tensor
 from roadrisk.errors import ConfigError, ShapeMismatchError
 from roadrisk.model import ModelConfig, RiskForecaster
 
-from helpers import grad_check
+from helpers import csr, grad_check, neighbor_table
 
 
 def ring_norm(n):
@@ -42,21 +42,21 @@ def test_config_validation():
 
 
 def test_embed_zero_input_zero_bias():
-    model = RiskForecaster(tiny_config(), ring_norm(3), seed=0)
+    model = RiskForecaster(tiny_config(), neighbor_table(ring_norm(3)), seed=0)
     out = model.embed(np.zeros((3, 2, 3)))
     np.testing.assert_array_equal(out.data, 0.0)
 
 
 def test_embed_identity_projection():
     cfg = tiny_config(d=3, heads=3)
-    model = RiskForecaster(cfg, ring_norm(3), seed=0)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=0)
     model.params["embed.w"] = Tensor(np.eye(3), requires_grad=True)
     x = np.random.default_rng(0).standard_normal((3, 2, 3))
     np.testing.assert_array_equal(model.embed(x).data, x)
 
 
 def test_embed_matches_matmul_oracle():
-    model = RiskForecaster(tiny_config(), ring_norm(3), seed=1)
+    model = RiskForecaster(tiny_config(), neighbor_table(ring_norm(3)), seed=1)
     x = np.random.default_rng(1).standard_normal((3, 2, 3))
     got = model.embed(x).data
     w, b = model.params["embed.w"].data, model.params["embed.b"].data
@@ -65,7 +65,7 @@ def test_embed_matches_matmul_oracle():
 
 def test_spatial_gcn_isolated_node_outputs_zero():
     cfg = tiny_config()
-    model = RiskForecaster(cfg, np.zeros((1, 1)), seed=2)
+    model = RiskForecaster(cfg, neighbor_table(np.zeros((1, 1))), seed=2)
     h = Tensor(np.random.default_rng(2).standard_normal((1, 2, 4)))
     out = model._spatial_gcn(h, "enc0.gcn")
     np.testing.assert_array_equal(out.data, 0.0)
@@ -83,7 +83,7 @@ def np_softmax(z, mask=None):
 def test_spatial_gcn_two_node_hand_oracle():
     cfg = tiny_config(d=2, heads=1, t_in=1, t_out=1)
     a_norm = np.array([[0.0, 1.0], [1.0, 0.0]])
-    model = RiskForecaster(cfg, a_norm, seed=3)
+    model = RiskForecaster(cfg, neighbor_table(a_norm), seed=3)
     h_np = np.array([[[1.0, 2.0]], [[3.0, -1.0]]])  # (2 nodes, 1 week, d=2)
     out = model._spatial_gcn(Tensor(h_np), "enc0.gcn").data
 
@@ -101,7 +101,7 @@ def test_spatial_gcn_two_node_hand_oracle():
 
 def test_temporal_attention_single_step_is_identity_weight():
     cfg = tiny_config(t_in=1, t_out=1)
-    model = RiskForecaster(cfg, ring_norm(3), seed=4, capture_attention=True)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=4, capture_attention=True)
     h = Tensor(np.random.default_rng(4).standard_normal((3, 1, 4)))
     model.attention_log = []
     model._self_attention(h, "enc0.attn", causal=True)
@@ -111,7 +111,7 @@ def test_temporal_attention_single_step_is_identity_weight():
 
 def test_attention_rows_sum_to_one_everywhere():
     cfg = tiny_config(t_in=5, t_out=4)
-    model = RiskForecaster(cfg, ring_norm(4), seed=5, capture_attention=True)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(4)), seed=5, capture_attention=True)
     x = np.random.default_rng(5).uniform(0, 1, (4, 5, 3))
     model.predict(x)
     assert model.attention_log  # encoder + decoder sites
@@ -122,7 +122,7 @@ def test_attention_rows_sum_to_one_everywhere():
 
 def test_forward_output_shape_and_determinism():
     cfg = tiny_config(t_in=4, t_out=3)
-    model = RiskForecaster(cfg, ring_norm(5), seed=6)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(5)), seed=6)
     x = np.random.default_rng(6).uniform(0, 1, (5, 4, 3))
     y1 = model.predict(x)
     y2 = model.predict(x)
@@ -131,7 +131,7 @@ def test_forward_output_shape_and_determinism():
 
 
 def test_forward_rejects_wrong_shapes():
-    model = RiskForecaster(tiny_config(), ring_norm(3), seed=7)
+    model = RiskForecaster(tiny_config(), neighbor_table(ring_norm(3)), seed=7)
     with pytest.raises(ShapeMismatchError):
         model.predict(np.zeros((2, 2, 3)))  # node count mismatch
     with pytest.raises(ShapeMismatchError):
@@ -148,13 +148,13 @@ def test_node_permutation_equivariance_bitwise():
     raw = raw + raw.T
     deg = raw.sum(axis=1)
     a_norm = raw / np.sqrt(np.outer(deg, deg))
-    model = RiskForecaster(cfg, a_norm, seed=9)
+    model = RiskForecaster(cfg, neighbor_table(a_norm), seed=9)
     x = rng.uniform(0, 1, (n, 3, 3))
     base = model.predict(x)
     for seed in range(5):
         p = np.random.default_rng(seed).permutation(n)
         permuted_model = RiskForecaster(
-            cfg, a_norm[np.ix_(p, p)], params=model.params, seed=0
+            cfg, neighbor_table(a_norm[np.ix_(p, p)]), params=model.params, seed=0
         )
         got = permuted_model.predict(x[p])
         assert (got == base[p]).all(), f"permutation {p} broke equivariance"
@@ -162,7 +162,7 @@ def test_node_permutation_equivariance_bitwise():
 
 def test_decoder_causality_exact():
     cfg = tiny_config(t_in=3, t_out=4)
-    model = RiskForecaster(cfg, ring_norm(4), seed=10)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(4)), seed=10)
     rng = np.random.default_rng(10)
     x = rng.uniform(0, 1, (4, 3, 3))
     with ad.no_grad():
@@ -181,7 +181,7 @@ def test_encoder_residual_identity_with_zero_weights():
     # zero weights in the encoder make both sublayers vanish, so the encoder
     # output equals its input (embedding + position encoding)
     cfg = tiny_config(t_in=3, t_out=2)
-    model = RiskForecaster(cfg, ring_norm(3), seed=11)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=11)
     for name, tensor in model.params.items():
         if name.startswith("enc0") and not name.endswith((".gain", ".bias")):
             tensor.data[:] = 0.0
@@ -194,7 +194,7 @@ def test_encoder_residual_identity_with_zero_weights():
 
 def test_gradient_reaches_inputs_and_all_params():
     cfg = tiny_config(t_in=3, t_out=2)
-    model = RiskForecaster(cfg, ring_norm(3), seed=12)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=12)
     x = Tensor(np.random.default_rng(12).uniform(0, 1, (3, 3, 3)), requires_grad=True)
     with Tape() as tape:
         y = model.forward(x)
@@ -209,7 +209,7 @@ def test_gradient_reaches_inputs_and_all_params():
 
 def test_full_model_gradient_check():
     cfg = tiny_config()
-    model = RiskForecaster(cfg, ring_norm(3), seed=13)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=13)
     x = np.random.default_rng(13).uniform(0, 1, (3, 2, 3))
     target = np.random.default_rng(14).uniform(0, 1, (3, 2))
 
@@ -295,7 +295,7 @@ def np_spatial_gcn(p, prefix, h, a_norm):
 def np_forward(model, x):
     """Independent step-by-step dense re-implementation of the forward pass."""
     p, cfg = model.params, model.config
-    a_norm = model.a_norm.toarray()
+    a_norm = csr(model.a_norm).toarray()
     ln = lambda name, z: np_layernorm(z, p[f"{name}.gain"].data, p[f"{name}.bias"].data)
     h = x @ p["embed.w"].data + p["embed.b"].data + md.sinusoidal_encoding(cfg.t_in, cfg.d)
     for layer in range(cfg.layers):
@@ -318,7 +318,7 @@ def np_forward(model, x):
 
 def test_tiny_forward_matches_independent_oracle():
     cfg = tiny_config()  # n=3 nodes, t=2, d=4
-    model = RiskForecaster(cfg, ring_norm(3), seed=15)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=15)
     x = np.random.default_rng(15).uniform(0, 1, (3, 2, 3))
     got = model.predict(x)
     want = np_forward(model, x)
@@ -329,11 +329,11 @@ def test_plain_gcn_variant_runs_and_differs():
     rng = np.random.default_rng(16)
     x = rng.uniform(0, 1, (4, 3, 3))
     attn_model = RiskForecaster(
-        tiny_config(t_in=3, t_out=2, spatial_attention=True), ring_norm(4), seed=17
+        tiny_config(t_in=3, t_out=2, spatial_attention=True), neighbor_table(ring_norm(4)), seed=17
     )
     plain_model = RiskForecaster(
         tiny_config(t_in=3, t_out=2, spatial_attention=False),
-        ring_norm(4),
+        neighbor_table(ring_norm(4)),
         params=attn_model.params,
     )
     y_attn = attn_model.predict(x)
@@ -344,7 +344,7 @@ def test_plain_gcn_variant_runs_and_differs():
 
 def test_dropout_changes_training_forward_only():
     cfg = tiny_config(t_in=3, t_out=2, dropout=0.4)
-    model = RiskForecaster(cfg, ring_norm(3), seed=18)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(3)), seed=18)
     x = np.random.default_rng(18).uniform(0, 1, (3, 3, 3))
     eval_out = model.predict(x)
     with ad.no_grad():
@@ -355,14 +355,14 @@ def test_dropout_changes_training_forward_only():
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    model = RiskForecaster(tiny_config(), ring_norm(3), seed=19)
+    model = RiskForecaster(tiny_config(), neighbor_table(ring_norm(3)), seed=19)
     path = tmp_path / "params.npz"
     md.save_checkpoint(model.params, path, "hash")
     loaded = md.load_checkpoint(path, tiny_config())
     assert list(loaded) == list(model.params)
     for name in model.params:
         assert (loaded[name].data == model.params[name].data).all()
-    clone = RiskForecaster(tiny_config(), ring_norm(3), params=loaded)
+    clone = RiskForecaster(tiny_config(), neighbor_table(ring_norm(3)), params=loaded)
     x = np.random.default_rng(19).uniform(0, 1, (3, 2, 3))
     assert (clone.predict(x) == model.predict(x)).all()
 
@@ -378,7 +378,7 @@ def test_checkpoint_is_byte_identical_across_saves(tmp_path, monkeypatch):
 
 
 def test_attention_capture_is_off_by_default():
-    model = RiskForecaster(tiny_config(t_in=3, t_out=2), ring_norm(4), seed=20)
+    model = RiskForecaster(tiny_config(t_in=3, t_out=2), neighbor_table(ring_norm(4)), seed=20)
     x = np.random.default_rng(20).uniform(0, 1, (4, 3, 3))
     model.predict(x)
     with ad.Tape() as tape:
@@ -400,18 +400,24 @@ def test_model_on_csr_graph_allocates_no_node_pair_array():
     graph = ring_csr(n)
     tracemalloc.start()
     try:
-        model = RiskForecaster(tiny_config(d=16, heads=2), graph, seed=21)
+        model = RiskForecaster(tiny_config(d=16, heads=2), neighbor_table(graph), seed=21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
-    assert model._neighbors.shape == (n, 4)
+    assert model.a_norm.neighbors.shape == (n, 4)
 
+
+# the package and these tests' helpers, for the scripts run in child processes
+CHILD_PATH = os.pathsep.join(
+    [str(Path(md.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+)
 
 TRAIN_STEP_2000 = """
 import resource
 import numpy as np
 from scipy import sparse
+from helpers import neighbor_table
 from roadrisk import autodiff as ad
 from roadrisk.model import ModelConfig, RiskForecaster
 
@@ -421,7 +427,7 @@ cols = (rows + np.tile([-2, -1, 1, 2], n)) % n
 inv = sparse.diags(np.full(n, 0.5))  # every degree is 4
 graph = (inv @ sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)) @ inv).tocsr()
 cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
-model = RiskForecaster(cfg, graph, seed=0)
+model = RiskForecaster(cfg, neighbor_table(graph), seed=0)
 rng = np.random.default_rng(0)
 x, y = rng.uniform(0, 1, (n, 12, 3)), rng.uniform(0, 1, (n, 12))
 with ad.Tape() as tape:
@@ -435,10 +441,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 @pytest.mark.slow
 def test_training_step_at_2000_nodes_stays_under_1_gb():
     # in a child process, so that the peak is this step's alone
-    src = str(Path(md.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", TRAIN_STEP_2000], check=True,
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": CHILD_PATH})
     peak_kib = int(done.stdout.split()[-1])  # Linux reports ru_maxrss in KiB
     assert peak_kib < 2**20, f"peak RSS {peak_kib / 2**10:.0f} MiB"
 
@@ -453,7 +458,7 @@ def zero_filled_accumulate(self, g):
 @pytest.mark.parametrize("n", [30, 300])
 def test_first_gradient_buffer_matches_zero_fill_bitwise(monkeypatch, n):
     cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
-    model = RiskForecaster(cfg, ring_csr(n), seed=n)
+    model = RiskForecaster(cfg, neighbor_table(ring_csr(n)), seed=n)
     rng = np.random.default_rng(n)
     x, y = rng.uniform(0, 1, (n, 12, 3)), rng.uniform(0, 1, (n, 12))
 
@@ -478,6 +483,7 @@ if sys.argv[1:] == ["pinned"]:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from scipy import sparse
+from helpers import neighbor_table
 from roadrisk.model import ModelConfig, RiskForecaster
 
 n = 300
@@ -488,7 +494,8 @@ a = sparse.csr_matrix((np.ones(4 * n), (np.repeat(np.arange(n), 4), near.ravel()
 a = a.maximum(a.T)
 inv = sparse.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
 cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
-forecast = RiskForecaster(cfg, inv @ a @ inv, seed=4).predict(rng.uniform(0, 1, (n, 12, 3)))
+model = RiskForecaster(cfg, neighbor_table(inv @ a @ inv), seed=4)
+forecast = model.predict(rng.uniform(0, 1, (n, 12, 3)))
 print(hashlib.sha256(forecast.tobytes()).hexdigest())
 """
 
@@ -500,9 +507,8 @@ def test_forecast_is_bitwise_independent_of_thread_count():
     # in child processes under one and two BLAS threads, and pinned to one
     # CPU. Gradients are not compared: the attention backward's dq and dk
     # still depend on the BLAS thread count (ROADMAP, open items).
-    src = str(Path(md.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src
+    env["PYTHONPATH"] = CHILD_PATH
     runs = [({**env, "OPENBLAS_NUM_THREADS": t}, []) for t in ("1", "2")] + [(env, ["pinned"])]
     digests = {
         subprocess.run([sys.executable, "-c", FORECAST_300, *args], check=True,

@@ -1,9 +1,10 @@
 """The benchmark in `perfbench/` reaches into the package by name.
 
-`spans.py` wraps module functions and class methods it names as strings, and
-`gen.py` writes run configs with the keys it knows. A rename in the package
-would otherwise surface only when the benchmark runs. Both modules are
-loaded from their files, unchanged.
+`spans.py` wraps module functions and class methods it names as strings,
+`gen.py` writes run configs with the keys it knows, and `workloads.py` checks
+a graph through attributes it names. A rename in the package would otherwise
+surface only when the benchmark runs. The modules are loaded from their
+files, unchanged.
 """
 
 import importlib
@@ -11,13 +12,18 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from roadrisk import graph as g
 from roadrisk.config import RunConfig
+from roadrisk.diffusion import preset
+from roadrisk.model import ModelConfig, RiskForecaster
+from roadrisk.training import prepare_training_data
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load(name, monkeypatch):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def load(name, monkeypatch, module_name=None):
+    module_name = module_name or f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
     spec.loader.exec_module(module)
@@ -45,3 +51,22 @@ def test_generated_run_config_loads(monkeypatch, tmp_path):
     size = gen.Size(sites=12, grid=5, rows=1500)
     raw = gen.run_config(size, gen._bbox(size.grid), "accidents.csv", str(tmp_path / "out"))
     assert RunConfig.from_dict(raw).graph.cell_size_m == gen.CELL_M
+
+
+def test_graph_checks_pass_on_the_fixture_graph(monkeypatch, tmp_path, fixture_graph, fixture_tensor):
+    # workloads.py imports its siblings by their bare names
+    for sibling in ("gen", "spans"):
+        load(sibling, monkeypatch, module_name=sibling)
+    workloads = load("workloads", monkeypatch)
+    built, _ = fixture_graph
+    g.save_graph(built, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    loaded = g.load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    facts, found = {"nodes": built.n_nodes}, {}
+    for graph in (built, loaded):
+        assert workloads.check_graph(graph, facts) == []
+    assert workloads.check_stage("graph", tmp_path, facts, found) == []
+    stored = len((tmp_path / "edges.csv").read_text().splitlines()) - 1
+    assert loaded.adjacency.nnz == stored and found["edges"] == stored // 2
+    # the benchmark passes the normalised adjacency positionally
+    prepare_training_data(fixture_tensor, loaded.adjacency_norm, preset("Differentiated_B"), 12, 12)
+    RiskForecaster(ModelConfig(d=8, heads=2), loaded.adjacency_norm, seed=0)

@@ -14,7 +14,7 @@ from roadrisk.errors import (
 from roadrisk.features import RiskTensor
 from roadrisk.model import ModelConfig, RiskForecaster
 
-from helpers import training_data
+from helpers import neighbor_table, training_data
 
 
 def make_tensor(values):
@@ -86,7 +86,7 @@ def tiny_setup(n=3, weeks=30, t=3, seed=0):
     tensor = make_tensor(rng.uniform(0.1, 1, (weeks, n, 3)))
     data = training_data(tensor, t_in=t, t_out=t)
     cfg = ModelConfig(d=4, heads=2, layers=1, t_in=t, t_out=t, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, ring_norm(n), seed=seed)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(n)), seed=seed)
     return model, data
 
 
@@ -118,7 +118,7 @@ def test_training_loss_decreases_on_overfittable_toy():
     values += rng.normal(0, 0.01, values.shape)
     data = training_data(make_tensor(np.abs(values)), t_in=3, t_out=3)
     cfg = ModelConfig(d=4, heads=2, layers=1, t_in=3, t_out=3, dropout=0.0)
-    model = RiskForecaster(cfg, ring_norm(2), seed=6)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(2)), seed=6)
     result = tr.train(model, data, tr.TrainConfig(epochs_main=50, epochs_finetune=0, lr_main=1e-2, seed=2))
     assert result.history[-1]["train_loss"] < result.history[0]["train_loss"]
 
@@ -311,7 +311,7 @@ def test_attention_log_unchanged_by_backward_and_adam_step():
     # the log holds the softmax outputs themselves, not copies, so nothing
     # after the forward may write into them
     cfg = ModelConfig(d=4, heads=2, layers=1, t_in=3, t_out=2, conv_kernel=3, dropout=0.0)
-    model = RiskForecaster(cfg, ring_norm(4), seed=3, capture_attention=True)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(4)), seed=3, capture_attention=True)
     x = np.random.default_rng(3).uniform(0, 1, (4, 3, 3))
     before = {name: t.data.copy() for name, t in model.params.items()}
     optimizer = tr.Adam(model.params, tr.TrainConfig(lr_main=0.1))
