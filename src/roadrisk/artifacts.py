@@ -5,7 +5,9 @@ CSV file with a header row, and when a config hash is given, a last
 `config_hash` column carries it on every row. A JSON artifact is one object
 with two-space indents, sorted keys and a final newline. A column file is an
 uncompressed `.npz` archive of named numpy arrays whose members all carry
-the same fixed timestamp. A rerun on the same inputs writes the same bytes.
+the same fixed timestamp; it is the one binary format, used for the
+records, the checkpoint and both risk tensors (whose `.bin` files are such
+archives). A rerun on the same inputs writes the same bytes.
 One artifact is written elsewhere: `riskmap.export_geojson` formats the
 weekly GeoJSON maps itself, in `write_json`'s layout, because json's
 indenting encoder runs in pure Python and made the maps the largest cost of

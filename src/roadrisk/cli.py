@@ -29,7 +29,7 @@ from .features import (
     load_tensor,
     save_tensor,
 )
-from .graph import build_graph, load_graph, save_graph
+from .graph import SpatialGraph, build_graph, load_graph, save_graph
 from .model import RiskForecaster, load_checkpoint, save_checkpoint
 from .training import (
     TARGET_CHANNEL,
@@ -134,13 +134,23 @@ def _load_tensor(config: RunConfig, stem: str) -> RiskTensor:
     return load_tensor(bin_path, meta_path, stage=WRITER[bin_path.name])
 
 
+def _load_risk_tensor(config: RunConfig) -> tuple[RiskTensor, SpatialGraph]:
+    """risk_tensor.bin and the graph whose nodes `features` built it on."""
+    raw, graph = _load_tensor(config, "risk_tensor"), _load_graph(config)
+    if raw.node_ids != graph.node_ids:
+        path = _out(config) / "risk_tensor.bin"
+        problem = f"its {raw.n_nodes} nodes are not the {graph.n_nodes} of nodes.csv"
+        raise CorruptArtifactError(path, None, problem, WRITER[path.name])
+    return raw, graph
+
+
 # the processed.json key holding the sha256 of the risk_tensor.bin that `diffuse` read
 _RAW_STAMP = "risk_tensor_sha256"
 
 
-def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
-    """The processed inputs, and the raw targets scaled as `diffuse` scaled them."""
-    raw = _load_tensor(config, "risk_tensor")
+def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler, SpatialGraph]:
+    """The processed inputs, the raw targets scaled as `diffuse` scaled them, and their graph."""
+    raw, graph = _load_risk_tensor(config)
     inputs = _load_tensor(config, "processed")
     with reading(_out(config) / "processed.json", WRITER["processed.json"]):
         stamp = str(inputs.meta[_RAW_STAMP])
@@ -158,7 +168,7 @@ def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler]:
     splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
     targets, scaler = scale_targets(raw, splits)
     data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
-    return data, scaler
+    return data, scaler, graph
 
 
 def _forecast(config: RunConfig):
@@ -167,8 +177,7 @@ def _forecast(config: RunConfig):
     Returns the training data, the graph, the target scaler, the window's
     first week, and the scaled forecast and its truth, each (nodes, t_out).
     """
-    data, scaler = _load_training_data(config)
-    graph = _load_graph(config)
+    data, scaler, graph = _load_training_data(config)
     params = load_checkpoint(_artifact(config, "params.npz"), config.model)
     model = RiskForecaster(config.model, graph.adjacency_norm, params=params)
     start = data.last_test_window()
@@ -260,8 +269,7 @@ def cmd_features(config: RunConfig) -> list[str]:
 
 def cmd_diffuse(config: RunConfig) -> list[str]:
     out = _out(config)
-    raw = _load_tensor(config, "risk_tensor")
-    graph = _load_graph(config)
+    raw, graph = _load_risk_tensor(config)
     data, _, _ = prepare_training_data(
         raw,
         graph.adjacency_norm,
@@ -285,8 +293,7 @@ def cmd_diffuse(config: RunConfig) -> list[str]:
 
 def cmd_train(config: RunConfig) -> list[str]:
     out = _out(config)
-    data, _ = _load_training_data(config)
-    graph = _load_graph(config)
+    data, _, graph = _load_training_data(config)
     model = RiskForecaster(config.model, graph.adjacency_norm, seed=config.seed)
     result = train(model, data, config.train)
     fingerprint = config.fingerprint
@@ -395,7 +402,7 @@ def cmd_map(config: RunConfig) -> list[str]:
 def cmd_ablate(factor: str, config: RunConfig) -> list[str]:
     """Train one arm per input-channel subset or per diffusion preset."""
     out = _out(config)
-    raw, graph = _load_tensor(config, "risk_tensor"), _load_graph(config)
+    raw, graph = _load_risk_tensor(config)
     if factor == "features":
         arms = {name: (config.diffusion, mask) for name, mask in ablation.FEATURE_ARMS.items()}
     else:

@@ -168,9 +168,10 @@ class MinMaxScaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         self._check()
         span = self.maxima - self.minima
-        safe = np.where(span == 0.0, 1.0, span)
-        out = (values - self.minima) / safe
-        return np.where(span == 0.0, 0.0, out)
+        out = values - self.minima  # then in place: full-size temporaries set diffuse's peak RSS
+        out /= np.where(span == 0.0, 1.0, span)
+        out[..., span == 0.0] = 0.0
+        return out
 
     def inverse_channel(self, values: np.ndarray, channel: int) -> np.ndarray:
         self._check()

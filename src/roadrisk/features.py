@@ -6,7 +6,9 @@ weight, a road-context weight, and a speed factor 0.5 + v/120. Channels 1
 (infrastructure) and 2 (environment) average fixed per-category weights,
 four infrastructure factors and two environmental ones, over that week's
 accidents at the node. The weight tables live in a JSON file so regional
-recalibrations are data edits, not code edits.
+recalibrations are data edits, not code edits. A tensor is stored as a
+column archive of its values, week labels and node ids, beside a JSON
+sidecar of its metadata.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import datetime as dt
 import itertools
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_json, reading, write_json
-from .errors import DataError, ShapeMismatchError
+from .artifacts import read_columns, read_json, write_columns, write_json
+from .errors import CorruptArtifactError, DataError, NumericError, ShapeMismatchError
 from .ingest import (
     CATEGORIES,
     AccidentRecord,
@@ -152,7 +153,11 @@ class RiskTensor:
                 f"risk tensor shape {self.values.shape} != ({w}, {n}, 3)"
             )
         if not np.isfinite(self.values).all():
-            raise ValueError("risk tensor contains non-finite values")
+            week, node, channel = np.argwhere(~np.isfinite(self.values))[0].tolist()
+            raise NumericError(
+                f"risk tensor holds {self.values[week, node, channel].item()!r} in week "
+                f"{self.weeks[week]} at node {self.node_ids[node]}, channel {FEATURE_NAMES[channel]}"
+            )
 
     @property
     def n_weeks(self) -> int:
@@ -239,56 +244,39 @@ def build_risk_tensor(
     return RiskTensor(weeks, node_ids, values)
 
 
-_HEADER = struct.Struct("<iii")
+_TENSOR_COLUMNS = {
+    "values": (np.float64, ("weeks", "nodes", len(FEATURE_NAMES))),
+    "weeks": (np.str_, ("weeks",)),
+    "node_ids": (np.int64, ("nodes",)),
+}
 
 
 def save_tensor(tensor: RiskTensor, bin_path: str | Path, meta_path: str | Path) -> None:
-    """Flat binary: header (W, N, F as little-endian int32) then float64
-    payload in week-major order; JSON sidecar carries labels and metadata."""
-    w, n, f = tensor.values.shape
-    with open(bin_path, "wb") as fh:
-        fh.write(_HEADER.pack(w, n, f))
-        fh.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
-    sidecar = {
-        "weeks": tensor.weeks,
-        "node_ids": tensor.node_ids,
-        "features": list(FEATURE_NAMES),
-        **tensor.meta,
-    }
-    write_json(meta_path, sidecar)
+    """Write the values and axis labels as a `write_columns` archive and the
+    metadata as a JSON sidecar that names the feature channels."""
+    write_columns(
+        bin_path,
+        {
+            "values": tensor.values,
+            "weeks": np.array(tensor.weeks, dtype=np.str_),
+            "node_ids": np.array(tensor.node_ids, dtype=np.int64),
+        },
+    )
+    write_json(meta_path, {"features": list(FEATURE_NAMES), **tensor.meta})
 
 
 def load_tensor(
     bin_path: str | Path, meta_path: str | Path, stage: str = "features"
 ) -> RiskTensor:
-    """Read a `save_tensor` pair. DataError if the header is cut short or
-    disagrees with the payload size, a value is not finite, or the sidecar
-    is not a JSON object whose week and node labels match the header; its
-    message says to run `stage`, the CLI command that writes the pair,
+    """Read a `save_tensor` pair. `CorruptArtifactError` if the archive fails
+    `read_columns` against its declared members, or the sidecar is not a
+    JSON object whose `features` are `FEATURE_NAMES`; the message names the
+    file and says to run `stage`, the CLI command that writes the pair,
     again."""
-    blob = Path(bin_path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise DataError(
-            f"tensor {bin_path} holds {len(blob)} bytes, less than its "
-            f"{_HEADER.size}-byte header; run `{stage}` again"
-        )
-    w, n, f = _HEADER.unpack_from(blob)
-    if min(w, n, f) < 0 or len(blob) != _HEADER.size + 8 * w * n * f:
-        raise DataError(
-            f"tensor {bin_path} holds {len(blob) - _HEADER.size} payload bytes but its "
-            f"header says {w} x {n} x {f} float64 values; run `{stage}` again"
-        )
-    payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    sidecar = read_json(meta_path, stage)
-    with reading(meta_path, stage):
-        weeks = list(sidecar["weeks"])
-        node_ids = [int(i) for i in sidecar["node_ids"]]
-        if (len(weeks), len(node_ids), len(FEATURE_NAMES)) != (w, n, f):
-            raise ValueError(
-                f"{len(weeks)} weeks and {len(node_ids)} nodes label a {w} x {n} x {f} tensor"
-            )
-    meta = {
-        k: v for k, v in sidecar.items() if k not in ("weeks", "node_ids", "features")
-    }
-    with reading(bin_path, stage):  # a value that is not finite
-        return RiskTensor(weeks, node_ids, payload.reshape(w, n, f).astype(np.float64), meta)
+    columns = read_columns(bin_path, _TENSOR_COLUMNS, stage)
+    meta = read_json(meta_path, stage)
+    if meta.pop("features", None) != list(FEATURE_NAMES):
+        problem = f"its features are not {list(FEATURE_NAMES)}"
+        raise CorruptArtifactError(meta_path, None, problem, stage)
+    weeks, node_ids = columns["weeks"].tolist(), columns["node_ids"].tolist()
+    return RiskTensor(weeks, node_ids, columns["values"], meta)

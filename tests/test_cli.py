@@ -1,7 +1,7 @@
 import json
 import os
+import re
 import shutil
-import struct
 import subprocess
 import sys
 import zipfile
@@ -121,6 +121,30 @@ def test_rerun_is_idempotent(pipeline):
         assert p.read_bytes() == maps_before[p.name], p.name
 
 
+def test_binary_outputs_are_column_archives(pipeline):
+    # one binary format: every binary artifact is a `write_columns` archive
+    _, out = pipeline
+    binary = sorted(
+        name for names in cli.OUTPUTS.values() for name in names
+        if Path(name).suffix not in (".csv", ".json")
+    )
+    assert binary == ["params.npz", "processed.bin", "records.npz", "risk_tensor.bin"]
+    for name in binary:
+        with zipfile.ZipFile(out / name) as archive:
+            members = archive.infolist()
+        assert members and all(m.filename.endswith(".npy") for m in members), name
+        assert {m.date_time for m in members} == {(1980, 1, 1, 0, 0, 0)}, name
+
+
+def test_only_artifacts_reads_or_writes_raw_bytes():
+    package = Path(cli.__file__).parent
+    raw = re.compile(r"^\s*(import|from) struct\b|np\.(frombuffer|fromfile|save)|\.tofile\("
+                     r"|open\([^)]*[\"'][wax]b\+?[\"']", re.M)
+    used = [path.name for path in sorted(package.glob("*.py"))
+            if path.name != "artifacts.py" and raw.search(path.read_text())]
+    assert used == []
+
+
 def test_history_records_both_phases(pipeline):
     _, out = pipeline
     lines = (out / "history.csv").read_text().splitlines()
@@ -198,28 +222,10 @@ def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path, caplog):
             "not float64 of shape (3, 8); run `train` again") in caplog.text
 
 
-def test_truncated_tensor_header_exit_code(pipeline, tmp_path, caplog):
-    config_path, out = copy_run(pipeline, tmp_path)
-    tensor = out / "processed.bin"
-    tensor.write_bytes(tensor.read_bytes()[:7])
-    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
-
-
-def test_short_tensor_payload_exit_code(pipeline, tmp_path, caplog):
-    config_path, out = copy_run(pipeline, tmp_path)
-    tensor = out / "processed.bin"
-    tensor.write_bytes(tensor.read_bytes()[:-8])
-    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
-
-
 def test_non_finite_tensor_value_exit_code(pipeline, tmp_path, caplog):
     config_path, out = copy_run(pipeline, tmp_path)
     tensor = out / "processed.bin"
-    blob = bytearray(tensor.read_bytes())
-    blob[12:20] = struct.pack("<d", float("nan"))  # the first value after the header
-    tensor.write_bytes(bytes(blob))
+    recolumn(set_item("values", (0, 0, 0), np.nan))(tensor)
     assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
     assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
 
@@ -289,6 +295,43 @@ def test_damaged_checkpoint_exit_code(pipeline, tmp_path, caplog, damage, proble
         assert f"{checkpoint}: ValueError: {problem}; run `train` again" in caplog.text
 
 
+TENSOR_READERS = {
+    "risk_tensor.bin": ["diffuse", "train", "eval", "predict", "ablate-features", "ablate-diffusion"],
+    "processed.bin": ["train", "eval", "predict"],
+}
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (lambda path: path.write_bytes(path.read_bytes()[:7]),
+         "not an .npz archive; it may be truncated"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-8]),
+         "not an .npz archive; it may be truncated"),
+        (recolumn(lambda columns: columns.pop("weeks")), "no 'weeks' column"),
+        (recolumn(lambda columns: columns.update(scale=np.ones(3))), "undeclared 'scale' column"),
+        (recolumn(lambda columns: columns.update(values=columns["values"].astype(np.float32))),
+         "column 'values' holds float32 of shape (156, 30, 3), not float64 of shape (156, 30, 3)"),
+        (recolumn(lambda columns: columns.update(node_ids=columns["node_ids"][:-1])),
+         "column 'node_ids' holds int64 of shape (29,), not int64 of shape (30,)"),
+        (recolumn(set_item("values", (5, 2, 1), np.inf)),
+         "column 'values' holds inf at index [5, 2, 1]"),
+    ],
+    ids=["truncated-header", "cut-short", "missing-member", "extra-member", "float32",
+         "node-count", "infinite"],
+)
+@pytest.mark.parametrize("name", sorted(TENSOR_READERS))
+def test_damaged_tensor_exit_code(pipeline, tmp_path, caplog, name, damage, problem):
+    config_path, out = copy_run(pipeline, tmp_path)
+    tensor = out / name
+    damage(tensor)
+    for command in TENSOR_READERS[name]:
+        caplog.clear()
+        assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA, command
+        message = f"{tensor}: ValueError: {problem}; run `{cli.WRITER[name]}` again"
+        assert message in caplog.text, command
+
+
 def rejson(edit):
     """Damage that stores the JSON value `edit` makes of the file's object."""
     def damage(path):
@@ -312,9 +355,10 @@ def one_array(path):
          recolumn(lambda columns: [columns.pop(key) for key in list(columns) if key != "config_hash"])),
         ("params.npz", "eval", one_array),
         ("risk_tensor.json", "diffuse", rejson(lambda meta: {})),
-        ("risk_tensor.json", "diffuse", rejson(lambda meta: {**meta, "weeks": meta["weeks"][:-1]})),
-        ("risk_tensor.json", "diffuse",
-         rejson(lambda meta: {**meta, "node_ids": ["2.5"] + meta["node_ids"][1:]})),
+        ("risk_tensor.bin", "diffuse",
+         recolumn(lambda columns: columns.update(weeks=columns["weeks"][:-1]))),
+        ("risk_tensor.bin", "diffuse",
+         recolumn(lambda columns: columns.update(node_ids=np.r_[2.5, columns["node_ids"][1:]]))),
     ],
     ids=["empty manifest", "no parameters", "not an object", "empty sidecar", "week count",
          "non-integer node"],
@@ -326,6 +370,40 @@ def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, nam
     assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
     stage = "train" if name == "params.npz" else "features"
     assert str(path) in caplog.text and f"run `{stage}` again" in caplog.text
+
+
+def test_overflowing_risk_value_exit_code(pipeline, tmp_path, caplog, fixture_csv):
+    # a finite speed limit and casualty count whose safety score overflows
+    config_path, out = copy_run(pipeline, tmp_path)
+    header, first, *rows = fixture_csv.read_text().splitlines()
+    at = {name: i for i, name in enumerate(header.split(","))}
+    cells = first.split(",")
+    for name, value in (("Speed_limit", "1.7e308"), ("Number_of_Casualties", "9000000000000000000"),
+                        ("Accident_Severity", "1"), ("Road_Type", "1")):
+        cells[at[name]] = value
+    config = json.loads(config_path.read_text())
+    config["data_csv"] = str(tmp_path / "overflow.csv")
+    Path(config["data_csv"]).write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+    config_path.write_text(json.dumps(config))
+    for command in ("ingest", "graph"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_NUMERIC
+    assert ("numeric failure: risk tensor holds inf in week 2011-W01 at node 0, "
+            "channel traffic_safety") in caplog.text
+
+
+def test_tensor_on_other_nodes_than_the_graph_exit_code(pipeline, tmp_path, caplog):
+    # a coarser graph rebuilt after `features`: 16 nodes where the tensors have 30
+    config_path, out = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["graph"]["cell_size_m"] = 450.0
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["graph", "--config", str(config_path)]) == 0
+    for command in TENSOR_READERS["risk_tensor.bin"]:
+        caplog.clear()
+        assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA, command
+        assert (f"{out / 'risk_tensor.bin'}: its 30 nodes are not the 16 of nodes.csv; "
+                "run `features` again") in caplog.text, command
 
 
 def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):

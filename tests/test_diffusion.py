@@ -256,8 +256,10 @@ def test_scale_roundtrip():
 def test_scale_fit_range_restricts_to_training_weeks():
     values = np.zeros((4, 1, 3))
     values[:, 0, 0] = [0.0, 2.0, 4.0, 8.0]
+    values[:, 0, 1] = [3.0, 3.0, 3.0, 9.0]  # constant over the fitted weeks only
     tensor = make_tensor(values)
     scaler = df.MinMaxScaler().fit(tensor, week_range=(0, 3))
     assert scaler.maxima[0] == 4.0
     out = scaler.transform(tensor.values)
     assert out[3, 0, 0] == pytest.approx(2.0)  # beyond the fitted range
+    assert (out[:, 0, 1] == 0.0).all()  # a channel constant when fitted maps to 0
