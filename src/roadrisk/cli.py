@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ablation, ingest, metrics, riskmap, validation
-from .artifacts import artifact_rows, file_sha256, finite, reading, write_json, write_table
-from .config import RunConfig, valid_split_fractions, write_manifest
+from .artifacts import artifact_rows, finite, write_json, write_table
+from .config import RunConfig, write_manifest
 from .diffusion import PRESETS, MinMaxScaler
 from .errors import ConfigError, CorruptArtifactError, DataError, MissingArtifactError, NumericError
 from .features import (
@@ -31,14 +31,7 @@ from .features import (
 )
 from .graph import SpatialGraph, build_graph, load_graph, save_graph
 from .model import RiskForecaster, load_checkpoint, save_checkpoint
-from .training import (
-    TARGET_CHANNEL,
-    TrainingData,
-    prepare_training_data,
-    scale_targets,
-    split_temporal,
-    train,
-)
+from .training import TARGET_CHANNEL, TrainingData, prepare_training_data, train
 
 log = logging.getLogger("roadrisk")
 
@@ -103,7 +96,7 @@ def _load_records(config: RunConfig) -> ingest.RecordTable:
 
 
 def _load_graph(config: RunConfig):
-    return load_graph(_artifact(config, "nodes.csv"), _artifact(config, "edges.csv"), config.graph)
+    return load_graph(_artifact(config, "nodes.csv"), _artifact(config, "edges.csv"))
 
 
 def _load_assignment(
@@ -128,15 +121,10 @@ def _load_assignment(
     return np.array(nodes)
 
 
-def _load_tensor(config: RunConfig, stem: str) -> RiskTensor:
-    """The tensor saved as `<stem>.bin` plus its `<stem>.json` sidecar."""
-    bin_path, meta_path = _artifact(config, f"{stem}.bin"), _artifact(config, f"{stem}.json")
-    return load_tensor(bin_path, meta_path, stage=WRITER[bin_path.name])
-
-
 def _load_risk_tensor(config: RunConfig) -> tuple[RiskTensor, SpatialGraph]:
     """risk_tensor.bin and the graph whose nodes `features` built it on."""
-    raw, graph = _load_tensor(config, "risk_tensor"), _load_graph(config)
+    raw = load_tensor(_artifact(config, "risk_tensor.bin"), _artifact(config, "risk_tensor.json"))
+    graph = _load_graph(config)
     if raw.node_ids != graph.node_ids:
         path = _out(config) / "risk_tensor.bin"
         problem = f"its {raw.n_nodes} nodes are not the {graph.n_nodes} of nodes.csv"
@@ -144,30 +132,19 @@ def _load_risk_tensor(config: RunConfig) -> tuple[RiskTensor, SpatialGraph]:
     return raw, graph
 
 
-# the processed.json key holding the sha256 of the risk_tensor.bin that `diffuse` read
-_RAW_STAMP = "risk_tensor_sha256"
-
-
 def _load_training_data(config: RunConfig) -> tuple[TrainingData, MinMaxScaler, SpatialGraph]:
-    """The processed inputs, the raw targets scaled as `diffuse` scaled them, and their graph."""
+    """The model inputs and targets prepared from risk_tensor.bin as the
+    ablation arms prepare theirs, the target scaler, and the graph. No
+    command reads processed.bin back: `diffuse` writes it to be inspected."""
     raw, graph = _load_risk_tensor(config)
-    inputs = _load_tensor(config, "processed")
-    with reading(_out(config) / "processed.json", WRITER["processed.json"]):
-        stamp = str(inputs.meta[_RAW_STAMP])
-        fractions = tuple(float(f) for f in inputs.meta["split_fractions"])
-        if not valid_split_fractions(fractions):
-            raise ValueError(
-                f"split fractions {list(fractions)} are not three fractions above 0 that sum to 1"
-            )
-    if stamp != file_sha256(_artifact(config, "risk_tensor.bin")):
-        raise CorruptArtifactError(
-            _out(config) / "processed.bin", None,
-            "it was diffused from a risk_tensor.bin with another sha256 than the one there now",
-            WRITER["processed.bin"],
-        )
-    splits = split_temporal(raw.n_weeks, config.model.t_in, config.model.t_out, fractions)
-    targets, scaler = scale_targets(raw, splits)
-    data = TrainingData(inputs, targets, config.model.t_in, config.model.t_out, splits)
+    data, _, scaler = prepare_training_data(
+        raw,
+        graph.adjacency_norm,
+        config.diffusion,
+        t_in=config.model.t_in,
+        t_out=config.model.t_out,
+        fractions=config.split_fractions,
+    )
     return data, scaler, graph
 
 
@@ -269,24 +246,9 @@ def cmd_features(config: RunConfig) -> list[str]:
 
 def cmd_diffuse(config: RunConfig) -> list[str]:
     out = _out(config)
-    raw, graph = _load_risk_tensor(config)
-    data, _, _ = prepare_training_data(
-        raw,
-        graph.adjacency_norm,
-        config.diffusion,
-        t_in=config.model.t_in,
-        t_out=config.model.t_out,
-        fractions=config.split_fractions,
-    )
-    inputs = data.inputs
-    inputs.meta.update(
-        {
-            "config_hash": config.fingerprint,
-            "split_fractions": list(config.split_fractions),
-            _RAW_STAMP: file_sha256(_artifact(config, "risk_tensor.bin")),
-        }
-    )
-    save_tensor(inputs, out / "processed.bin", out / "processed.json")
+    data, _, _ = _load_training_data(config)
+    data.inputs.meta["config_hash"] = config.fingerprint
+    save_tensor(data.inputs, out / "processed.bin", out / "processed.json")
     log.info("diffused with %s, scaled on train weeks %s", config.diffusion.name, data.splits.train)
     return OUTPUTS["diffuse"]
 

@@ -32,11 +32,6 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
 
 
-def valid_split_fractions(fractions) -> bool:
-    """Three fractions, each above 0, that sum to 1 within 1e-9."""
-    return len(fractions) == 3 and min(fractions) > 0 and abs(sum(fractions) - 1.0) <= 1e-9
-
-
 def _object(raw, section: str, keys) -> dict:
     """Config section `section` as a dict; null means the defaults.
 
@@ -99,7 +94,7 @@ class RunConfig:
 
     def __post_init__(self):
         fractions = self.split_fractions
-        if not valid_split_fractions(fractions):
+        if not (len(fractions) == 3 and min(fractions) > 0 and abs(sum(fractions) - 1.0) <= 1e-9):
             raise ConfigError(
                 f"split_fractions must be three fractions above 0 that sum to 1, got {fractions}"
             )

@@ -265,18 +265,16 @@ def save_tensor(tensor: RiskTensor, bin_path: str | Path, meta_path: str | Path)
     write_json(meta_path, {"features": list(FEATURE_NAMES), **tensor.meta})
 
 
-def load_tensor(
-    bin_path: str | Path, meta_path: str | Path, stage: str = "features"
-) -> RiskTensor:
+def load_tensor(bin_path: str | Path, meta_path: str | Path) -> RiskTensor:
     """Read a `save_tensor` pair. `CorruptArtifactError` if the archive fails
     `read_columns` against its declared members, or the sidecar is not a
     JSON object whose `features` are `FEATURE_NAMES`; the message names the
-    file and says to run `stage`, the CLI command that writes the pair,
+    file and says to run `features`, the CLI command that writes the pair,
     again."""
-    columns = read_columns(bin_path, _TENSOR_COLUMNS, stage)
-    meta = read_json(meta_path, stage)
+    columns = read_columns(bin_path, _TENSOR_COLUMNS, "features")
+    meta = read_json(meta_path, "features")
     if meta.pop("features", None) != list(FEATURE_NAMES):
         problem = f"its features are not {list(FEATURE_NAMES)}"
-        raise CorruptArtifactError(meta_path, None, problem, stage)
+        raise CorruptArtifactError(meta_path, None, problem, "features")
     weeks, node_ids = columns["weeks"].tolist(), columns["node_ids"].tolist()
     return RiskTensor(weeks, node_ids, columns["values"], meta)

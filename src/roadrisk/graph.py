@@ -360,7 +360,7 @@ def save_graph(
     write_table(edges_path, ["i", "j", "weight"], edges, config_hash)
 
 
-def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = None) -> SpatialGraph:
+def load_graph(nodes_path: Path, edges_path: Path) -> SpatialGraph:
     """Read a `save_graph` pair; `adjacency_norm` is `normalize_sym` of the
     stored weights. CorruptArtifactError (exit 3) names the line of a row
     that does not parse or holds a coordinate that is not finite or a weight
@@ -411,5 +411,4 @@ def load_graph(nodes_path: Path, edges_path: Path, params: GraphParams | None = 
         member_counts=np.array(counts),
         edges=a,
         adjacency_norm=a_norm,
-        params=params or GraphParams(),
     )

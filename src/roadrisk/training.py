@@ -159,15 +159,13 @@ def prepare_training_data(
     inputs = apply_diffusion(raw_tensor, a_norm, diffusion_config)
     input_scaler = MinMaxScaler().fit(inputs, week_range=splits.train)
     inputs.values = input_scaler.transform(inputs.values)
-    targets, scaler = scale_targets(raw_tensor, splits)
+    scaler = MinMaxScaler().fit(raw_tensor, week_range=splits.train)
+    # scale the target channel alone: a slice of all three scaled channels
+    # would keep the whole scaled copy alive behind the targets
+    target = MinMaxScaler(scaler.minima[TARGET_CHANNEL], scaler.maxima[TARGET_CHANNEL])
+    targets = target.transform(raw_tensor.values[:, :, TARGET_CHANNEL])
     data = TrainingData(inputs, targets, t_in, t_out, splits, channel_mask)
     return data, input_scaler, scaler
-
-
-def scale_targets(raw_tensor: RiskTensor, splits: TemporalSplits) -> tuple[np.ndarray, MinMaxScaler]:
-    """The raw safety channel min-max scaled over the training span, and its scaler."""
-    scaler = MinMaxScaler().fit(raw_tensor, week_range=splits.train)
-    return scaler.transform(raw_tensor.values)[:, :, TARGET_CHANNEL], scaler
 
 
 class Adam:

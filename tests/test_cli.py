@@ -224,10 +224,10 @@ def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path, caplog):
 
 def test_non_finite_tensor_value_exit_code(pipeline, tmp_path, caplog):
     config_path, out = copy_run(pipeline, tmp_path)
-    tensor = out / "processed.bin"
+    tensor = out / "risk_tensor.bin"
     recolumn(set_item("values", (0, 0, 0), np.nan))(tensor)
     assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(tensor) in caplog.text and "run `diffuse` again" in caplog.text
+    assert str(tensor) in caplog.text and "run `features` again" in caplog.text
 
 
 def test_tensor_sidecar_not_json_exit_code(pipeline, tmp_path, caplog):
@@ -297,7 +297,6 @@ def test_damaged_checkpoint_exit_code(pipeline, tmp_path, caplog, damage, proble
 
 TENSOR_READERS = {
     "risk_tensor.bin": ["diffuse", "train", "eval", "predict", "ablate-features", "ablate-diffusion"],
-    "processed.bin": ["train", "eval", "predict"],
 }
 
 
@@ -404,6 +403,51 @@ def test_tensor_on_other_nodes_than_the_graph_exit_code(pipeline, tmp_path, capl
         assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA, command
         assert (f"{out / 'risk_tensor.bin'}: its 30 nodes are not the 16 of nodes.csv; "
                 "run `features` again") in caplog.text, command
+
+
+MODEL_OUTPUTS = ["params.npz", "history.csv", "report.json", "report.csv",
+                 "report_baselines.json", "predictions.csv"]
+
+
+def parameters(path):
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files if key != "config_hash"}
+
+
+def test_train_diffuses_with_the_config_it_runs_under(pipeline, tmp_path):
+    # a diffusion edit after `diffuse` used to train on the inputs `diffuse` had made
+    runs = {}
+    for label, commands in (("train-only", ["train"]), ("diffuse-first", ["diffuse", "train"])):
+        config_path, out = copy_run(pipeline, tmp_path / label)
+        config = json.loads(config_path.read_text())
+        config["diffusion"] = {"preset": "No_Diffusion"}
+        config_path.write_text(json.dumps(config))
+        for command in commands:
+            assert cli.main([command, "--config", str(config_path)]) == 0, (label, command)
+        runs[label] = out / "params.npz"
+    trained = parameters(runs["train-only"])
+    assert trained.keys() == parameters(runs["diffuse-first"]).keys()
+    for key, values in parameters(runs["diffuse-first"]).items():
+        assert trained[key].tobytes() == values.tobytes(), key
+    old = parameters(pipeline[1] / "params.npz")
+    assert any(old[key].tobytes() != values.tobytes() for key, values in trained.items())
+
+
+@pytest.mark.parametrize("damage", ["deleted", "garbage"])
+def test_model_stages_do_not_read_the_processed_tensor(pipeline, tmp_path, damage):
+    config_path, out = copy_run(pipeline, tmp_path)
+    for command in ("diffuse", "train", "eval", "predict"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    before = {name: (out / name).read_bytes() for name in MODEL_OUTPUTS}
+    for name in ("processed.bin", "processed.json"):
+        if damage == "deleted":
+            (out / name).unlink()
+        else:
+            (out / name).write_bytes(b"garbage")
+    for command in ("train", "eval", "predict"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    for name in MODEL_OUTPUTS:
+        assert (out / name).read_bytes() == before[name], name
 
 
 def test_bogus_enum_in_records_exit_code(pipeline, tmp_path, caplog):
@@ -515,55 +559,6 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
     assert "run `predict` again" in caplog.text
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("split_fractions", None), ("split_fractions", [0.6, 0.4]), ("risk_tensor_sha256", None)],
-)
-def test_processed_sidecar_without_scaler_or_splits_exit_code(
-    pipeline, tmp_path, caplog, key, value
-):
-    config_path, out = copy_run(pipeline, tmp_path)
-    sidecar = out / "processed.json"
-    meta = json.loads(sidecar.read_text())
-    if value is None:
-        del meta[key]
-    else:
-        meta[key] = value
-    sidecar.write_text(json.dumps(meta))
-    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert str(sidecar) in caplog.text and "run `diffuse` again" in caplog.text
-
-
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_stale_processed_tensor_exit_code(pipeline, tmp_path, caplog, command):
-    # a coarser graph gives risk_tensor.bin fewer nodes than the processed tensor
-    config_path, out = copy_run(pipeline, tmp_path)
-    config = json.loads(config_path.read_text())
-    config["graph"]["cell_size_m"] = 450.0
-    config_path.write_text(json.dumps(config))
-    for stage in ("graph", "features"):
-        assert cli.main([stage, "--config", str(config_path)]) == 0, stage
-    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{out / 'processed.bin'}: it was diffused from a risk_tensor.bin" in caplog.text
-    assert "run `diffuse` again" in caplog.text
-
-
-def test_processed_tensor_from_reweighted_features_exit_code(pipeline, tmp_path, caplog):
-    # same weeks and nodes, other values: only the sha256 stamp tells them apart
-    config_path, out = copy_run(pipeline, tmp_path)
-    tables = tmp_path / "tables.json"
-    tables.write_text(_packaged_tables(
-        lambda raw: raw["severity"].update((k, 3 * v) for k, v in raw["severity"].items())
-    ))
-    config = json.loads(config_path.read_text())
-    config["weight_tables"] = str(tables)
-    config_path.write_text(json.dumps(config))
-    assert cli.main(["features", "--config", str(config_path)]) == 0
-    assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{out / 'processed.bin'}: it was diffused from a risk_tensor.bin" in caplog.text
-    assert "run `diffuse` again" in caplog.text
-
-
 @pytest.mark.parametrize("change", ["shuffled rows", "shorter period"])
 def test_stale_assignment_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -581,20 +576,6 @@ def test_stale_assignment_exit_code(pipeline, tmp_path, caplog, fixture_csv, cha
     assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
     assert f"{out / 'assignment.csv'}: its " in caplog.text
     assert "run `graph` again" in caplog.text
-
-
-@pytest.mark.parametrize("command", ["train", "eval", "predict"])
-def test_processed_sidecar_fractions_not_summing_to_one_exit_code(
-    pipeline, tmp_path, caplog, command
-):
-    config_path, out = copy_run(pipeline, tmp_path)
-    sidecar = out / "processed.json"
-    meta = json.loads(sidecar.read_text())
-    meta["split_fractions"] = [0.6, 0.2, 0.3]
-    sidecar.write_text(json.dumps(meta))
-    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{sidecar}: ValueError: split fractions [0.6, 0.2, 0.3]" in caplog.text
-    assert "run `diffuse` again" in caplog.text
 
 
 def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):
@@ -714,8 +695,7 @@ def test_ablation_arm_trains_like_train(pipeline, tmp_path, monkeypatch):
     config["split_fractions"] = [0.5, 0.25, 0.25]
     config["seed"] = 3
     config_path.write_text(json.dumps(config))
-    for command in ("diffuse", "train"):
-        assert cli.main([command, "--config", str(config_path)]) == 0
+    assert cli.main(["train", "--config", str(config_path)]) == 0
     rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
     epoch, _, _, _, val_loss, _, _ = [row for row in rows if row[5] == "1"][-1]
 

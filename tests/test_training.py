@@ -11,6 +11,7 @@ from roadrisk.errors import (
     NonFiniteLossError,
     ShapeMismatchError,
 )
+from roadrisk.diffusion import preset
 from roadrisk.features import RiskTensor
 from roadrisk.model import ModelConfig, RiskForecaster
 
@@ -88,6 +89,23 @@ def tiny_setup(n=3, weeks=30, t=3, seed=0):
     cfg = ModelConfig(d=4, heads=2, layers=1, t_in=t, t_out=t, conv_kernel=3, dropout=0.0)
     model = RiskForecaster(cfg, neighbor_table(ring_norm(n)), seed=seed)
     return model, data
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
+def test_prepared_targets_own_one_scaled_channel(constant):
+    # the safety channel is scaled alone, not sliced from all three scaled channels
+    values = np.random.default_rng(4).gamma(1.0, size=(60, 5, 3))
+    if constant:
+        values[:, :, tr.TARGET_CHANNEL] = 2.5
+    tensor = make_tensor(values)
+    data, _, scaler = tr.prepare_training_data(
+        tensor, neighbor_table(ring_norm(5)), preset("No_Diffusion"), t_in=6, t_out=6
+    )
+    targets = data.targets
+    assert targets.shape == (60, 5) and targets.flags["C_CONTIGUOUS"] and targets.base is None
+    sliced = scaler.transform(values)[:, :, tr.TARGET_CHANNEL]
+    assert targets.tobytes() == np.ascontiguousarray(sliced).tobytes()
+    assert (targets == 0.0).all() == constant
 
 
 def test_zero_lr_leaves_params_bitwise_unchanged():
