@@ -29,7 +29,7 @@ from .features import (
     load_tensor,
     save_tensor,
 )
-from .graph import SpatialGraph, build_graph, load_graph, save_graph
+from .graph import SpatialGraph, assign_to_nodes, build_graph, load_graph, save_graph
 from .model import RiskForecaster, load_checkpoint, save_checkpoint
 from .training import TARGET_CHANNEL, TrainingData, prepare_training_data, train
 
@@ -41,7 +41,7 @@ EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 # also writes one maps/risk_week_<week>.geojson per forecast week.
 OUTPUTS = {
     "ingest": ["records.csv", "records.npz", "rejects.csv"],
-    "graph": ["nodes.csv", "edges.csv", "assignment.csv"],
+    "graph": ["nodes.csv", "edges.csv"],
     "snr": ["snr.csv"],
     "features": ["risk_tensor.bin", "risk_tensor.json"],
     "diffuse": ["processed.bin", "processed.json"],
@@ -97,28 +97,6 @@ def _load_records(config: RunConfig) -> ingest.RecordTable:
 
 def _load_graph(config: RunConfig):
     return load_graph(_artifact(config, "nodes.csv"), _artifact(config, "edges.csv"))
-
-
-def _load_assignment(
-    config: RunConfig, records: ingest.RecordTable, node_ids: list[int]
-) -> np.ndarray:
-    """The node of each record in `records`, in their order; each is one of `node_ids`."""
-    path = _artifact(config, "assignment.csv")
-    ids, nodes = [], []
-    known = set(node_ids)
-    with artifact_rows(path, ["accident_id", "node_id"], WRITER[path.name]) as (
-        (i_id, i_node), rows
-    ):
-        for row in rows:
-            ids.append(row[i_id])
-            node = int(row[i_node])
-            if node not in known:
-                raise ValueError(f"node {node} is not a node of nodes.csv")
-            nodes.append(node)
-    if ids != records.id.tolist():
-        problem = f"its {len(ids)} accident ids are not the {len(records)} of records.npz in order"
-        raise CorruptArtifactError(path, None, problem, WRITER[path.name])
-    return np.array(nodes)
 
 
 def _load_risk_tensor(config: RunConfig) -> tuple[RiskTensor, SpatialGraph]:
@@ -190,21 +168,12 @@ def cmd_ingest(config: RunConfig) -> list[str]:
 def cmd_graph(config: RunConfig) -> list[str]:
     out = _out(config)
     records = _load_records(config)
-    graph, assignment = build_graph(
-        records.lon, records.lat, config.graph, center=config.region.center
-    )
-    fingerprint = config.fingerprint
-    save_graph(graph, out / "nodes.csv", out / "edges.csv", fingerprint)
-    write_table(
-        out / "assignment.csv",
-        ["accident_id", "node_id"],
-        zip(records.id.tolist(), assignment.tolist()),
-        fingerprint,
-    )
+    graph, _ = build_graph(records.lon, records.lat, config.graph, center=config.region.center)
+    save_graph(graph, out / "nodes.csv", out / "edges.csv", config.fingerprint)
     counts = graph.edge_counts()
     log.info(
         "graph: %d nodes, %d undirected edges (%d stored), sigma=%.1f m",
-        graph.n_nodes, counts["undirected"], counts["directed"], graph.params.sigma_m,
+        graph.n_nodes, counts["undirected"], counts["directed"], graph.sigma_m,
     )
     return OUTPUTS["graph"]
 
@@ -234,7 +203,13 @@ def cmd_features(config: RunConfig) -> list[str]:
     out = _out(config)
     records = _load_records(config)
     graph = _load_graph(config)
-    assignment = _load_assignment(config, records, graph.node_ids)
+    # each record's node is recomputed; a nodes.csv of other records or cells is stale
+    grid = assign_to_nodes(records.lon, records.lat, config.graph.cell_size_m, config.region.center)
+    if not all(map(np.array_equal, grid[:3], (graph.lons, graph.lats, graph.member_counts))):
+        problem = ("its nodes are not the grid cells of records.npz under the run config's "
+                   "graph.cell_size_m and region")
+        raise CorruptArtifactError(out / "nodes.csv", None, problem, "graph")
+    assignment = np.asarray(graph.node_ids)[grid.assignment]
     tensor = build_risk_tensor(
         _tables(config), records, assignment, graph.node_ids, config.region.period
     )

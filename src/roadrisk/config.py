@@ -1,8 +1,9 @@
 """Run configuration: one JSON file drives the whole pipeline.
 
 A run is reproducible from the config plus the input files alone, so every
-artifact embeds the config hash (sha256 of the canonical JSON form) and
-manifests record input-file digests next to it.
+artifact embeds the config hash (sha256 of the canonical JSON form, less
+the input and output paths) and manifests record input-file digests next
+to it.
 """
 
 from __future__ import annotations
@@ -108,7 +109,12 @@ class RunConfig:
 
     @property
     def fingerprint(self) -> str:
-        return config_hash(self.to_dict())
+        """The hash of every setting but the deployment paths `data_csv` and
+        `out_dir`, so a run moved to another directory stamps the same hash;
+        the manifests record the data file's digest."""
+        settings = self.to_dict()
+        del settings["data_csv"], settings["out_dir"]
+        return config_hash(settings)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

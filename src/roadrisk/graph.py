@@ -12,7 +12,7 @@ that finds the neighbours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -106,7 +106,7 @@ class SpatialGraph:
     member_counts: np.ndarray
     edges: EdgeTable           # kernel weights; symmetric, no self loops
     adjacency_norm: EdgeTable  # D^-1/2 A D^-1/2 over the same edges
-    params: GraphParams = field(default_factory=GraphParams)
+    sigma_m: float | None = None  # build_graph's bandwidth; the saved files do not hold it
 
     @property
     def n_nodes(self) -> int:
@@ -138,20 +138,30 @@ def _local_xy_m(lons, lats, lon0: float, lat0: float) -> tuple[np.ndarray, np.nd
     return x, y
 
 
+class GridNodes(NamedTuple):
+    """The nodes of a point set's occupied grid cells, as columns, and each
+    point's node position."""
+
+    lons: np.ndarray
+    lats: np.ndarray
+    member_counts: np.ndarray
+    assignment: np.ndarray
+
+
 def assign_to_nodes(
     lons: Sequence[float],
     lats: Sequence[float],
     cell_size_m: float = 150.0,
     center: tuple[float, float] | None = None,
-) -> tuple[list[tuple[int, float, float, int]], np.ndarray]:
-    """Group points into grid cells; each occupied cell becomes a node.
+) -> GridNodes:
+    """Group points into grid cells; each occupied cell becomes a node at
+    the mean position of its members.
 
     The grid is anchored at `center` (lon, lat) - normally the study-region
     centroid, so cell boundaries don't move with the data - falling back to
-    the point-cloud mean. Returns (nodes, assignment): nodes as (node_id,
-    centroid_lon, centroid_lat, member_count) ordered by node_id, and a
-    per-point array of node ids. Node ids are assigned in (cell_x, cell_y)
-    order, so the result is deterministic for a given input set.
+    the point-cloud mean. Nodes are numbered in (cell_x, cell_y) order, so
+    the result is deterministic for a given input set, and nodes at exactly
+    equal positions are merged (`_merge_coincident`).
     """
     lons = np.asarray(lons, dtype=float)
     lats = np.asarray(lats, dtype=float)
@@ -188,10 +198,8 @@ def assign_to_nodes(
         members = starts[group, None] + np.arange(c)
         centroid_lons[group] = node_lons[members].mean(axis=1)
         centroid_lats[group] = node_lats[members].mean(axis=1)
-    nodes = list(
-        zip(range(counts.size), centroid_lons.tolist(), centroid_lats.tolist(), counts.tolist())
-    )
-    return nodes, assignment
+    keep, counts, remap = _merge_coincident(centroid_lons, centroid_lats, counts)
+    return GridNodes(centroid_lons[keep], centroid_lats[keep], counts, remap[assignment])
 
 
 def _merge_coincident(lons: np.ndarray, lats: np.ndarray, counts: np.ndarray):
@@ -319,26 +327,18 @@ def build_graph(
     Returns the graph plus the per-input-point node assignment.
     """
     params = params or GraphParams()
-    nodes, assignment = assign_to_nodes(lons, lats, params.cell_size_m, center)
-    node_lons = np.array([n[1] for n in nodes])
-    node_lats = np.array([n[2] for n in nodes])
-    counts = np.array([n[3] for n in nodes])
-    keep, counts, remap = _merge_coincident(node_lons, node_lats, counts)
-    if keep.size < len(nodes):
-        node_lons, node_lats = node_lons[keep], node_lats[keep]
-        assignment = remap[assignment]
-    a, sigma = build_adjacency(node_lons, node_lats, params.k, params.sigma_m)
-    a_norm = normalize_sym(a)
+    grid = assign_to_nodes(lons, lats, params.cell_size_m, center)
+    a, sigma = build_adjacency(grid.lons, grid.lats, params.k, params.sigma_m)
     graph = SpatialGraph(
-        node_ids=list(range(node_lons.size)),
-        lons=node_lons,
-        lats=node_lats,
-        member_counts=counts,
+        node_ids=list(range(grid.lons.size)),
+        lons=grid.lons,
+        lats=grid.lats,
+        member_counts=grid.member_counts,
         edges=a,
-        adjacency_norm=a_norm,
-        params=GraphParams(params.cell_size_m, params.k, sigma),
+        adjacency_norm=normalize_sym(a),
+        sigma_m=sigma,
     )
-    return graph, assignment
+    return graph, grid.assignment
 
 
 def save_graph(

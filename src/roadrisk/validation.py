@@ -216,11 +216,11 @@ def framework_validation_report(
     """Run the full battery on a coarse-grid rebuild of the risk features."""
     tables = tables or WeightTables.default()
     table = RecordTable.from_records(records)
-    nodes, assignment = assign_to_nodes(table.lon, table.lat, cell_size_m, center=region.center)
-    node_ids = [node[0] for node in nodes]
-    tensor = build_risk_tensor(tables, table, assignment, node_ids, region.period)
+    grid = assign_to_nodes(table.lon, table.lat, cell_size_m, center=region.center)
+    node_ids = list(range(grid.member_counts.size))
+    tensor = build_risk_tensor(tables, table, grid.assignment, node_ids, region.period)
     counts = aggregate_temporal(
-        table, assignment, Granularity.WEEKLY, len(node_ids), region.period
+        table, grid.assignment, Granularity.WEEKLY, len(node_ids), region.period
     ).values
 
     mean_abs_r, notes_r = cross_dimension_correlation(tensor)

@@ -55,13 +55,27 @@ def pipeline(tmp_path_factory, fixture_csv):
 def test_artifacts_exist(pipeline):
     _, out = pipeline
     for name in (
-        "records.csv", "records.npz", "rejects.csv", "nodes.csv", "edges.csv", "assignment.csv",
+        "records.csv", "records.npz", "rejects.csv", "nodes.csv", "edges.csv",
         "snr.csv", "risk_tensor.bin", "risk_tensor.json", "processed.bin",
         "processed.json", "params.npz", "history.csv",
         "report.json", "report.csv", "report_baselines.json",
         "predictions.csv", "zones.csv", "validation.json", "validation.csv",
     ):
         assert (out / name).exists(), name
+
+
+def test_readme_artifact_table_is_cli_outputs():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | artifacts |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, artifacts = re.findall(r"\| (.*?) (?=\|)", line)
+        table[command.strip("`")] = re.findall(r"`([^`]+)`", artifacts)
+    want = {command: list(names) for command, names in cli.OUTPUTS.items()}
+    want["map"].append("maps/risk_week_<week>.geojson")
+    assert list(table.items()) == list(want.items())
 
 
 def test_map_emits_twelve_valid_weekly_files(pipeline):
@@ -89,8 +103,8 @@ def test_outputs_embed_config_hash(pipeline):
     assert load_zone_geojson(first_map)["config_hash"] == manifest_hash
     with np.load(out / "params.npz") as checkpoint:
         assert checkpoint["config_hash"] == manifest_hash
-    for name in ("records.csv", "nodes.csv", "edges.csv", "assignment.csv",
-                 "history.csv", "snr.csv", "predictions.csv", "zones.csv"):
+    for name in ("records.csv", "nodes.csv", "edges.csv", "history.csv", "snr.csv",
+                 "predictions.csv", "zones.csv"):
         lines = (out / name).read_text().splitlines()
         assert lines[0].split(",")[-1] == "config_hash", name
         assert lines[1].split(",")[-1] == manifest_hash, name
@@ -194,7 +208,7 @@ def test_diffuse_and_train_load_no_scipy(pipeline, tmp_path):
     config_path, _ = copy_run(pipeline, tmp_path)
     code = (
         "import sys; from roadrisk import cli\n"
-        "for stage in ('diffuse', 'train'):\n"
+        "for stage in ('features', 'diffuse', 'train'):\n"
         f"    assert cli.main([stage, '--config', {str(config_path)!r}]) == 0, stage\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
     )
@@ -433,6 +447,19 @@ def test_train_diffuses_with_the_config_it_runs_under(pipeline, tmp_path):
     assert any(old[key].tobytes() != values.tobytes() for key, values in trained.items())
 
 
+def test_moved_run_retrains_byte_identically(pipeline, tmp_path, fixture_csv):
+    # the config hash leaves the paths out, so the stamped checkpoint is the same too
+    config_path, out = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["data_csv"] = str(tmp_path / "accidents.csv")
+    shutil.copyfile(fixture_csv, config["data_csv"])
+    config_path.write_text(json.dumps(config))
+    for command in ("ingest", "graph", "features", "train"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    for name in ("records.csv", "nodes.csv", "risk_tensor.json", "params.npz", "history.csv"):
+        assert (out / name).read_bytes() == (pipeline[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("damage", ["deleted", "garbage"])
 def test_model_stages_do_not_read_the_processed_tensor(pipeline, tmp_path, damage):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -500,33 +527,6 @@ def test_record_stages_build_no_record_objects(pipeline, tmp_path, monkeypatch):
     assert (out / "risk_tensor.bin").read_bytes() == tensor
 
 
-def test_non_integer_node_in_assignment_exit_code(pipeline, tmp_path, caplog):
-    config_path, out = copy_run(pipeline, tmp_path)
-    assignment = out / "assignment.csv"
-    lines = assignment.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[1] = "2.5"  # node_id
-    lines[3] = ",".join(cells)
-    assignment.write_text("\n".join(lines) + "\n")
-    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{assignment} line 4:" in caplog.text and "'2.5'" in caplog.text
-    assert "run `graph` again" in caplog.text
-
-
-@pytest.mark.parametrize("node", ["999", "-1"])
-def test_assignment_node_outside_graph_exit_code(pipeline, tmp_path, caplog, node):
-    config_path, out = copy_run(pipeline, tmp_path)
-    assignment = out / "assignment.csv"
-    lines = assignment.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[1] = node  # node_id
-    lines[3] = ",".join(cells)
-    assignment.write_text("\n".join(lines) + "\n")
-    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{assignment} line 4: node {node} is not a node of nodes.csv" in caplog.text
-    assert "run `graph` again" in caplog.text
-
-
 @pytest.mark.parametrize(
     "case", ["truncated row", "missing row", "missing week", "non-integer node", "non-finite value"]
 )
@@ -559,23 +559,26 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
     assert "run `predict` again" in caplog.text
 
 
-@pytest.mark.parametrize("change", ["shuffled rows", "shorter period"])
-def test_stale_assignment_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
+@pytest.mark.parametrize("change", ["shuffled rows", "shorter period", "cell size"])
+def test_stale_graph_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
     config_path, out = copy_run(pipeline, tmp_path)
     config = json.loads(config_path.read_text())
-    if change == "shuffled rows":
+    if change == "shuffled rows":  # the same cells, their centroids summed in another order
         header, *rows = fixture_csv.read_text().splitlines()
         np.random.default_rng(3).shuffle(rows)
         config["data_csv"] = str(tmp_path / "shuffled.csv")
         Path(config["data_csv"]).write_text("\n".join([header, *rows]) + "\n")
-    else:
+    elif change == "shorter period":
         config["region"]["period"] = ["2011-01-03", "2012-12-30"]
+    else:  # a config edit alone: the old nodes are not this cell size's grid
+        config["graph"]["cell_size_m"] = 450.0
     config_path.write_text(json.dumps(config))
-    assert cli.main(["ingest", "--config", str(config_path)]) == 0
-    # features without graph: assignment.csv still lists the old records
+    if change != "cell size":
+        assert cli.main(["ingest", "--config", str(config_path)]) == 0
+    # features without graph: nodes.csv still holds the old grid cells
     assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert f"{out / 'assignment.csv'}: its " in caplog.text
-    assert "run `graph` again" in caplog.text
+    assert (f"{out / 'nodes.csv'}: its nodes are not the grid cells of records.npz under the "
+            "run config's graph.cell_size_m and region; run `graph` again") in caplog.text
 
 
 def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):

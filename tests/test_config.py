@@ -118,7 +118,7 @@ def test_diffusion_preset_then_overrides(tmp_path):
 
 def test_fixture_config_fingerprint_is_pinned():
     path = Path(__file__).resolve().parents[1] / "configs" / "fixture.json"
-    assert RunConfig.load(path).fingerprint == "7b2e6fef1fb9"
+    assert RunConfig.load(path).fingerprint == "8c77542c469c"
 
 
 def test_missing_config_file(tmp_path):

@@ -70,12 +70,11 @@ def test_pairwise_matches_scalar():
 
 
 def test_assign_single_point_cluster():
-    nodes, assignment = g.assign_to_nodes([0.5] * 4, [10.0] * 4, cell_size_m=100)
-    assert len(nodes) == 1
-    assert nodes[0][1] == pytest.approx(0.5)
-    assert nodes[0][2] == pytest.approx(10.0)
-    assert nodes[0][3] == 4
-    assert (assignment == 0).all()
+    grid = g.assign_to_nodes([0.5] * 4, [10.0] * 4, cell_size_m=100)
+    assert grid.lons.tolist() == [pytest.approx(0.5)]
+    assert grid.lats.tolist() == [pytest.approx(10.0)]
+    assert grid.member_counts.tolist() == [4]
+    assert (grid.assignment == 0).all()
 
 
 def test_assign_two_distant_clusters():
@@ -85,8 +84,9 @@ def test_assign_two_distant_clusters():
     dlon = 10 * cell / (g.EARTH_RADIUS_M * math.cos(math.radians(lat))) * 180 / math.pi
     lons = [0.0, 0.0, dlon, dlon, dlon]
     lats = [lat] * 5
-    nodes, assignment = g.assign_to_nodes(lons, lats, cell_size_m=cell)
-    assert len(nodes) == 2
+    grid = g.assign_to_nodes(lons, lats, cell_size_m=cell)
+    assignment = grid.assignment
+    assert grid.member_counts.size == 2
     assert len(set(assignment[:2])) == 1
     assert len(set(assignment[2:])) == 1
     assert assignment[0] != assignment[2]
@@ -96,10 +96,10 @@ def test_assign_conserves_membership():
     rng = np.random.default_rng(1)
     lons = -0.1 + rng.uniform(0, 0.02, 57)
     lats = 51.5 + rng.uniform(0, 0.02, 57)
-    nodes, assignment = g.assign_to_nodes(lons, lats)
-    assert sum(n[3] for n in nodes) == 57
-    for node_id, _, _, count in nodes:
-        assert (assignment == node_id).sum() == count
+    grid = g.assign_to_nodes(lons, lats)
+    assert grid.member_counts.sum() == 57
+    for node_id, count in enumerate(grid.member_counts):
+        assert (grid.assignment == node_id).sum() == count
 
 
 def test_assign_empty_raises():
@@ -239,6 +239,24 @@ def test_build_graph_roundtrip(tmp_path):
     assert (loaded.adjacency != graph.adjacency).nnz == 0
     for got, want in zip(loaded.adjacency_norm, graph.adjacency_norm):
         assert got.tobytes() == want.tobytes()
+
+
+def test_loaded_graph_is_the_grid_without_a_bandwidth(tmp_path):
+    # `features` recomputes the grid nodes and requires nodes.csv to hold
+    # them bitwise; the files do not record sigma, so a loaded graph claims none
+    rng = np.random.default_rng(5)
+    lons = -0.12 + rng.uniform(0, 0.03, 400)
+    lats = 51.49 + rng.uniform(0, 0.03, 400)
+    graph, assignment = g.build_graph(lons, lats, g.GraphParams(cell_size_m=300, k=3))
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    g.save_graph(graph, nodes_path, edges_path)
+    loaded = g.load_graph(nodes_path, edges_path)
+    grid = g.assign_to_nodes(lons, lats, 300)
+    for column in ("lons", "lats", "member_counts"):
+        assert getattr(loaded, column).tobytes() == getattr(grid, column).tobytes(), column
+    np.testing.assert_array_equal(grid.assignment, assignment)
+    assert graph.sigma_m > 0
+    assert loaded.sigma_m is None
 
 
 def dictreader_load_graph(nodes_path, edges_path):
@@ -477,6 +495,12 @@ def dict_loop_assign(lons, lats, cell_size_m, center):
     return nodes, assignment
 
 
+def grid_nodes(grid):
+    """`assign_to_nodes`'s node columns as `dict_loop_assign`'s tuples."""
+    return list(zip(range(grid.lons.size), grid.lons.tolist(), grid.lats.tolist(),
+                    grid.member_counts.tolist()))
+
+
 def test_assign_matches_dict_loop_bitwise():
     rng = np.random.default_rng(7)
     lons = -0.1 + rng.uniform(-0.03, 0.03, 3000)
@@ -486,11 +510,11 @@ def test_assign_matches_dict_loop_bitwise():
     lons[::97] = -0.1 + rng.uniform(0, 1e-4, lons[::97].size)
     lats[::97] = 51.5 + rng.uniform(0, 1e-4, lats[::97].size)
     center = (-0.1, 51.5)  # cells on both sides of the anchor: negative keys
-    got_nodes, got = g.assign_to_nodes(lons, lats, 150.0, center)
+    got = g.assign_to_nodes(lons, lats, 150.0, center)
     want_nodes, want = dict_loop_assign(lons, lats, 150.0, center)
     assert max(node[3] for node in want_nodes) > 8
-    assert got_nodes == want_nodes  # float == float: bitwise for non-NaN
-    np.testing.assert_array_equal(got, want)
+    assert grid_nodes(got) == want_nodes  # float == float: bitwise for non-NaN
+    np.testing.assert_array_equal(got.assignment, want)
 
 
 def test_assign_centroids_grouped_by_count_match_dict_loop_bitwise():
@@ -508,11 +532,11 @@ def test_assign_centroids_grouped_by_count_match_dict_loop_bitwise():
     y = rng.uniform(10.0, 140.0, cell.size)
     lons = center[0] + np.degrees(x / (g.EARTH_RADIUS_M * math.cos(math.radians(center[1]))))
     lats = center[1] + np.degrees(y / g.EARTH_RADIUS_M)
-    got_nodes, got = g.assign_to_nodes(lons, lats, 150.0, center)
+    got = g.assign_to_nodes(lons, lats, 150.0, center)
     want_nodes, want = dict_loop_assign(lons, lats, 150.0, center)
     assert sorted(node[3] for node in want_nodes) == sorted(counts)
-    assert got_nodes == want_nodes  # float == float: bitwise for non-NaN
-    np.testing.assert_array_equal(got, want)
+    assert grid_nodes(got) == want_nodes  # float == float: bitwise for non-NaN
+    np.testing.assert_array_equal(got.assignment, want)
 
 
 def unique_rows_assignment(lons, lats, cell_size_m, center):
@@ -538,15 +562,15 @@ def test_assign_cell_key_matches_unique_rows(n, low, high, cell_size_m):
     center = (-0.1, 51.5)
     lons = center[0] + rng.uniform(low, high, n)
     lats = center[1] + rng.uniform(low, high, n)
-    nodes, assignment = g.assign_to_nodes(lons, lats, cell_size_m, center)
+    grid = g.assign_to_nodes(lons, lats, cell_size_m, center)
     want, counts = unique_rows_assignment(lons, lats, cell_size_m, center)
-    np.testing.assert_array_equal(assignment, want)
-    assert [node[3] for node in nodes] == counts.tolist()
+    np.testing.assert_array_equal(grid.assignment, want)
+    assert grid.member_counts.tolist() == counts.tolist()
     if low < 0:  # points on both sides of the anchor: negative cells
         x, y = g._local_xy_m(lons, lats, *center)
         assert (x < 0).any() and (y < 0).any()
     else:
-        assert len(nodes) == 1
+        assert grid.member_counts.size == 1
 
 
 def test_merge_coincident_keeps_first_occurrence_order():
