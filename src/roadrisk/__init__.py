@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 from .config import RunConfig
 from .diffusion import PRESETS, DiffusionConfig, MinMaxScaler, apply_diffusion
 from .features import RiskTensor, WeightTables, build_risk_tensor
-from .graph import GraphParams, SpatialGraph, build_graph, haversine_m
+from .graph import GraphParams, SpatialGraph, build_graph
 from .ingest import AccidentRecord, RegionSpec, filter_region, parse_accident_csv
 from .metrics import EvalReport, horizon_report, mae, mape, rmse
 from .model import ModelConfig, RiskForecaster
@@ -50,7 +50,6 @@ __all__ = [
     "classify_zones",
     "export_geojson",
     "filter_region",
-    "haversine_m",
     "horizon_report",
     "mae",
     "mape",

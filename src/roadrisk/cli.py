@@ -103,7 +103,7 @@ def _load_risk_tensor(config: RunConfig) -> tuple[RiskTensor, SpatialGraph]:
     """risk_tensor.bin and the graph whose nodes `features` built it on."""
     raw = load_tensor(_artifact(config, "risk_tensor.bin"), _artifact(config, "risk_tensor.json"))
     graph = _load_graph(config)
-    if raw.node_ids != graph.node_ids:
+    if raw.n_nodes != graph.n_nodes:
         path = _out(config) / "risk_tensor.bin"
         problem = f"its {raw.n_nodes} nodes are not the {graph.n_nodes} of nodes.csv"
         raise CorruptArtifactError(path, None, problem, WRITER[path.name])
@@ -209,9 +209,8 @@ def cmd_features(config: RunConfig) -> list[str]:
         problem = ("its nodes are not the grid cells of records.npz under the run config's "
                    "graph.cell_size_m and region")
         raise CorruptArtifactError(out / "nodes.csv", None, problem, "graph")
-    assignment = np.asarray(graph.node_ids)[grid.assignment]
     tensor = build_risk_tensor(
-        _tables(config), records, assignment, graph.node_ids, config.region.period
+        _tables(config), records, grid.assignment, range(graph.n_nodes), config.region.period
     )
     tensor.meta["config_hash"] = config.fingerprint
     save_tensor(tensor, out / "risk_tensor.bin", out / "risk_tensor.json")
@@ -290,9 +289,9 @@ def cmd_predict(config: RunConfig) -> list[str]:
         out / "predictions.csv",
         ["node_id", "week", "value_scaled", "value"],
         (
-            [node_id, week, repr(float(scaled[i, t])), repr(float(values[i, t]))]
+            [i, week, repr(float(scaled[i, t])), repr(float(values[i, t]))]
             for t, week in enumerate(week_labels)
-            for i, node_id in enumerate(graph.node_ids)
+            for i in range(graph.n_nodes)
         ),
         config.fingerprint,
     )
@@ -305,24 +304,31 @@ def cmd_map(config: RunConfig) -> list[str]:
     out = _out(config)
     pred_path = _artifact(config, "predictions.csv")
     graph = _load_graph(config)
-    by_week: dict[str, dict[int, float]] = {}
+    n, t_out = graph.n_nodes, config.model.t_out
+    weeks: dict[str, int] = {}  # each week's row in `values`, in order of appearance
+    values = np.full((t_out, n), np.nan)  # NaN: no forecast read yet
     columns = ["week", "node_id", "value"]
     with artifact_rows(pred_path, columns, WRITER[pred_path.name]) as (
         (i_week, i_node, i_value), rows
     ):
         for row in rows:
-            by_week.setdefault(row[i_week], {})[int(row[i_node])] = finite(row[i_value])
+            week, node = row[i_week], int(row[i_node])
+            if not 0 <= node < n:
+                raise ValueError(f"node_id {node} is outside the {n} nodes of nodes.csv")
+            t = weeks.setdefault(week, len(weeks))
+            if t == t_out:
+                raise ValueError(f"more than {t_out} forecast weeks, the model forecasts {t_out}")
+            if not np.isnan(values[t, node]):
+                raise ValueError(f"a second forecast for node {node} in week {week}")
+            values[t, node] = finite(row[i_value])
         # a ValueError here is reported at the table's last line
-        if len(by_week) != config.model.t_out:
-            raise ValueError(f"{len(by_week)} forecast weeks, the model forecasts {config.model.t_out}")
-        for week, values in by_week.items():
-            missing = [node for node in graph.node_ids if node not in values]
-            if missing:
-                raise ValueError(f"no forecast for node {missing[0]} in week {week}")
-    zone_maps = []
-    for week in sorted(by_week):
-        values = np.array([by_week[week][node] for node in graph.node_ids])
-        zone_maps.append(riskmap.classify_zones(values, week, graph.node_ids))
+        if len(weeks) != t_out:
+            raise ValueError(f"{len(weeks)} forecast weeks, the model forecasts {t_out}")
+        missing = np.argwhere(np.isnan(values))
+        if missing.size:
+            t, node = missing[0].tolist()
+            raise ValueError(f"no forecast for node {node} in week {list(weeks)[t]}")
+    zone_maps = [riskmap.classify_zones(values[t], week) for week, t in sorted(weeks.items())]
     maps_dir = out / "maps"
     paths = riskmap.export_geojson(
         zone_maps, graph.lons, graph.lats, maps_dir, config.fingerprint
@@ -420,8 +426,10 @@ def main(argv: list[str] | None = None) -> int:
         outputs = handler(config)
         if args.command != "fixture":
             inputs = {"config": args.config}
-            if Path(config.data_csv).exists():
-                inputs["data_csv"] = config.data_csv
+            for key in ("data_csv", "weight_tables"):
+                path = getattr(config, key)
+                if path and Path(path).exists():
+                    inputs[key] = path
             write_manifest(
                 _out(config), args.command, config, inputs, outputs, time.time() - started
             )

@@ -138,7 +138,7 @@ def apply_diffusion(
             )
             out[:, :, f] = fuse(diffused, original, config.beta).T
     meta = {**tensor.meta, "diffusion": asdict(config)}
-    return RiskTensor(list(tensor.weeks), list(tensor.node_ids), out, meta)
+    return RiskTensor(list(tensor.weeks), out, meta)
 
 
 @dataclass

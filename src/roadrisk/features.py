@@ -7,14 +7,13 @@ weight, a road-context weight, and a speed factor 0.5 + v/120. Channels 1
 four infrastructure factors and two environmental ones, over that week's
 accidents at the node. The weight tables live in a JSON file so regional
 recalibrations are data edits, not code edits. A tensor is stored as a
-column archive of its values, week labels and node ids, beside a JSON
-sidecar of its metadata.
+column archive of its values and week labels, beside a JSON sidecar of its
+metadata; node k is the tensor's column k, as it is the graph's row k.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,24 +138,22 @@ def speed_factor(speed_limit_mph: float) -> float:
 
 @dataclass
 class RiskTensor:
-    """(weeks, nodes, 3) array of risk values plus its axis labels."""
+    """(weeks, nodes, 3) array of risk values plus its week labels; the node
+    axis is the graph's node positions."""
 
     weeks: list[str]
-    node_ids: list[int]
     values: np.ndarray  # (W, N, 3), feature order: safety, infrastructure, environment
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        w, n = len(self.weeks), len(self.node_ids)
-        if self.values.shape != (w, n, 3):
-            raise ShapeMismatchError(
-                f"risk tensor shape {self.values.shape} != ({w}, {n}, 3)"
-            )
+        w = len(self.weeks)
+        if self.values.ndim != 3 or self.values.shape[0] != w or self.values.shape[2] != 3:
+            raise ShapeMismatchError(f"risk tensor shape {self.values.shape} != ({w}, nodes, 3)")
         if not np.isfinite(self.values).all():
             week, node, channel = np.argwhere(~np.isfinite(self.values))[0].tolist()
             raise NumericError(
                 f"risk tensor holds {self.values[week, node, channel].item()!r} in week "
-                f"{self.weeks[week]} at node {self.node_ids[node]}, channel {FEATURE_NAMES[channel]}"
+                f"{self.weeks[week]} at node {node}, channel {FEATURE_NAMES[channel]}"
             )
 
     @property
@@ -165,7 +162,7 @@ class RiskTensor:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
+        return self.values.shape[1]
 
 
 def build_risk_tensor(
@@ -176,6 +173,9 @@ def build_risk_tensor(
     period: tuple[dt.date, dt.date],
 ) -> RiskTensor:
     """Assemble the weekly (W, N, 3) risk tensor over a study period.
+
+    `assignment` holds each record's node position in 0..N-1, where N is
+    `len(node_ids)`; nothing else of `node_ids` is read.
 
     Each accident scores three values: log(casualties + 1) times the
     product of its severity weight, road-type weight and
@@ -191,20 +191,17 @@ def build_risk_tensor(
     table = RecordTable.from_records(records)
     if len(table) != len(assignment):
         raise DataError(f"{len(table)} records but {len(assignment)} node assignments")
-    node_ids = list(node_ids)
-    node_pos = {int(n): i for i, n in enumerate(node_ids)}
     weeks = iso_weeks_between(period[0], period[1])
     w, n = len(weeks), len(node_ids)
     values = np.zeros((w, n, 3))
     counts = np.zeros((w, n))
 
-    nodes = np.asarray(assignment, dtype=np.int64)
-    cols = np.fromiter(
-        map(node_pos.get, nodes.tolist(), itertools.repeat(-1)), dtype=np.intp, count=len(nodes)
-    )
-    if (cols < 0).any():
-        node = int(nodes[np.argmax(cols < 0)])
-        raise ShapeMismatchError(f"record node {node} not in graph nodes")
+    cols = np.asarray(assignment, dtype=np.intp)
+    outside = (cols < 0) | (cols >= n)
+    if outside.any():
+        raise ShapeMismatchError(
+            f"record node {int(cols[np.argmax(outside)])} is outside the {n} graph nodes"
+        )
     rows = period_rows(table.date, weeks, Granularity.WEEKLY)
     inside = rows >= 0  # the rest fall outside the study period
 
@@ -241,26 +238,20 @@ def build_risk_tensor(
     occupied = counts > 0
     values[:, :, 1][occupied] /= counts[occupied]
     values[:, :, 2][occupied] /= counts[occupied]
-    return RiskTensor(weeks, node_ids, values)
+    return RiskTensor(weeks, values)
 
 
 _TENSOR_COLUMNS = {
     "values": (np.float64, ("weeks", "nodes", len(FEATURE_NAMES))),
     "weeks": (np.str_, ("weeks",)),
-    "node_ids": (np.int64, ("nodes",)),
 }
 
 
 def save_tensor(tensor: RiskTensor, bin_path: str | Path, meta_path: str | Path) -> None:
-    """Write the values and axis labels as a `write_columns` archive and the
+    """Write the values and week labels as a `write_columns` archive and the
     metadata as a JSON sidecar that names the feature channels."""
     write_columns(
-        bin_path,
-        {
-            "values": tensor.values,
-            "weeks": np.array(tensor.weeks, dtype=np.str_),
-            "node_ids": np.array(tensor.node_ids, dtype=np.int64),
-        },
+        bin_path, {"values": tensor.values, "weeks": np.array(tensor.weeks, dtype=np.str_)}
     )
     write_json(meta_path, {"features": list(FEATURE_NAMES), **tensor.meta})
 
@@ -276,5 +267,4 @@ def load_tensor(bin_path: str | Path, meta_path: str | Path) -> RiskTensor:
     if meta.pop("features", None) != list(FEATURE_NAMES):
         problem = f"its features are not {list(FEATURE_NAMES)}"
         raise CorruptArtifactError(meta_path, None, problem, "features")
-    weeks, node_ids = columns["weeks"].tolist(), columns["node_ids"].tolist()
-    return RiskTensor(weeks, node_ids, columns["values"], meta)
+    return RiskTensor(columns["weeks"].tolist(), columns["values"], meta)

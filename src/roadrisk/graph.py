@@ -26,15 +26,6 @@ from .errors import (
 EARTH_RADIUS_M = 6_371_000.0
 
 
-def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Great-circle distance in meters between two lon/lat points (degrees)."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
-
-
 def _haversine_rad(phi1, lam1, cos1, phi2, lam2, cos2) -> np.ndarray:
     """Elementwise haversine (meters) from radians and precomputed cos(phi).
 
@@ -100,7 +91,9 @@ def _row_sums(a: EdgeTable) -> np.ndarray:
 
 @dataclass
 class SpatialGraph:
-    node_ids: list[int]
+    """Node k is entry k of `lons`, `lats` and `member_counts` and row k of
+    the edge tables; its id in every artifact is k."""
+
     lons: np.ndarray
     lats: np.ndarray
     member_counts: np.ndarray
@@ -110,7 +103,13 @@ class SpatialGraph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
+        return self.lons.size
+
+    @property
+    def node_ids(self) -> list[int]:
+        """`list(range(n_nodes))`, built on each access. No stage reads it:
+        the benchmark's in-process set-up passes it to `build_risk_tensor`."""
+        return list(range(self.n_nodes))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -330,7 +329,6 @@ def build_graph(
     grid = assign_to_nodes(lons, lats, params.cell_size_m, center)
     a, sigma = build_adjacency(grid.lons, grid.lats, params.k, params.sigma_m)
     graph = SpatialGraph(
-        node_ids=list(range(grid.lons.size)),
         lons=grid.lons,
         lats=grid.lats,
         member_counts=grid.member_counts,
@@ -347,12 +345,11 @@ def save_graph(
     """Write nodes and edges CSVs; floats as shortest exact repr."""
     nodes = (
         [i, repr(lon), repr(lat), count]
-        for i, lon, lat, count in zip(
-            graph.node_ids,
+        for i, (lon, lat, count) in enumerate(zip(
             graph.lons.tolist(),
             graph.lats.tolist(),
             np.asarray(graph.member_counts, dtype=np.int64).tolist(),
-        )
+        ))
     )
     write_table(nodes_path, ["node_id", "lon", "lat", "member_count"], nodes, config_hash)
     rows, cols, weights = (column.tolist() for column in graph.edges.entries())
@@ -363,20 +360,21 @@ def save_graph(
 def load_graph(nodes_path: Path, edges_path: Path) -> SpatialGraph:
     """Read a `save_graph` pair; `adjacency_norm` is `normalize_sym` of the
     stored weights. CorruptArtifactError (exit 3) names the line of a row
-    that does not parse or holds a coordinate that is not finite or a weight
-    that is not finite and above 0, or names an edge listed twice, an edge
-    without a mirror of equal weight or a node without edges, and says to
-    run `graph` again."""
-    ids, lons, lats, counts = [], [], [], []
+    that does not parse, holds a `node_id` other than its data-row position
+    or a coordinate that is not finite or a weight that is not finite and
+    above 0, or names an edge listed twice, an edge without a mirror of
+    equal weight or a node without edges, and says to run `graph` again."""
+    lons, lats, counts = [], [], []
     with artifact_rows(nodes_path, ["node_id", "lon", "lat", "member_count"], "graph") as (
         (i_id, i_lon, i_lat, i_count), rows
     ):
         for row in rows:
-            ids.append(int(row[i_id]))
+            if int(row[i_id]) != len(lons):
+                raise ValueError(f"node_id {row[i_id]} is not the row's position {len(lons)}")
             lons.append(finite(row[i_lon]))
             lats.append(finite(row[i_lat]))
             counts.append(int(row[i_count]))
-    n = len(ids)
+    n = len(lons)
     key, w = [], []
     with artifact_rows(edges_path, ["i", "j", "weight"], "graph") as ((i_i, i_j, i_w), rows):
         for row in rows:
@@ -405,7 +403,6 @@ def load_graph(nodes_path: Path, edges_path: Path) -> SpatialGraph:
             i, j = divmod(int(key[np.argmax(bad)]), n)
             raise CorruptArtifactError(edges_path, None, f"edge ({i}, {j}) {problem}", "graph")
     return SpatialGraph(
-        node_ids=ids,
         lons=np.array(lons),
         lats=np.array(lats),
         member_counts=np.array(counts),

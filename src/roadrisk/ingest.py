@@ -567,8 +567,7 @@ def iso_weeks_between(start: dt.date, end: dt.date) -> list[str]:
 class AggregatedSeries:
     granularity: Granularity
     index: list[str]       # ordered, gap-free period labels
-    node_ids: list[int]
-    values: np.ndarray     # (periods, nodes) counts
+    values: np.ndarray     # (periods, nodes) counts, a node's column its position
 
     def totals(self) -> np.ndarray:
         return self.values.sum(axis=1)
@@ -595,7 +594,7 @@ def aggregate_temporal(
 ) -> AggregatedSeries:
     """Count accidents per (node, period); gaps hold explicit zeros.
 
-    `assignment` gives the node id of each record, aligned with `records`.
+    `assignment` gives the node position of each record, aligned with `records`.
     The index spans `period` when given, otherwise the observed date range.
     """
     table = RecordTable.from_records(records)
@@ -612,13 +611,13 @@ def aggregate_temporal(
     elif len(table):
         start, end = (dt.date.fromordinal(int(day)) for day in (table.date.min(), table.date.max()))
     else:
-        return AggregatedSeries(granularity, [], list(range(n_nodes)), np.zeros((0, n_nodes)))
+        return AggregatedSeries(granularity, [], np.zeros((0, n_nodes)))
     index = _period_range(start, end, granularity)
     rows = period_rows(table.date, index, granularity)
     inside = rows >= 0
     values = np.zeros((len(index), n_nodes))
     np.add.at(values, (rows[inside], nodes[inside]), 1.0)
-    return AggregatedSeries(granularity, index, list(range(n_nodes)), values)
+    return AggregatedSeries(granularity, index, values)
 
 
 def snr(series: AggregatedSeries) -> float:

@@ -217,11 +217,9 @@ def framework_validation_report(
     tables = tables or WeightTables.default()
     table = RecordTable.from_records(records)
     grid = assign_to_nodes(table.lon, table.lat, cell_size_m, center=region.center)
-    node_ids = list(range(grid.member_counts.size))
-    tensor = build_risk_tensor(tables, table, grid.assignment, node_ids, region.period)
-    counts = aggregate_temporal(
-        table, grid.assignment, Granularity.WEEKLY, len(node_ids), region.period
-    ).values
+    n = grid.member_counts.size
+    tensor = build_risk_tensor(tables, table, grid.assignment, range(n), region.period)
+    counts = aggregate_temporal(table, grid.assignment, Granularity.WEEKLY, n, region.period).values
 
     mean_abs_r, notes_r = cross_dimension_correlation(tensor)
     cv, autocorr, notes_t = temporal_stats(tensor)
@@ -241,7 +239,7 @@ def framework_validation_report(
         icc=by_name(icc),
         r2_sequence=r2_seq,
         r2_relative_improvement=r2_rel,
-        grid_cells=len(node_ids),
+        grid_cells=n,
         weeks=tensor.n_weeks,
         notes=notes_r + notes_t + notes_i + notes_h,
         config_fingerprint=config_fingerprint,

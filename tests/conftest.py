@@ -38,6 +38,6 @@ def fixture_tensor(fixture_records, fixture_graph):
         WeightTables.default(),
         fixture_records,
         assignment,
-        graph.node_ids,
+        range(graph.n_nodes),
         fixture_region().period,
     )

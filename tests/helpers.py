@@ -1,11 +1,23 @@
 """Test helpers that the pipeline itself never calls."""
 
+import math
+
 import numpy as np
 from scipy import sparse
 
 from roadrisk.autodiff import Tape, no_grad
-from roadrisk.graph import EdgeTable
+from roadrisk.graph import EARTH_RADIUS_M, EdgeTable
 from roadrisk.training import TARGET_CHANNEL, TrainingData, split_temporal
+
+
+def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
+    """Great-circle distance in meters between two lon/lat points (degrees),
+    in scalar `math`: the oracle for the graph's vectorised distances."""
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
 def neighbor_table(adjacency) -> EdgeTable:

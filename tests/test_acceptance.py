@@ -5,6 +5,7 @@ criterion. The learning smoke test trains two full arms on the synthetic
 fixture and is the long pole (a few minutes); everything else is seconds.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -263,9 +264,7 @@ def test_diffusion_against_dense_oracle():
         n = int(rng.integers(3, 11))
         w = int(rng.integers(2, 6))
         a = random_norm(n, seed=100 + trial)
-        tensor = RiskTensor(
-            [f"w{t}" for t in range(w)], list(range(n)), rng.uniform(0, 3, (w, n, 3))
-        )
+        tensor = RiskTensor([f"w{t}" for t in range(w)], rng.uniform(0, 3, (w, n, 3)))
         cfg = df.DiffusionConfig(
             name="trial",
             alpha=tuple(rng.uniform(0, 1, 3)),
@@ -289,9 +288,7 @@ def test_diffusion_against_dense_oracle():
 
 def test_diffusion_no_diffusion_identity_and_nonexpansive():
     rng = np.random.default_rng(12)
-    tensor = RiskTensor(
-        [f"w{t}" for t in range(4)], list(range(6)), rng.uniform(0, 5, (4, 6, 3))
-    )
+    tensor = RiskTensor([f"w{t}" for t in range(4)], rng.uniform(0, 5, (4, 6, 3)))
     a_norm = neighbor_table(random_norm(6, seed=0))
     out = df.apply_diffusion(tensor, a_norm, df.preset("No_Diffusion"))
     assert (out.values == tensor.values).all()
@@ -537,6 +534,25 @@ def test_end_to_end_predict_and_map(tmp_path, fixture_csv):
         again = rm.classify_zones(values, collection["week"])
         assert (again.zones == zones).all()
     assert elapsed < 300
+
+    # one numbering: every output that holds nodes numbers them 0..n-1 in nodes.csv's row order
+    def table(name):
+        with open(out_dir / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    nodes = table("nodes.csv")
+    ids = list(range(len(nodes)))
+    assert [int(row["node_id"]) for row in nodes] == ids
+    coordinates = [[float(row["lon"]), float(row["lat"])] for row in nodes]
+    for name in ("predictions.csv", "zones.csv"):
+        weeks = {}
+        for row in table(name):
+            weeks.setdefault(row["week"], []).append(int(row["node_id"]))
+        assert len(weeks) == 12 and all(week == ids for week in weeks.values()), name
+    for path in maps:
+        features = rm.load_zone_geojson(path)["features"]
+        assert [f["properties"]["node_id"] for f in features] == ids, path.name
+        assert [f["geometry"]["coordinates"] for f in features] == coordinates, path.name
     announce(
         "end-to-end deliverable: 12 valid weekly GeoJSON zone maps",
         f"pipeline {elapsed:.0f}s",

@@ -318,17 +318,20 @@ TENSOR_READERS = {
     "damage, problem",
     [
         (lambda path: path.write_bytes(path.read_bytes()[:7]),
-         "not an .npz archive; it may be truncated"),
+         "ValueError: not an .npz archive; it may be truncated"),
         (lambda path: path.write_bytes(path.read_bytes()[:-8]),
-         "not an .npz archive; it may be truncated"),
-        (recolumn(lambda columns: columns.pop("weeks")), "no 'weeks' column"),
-        (recolumn(lambda columns: columns.update(scale=np.ones(3))), "undeclared 'scale' column"),
+         "ValueError: not an .npz archive; it may be truncated"),
+        (recolumn(lambda columns: columns.pop("weeks")), "ValueError: no 'weeks' column"),
+        (recolumn(lambda columns: columns.update(scale=np.ones(3))),
+         "ValueError: undeclared 'scale' column"),
         (recolumn(lambda columns: columns.update(values=columns["values"].astype(np.float32))),
-         "column 'values' holds float32 of shape (156, 30, 3), not float64 of shape (156, 30, 3)"),
-        (recolumn(lambda columns: columns.update(node_ids=columns["node_ids"][:-1])),
-         "column 'node_ids' holds int64 of shape (29,), not int64 of shape (30,)"),
+         "ValueError: column 'values' holds float32 of shape (156, 30, 3), "
+         "not float64 of shape (156, 30, 3)"),
+        # the node count is the values' width, and nodes.csv must have as many rows
+        (recolumn(lambda columns: columns.update(values=columns["values"][:, :-1])),
+         "its 29 nodes are not the 30 of nodes.csv"),
         (recolumn(set_item("values", (5, 2, 1), np.inf)),
-         "column 'values' holds inf at index [5, 2, 1]"),
+         "ValueError: column 'values' holds inf at index [5, 2, 1]"),
     ],
     ids=["truncated-header", "cut-short", "missing-member", "extra-member", "float32",
          "node-count", "infinite"],
@@ -341,7 +344,7 @@ def test_damaged_tensor_exit_code(pipeline, tmp_path, caplog, name, damage, prob
     for command in TENSOR_READERS[name]:
         caplog.clear()
         assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA, command
-        message = f"{tensor}: ValueError: {problem}; run `{cli.WRITER[name]}` again"
+        message = f"{tensor}: {problem}; run `{cli.WRITER[name]}` again"
         assert message in caplog.text, command
 
 
@@ -370,8 +373,9 @@ def one_array(path):
         ("risk_tensor.json", "diffuse", rejson(lambda meta: {})),
         ("risk_tensor.bin", "diffuse",
          recolumn(lambda columns: columns.update(weeks=columns["weeks"][:-1]))),
+        # a node id member, as tensors stored before their node axis was positions
         ("risk_tensor.bin", "diffuse",
-         recolumn(lambda columns: columns.update(node_ids=np.r_[2.5, columns["node_ids"][1:]]))),
+         recolumn(lambda columns: columns.update(node_ids=np.r_[2.5, np.arange(1.0, 30.0)]))),
     ],
     ids=["empty manifest", "no parameters", "not an object", "empty sidecar", "week count",
          "non-integer node"],
@@ -528,7 +532,8 @@ def test_record_stages_build_no_record_objects(pipeline, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["truncated row", "missing row", "missing week", "non-integer node", "non-finite value"]
+    "case", ["truncated row", "missing row", "missing week", "non-integer node", "non-finite value",
+             "node outside", "repeated row", "extra week"]
 )
 def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -548,6 +553,22 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
         cells[0] = "2.5"  # node_id
         lines[3] = ",".join(cells)
         where, problem = "line 4:", "'2.5'"
+    elif case == "node outside":
+        cells = lines[3].split(",")
+        cells[0] = "30"  # node_id; nodes.csv holds 30 nodes
+        lines[3] = ",".join(cells)
+        where, problem = "line 4:", "node_id 30 is outside the 30 nodes of nodes.csv"
+    elif case == "repeated row":
+        cells = lines[3].split(",")
+        cells[3] = "999.0"  # a second value for the same week and node
+        lines.insert(4, ",".join(cells))
+        where, problem = "line 5:", f"a second forecast for node {cells[0]} in week {cells[1]}"
+    elif case == "extra week":
+        cells = lines[-1].split(",")
+        cells[1] = "2099-W01"  # week
+        lines.append(",".join(cells))
+        where = f"line {len(lines)}:"
+        problem = "more than 12 forecast weeks, the model forecasts 12"
     else:
         cells = lines[3].split(",")
         cells[3] = "nan"  # value
@@ -559,10 +580,16 @@ def test_corrupt_predictions_exit_code(pipeline, tmp_path, caplog, case):
     assert "run `predict` again" in caplog.text
 
 
-@pytest.mark.parametrize("change", ["shuffled rows", "shorter period", "cell size"])
+@pytest.mark.parametrize(
+    "change",
+    ["shuffled rows", "shorter period", "cell size", "duplicated node_id", "out-of-order node_id"],
+)
 def test_stale_graph_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
     config_path, out = copy_run(pipeline, tmp_path)
     config = json.loads(config_path.read_text())
+    nodes = out / "nodes.csv"
+    where, problem = "", ("its nodes are not the grid cells of records.npz under the run "
+                          "config's graph.cell_size_m and region")
     if change == "shuffled rows":  # the same cells, their centroids summed in another order
         header, *rows = fixture_csv.read_text().splitlines()
         np.random.default_rng(3).shuffle(rows)
@@ -570,15 +597,21 @@ def test_stale_graph_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
         Path(config["data_csv"]).write_text("\n".join([header, *rows]) + "\n")
     elif change == "shorter period":
         config["region"]["period"] = ["2011-01-03", "2012-12-30"]
-    else:  # a config edit alone: the old nodes are not this cell size's grid
+    elif change == "cell size":  # a config edit alone: the old nodes are not this cell size's grid
         config["graph"]["cell_size_m"] = 450.0
+    else:  # the ids of data rows 1 and 2 edited; cells and edges as `graph` wrote them
+        rows = nodes.read_text().splitlines()
+        ids = ("0", "2") if change == "duplicated node_id" else ("2", "1")
+        for k, node_id in zip((2, 3), ids):
+            rows[k] = node_id + rows[k][rows[k].index(","):]
+        nodes.write_text("\n".join(rows) + "\n")
+        where, problem = " line 3", f"node_id {ids[0]} is not the row's position 1"
     config_path.write_text(json.dumps(config))
-    if change != "cell size":
+    if change in ("shuffled rows", "shorter period"):
         assert cli.main(["ingest", "--config", str(config_path)]) == 0
-    # features without graph: nodes.csv still holds the old grid cells
+    # features without graph: nodes.csv still holds the old grid cells or the edited ids
     assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
-    assert (f"{out / 'nodes.csv'}: its nodes are not the grid cells of records.npz under the "
-            "run config's graph.cell_size_m and region; run `graph` again") in caplog.text
+    assert f"{nodes}{where}: {problem}; run `graph` again" in caplog.text
 
 
 def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):
@@ -646,6 +679,29 @@ def test_bad_weight_tables_exit_code(pipeline, tmp_path, caplog, command, text):
     config_path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_CONFIG
     assert str(tables) in caplog.text and "`weight_tables`" in caplog.text
+
+
+def test_manifests_record_the_weight_tables(pipeline, tmp_path, caplog):
+    # the same config file, its tables edited in one weight between two `features` runs
+    config_path, out = copy_run(pipeline, tmp_path)
+    tables = tmp_path / "tables.json"
+    config = json.loads(config_path.read_text())
+    config["weight_tables"] = str(tables)
+    config_path.write_text(json.dumps(config))
+    inputs = []
+    for weight in (1.0, 1.5):
+        tables.write_text(_packaged_tables(lambda raw: raw["light"].update(daylight=weight)))
+        assert cli.main(["features", "--config", str(config_path)]) == 0
+        inputs.append(json.loads((out / "manifest_features.json").read_text())["inputs"])
+    assert inputs[0].keys() == inputs[1].keys() == {"config", "data_csv", "weight_tables"}
+    assert inputs[0]["config"] == inputs[1]["config"]
+    assert inputs[0]["weight_tables"] != inputs[1]["weight_tables"]
+    # a missing file is left out of the inputs; the stage that reads it says so
+    tables.unlink()
+    assert cli.main(["snr", "--config", str(config_path)]) == 0
+    assert "weight_tables" not in json.loads((out / "manifest_snr.json").read_text())["inputs"]
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{tables} not found; it is the run config's `weight_tables`" in caplog.text
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ def random_norm(n, seed):
 def make_tensor(values):
     values = np.asarray(values, dtype=float)
     w, n, _ = values.shape
-    return RiskTensor([f"w{t}" for t in range(w)], list(range(n)), values)
+    return RiskTensor([f"w{t}" for t in range(w)], values)
 
 
 def test_alpha_zero_is_identity():

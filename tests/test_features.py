@@ -303,8 +303,9 @@ def test_build_tensor_casualty_monotonicity():
 
 def test_build_tensor_rejects_foreign_node():
     rec = make_record()
-    with pytest.raises(ShapeMismatchError):
-        ft.build_risk_tensor(TABLES, [rec], [7], [0, 1], PERIOD)
+    for node in (7, 2, -1):  # a record's node is a position in 0..n-1
+        with pytest.raises(ShapeMismatchError, match=f"^record node {node} is outside the 2 "):
+            ft.build_risk_tensor(TABLES, [rec], [node], [0, 1], PERIOD)
 
 
 def test_build_tensor_length_mismatch_states_both_lengths():
@@ -319,8 +320,9 @@ def test_tensor_roundtrip(tmp_path):
     ft.save_tensor(tensor, bin_path, meta_path)
     loaded = ft.load_tensor(bin_path, meta_path)
     assert loaded.weeks == tensor.weeks
-    assert loaded.node_ids == tensor.node_ids
     assert (loaded.values == tensor.values).all()
+    with np.load(bin_path) as archive:  # the node axis is positions: no id member
+        assert sorted(archive.files) == ["values", "weeks"]
     assert loaded.meta["note"] == "fixture"
 
 
@@ -339,15 +341,14 @@ def test_weight_tables_reject_nonpositive():
         ft.WeightTables.from_dict(raw)
 
 
-def loop_risk_tensor(tables, records, assignment, node_ids, period):
+def loop_risk_tensor(tables, records, assignment, n_nodes, period):
     """The per-record loop `build_risk_tensor` replaced, kept as its oracle."""
-    node_pos = {int(n): i for i, n in enumerate(node_ids)}
     weeks = ft.iso_weeks_between(period[0], period[1])
     week_pos = {w: t for t, w in enumerate(weeks)}
-    values = np.zeros((len(weeks), len(node_ids), 3))
-    counts = np.zeros((len(weeks), len(node_ids)))
+    values = np.zeros((len(weeks), n_nodes, 3))
+    counts = np.zeros((len(weeks), n_nodes))
     for rec, node in zip(records, assignment):
-        i = node_pos[int(node)]
+        i = int(node)
         label = week_label(rec.date)
         if label not in week_pos:
             continue
@@ -404,25 +405,26 @@ def test_build_tensor_matches_record_loop_bitwise():
         assert {getattr(r, attr) for r in records} == set(member_enum)
     assert {r.casualties for r in records} == set(range(1, 10))
     assert any(r.date < PERIOD[0] for r in records) and any(r.date > PERIOD[1] for r in records)
-    node_ids = [9, 4, 7, 0, 3, 12]  # not sorted, and node 12 gets no records
+    nodes = range(6)
+    occupied = [4, 0, 5, 1, 3]  # records in no node order, and node 2 gets none
     rng = np.random.default_rng(12)
-    assignment = [node_ids[int(k)] for k in rng.integers(0, 5, len(records))]
-    assert 12 not in assignment
+    assignment = [occupied[int(k)] for k in rng.integers(0, 5, len(records))]
+    assert 2 not in assignment
 
-    tensor = ft.build_risk_tensor(TABLES, records, assignment, node_ids, PERIOD)
+    tensor = ft.build_risk_tensor(TABLES, records, assignment, nodes, PERIOD)
     assert tensor.values.tobytes() == loop_risk_tensor(
-        TABLES, records, assignment, node_ids, PERIOD
+        TABLES, records, assignment, len(nodes), PERIOD
     ).tobytes()
-    assert (tensor.values[:, node_ids.index(12)] == 0.0).all()
+    assert (tensor.values[:, 2] == 0.0).all()
     table = RecordTable.from_records(records)
-    on_table = ft.build_risk_tensor(TABLES, table, np.asarray(assignment), node_ids, PERIOD)
+    on_table = ft.build_risk_tensor(TABLES, table, np.asarray(assignment), nodes, PERIOD)
     assert on_table.values.tobytes() == tensor.values.tobytes()
-    assert on_table.weeks == tensor.weeks and on_table.node_ids == tensor.node_ids
+    assert on_table.weeks == tensor.weeks and on_table.n_nodes == tensor.n_nodes == 6
 
     order = rng.permutation(len(records))
     shuffled = [records[k] for k in order]
     shuffled_assignment = np.asarray(assignment)[order]  # numpy ints, as the CLI passes
-    tensor = ft.build_risk_tensor(TABLES, shuffled, shuffled_assignment, node_ids, PERIOD)
+    tensor = ft.build_risk_tensor(TABLES, shuffled, shuffled_assignment, nodes, PERIOD)
     assert tensor.values.tobytes() == loop_risk_tensor(
-        TABLES, shuffled, shuffled_assignment, node_ids, PERIOD
+        TABLES, shuffled, shuffled_assignment, len(nodes), PERIOD
     ).tobytes()

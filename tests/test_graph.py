@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import csr, neighbor_table, scipy_normalize
+from helpers import csr, haversine_m, neighbor_table, scipy_normalize
 from roadrisk import graph as g
 from roadrisk.errors import (
     CorruptArtifactError,
@@ -34,11 +34,11 @@ def pairwise_haversine_m(lons, lats) -> np.ndarray:
 
 
 def test_haversine_zero_distance():
-    assert g.haversine_m(-0.1, 51.5, -0.1, 51.5) == 0.0
+    assert haversine_m(-0.1, 51.5, -0.1, 51.5) == 0.0
 
 
 def test_haversine_antipodal_half_circumference():
-    assert g.haversine_m(0.0, 0.0, 180.0, 0.0) == pytest.approx(
+    assert haversine_m(0.0, 0.0, 180.0, 0.0) == pytest.approx(
         math.pi * g.EARTH_RADIUS_M, rel=1e-12
     )
 
@@ -52,7 +52,7 @@ def test_haversine_london_manchester():
     oracle = g.EARTH_RADIUS_M * math.acos(
         math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
     )
-    got = g.haversine_m(lon1, lat1, lon2, lat2)
+    got = haversine_m(lon1, lat1, lon2, lat2)
     assert got == pytest.approx(oracle, rel=1e-3)
     assert got == pytest.approx(262_200, rel=1e-3)
 
@@ -65,7 +65,7 @@ def test_pairwise_matches_scalar():
     for i in range(6):
         for j in range(6):
             assert mat[i, j] == pytest.approx(
-                g.haversine_m(lons[i], lats[i], lons[j], lats[j]), abs=1e-6
+                haversine_m(lons[i], lats[i], lons[j], lats[j]), abs=1e-6
             )
 
 
@@ -125,7 +125,7 @@ def grid_points(nx, ny, spacing_m=200.0, lat0=51.5, lon0=-0.1):
 def test_adjacency_weight_at_sigma():
     # two nodes at distance d with sigma=d -> weight exp(-1/2)
     lons, lats = grid_points(2, 1, spacing_m=300.0)
-    d = g.haversine_m(lons[0], lats[0], lons[1], lats[1])
+    d = haversine_m(lons[0], lats[0], lons[1], lats[1])
     table, sigma = g.build_adjacency(lons, lats, k=1, sigma_m=d)
     a = csr(table)
     assert sigma == d
@@ -233,7 +233,7 @@ def test_build_graph_roundtrip(tmp_path):
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     g.save_graph(graph, nodes_path, edges_path)
     loaded = g.load_graph(nodes_path, edges_path)
-    assert loaded.node_ids == graph.node_ids
+    assert loaded.n_nodes == graph.n_nodes
     assert (loaded.lons == graph.lons).all()
     assert (loaded.lats == graph.lats).all()
     assert (loaded.adjacency != graph.adjacency).nnz == 0
@@ -291,7 +291,7 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
     loaded = g.load_graph(nodes_path, edges_path)
     ids, node_lons, node_lats, a, a_norm = dictreader_load_graph(nodes_path, edges_path)
     assert loaded.n_nodes > 100
-    assert loaded.node_ids == ids
+    assert ids == list(range(loaded.n_nodes))  # a node's id is its row position
     assert loaded.lons.tobytes() == node_lons.tobytes()
     assert loaded.lats.tobytes() == node_lats.tobytes()
     # the normalised adjacency is derived on load, bitwise what build_graph computed
@@ -308,6 +308,9 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
     "which, old, new, problem",
     [
         ("nodes", ",1,", ",one,", "'one'"),
+        ("nodes", "\n1,-0.097", "\n0,-0.097", "line 3: node_id 0 is not the row's position 1"),
+        ("nodes", "\n1,-0.09711068124991816,51.5,1,\n2,", "\n2,-0.09711068124991816,51.5,1,\n1,",
+         "line 3: node_id 2 is not the row's position 1"),
         ("edges", "\n0,", "\n0\n0,", "fewer cells"),
         ("edges", "\n0,", "\n9,", "outside the 3"),
         ("nodes", "\n0,-0.1,", "\n0,inf,", "line 2: 'inf' is not a finite number"),
@@ -327,9 +330,9 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
         ("edges", "\n2,0,0.13533528334200767,", "\n2,0,0.1353352833420077,",
          "edge (0, 2) has no mirror of equal weight"),
     ],
-    ids=["node-count", "short-edge", "edge-endpoint", "infinite-lon", "nan-lat", "nan-weight",
-         "zero-weight", "negative-weight", "zero-degree-node", "duplicate-edge", "one-way-edge",
-         "unequal-mirror"],
+    ids=["node-count", "duplicate-node-id", "unordered-node-id", "short-edge", "edge-endpoint",
+         "infinite-lon", "nan-lat", "nan-weight", "zero-weight", "negative-weight",
+         "zero-degree-node", "duplicate-edge", "one-way-edge", "unequal-mirror"],
 )
 def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
     lons, lats = grid_points(3, 1)

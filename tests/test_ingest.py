@@ -383,7 +383,7 @@ def test_weekly_index_has_no_gaps():
 
 def test_snr_constant_series_is_infinite():
     series = ingest.AggregatedSeries(
-        Granularity.DAILY, ["d1", "d2", "d3"], [0], np.full((3, 1), 4.0)
+        Granularity.DAILY, ["d1", "d2", "d3"], np.full((3, 1), 4.0)
     )
     with pytest.warns(UserWarning):
         assert ingest.snr(series) == math.inf
@@ -392,12 +392,12 @@ def test_snr_constant_series_is_infinite():
 def test_snr_hand_case():
     # totals [1, 3]: mean 2, sample (n-1) sd sqrt(2) -> ratio sqrt(2)
     series = ingest.AggregatedSeries(
-        Granularity.WEEKLY, ["w1", "w2"], [0], np.array([[1.0], [3.0]])
+        Granularity.WEEKLY, ["w1", "w2"], np.array([[1.0], [3.0]])
     )
     assert ingest.snr(series) == pytest.approx(math.sqrt(2.0))
     # and with the triple [1, 2, 3]: mean 2, sample sd 1 -> ratio 2
     series3 = ingest.AggregatedSeries(
-        Granularity.WEEKLY, ["w1", "w2", "w3"], [0], np.array([[1.0], [2.0], [3.0]])
+        Granularity.WEEKLY, ["w1", "w2", "w3"], np.array([[1.0], [2.0], [3.0]])
     )
     assert ingest.snr(series3) == pytest.approx(2.0)
 
@@ -487,7 +487,7 @@ def test_aggregate_matches_record_loop(granularity, period):
     series = ingest.aggregate_temporal(records, assignment, granularity, 6, period)
     index, values = loop_aggregate(records, assignment, granularity, 6, period)
     assert series.index == index
-    assert series.node_ids == list(range(6))
+    assert series.values.shape == (len(index), 6)
     assert series.values.tobytes() == values.tobytes()
     table = ingest.RecordTable.from_records(records)
     on_table = ingest.aggregate_temporal(table, assignment, granularity, 6, period)

@@ -21,7 +21,7 @@ from helpers import neighbor_table, training_data
 def make_tensor(values):
     values = np.asarray(values, dtype=float)
     w, n, _ = values.shape
-    return RiskTensor([f"w{t}" for t in range(w)], list(range(n)), values)
+    return RiskTensor([f"w{t}" for t in range(w)], values)
 
 
 def ring_norm(n):

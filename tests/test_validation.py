@@ -10,7 +10,7 @@ from roadrisk.synthetic import fixture_region
 def make_tensor(values):
     values = np.asarray(values, dtype=float)
     w, n, _ = values.shape
-    return RiskTensor([f"w{t}" for t in range(w)], list(range(n)), values)
+    return RiskTensor([f"w{t}" for t in range(w)], values)
 
 
 def test_duplicated_dimension_correlates_fully():
