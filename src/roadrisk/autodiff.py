@@ -14,16 +14,25 @@ logits use a contraction that rounds every node pair the same way, so
 relabeling the nodes permutes every intermediate bitwise instead of perturbing
 the last ulp.
 
-One op uses a second thread: `edge_attention`'s forward at region scale runs
-the last half of its weeks on a thread of its own, started and joined inside
-the call. Weeks are independent and the split is always in two, never sized
-by the core count, so results do not depend on the machine. Its backward
-stays on one thread: its dense products already run on BLAS threads, and a
-two-way split measured slower there.
+Two ops split their work over a second thread, always in two fixed halves
+and never sized by the core count, so results do not depend on the machine:
+
+* `edge_attention`'s forward at region scale runs the last half of its
+  weeks on a thread of its own, started and joined inside the call;
+* `fork_join` runs a loss over two parts of a batch, the second part on one
+  worker thread that is started on first use and then kept. Each part
+  records its own sub-tape, and the backward replays the two at once.
+
+`Tape.backward` and `fork_join`'s forward hold numpy's bundled OpenBLAS at
+one thread (`blas_single_thread`): two halves that each ran two BLAS threads
+oversubscribed a 2-core machine and measured no gain, and products on one
+BLAS thread round alike whatever thread count the environment sets.
+Elsewhere, as in a forecast, BLAS keeps its own thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 
@@ -45,15 +54,25 @@ def _active_tape():
     return getattr(_state, "tape", None)
 
 
+def recording() -> bool:
+    """Whether ops on this thread are being recorded on a tape."""
+    return _active_tape() is not None
+
+
 class Tape:
     """Ordered record of backward closures for one forward pass.
 
     Use as a context manager; only ops executed while a tape is active are
-    recorded. Tapes on different threads are independent.
+    recorded. Tapes on different threads are independent. Replaying the tape
+    frees the gradient of every op output once its step has passed it on;
+    leaves (parameters and inputs) keep theirs.
     """
 
     def __init__(self):
         self._steps = []
+        # steps recorded on the sub-tapes of this tape's `fork_join` calls:
+        # len() counts every op a forward recorded, split or not
+        self._nested = 0
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -66,7 +85,7 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._steps)
+        return len(self._steps) + self._nested
 
     def add(self, step):
         self._steps.append(step)
@@ -76,6 +95,10 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeMismatchError("backward() expects a scalar loss")
         loss.grad = np.ones_like(loss.data)
+        with blas_single_thread():
+            self._replay()
+
+    def _replay(self):
         for step in reversed(self._steps):
             step()
 
@@ -147,10 +170,13 @@ def _op(data, *inputs) -> Tensor:
     backward step on the active tape.
 
     `inputs` are (tensor, vjp) pairs, where vjp maps the output's gradient to
-    that input's gradient (a vector-Jacobian product). The output requires
-    grad when any input does. On replay, the step accumulates each tracked
-    input's vjp in argument order, so an input passed twice, as in
-    `mul(x, x)`, sums its two terms in a fixed order.
+    that input's gradient (a vector-Jacobian product), or to None for no
+    gradient. The output requires grad when any input does. On replay, the
+    step accumulates each tracked input's vjp in argument order, so an input
+    passed twice, as in `mul(x, x)`, sums its two terms in a fixed order, and
+    then frees the output's gradient: nothing reads it again, and keeping
+    every intermediate gradient until the tape is dropped cost 120 MB of a
+    2-window 300-node step.
     """
     out = Tensor(data, any(t.requires_grad for t, _ in inputs))
     if CHECK_FINITE and not np.isfinite(out.data).all():
@@ -164,10 +190,212 @@ def _op(data, *inputs) -> Tensor:
                 return
             for t, vjp in inputs:
                 if t.requires_grad:
-                    t.accumulate(vjp(g))
+                    grad = vjp(g)
+                    if grad is not None:
+                        t.accumulate(grad)
+            out.grad = None
 
         tape.add(step)
     return out
+
+
+# Names in numpy's bundled OpenBLAS (scipy-openblas64) of the calls that set
+# and read its thread count; threadpoolctl makes the same calls.
+BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+BLAS_GET_THREADS = "scipy_openblas_get_num_threads64_"
+_blas_lock = threading.Lock()
+_blas_pin = {"depth": 0, "saved": None}
+
+
+@functools.cache
+def _blas_threads():
+    """(set, get) thread-count functions of the OpenBLAS this process has
+    loaded, looked up on first use among its mapped libraries; None where
+    none exports both symbols."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+            set_threads, get_threads = getattr(lib, BLAS_SET_THREADS), getattr(lib, BLAS_GET_THREADS)
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+class blas_single_thread:
+    """Context that holds numpy's OpenBLAS at one thread and restores the
+    count it found on the last exit. Re-entrant, also across threads; does
+    nothing where the thread-count calls are missing (`_blas_threads`)."""
+
+    def __enter__(self):
+        functions = _blas_threads()
+        if functions is not None:
+            with _blas_lock:
+                if _blas_pin["depth"] == 0:
+                    _blas_pin["saved"] = functions[1]()
+                    functions[0](1)
+                _blas_pin["depth"] += 1
+        return self
+
+    def __exit__(self, *exc):
+        functions = _blas_threads()
+        if functions is not None:
+            with _blas_lock:
+                _blas_pin["depth"] -= 1
+                if _blas_pin["depth"] == 0:
+                    functions[0](_blas_pin["saved"])
+        return False
+
+
+def blas_info() -> dict:
+    """numpy's BLAS library and version, and the BLAS thread count of every
+    backward: 1, or None where it cannot be pinned."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "library": blas.get("name"),
+        "version": blas.get("version"),
+        "backward_threads": None if _blas_threads() is None else 1,
+    }
+
+
+class _Worker:
+    """The one thread that `fork_join` runs its second half on: started on
+    first use and then kept. A thread started for every step raised peak
+    memory with each step (357 against 320 MB after 16 steps), most likely
+    as the allocator kept an arena for every thread it had seen."""
+
+    def __init__(self):
+        self.busy = threading.Lock()  # held by the caller of a job
+        self._wake = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._job = None
+        self._thread = None
+
+    def _loop(self):
+        while True:
+            self._wake.acquire()
+            try:
+                self._job()
+            finally:
+                self._job = None
+                self._done.release()
+
+    def start(self, job):
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(target=self._loop, name="roadrisk-half", daemon=True)
+            self._thread.start()
+        self._job = job
+        self._wake.release()
+
+    def join(self):
+        self._done.acquire()
+
+
+_worker = _Worker()
+
+
+def _both(first, second):
+    """Run second() on the worker thread while first() runs here, and join.
+
+    A failure of second() is re-raised here after the join; one of first()
+    wins over it. Where the worker is taken (by another thread, or by a
+    `fork_join` inside a half) both run here, first() then second().
+    """
+    if not _worker.busy.acquire(blocking=False):
+        first()
+        second()
+        return
+    failure = []
+
+    def guarded():
+        try:
+            second()
+        except BaseException as exc:  # re-raised by the caller after the join
+            failure.append(exc)
+
+    try:
+        _worker.start(guarded)
+        try:
+            first()
+        finally:
+            _worker.join()
+    finally:
+        _worker.busy.release()
+    if failure:
+        raise failure[0]
+
+
+def fork_join(fn, params: dict[str, Tensor], part0, part1) -> Tensor:
+    """The sum of the scalar losses `fn(params, part0) + fn(params, part1)`,
+    with part 1 run on the worker thread.
+
+    fn(params, part) returns a list of scalar Tensors computed from `params`
+    and `part`; the result adds them in order, part 0's first, as one step
+    on the caller's tape. Each half runs on a sub-tape of its own, with leaf
+    Tensors of its own that share the parameter arrays and keep separate
+    gradients, so the halves share no mutable state. When the step
+    replays, both sub-tapes run their backward at once, and then each
+    parameter accumulates half 0's gradient and then half 1's. Both halves'
+    forwards hold BLAS at one thread (`blas_single_thread`), as the backward
+    does. A failure in half 1 is re-raised here after the join.
+    """
+    parts = (part0, part1)
+    leaves = [
+        {name: Tensor(p.data, p.requires_grad) for name, p in params.items()} for _ in parts
+    ]
+    tapes, losses = [Tape(), Tape()], [None, None]
+
+    def run(half):
+        saved = _active_tape()
+        _state.tape = tapes[half]
+        try:
+            losses[half] = list(fn(leaves[half], parts[half]))
+        finally:
+            _state.tape = saved
+
+    with blas_single_thread():
+        _both(lambda: run(0), lambda: run(1))
+    terms = losses[0] + losses[1]
+    total = terms[0].data
+    for term in terms[1:]:
+        total = total + term.data
+    caller = _active_tape()
+    if caller is not None:
+        caller._nested += len(tapes[0]) + len(tapes[1])
+    replayed = []
+
+    def replay(half, g):
+        for term in losses[half]:
+            term.accumulate(g)
+        tapes[half]._replay()
+
+    def grad_of(half, name):
+        def vjp(g):
+            if not replayed:
+                _both(lambda: replay(0, g), lambda: replay(1, g))
+                replayed.append(True)
+            return leaves[half][name].grad
+
+        return vjp
+
+    return _op(
+        total,
+        *((p, grad_of(half, name)) for half in (0, 1) for name, p in params.items()),
+    )
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -425,9 +653,11 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     on one `threading.Thread`, joined before the op returns, each writing its
     own slices of the kept arrays and of one logits buffer. The
     split is fixed rather than sized by the core count so that no result
-    depends on the machine. The backward stays serial: its dense products
-    call BLAS, which already uses the machine's threads, and a two-way
-    split of it measured slower.
+    depends on the machine. The backward runs on the thread that replays
+    the tape, with BLAS held at one thread by `Tape.backward`; at region
+    scale `training.batch_loss` puts the second thread to work there, by
+    taking half of a batch's windows through `fork_join`, whose two
+    sub-tapes replay at once.
     Results are bitwise independent of the block size, of the week split
     and of the inputs' memory layout, and the output is bitwise equivariant
     under relabeling the nodes.

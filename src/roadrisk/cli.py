@@ -19,6 +19,7 @@ import numpy as np
 
 from . import ablation, ingest, metrics, riskmap, validation
 from .artifacts import artifact_rows, finite, write_json, write_table
+from .autodiff import blas_info
 from .config import RunConfig, write_manifest
 from .diffusion import PRESETS, MinMaxScaler
 from .errors import ConfigError, CorruptArtifactError, DataError, MissingArtifactError, NumericError
@@ -430,8 +431,10 @@ def main(argv: list[str] | None = None) -> int:
                 path = getattr(config, key)
                 if path and Path(path).exists():
                     inputs[key] = path
+            # the BLAS that every backward ran on
+            extra = {"blas": blas_info()} if args.command == "train" else None
             write_manifest(
-                _out(config), args.command, config, inputs, outputs, time.time() - started
+                _out(config), args.command, config, inputs, outputs, time.time() - started, extra
             )
     except ConfigError as exc:
         log.error("config error: %s", exc)

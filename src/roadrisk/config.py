@@ -151,14 +151,17 @@ def write_manifest(
     inputs: dict[str, str | Path],
     outputs: list[str],
     runtime_s: float,
+    extra: dict | None = None,
 ) -> Path:
-    """Per-command provenance record; runtime is the only varying field."""
+    """Per-command provenance record; runtime is the only varying field.
+    `extra` adds command-specific entries."""
     manifest = {
         "command": command,
         "config_hash": config.fingerprint,
         "seed": config.seed,
         "inputs": {name: file_sha256(p) for name, p in sorted(inputs.items())},
         "outputs": sorted(outputs),
+        **(extra or {}),
         "runtime_s": round(runtime_s, 3),
     }
     path = Path(out_dir) / f"manifest_{command.replace('-', '_')}.json"

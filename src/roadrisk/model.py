@@ -240,6 +240,15 @@ class RiskForecaster:
         combined = ad.add(ad.add(parts[0], parts[1]), parts[2])
         return ad.transpose(ad.scale(combined, 1.0 / N_PATTERNS), (1, 0, 2))
 
+    def dropout_draws(self, training: bool) -> int:
+        """Uniform values one window's forward draws from its rng: a mask
+        for every sublayer's output, two (n, t_in, d) in the encoder and
+        three (n, t_out, d) in the decoder of each layer."""
+        c = self.config
+        if not training or c.dropout == 0.0:
+            return 0
+        return self.n_nodes * c.d * (2 * c.t_in + 3 * c.t_out) * c.layers
+
     def _sublayer(self, h, fn, norm_name, training, rng):
         p = self.params
         normed = ad.layer_norm(h, p[f"{norm_name}.gain"], p[f"{norm_name}.bias"])

@@ -12,6 +12,7 @@ lowest validation loss, never the final epoch.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -198,14 +199,69 @@ class Adam:
             tensor.data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
+def _window_loss(model: RiskForecaster, data: TrainingData, start: int, training, rng) -> Tensor:
+    x, y = data.window(start)
+    pred = model.forward(x, training=training, rng=rng)
+    return ad.mean_(ad.abs_(ad.sub(pred, y)))
+
+
+def _halves(model: RiskForecaster, starts: list, training, rng):
+    """The two (starts, rng) parts of a taped region-scale batch for
+    `ad.fork_join`, or None where the window loop runs.
+
+    Only a taped batch of two or more windows splits, and only where
+    `edge_attention` recomputes its probabilities (t_in * n^2 beyond
+    KEEP_ELEMENTS): at the fixture's 30 nodes the work is Python-bound and
+    two halves measured slower. Half 0 takes the first ceil(b / 2) windows
+    and the caller's generator; half 1 a copy advanced past half 0's draws,
+    so every dropout mask is the loop's. Only PCG64 (`default_rng`) is known
+    to advance by single draws; other generators, and an attention-capturing
+    model, whose log a half's copy would keep, run the loop.
+    """
+    n = model.n_nodes
+    if (
+        len(starts) < 2
+        or not ad.recording()
+        or model.config.t_in * n * n <= ad.KEEP_ELEMENTS
+        or model.capture_attention
+    ):
+        return None
+    mid = (len(starts) + 1) // 2
+    draws = mid * model.dropout_draws(training)
+    later = rng
+    if draws:
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            return None
+        later = copy.deepcopy(rng)
+        later.bit_generator.advance(draws)
+    return (starts[:mid], rng), (starts[mid:], later)
+
+
 def batch_loss(model: RiskForecaster, data: TrainingData, starts, training=False, rng=None) -> Tensor:
-    """Mean L1 over the given windows; builds one graph when taped."""
-    total = None
-    for start in starts:
-        x, y = data.window(start)
-        pred = model.forward(x, training=training, rng=rng)
-        loss = ad.mean_(ad.abs_(ad.sub(pred, y)))
-        total = loss if total is None else ad.add(total, loss)
+    """Mean L1 over the given windows; builds one graph when taped.
+
+    A taped region-scale batch runs as two halves of its windows on two
+    threads (`_halves`, `ad.fork_join`); its loss equals the loop's bitwise
+    and its gradients up to the order in which the windows' terms add.
+    """
+    starts = list(starts)
+    halves = _halves(model, starts, training, rng)
+    if halves is None:
+        total = None
+        for start in starts:
+            loss = _window_loss(model, data, start, training, rng)
+            total = loss if total is None else ad.add(total, loss)
+        return ad.scale(total, 1.0 / len(starts))
+
+    def window_losses(params, part):
+        view = copy.copy(model)
+        view.params = params
+        part_starts, part_rng = part
+        return [_window_loss(view, data, start, training, part_rng) for start in part_starts]
+
+    total = ad.fork_join(window_losses, model.params, *halves)
+    if rng is not None:
+        rng.bit_generator.state = halves[1][1].bit_generator.state
     return ad.scale(total, 1.0 / len(starts))
 
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -594,3 +595,171 @@ def test_accumulate_first_buffer():
     assert x.grad.tolist() == [[1.0, 2.0, -1.0], [4.0, 1.0, 1.5]]
     with pytest.raises(ShapeMismatchError):
         x.accumulate(np.ones(3))  # would broadcast: a VJP of the wrong shape
+
+
+def weighted_sums(params, part):
+    """fork_join's loss function for the tests: one scalar per row of `part`."""
+    return [ad.sum_(ad.mul(params["w"], row)) for row in part]
+
+
+def fork_step(w, part0, part1):
+    w.zero_grad()
+    with Tape() as tape:
+        loss = ad.fork_join(weighted_sums, {"w": w}, part0, part1)
+        tape.backward(loss)
+    return loss
+
+
+def test_fork_join_matches_one_tape():
+    rng = np.random.default_rng(60)
+    w = param(rng.standard_normal(5))
+    rows = rng.standard_normal((3, 5))
+    loss = fork_step(w, rows[:2], rows[2:])
+    got = w.grad.copy()
+    w.zero_grad()
+    with Tape() as tape:
+        terms = weighted_sums({"w": w}, rows)
+        want = ad.add(ad.add(terms[0], terms[1]), terms[2])
+        tape.backward(want)
+    assert loss.data.tobytes() == want.data.tobytes()
+    np.testing.assert_allclose(got, w.grad, rtol=1e-14)
+    assert loss.grad is None  # an op output: freed once passed on
+
+
+def failing_off_main(tensor):
+    """An identity op whose forward and backward fail off the main thread
+    when `tensor` carries the marker value 13.0."""
+
+    def check():
+        if tensor.data.flat[0] == 13.0 and threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker half")
+
+    def vjp(g):
+        check()
+        return g
+
+    return check, ad._op(tensor.data.copy(), (tensor, vjp))
+
+
+@pytest.mark.parametrize("where", ["forward", "backward"])
+def test_fork_join_failure_in_half_one_reaches_caller(where):
+    def losses(params, part):
+        check, out = failing_off_main(ad.mul(params["w"], part))
+        if where == "forward":
+            check()
+        return [ad.sum_(out)]
+
+    w = param(np.ones(3))
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker half"):
+        with Tape() as tape:
+            tape.backward(ad.fork_join(losses, {"w": w}, np.ones(3), np.full(3, 13.0)))
+    # the worker survives a failure and takes the next step
+    fork_step(w, np.ones((1, 3)), np.ones((1, 3)))
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+    assert threading.active_count() <= before + 1
+
+
+def test_fork_join_keeps_one_worker_thread():
+    w = param(np.ones(4))
+    fork_step(w, np.ones((1, 4)), np.ones((1, 4)))
+    after_one = threading.active_count()
+    for _ in range(2):
+        fork_step(w, np.ones((1, 4)), np.ones((1, 4)))
+    assert threading.active_count() == after_one
+
+
+def blas_count():
+    functions = ad._blas_threads()
+    return None if functions is None else functions[1]()
+
+
+@pytest.fixture
+def missing_blas_symbol(monkeypatch):
+    monkeypatch.setattr(ad, "BLAS_SET_THREADS", "no_such_symbol")
+    ad._blas_threads.cache_clear()
+    yield
+    ad._blas_threads.cache_clear()
+    monkeypatch.undo()
+    ad._blas_threads.cache_clear()
+
+
+def backward_seeing_blas():
+    """Run a backward whose one step records the BLAS thread count."""
+    seen = []
+    x = param(np.ones(2))
+
+    def vjp(g):
+        seen.append(blas_count())
+        return g
+
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad._op(x.data * 2.0, (x, vjp))))
+    return seen
+
+
+@pytest.mark.skipif(ad._blas_threads() is None, reason="numpy's BLAS has no thread-count call")
+def test_backward_pins_blas_to_one_thread_and_restores_it():
+    set_threads, get_threads = ad._blas_threads()
+    found = get_threads()
+    set_threads(2)
+    try:
+        assert backward_seeing_blas() == [1]
+        assert get_threads() == 2
+        with ad.blas_single_thread():  # re-entrant
+            assert backward_seeing_blas() == [1]
+            assert get_threads() == 1
+        assert get_threads() == 2
+    finally:
+        set_threads(found)
+    assert ad.blas_info()["backward_threads"] == 1
+
+
+def test_missing_blas_symbol_makes_the_pin_a_no_op(missing_blas_symbol):
+    assert ad._blas_threads() is None
+    assert backward_seeing_blas() == [None]
+    assert ad.blas_info()["backward_threads"] is None
+
+
+def test_backward_frees_op_output_gradients_and_keeps_the_leaves():
+    x, w = param(np.arange(6.0).reshape(2, 3)), param(np.ones((3, 2)))
+    with Tape() as tape:
+        h = ad.matmul(x, w)
+        r = ad.relu(h)
+        loss = ad.mean_(r)
+        tape.backward(loss)
+    assert h.grad is None and r.grad is None and loss.grad is None
+    assert x.grad is not None and w.grad is not None
+
+
+def test_fork_join_from_many_threads_keeps_every_gradient():
+    # more callers than cores race for the one worker and the BLAS pin's
+    # count; a lost update would show as a wrong gradient or a pin left on
+    found = blas_count()
+    rows = np.random.default_rng(61).standard_normal((4, 6))
+    want = rows.sum(axis=0)
+    results, errors = [], []
+
+    def caller(seed):
+        try:
+            w = param(np.random.default_rng(seed).standard_normal(6))
+            for _ in range(20):
+                fork_step(w, rows[:2], rows[2:])
+                results.append(np.abs(w.grad - want).max())
+        except BaseException as exc:
+            errors.append(exc)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 6 * 20 and max(results) <= 1e-12
+    assert blas_count() == found

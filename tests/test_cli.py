@@ -94,6 +94,19 @@ def test_manifests_carry_config_hash(pipeline):
     assert len(hashes) == 1
 
 
+def test_train_manifest_records_the_blas(pipeline):
+    config_path, out = pipeline
+    manifest = json.loads((out / "manifest_train.json").read_text())
+    assert set(manifest["blas"]) == {"library", "version", "backward_threads"}
+    assert manifest["blas"]["backward_threads"] in (1, None)
+    assert all("blas" not in json.loads(p.read_text())
+               for p in out.glob("manifest_*.json") if p.name != "manifest_train.json")
+    # a rerun writes the same manifest apart from its runtime
+    assert cli.main(["train", "--config", str(config_path)]) == 0
+    again = json.loads((out / "manifest_train.json").read_text())
+    assert {**again, "runtime_s": None} == {**manifest, "runtime_s": None}
+
+
 def test_outputs_embed_config_hash(pipeline):
     _, out = pipeline
     report = json.loads((out / "report.json").read_text())

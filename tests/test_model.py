@@ -483,8 +483,11 @@ if sys.argv[1:] == ["pinned"]:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from scipy import sparse
-from helpers import neighbor_table
+from helpers import neighbor_table, training_data
+from roadrisk import autodiff as ad
+from roadrisk.features import RiskTensor
 from roadrisk.model import ModelConfig, RiskForecaster
+from roadrisk.training import batch_loss
 
 n = 300
 rng = np.random.default_rng(3)
@@ -496,23 +499,35 @@ inv = sparse.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
 cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
 model = RiskForecaster(cfg, neighbor_table(inv @ a @ inv), seed=4)
 forecast = model.predict(rng.uniform(0, 1, (n, 12, 3)))
-print(hashlib.sha256(forecast.tobytes()).hexdigest())
+print("forecast", hashlib.sha256(forecast.tobytes()).hexdigest())
+values = rng.uniform(0, 1, (120, n, 3))
+data = training_data(RiskTensor([str(w) for w in range(120)], values), 12, 12)
+with ad.Tape() as tape:
+    loss = batch_loss(model, data, [0, 1], training=True, rng=np.random.default_rng(5))
+    tape.backward(loss)
+print("loss", loss.data.tobytes().hex())
+for name, t in model.params.items():
+    print(name, hashlib.sha256(t.grad.tobytes()).hexdigest())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_forecast_is_bitwise_independent_of_thread_count():
-    # The spatial attention forward splits the weeks over two threads and the
-    # BLAS library picks its own thread count, so one 300-node forecast runs
-    # in child processes under one and two BLAS threads, and pinned to one
-    # CPU. Gradients are not compared: the attention backward's dq and dk
-    # still depend on the BLAS thread count (ROADMAP, open items).
+    # The spatial attention forward splits the weeks over two threads, a
+    # taped 300-node batch splits its windows over two, and the BLAS
+    # library picks its own thread count. So one 300-node forecast and
+    # every parameter gradient of one taped 2-window step run in child
+    # processes under one and two BLAS threads, and pinned to one CPU.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = CHILD_PATH
     runs = [({**env, "OPENBLAS_NUM_THREADS": t}, []) for t in ("1", "2")] + [(env, ["pinned"])]
-    digests = {
+    outputs = [
         subprocess.run([sys.executable, "-c", FORECAST_300, *args], check=True,
-                       capture_output=True, text=True, env=run_env, timeout=120).stdout.strip()
+                       capture_output=True, text=True, env=run_env, timeout=120).stdout
         for run_env, args in runs
-    }
-    assert len(digests) == 1, digests
+    ]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 2 + len(md.init_params(ModelConfig(d=16, heads=2, layers=1)))
+    for out in outputs[1:]:
+        assert [a for a, b in zip(out.splitlines(), lines) if a != b] == []
+        assert len(out.splitlines()) == len(lines)

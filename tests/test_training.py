@@ -342,3 +342,122 @@ def test_attention_log_unchanged_by_backward_and_adam_step():
     assert len(model.attention_log) == len(logged) > 0
     for entry, copy in zip(model.attention_log, logged):
         assert entry["weights"].tobytes() == copy.tobytes(), entry["site"]
+
+
+def knn_table(n, seed, k=4):
+    """Edge table of a symmetric normalised kNN graph over random points."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2))
+    dist = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    raw = np.zeros((n, n))
+    near = np.argsort(dist, axis=1)[:, 1 : k + 1]
+    raw[np.arange(n)[:, None], near] = 1.0
+    raw = np.maximum(raw, raw.T)
+    deg = raw.sum(axis=1)
+    return neighbor_table(raw / np.sqrt(np.outer(deg, deg)))
+
+
+@pytest.fixture(scope="module")
+def region():
+    """A 300-node model and its windows: a region-scale taped batch splits."""
+    n = 300
+    cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
+    model = RiskForecaster(cfg, knn_table(n, seed=41), seed=42)
+    values = np.random.default_rng(43).uniform(0, 1, (130, n, 3))
+    return model, training_data(make_tensor(values), 12, 12)
+
+
+def taped_step(model, data, starts, rng):
+    """Loss, every parameter's gradient, the generator's state and the
+    number of recorded steps after one taped batch."""
+    for tensor in model.params.values():
+        tensor.zero_grad()
+    with ad.Tape() as tape:
+        loss = tr.batch_loss(model, data, starts, training=True, rng=rng)
+        tape.backward(loss)
+    grads = {name: t.grad for name, t in model.params.items()}
+    return loss.data, grads, rng.bit_generator.state, len(tape)
+
+
+def count_forks(monkeypatch):
+    calls, original = [], ad.fork_join
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ad, "fork_join", counting)
+    return calls
+
+
+@pytest.mark.parametrize("windows", [2, 3, 4])
+def test_region_batch_halves_match_the_window_loop(monkeypatch, region, windows):
+    model, data = region
+    starts = data.train_windows()[5 : 5 + windows]
+    forks = count_forks(monkeypatch)
+    loss, grads, state, steps = taped_step(model, data, starts, np.random.default_rng(44))
+    assert len(forks) == 1
+    monkeypatch.setattr(tr, "_halves", lambda *args: None)
+    want_loss, want_grads, want_state, want_steps = taped_step(
+        model, data, starts, np.random.default_rng(44)
+    )
+    assert len(forks) == 1
+    assert loss.tobytes() == want_loss.tobytes()
+    assert state == want_state
+    # the tape counts the halves' steps: one fork in place of the loop's b - 1 adds
+    assert steps == want_steps - (windows - 1) + 1
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        if windows == 2:  # the two windows' terms add in either order alike
+            assert grads[name].tobytes() == want.tobytes(), name
+        else:  # half 0's windows add up before half 1's
+            assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_region_batch_half_inline_matches_the_worker(region):
+    model, data = region
+    starts = data.train_windows()[:2]
+    on_worker = taped_step(model, data, starts, np.random.default_rng(45))
+    with ad._worker.busy:  # the worker is taken: both halves run here
+        inline = taped_step(model, data, starts, np.random.default_rng(45))
+    assert on_worker[0].tobytes() == inline[0].tobytes()
+    assert on_worker[2] == inline[2]
+    for name, g in inline[1].items():
+        assert on_worker[1][name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "case", ["one window", "untaped", "Philox", "capture"],
+)
+def test_batches_that_do_not_split_run_the_window_loop(monkeypatch, region, case):
+    model, data = region
+    starts = data.train_windows()[: 1 if case == "one window" else 2]
+    rng = np.random.Generator(np.random.Philox(46)) if case == "Philox" else np.random.default_rng(46)
+    if case == "capture":
+        model = RiskForecaster(model.config, model.a_norm, model.params, capture_attention=True)
+    forks = count_forks(monkeypatch)
+    if case == "untaped":
+        tr.batch_loss(model, data, starts, training=True, rng=rng)
+    else:
+        taped_step(model, data, starts, rng)
+    assert forks == []
+
+
+def test_fixture_scale_batch_runs_the_window_loop(monkeypatch):
+    cfg = ModelConfig(d=8, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
+    model = RiskForecaster(cfg, knn_table(30, seed=47), seed=48)
+    data = training_data(make_tensor(np.random.default_rng(49).uniform(0, 1, (130, 30, 3))), 12, 12)
+    forks = count_forks(monkeypatch)
+    taped_step(model, data, data.train_windows()[:16], np.random.default_rng(50))
+    assert forks == []
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_dropout_draws_count_a_training_forward(dropout):
+    cfg = ModelConfig(d=4, heads=2, layers=2, t_in=3, t_out=2, conv_kernel=3, dropout=dropout)
+    model = RiskForecaster(cfg, neighbor_table(ring_norm(5)), seed=51)
+    rng = np.random.default_rng(52)
+    ahead = np.random.default_rng(52)
+    model.forward(np.ones((5, 3, 3)), training=True, rng=rng)
+    ahead.bit_generator.advance(model.dropout_draws(training=True))
+    assert rng.bit_generator.state == ahead.bit_generator.state
+    assert model.dropout_draws(training=False) == 0
