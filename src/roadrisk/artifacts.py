@@ -15,10 +15,10 @@ a forecast. A test holds their bytes to what `write_json` writes.
 
 Reading fails closed: a missing column, a short row, a cell that does not
 convert, a file that is not a JSON object or not an `.npz` archive, a
-field that is missing or has the wrong type, or archive members other than
-those their reader declares end in `CorruptArtifactError`
-(a `DataError`, exit 3) naming the file, the line where one is known, and
-the command that writes the file.
+field that is missing or has the wrong type, bytes after an archive's end,
+or archive members other than those their reader declares end in
+`CorruptArtifactError` (a `DataError`, exit 3) naming the file, the line
+where one is known, and the command that writes the file.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -111,12 +112,20 @@ def read_columns(
     accepts a str array of any width. A shape entry is a length, or a name
     whose length every member that uses it must share; the first member to
     use it fixes it. `CorruptArtifactError` if the file is not a readable
-    archive, lacks a declared member or holds an undeclared one, or a member
-    has another dtype or shape or holds a float that is not finite.
+    archive or does not end with it, lacks a declared member or holds an
+    undeclared one, or a member has another dtype or shape or holds a float
+    that is not finite.
     """
     with reading(path, stage):
         if not zipfile.is_zipfile(path):
             raise ValueError("not an .npz archive; it may be truncated")
+        # `write_columns` writes no archive comment, so the end-of-central-
+        # directory record closes the file; zipfile reads past trailing bytes
+        with open(path, "rb") as fh:
+            fh.seek(-zipfile.sizeEndCentDir, os.SEEK_END)
+            end = fh.read()
+        if not end.startswith(zipfile.stringEndArchive) or end[-2:] != b"\0\0":
+            raise ValueError("bytes after the archive's end record")
         try:
             with np.load(path, allow_pickle=False) as archive:
                 missing = [name for name in schema if name not in archive.files]

@@ -14,14 +14,15 @@ logits use a contraction that rounds every node pair the same way, so
 relabeling the nodes permutes every intermediate bitwise instead of perturbing
 the last ulp.
 
-Two ops split their work over a second thread, always in two fixed halves
-and never sized by the core count, so results do not depend on the machine:
+Two ops split their work in two fixed halves, never sized by the core
+count, so results do not depend on the machine:
 
-* `edge_attention`'s forward at region scale runs the last half of its
-  weeks on a thread of its own, started and joined inside the call;
-* `fork_join` runs a loss over two parts of a batch, the second part on one
-  worker thread that is started on first use and then kept. Each part
-  records its own sub-tape, and the backward replays the two at once.
+* `fork_join`, a loss over two parts of a batch, each part on a sub-tape of
+  its own that the backward replays at once with the other, and
+  `edge_attention`'s forward at region scale, over its weeks, both run the
+  second half through `_both` on one worker thread, started on first use
+  and then kept. Inside a `fork_join` half the worker is taken, so a week
+  split there runs inline.
 
 `Tape.backward` and `fork_join`'s forward hold numpy's bundled OpenBLAS at
 one thread (`blas_single_thread`): two halves that each ran two BLAS threads
@@ -33,6 +34,7 @@ Elsewhere, as in a forecast, BLAS keeps its own thread count.
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import warnings
 
@@ -272,40 +274,30 @@ def blas_info() -> dict:
     }
 
 
-class _Worker:
-    """The one thread that `fork_join` runs its second half on: started on
-    first use and then kept. A thread started for every step raised peak
-    memory with each step (357 against 320 MB after 16 steps), most likely
-    as the allocator kept an arena for every thread it had seen."""
-
-    def __init__(self):
-        self.busy = threading.Lock()  # held by the caller of a job
-        self._wake = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._job = None
-        self._thread = None
-
-    def _loop(self):
-        while True:
-            self._wake.acquire()
-            try:
-                self._job()
-            finally:
-                self._job = None
-                self._done.release()
-
-    def start(self, job):
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(target=self._loop, name="roadrisk-half", daemon=True)
-            self._thread.start()
-        self._job = job
-        self._wake.release()
-
-    def join(self):
-        self._done.acquire()
+# Held by the caller whose second half the worker of `_both` runs.
+_busy = threading.Lock()
 
 
-_worker = _Worker()
+@functools.cache
+def _executor():
+    """The worker of `_both`: one thread, made on first use and then kept. A
+    thread started for every step raised peak memory with each step (357
+    against 320 MB after 16 steps), most likely as the allocator kept an
+    arena for every thread it had seen."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="roadrisk-half")
+
+
+def _forget_worker():
+    # a forked child has no worker thread, but an executor that thinks it
+    # has an idle one would queue every job for it and wait forever
+    global _busy
+    _busy = threading.Lock()
+    _executor.cache_clear()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _both(first, second):
@@ -313,30 +305,22 @@ def _both(first, second):
 
     A failure of second() is re-raised here after the join; one of first()
     wins over it. Where the worker is taken (by another thread, or by a
-    `fork_join` inside a half) both run here, first() then second().
+    split inside a half) both run here, first() then second().
     """
-    if not _worker.busy.acquire(blocking=False):
+    if not _busy.acquire(blocking=False):
         first()
         second()
         return
-    failure = []
-
-    def guarded():
-        try:
-            second()
-        except BaseException as exc:  # re-raised by the caller after the join
-            failure.append(exc)
-
     try:
-        _worker.start(guarded)
+        half = _executor().submit(second)
         try:
             first()
         finally:
-            _worker.join()
+            failure = half.exception()  # the join
     finally:
-        _worker.busy.release()
-    if failure:
-        raise failure[0]
+        _busy.release()
+    if failure is not None:
+        raise failure
 
 
 def fork_join(fn, params: dict[str, Tensor], part0, part1) -> Tensor:
@@ -516,12 +500,11 @@ def _edge_sum(gate: np.ndarray, neighbors: np.ndarray, h: np.ndarray) -> np.ndar
     Each row gathers its neighbours' terms, with padding slots reading an
     appended zero row, sorts them by value and adds them one after another
     starting from +0.0, as numpy 2.4 sums the dense product's node axis. The
-    terms the
-    dense product adds for non-edges are all zeros, and in a sorted sum zeros
-    sit between the negatives and the positives, so dropping them leaves the
-    result bitwise equal to `matmul_sorted`. Terms are laid out (d, batch,
-    rows, max_degree), so the sort runs on contiguous lanes and the gate
-    broadcasts over the outermost axis.
+    terms the dense product adds for non-edges are all zeros, and in a sorted
+    sum zeros sit between the negatives and the positives, so dropping them
+    leaves the result bitwise equal to `matmul_sorted`. Terms are laid out
+    (d, batch, rows, max_degree), so the sort runs on contiguous lanes and
+    the gate broadcasts over the outermost axis.
     """
     batch, n, d = h.shape
     features = np.concatenate([h.transpose(2, 0, 1), np.zeros((d, batch, 1))], axis=-1)
@@ -649,15 +632,14 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     the denominator; the backward recomputes each block, unless all n x n
     probabilities fit in KEEP_ELEMENTS.
     When it recomputes them, the forward splits the weeks in two fixed
-    halves: the first ceil(weeks / 2) run on the calling thread and the rest
-    on one `threading.Thread`, joined before the op returns, each writing its
-    own slices of the kept arrays and of one logits buffer. The
-    split is fixed rather than sized by the core count so that no result
-    depends on the machine. The backward runs on the thread that replays
-    the tape, with BLAS held at one thread by `Tape.backward`; at region
-    scale `training.batch_loss` puts the second thread to work there, by
-    taking half of a batch's windows through `fork_join`, whose two
-    sub-tapes replay at once.
+    halves through `_both`: the first ceil(weeks / 2) run on the calling
+    thread and the rest on the kept worker, each writing its own slices of
+    the kept arrays and of one logits buffer. Inside a `fork_join` half the
+    worker is taken and both halves run inline. The backward runs on the
+    thread that replays the tape, with BLAS held at one thread by
+    `Tape.backward`; at region scale `training.batch_loss` puts the worker
+    to work there, by taking half of a batch's windows through `fork_join`,
+    whose two sub-tapes replay at once.
     Results are bitwise independent of the block size, of the week split
     and of the inputs' memory layout, and the output is bitwise equivariant
     under relabeling the nodes.
@@ -712,28 +694,17 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
             gate[w0:w1, lo:hi] = edges / denom[w0:w1, lo:hi, None] * edge_weights[lo:hi]
             out[w0:w1, lo:hi] = _edge_sum(gate[w0:w1, lo:hi], neighbors[lo:hi], hc[w0:w1])
 
-    # Weeks are independent, so a second thread takes the last half of them
-    # and writes disjoint slices. Always two halves, whatever the machine's
-    # core count, so the split never changes a bit.
-    mid = batch if keep else (batch + 1) // 2
-    failure = []
-
-    def second_half():
-        try:
-            forward(mid, batch, logits[mid * block_rows * n :])
-        except BaseException as exc:  # re-raised by the caller after the join
-            failure.append(exc)
-
-    worker = threading.Thread(target=second_half) if mid < batch else None
-    if worker is not None:
-        worker.start()
-    try:
-        forward(0, mid, logits)
-    finally:
-        if worker is not None:
-            worker.join()
-    if failure:
-        raise failure[0]
+    # Weeks are independent, so the halves write disjoint slices. Always two
+    # halves, whatever the machine's core count, so the split never changes
+    # a bit.
+    mid = (batch + 1) // 2
+    if keep or mid == batch:
+        forward(0, batch, logits)
+    else:
+        _both(
+            lambda: forward(0, mid, logits),
+            lambda: forward(mid, batch, logits[mid * block_rows * n :]),
+        )
     if kept is not None:
         kept /= denom[..., None]
     memo = {}

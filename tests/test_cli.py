@@ -297,6 +297,11 @@ def set_item(name, index, value):
     return edit
 
 
+def append_bytes(path):
+    """Damage that leaves the archive readable with 16 bytes after its end."""
+    path.write_bytes(path.read_bytes() + bytes(range(16)))
+
+
 @pytest.mark.parametrize(
     "damage, problem",
     [
@@ -309,8 +314,10 @@ def set_item(name, index, value):
          "column 'head.w' holds float32 of shape (8, 1), not float64 of shape (8, 1)"),
         (recolumn(set_item("embed.w", (1, 2), np.nan)), "column 'embed.w' holds nan at index [1, 2]"),
         (recolumn(set_item("head.b", 0, -np.inf)), "column 'head.b' holds -inf at row 0"),
+        (append_bytes, "bytes after the archive's end record"),
     ],
-    ids=["not-zip", "missing-parameter", "extra-parameter", "float32", "nan", "infinite"],
+    ids=["not-zip", "missing-parameter", "extra-parameter", "float32", "nan", "infinite",
+         "trailing-bytes"],
 )
 def test_damaged_checkpoint_exit_code(pipeline, tmp_path, caplog, damage, problem):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -526,6 +533,15 @@ def test_damaged_records_npz_exit_code(pipeline, tmp_path, caplog, command):
     table.write_bytes(blob[: len(blob) // 2])
     assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_DATA
     assert f"{table}: ValueError: not an .npz archive" in caplog.text
+    assert "run `ingest` again" in caplog.text
+
+
+def test_records_npz_with_trailing_bytes_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    table = out / "records.npz"
+    append_bytes(table)
+    assert cli.main(["graph", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{table}: ValueError: bytes after the archive's end record" in caplog.text
     assert "run `ingest` again" in caplog.text
 
 

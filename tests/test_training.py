@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -417,12 +419,27 @@ def test_region_batch_half_inline_matches_the_worker(region):
     model, data = region
     starts = data.train_windows()[:2]
     on_worker = taped_step(model, data, starts, np.random.default_rng(45))
-    with ad._worker.busy:  # the worker is taken: both halves run here
+    with ad._busy:  # the worker is taken: both halves run here
         inline = taped_step(model, data, starts, np.random.default_rng(45))
     assert on_worker[0].tobytes() == inline[0].tobytes()
     assert on_worker[2] == inline[2]
     for name, g in inline[1].items():
         assert on_worker[1][name].tobytes() == g.tobytes(), name
+
+
+def test_region_taped_step_starts_no_thread(monkeypatch, region):
+    model, data = region
+    starts = data.train_windows()[:2]
+    taped_step(model, data, starts, np.random.default_rng(46))  # starts the kept worker
+    started, original = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    taped_step(model, data, starts, np.random.default_rng(46))
+    assert started == []
 
 
 @pytest.mark.parametrize(
