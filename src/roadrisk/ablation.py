@@ -34,9 +34,9 @@ def run_ablation(
     arms: dict[str, tuple[DiffusionConfig, tuple[int, int, int]]],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    mape_eps: float = 1e-8,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
+    mape_eps: float,
+    fractions: tuple[float, float, float],
+    seed: int,
 ) -> dict[str, EvalReport]:
     """Train and evaluate one arm per `(diffusion config, channel mask)` in
     `arms`, the way `train` and `eval` do: every arm's parameters come from

@@ -12,8 +12,10 @@ import datetime as dt
 import hashlib
 import json
 import math
+import types
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .artifacts import file_sha256, write_json
 from .diffusion import DiffusionConfig, preset
@@ -49,18 +51,44 @@ def _object(raw, section: str, keys) -> dict:
     return raw
 
 
+def _fits(hint, value) -> bool:
+    """Whether JSON `value` has the type of annotation `hint`. An int takes
+    an integer only and a float an integer or a float, neither a bool; a
+    tuple takes a list of its length. A section or a date is left to the
+    function that converts it."""
+    if get_origin(hint) is types.UnionType:
+        return any(_fits(option, value) for option in get_args(hint))
+    if get_origin(hint) is tuple:
+        return (isinstance(value, list) and len(value) == len(get_args(hint))
+                and all(map(_fits, get_args(hint), value)))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint in (int, str, bool, type(None)):
+        return isinstance(value, hint)
+    return True
+
+
 def _section(cls, raw, section: str, /, base=None, **convert):
     """Build dataclass `cls`, or override `base`, from one JSON section.
 
-    The dataclass fields are the schema. A key the section leaves out keeps
-    its default; a list becomes a tuple; `convert` maps a key to the function
-    that turns its JSON value into the field value.
+    The dataclass fields are the schema: ConfigError names a key whose value
+    does not have its field's type (`_fits`). A key the section leaves out
+    keeps its default; a list becomes a tuple; `convert` maps a key to the
+    function that turns its JSON value into the field value.
     """
-    kwargs = {
-        key: convert[key](value) if key in convert
-        else tuple(value) if isinstance(value, list) else value
-        for key, value in _object(raw, section, {f.name for f in fields(cls)}).items()
-    }
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in _object(raw, section, {f.name for f in fields(cls)}).items():
+        hint = hints[key]
+        if not _fits(hint, value):
+            name = hint.__name__ if type(hint) is type else hint
+            raise ConfigError(
+                f"key {key!r} in config section {section!r} must be {name}, not {value!r}"
+            )
+        kwargs[key] = (convert[key](value) if key in convert
+                       else tuple(value) if isinstance(value, list) else value)
     return cls(**kwargs) if base is None else replace(base, **kwargs)
 
 
@@ -127,7 +155,6 @@ class RunConfig:
                 diffusion=_diffusion,
                 model=lambda r: _section(ModelConfig, r, "model"),
                 train=lambda r: _section(TrainConfig, r, "train"),
-                seed=int,
                 mape_eps=float,
             )
         except (KeyError, TypeError, ValueError) as exc:

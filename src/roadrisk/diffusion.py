@@ -40,6 +40,7 @@ def _cfg(name, alpha, iters) -> DiffusionConfig:
     return DiffusionConfig(name=name, alpha=alpha, iters=iters)
 
 
+# DiffusionConfig's defaults are the Differentiated_B preset
 PRESETS = {
     c.name: c
     for c in (
@@ -49,7 +50,7 @@ PRESETS = {
         _cfg("Uniform_Strong", (0.3, 0.3, 0.3), (2, 2, 2)),
         _cfg("Differentiated_Current", (0.2, 0.2, 0.2), (1, 1, 1)),
         _cfg("Differentiated_A", (0.3, 0.1, 0.25), (2, 1, 2)),
-        _cfg("Differentiated_B", (0.25, 0.15, 0.3), (1, 1, 2)),
+        DiffusionConfig(),
         _cfg("Over_Diffusion", (0.5, 0.4, 0.4), (3, 3, 3)),
     )
 }
@@ -83,21 +84,15 @@ def _product(a_norm: EdgeTable, x: np.ndarray) -> np.ndarray:
 
 
 def diffuse_feature(x: np.ndarray, a_norm: EdgeTable, alpha: float, iters: int) -> np.ndarray:
-    """Apply x <- (1-alpha) x + alpha A_norm x `iters` times.
-
-    x may be a length-N vector or an (N, m) stack of columns smoothed
-    together. alpha=0 or iters=0 returns the input unchanged.
-    """
-    x = np.asarray(x, dtype=np.float64)
+    """Apply x <- (1-alpha) x + alpha A_norm x `iters` times to the (N, m)
+    float stack x, whose columns are smoothed together."""
     n = a_norm.neighbors.shape[0]
-    if x.shape[0] != n:
+    if x.ndim != 2 or x.shape[0] != n:
         raise ShapeMismatchError(f"diffusion shapes disagree: x {x.shape}, A_norm over {n} nodes")
-    if alpha == 0.0 or iters == 0:
-        return x.copy()
-    out = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)  # rows gather faster contiguous
+    out = np.ascontiguousarray(x)  # rows gather faster contiguous
     for _ in range(iters):
         out = (1.0 - alpha) * out + alpha * _product(a_norm, out)
-    return out[:, 0] if x.ndim == 1 else out
+    return out
 
 
 def fuse(diffused: np.ndarray, original: np.ndarray, beta: float) -> np.ndarray:
@@ -152,8 +147,8 @@ class MinMaxScaler:
     minima: np.ndarray | None = None
     maxima: np.ndarray | None = None
 
-    def fit(self, tensor: RiskTensor, week_range: tuple[int, int] | None = None):
-        lo, hi = week_range or (0, tensor.n_weeks)
+    def fit(self, tensor: RiskTensor, week_range: tuple[int, int]):
+        lo, hi = week_range
         block = tensor.values[lo:hi]
         if block.size == 0:
             raise ShapeMismatchError("cannot fit a scaler on an empty week range")

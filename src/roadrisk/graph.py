@@ -150,27 +150,22 @@ class GridNodes(NamedTuple):
 def assign_to_nodes(
     lons: Sequence[float],
     lats: Sequence[float],
-    cell_size_m: float = 150.0,
-    center: tuple[float, float] | None = None,
+    cell_size_m: float,
+    center: tuple[float, float],
 ) -> GridNodes:
     """Group points into grid cells; each occupied cell becomes a node at
     the mean position of its members.
 
-    The grid is anchored at `center` (lon, lat) - normally the study-region
-    centroid, so cell boundaries don't move with the data - falling back to
-    the point-cloud mean. Nodes are numbered in (cell_x, cell_y) order, so
-    the result is deterministic for a given input set, and nodes at exactly
-    equal positions are merged (`_merge_coincident`).
+    The grid is anchored at `center` (lon, lat), the study-region centroid,
+    so cell boundaries don't move with the data. Nodes are numbered in
+    (cell_x, cell_y) order, so the result is deterministic for a given input
+    set, and nodes at exactly equal positions are merged (`_merge_coincident`).
     """
     lons = np.asarray(lons, dtype=float)
     lats = np.asarray(lats, dtype=float)
     if lons.size == 0:
         raise EmptyInputError("no points to assign")
-    if center is not None:
-        lon0, lat0 = float(center[0]), float(center[1])
-    else:
-        lon0, lat0 = float(lons.mean()), float(lats.mean())
-    x, y = _local_xy_m(lons, lats, lon0, lat0)
+    x, y = _local_xy_m(lons, lats, float(center[0]), float(center[1]))
     cx = np.floor(x / cell_size_m).astype(np.int64)
     cy = np.floor(y / cell_size_m).astype(np.int64)
     # Nodes are the unique cells in lexicographic (cx, cy) order. One int64
@@ -318,14 +313,13 @@ def normalize_sym(a: EdgeTable) -> EdgeTable:
 def build_graph(
     lons: Sequence[float],
     lats: Sequence[float],
-    params: GraphParams | None = None,
-    center: tuple[float, float] | None = None,
+    params: GraphParams,
+    center: tuple[float, float],
 ) -> tuple[SpatialGraph, np.ndarray]:
     """Full pipeline: grid nodes, kNN kernel adjacency, normalization.
 
     Returns the graph plus the per-input-point node assignment.
     """
-    params = params or GraphParams()
     grid = assign_to_nodes(lons, lats, params.cell_size_m, center)
     a, sigma = build_adjacency(grid.lons, grid.lats, params.k, params.sigma_m)
     graph = SpatialGraph(
@@ -340,7 +334,7 @@ def build_graph(
 
 
 def save_graph(
-    graph: SpatialGraph, nodes_path: Path, edges_path: Path, config_hash: str = ""
+    graph: SpatialGraph, nodes_path: Path, edges_path: Path, config_hash: str
 ) -> None:
     """Write nodes and edges CSVs; floats as shortest exact repr."""
     nodes = (

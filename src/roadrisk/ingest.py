@@ -62,9 +62,7 @@ class _CodedEnum(enum.Enum):
         return member
 
     @classmethod
-    def parse(cls, raw: str | int | None) -> "_CodedEnum":
-        if raw is None:
-            return cls.UNKNOWN
+    def parse(cls, raw: str | int) -> "_CodedEnum":
         text = str(raw).strip()
         if not text:
             return cls.UNKNOWN
@@ -410,9 +408,7 @@ def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> Acci
         lon, lat = float(lon), float(lat)
     except ValueError:
         raise ValueError("unparseable coordinates")
-    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-        raise ValueError("coordinates out of range")
-    if math.isnan(lon) or math.isnan(lat):
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):  # NaN fails it too
         raise ValueError("coordinates out of range")
     date = dates[date]
     try:
@@ -452,9 +448,7 @@ def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> Acci
     )
 
 
-def write_rejects(
-    rejects: Sequence[Reject], path: str | Path, config_hash: str = ""
-) -> None:
+def write_rejects(rejects: Sequence[Reject], path: str | Path, config_hash: str) -> None:
     write_table(path, ["line", "reason"], ([r.line, r.reason] for r in rejects), config_hash)
 
 
@@ -462,7 +456,7 @@ def write_records(
     records: Sequence[AccidentRecord],
     csv_path: str | Path,
     npz_path: str | Path,
-    config_hash: str = "",
+    config_hash: str,
 ) -> None:
     """Persist normalized records twice.
 
@@ -586,33 +580,23 @@ def period_rows(days: np.ndarray, index: list[str], granularity: Granularity) ->
 
 
 def aggregate_temporal(
-    records: RecordTable | Sequence[AccidentRecord],
+    table: RecordTable,
     assignment: Sequence[int],
     granularity: Granularity,
-    n_nodes: int | None = None,
-    period: tuple[dt.date, dt.date] | None = None,
+    n_nodes: int,
+    period: tuple[dt.date, dt.date],
 ) -> AggregatedSeries:
-    """Count accidents per (node, period); gaps hold explicit zeros.
+    """Count accidents per (node, period) over `period`; gaps hold explicit zeros.
 
-    `assignment` gives the node position of each record, aligned with `records`.
-    The index spans `period` when given, otherwise the observed date range.
+    `assignment` gives the node position of each record, aligned with `table`.
     """
-    table = RecordTable.from_records(records)
     if len(table) != len(assignment):
         raise DataError(f"{len(table)} records but {len(assignment)} node assignments")
     nodes = np.asarray(assignment, dtype=np.intp)
     unassigned = np.flatnonzero(nodes < 0)
     if unassigned.size:
         raise UnassignedRecordError(str(table.id[unassigned[0]]))
-    if n_nodes is None:
-        n_nodes = int(nodes.max(initial=-1)) + 1
-    if period is not None:
-        start, end = period
-    elif len(table):
-        start, end = (dt.date.fromordinal(int(day)) for day in (table.date.min(), table.date.max()))
-    else:
-        return AggregatedSeries(granularity, [], np.zeros((0, n_nodes)))
-    index = _period_range(start, end, granularity)
+    index = _period_range(*period, granularity)
     rows = period_rows(table.date, index, granularity)
     inside = rows >= 0
     values = np.zeros((len(index), n_nodes))

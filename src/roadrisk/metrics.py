@@ -37,12 +37,12 @@ def rmse(y_hat: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
-def masked_fraction(y: np.ndarray, eps: float = 1e-8) -> float:
+def masked_fraction(y: np.ndarray, eps: float) -> float:
     y = np.asarray(y, float)
     return float(np.mean(np.abs(y) <= eps))
 
 
-def mape(y_hat: np.ndarray, y: np.ndarray, eps: float = 1e-8) -> float:
+def mape(y_hat: np.ndarray, y: np.ndarray, eps: float) -> float:
     """Mean absolute percentage error over cells with |y| > eps, in percent."""
     y_hat, y = np.asarray(y_hat, float), np.asarray(y, float)
     _check_shapes(y_hat, y)
@@ -86,7 +86,7 @@ class EvalReport:
 def horizon_report(
     y_hat: np.ndarray,
     y: np.ndarray,
-    eps: float = 1e-8,
+    eps: float,
     config_fingerprint: str = "",
 ) -> EvalReport:
     """Bucketed report over a (nodes, weeks) forecast.

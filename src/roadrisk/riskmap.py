@@ -43,7 +43,6 @@ def classify_zones(
     predictions: np.ndarray,
     week: str,
     node_ids: list[int] | None = None,
-    zero_threshold: float = ZERO_THRESHOLD,
 ) -> ZoneMap:
     """Rank predictions into the six zones for one week.
 
@@ -57,7 +56,7 @@ def classify_zones(
     if len(node_ids) != n:
         raise ShapeMismatchError(f"week {week}: {len(node_ids)} node ids for {n} predictions")
     zones = np.zeros(n, dtype=int)
-    positive = values > zero_threshold
+    positive = values > ZERO_THRESHOLD
     if positive.any():
         cuts = np.percentile(values[positive], PERCENTILE_CUTS)
         # ties share the lower zone: strictly-above comparisons only
@@ -107,7 +106,7 @@ def export_geojson(
     lons: np.ndarray,
     lats: np.ndarray,
     out_dir: str | Path,
-    config_hash: str = "",
+    config_hash: str,
 ) -> list[Path]:
     """One file per week: risk_week_<label>.geojson. Returns written paths.
 
@@ -147,7 +146,7 @@ def export_geojson(
     return paths
 
 
-def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path, config_hash: str = "") -> None:
+def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path, config_hash: str) -> None:
     """Companion table for plotting tools; ShapeMismatchError as for
     `export_geojson`."""
     for zone_map in zone_maps:

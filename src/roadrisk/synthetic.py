@@ -6,7 +6,8 @@ carries a yearly sine so the safety channel is seasonal and forecastable;
 winter weeks tilt the weather, surface and light code distributions toward
 the risky categories, which gives the infrastructure and environment
 channels their own seasonal texture. Everything derives from one generator
-seed, so the fixture is reproducible byte for byte.
+seed, so the fixture is reproducible byte for byte. The region and period
+that hold the sites are `configs/fixture.json`'s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .graph import EARTH_RADIUS_M
-from .ingest import DEFAULT_SCHEMA, LOGICAL_COLUMNS, RegionSpec
+from .ingest import DEFAULT_SCHEMA, LOGICAL_COLUMNS
 
 FIXTURE_SEED = 20120611
 FIXTURE_START = dt.date(2011, 1, 3)  # a Monday, so weeks align with ISO weeks
@@ -36,15 +37,6 @@ _SITE_CLASSES = [
     (2, 20, 4, 1),   # one-way street, zebra
     (7, 40, 3, 0),   # slip road, stop sign
 ]
-
-
-def fixture_region() -> RegionSpec:
-    end = FIXTURE_START + dt.timedelta(weeks=FIXTURE_WEEKS) - dt.timedelta(days=1)
-    return RegionSpec(
-        name="fixture-grid",
-        bbox=(CENTER_LON - 0.03, CENTER_LAT - 0.02, CENTER_LON + 0.03, CENTER_LAT + 0.02),
-        period=(FIXTURE_START, end),
-    )
 
 
 def _site_positions() -> list[tuple[float, float]]:

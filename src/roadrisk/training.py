@@ -1,7 +1,7 @@
 """Temporal splitting, Adam training with a fine-tuning phase, checkpointing.
 
 The processed weekly tensor is cut into contiguous train/validation/test
-spans (60/20/20 by default); sliding windows of t_in observed weeks plus
+spans (the run config's `split_fractions`); sliding windows of t_in observed weeks plus
 t_out target weeks never straddle a span boundary. Training minimizes the
 mean absolute error of the predicted traffic-safety channel, runs a main
 phase and then a fine-tuning phase at a tenth of the learning rate starting
@@ -68,7 +68,7 @@ def split_temporal(
     n_weeks: int,
     t_in: int,
     t_out: int,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    fractions: tuple[float, float, float],
 ) -> TemporalSplits:
     """Contiguous, ordered, floor-rounded spans; each must host a window."""
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -110,7 +110,7 @@ class TrainingData:
     t_in: int
     t_out: int
     splits: TemporalSplits
-    channel_mask: tuple[int, int, int] = (1, 1, 1)
+    channel_mask: tuple[int, int, int]
 
     def __post_init__(self):
         if self.channel_mask[TARGET_CHANNEL] != 1:
@@ -147,7 +147,7 @@ def prepare_training_data(
     diffusion_config: DiffusionConfig,
     t_in: int,
     t_out: int,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    fractions: tuple[float, float, float],
     channel_mask: tuple[int, int, int] = (1, 1, 1),
 ) -> tuple[TrainingData, MinMaxScaler, MinMaxScaler]:
     """Diffuse, scale, and window the raw risk tensor.

@@ -1,6 +1,6 @@
 """Statistical checks that the three risk channels behave distinctly.
 
-Four batteries, run over a 1 km grid version of the risk features: pairwise
+Four batteries, run over a 1 km grid (`CELL_SIZE_M`) version of the risk features: pairwise
 cross-channel correlation (low |r| means the channels carry non-redundant
 signal), weekly volatility and persistence (coefficient of variation,
 lag-1 autocorrelation of the network-mean series), spatial clustering
@@ -20,7 +20,9 @@ from .artifacts import write_json, write_table
 from .errors import InsufficientGroupsError
 from .features import FEATURE_NAMES, RiskTensor, WeightTables, build_risk_tensor
 from .graph import assign_to_nodes
-from .ingest import AccidentRecord, Granularity, RecordTable, RegionSpec, aggregate_temporal
+from .ingest import Granularity, RecordTable, RegionSpec, aggregate_temporal
+
+CELL_SIZE_M = 1000.0  # the coarse grid the battery runs on
 
 
 def cross_dimension_correlation(tensor: RiskTensor) -> tuple[np.ndarray, list[str]]:
@@ -207,16 +209,13 @@ class ValidationReport:
 
 
 def framework_validation_report(
-    records: RecordTable | list[AccidentRecord],
+    table: RecordTable,
     region: RegionSpec,
-    tables: WeightTables | None = None,
-    cell_size_m: float = 1000.0,
+    tables: WeightTables,
     config_fingerprint: str = "",
 ) -> ValidationReport:
     """Run the full battery on a coarse-grid rebuild of the risk features."""
-    tables = tables or WeightTables.default()
-    table = RecordTable.from_records(records)
-    grid = assign_to_nodes(table.lon, table.lat, cell_size_m, center=region.center)
+    grid = assign_to_nodes(table.lon, table.lat, CELL_SIZE_M, region.center)
     n = grid.member_counts.size
     tensor = build_risk_tensor(tables, table, grid.assignment, range(n), region.period)
     counts = aggregate_temporal(table, grid.assignment, Granularity.WEEKLY, n, region.period).values

@@ -2,8 +2,10 @@ import pytest
 
 from roadrisk import ingest
 from roadrisk.features import WeightTables, build_risk_tensor
-from roadrisk.graph import GraphParams, build_graph
-from roadrisk.synthetic import fixture_region, write_fixture_csv
+from roadrisk.graph import build_graph
+from roadrisk.synthetic import write_fixture_csv
+
+from helpers import FIXTURE_CONFIG, FIXTURE_REGION
 
 
 @pytest.fixture(scope="session")
@@ -17,17 +19,21 @@ def fixture_csv(tmp_path_factory):
 def fixture_records(fixture_csv):
     records, rejects = ingest.parse_accident_csv(fixture_csv)
     assert not rejects
-    return ingest.filter_region(records, fixture_region())
+    return ingest.filter_region(records, FIXTURE_REGION)
+
+
+@pytest.fixture(scope="session")
+def fixture_table(fixture_records):
+    return ingest.RecordTable.from_records(fixture_records)
 
 
 @pytest.fixture(scope="session")
 def fixture_graph(fixture_records):
-    region = fixture_region()
     return build_graph(
         [r.lon for r in fixture_records],
         [r.lat for r in fixture_records],
-        GraphParams(cell_size_m=150.0, k=4),
-        center=region.center,
+        FIXTURE_CONFIG.graph,
+        center=FIXTURE_REGION.center,
     )
 
 
@@ -39,5 +45,5 @@ def fixture_tensor(fixture_records, fixture_graph):
         fixture_records,
         assignment,
         range(graph.n_nodes),
-        fixture_region().period,
+        FIXTURE_REGION.period,
     )

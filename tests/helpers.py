@@ -1,13 +1,22 @@
 """Test helpers that the pipeline itself never calls."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from roadrisk.autodiff import Tape, no_grad
+from roadrisk.config import RunConfig
 from roadrisk.graph import EARTH_RADIUS_M, EdgeTable
 from roadrisk.training import TARGET_CHANNEL, TrainingData, split_temporal
+
+# the fixture run's settings: the region the synthetic sites lie in, the
+# MAPE threshold and the split fractions the tests pass to the library
+FIXTURE_CONFIG = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "fixture.json")
+FIXTURE_REGION = FIXTURE_CONFIG.region
+MAPE_EPS = FIXTURE_CONFIG.mape_eps
+FRACTIONS = FIXTURE_CONFIG.split_fractions
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -96,7 +105,7 @@ def grad_check(function, params, eps=1e-5, max_coords=24, seed=0) -> float:
     return worst
 
 
-def training_data(tensor, t_in, t_out, fractions=(0.6, 0.2, 0.2), channel_mask=(1, 1, 1)):
+def training_data(tensor, t_in, t_out, fractions=FRACTIONS, channel_mask=(1, 1, 1)):
     """Windows over one tensor, unscaled: the targets are its safety channel."""
     splits = split_temporal(tensor.n_weeks, t_in, t_out, fractions)
     targets = tensor.values[:, :, TARGET_CHANNEL].copy()

@@ -7,8 +7,18 @@ from roadrisk.diffusion import PRESETS, preset
 from roadrisk.model import ModelConfig
 from roadrisk.training import TrainConfig, prepare_training_data
 
+from helpers import FIXTURE_CONFIG, FRACTIONS, MAPE_EPS
+
 TINY_MODEL = ModelConfig(d=8, heads=2, layers=1, t_in=6, t_out=6, conv_kernel=3, dropout=0.0)
 TINY_TRAIN = TrainConfig(epochs_main=1, epochs_finetune=0, lr_main=1e-3, seed=0, batch=64)
+
+
+def run_ablation(tensor, graph, arms):
+    """`ablation.run_ablation` with the fixture run's MAPE threshold, split and seed."""
+    return ablation.run_ablation(
+        tensor, graph, arms, TINY_MODEL, TINY_TRAIN,
+        MAPE_EPS, FRACTIONS, FIXTURE_CONFIG.seed,
+    )
 
 
 def audit_arms_differ_only_in(reports, factor: str) -> bool:
@@ -25,7 +35,7 @@ def test_s_only_arm_masks_other_channels(fixture_tensor, fixture_graph):
     graph, _ = fixture_graph
     data, _, _ = prepare_training_data(
         fixture_tensor, graph.adjacency_norm, preset("Differentiated_B"),
-        t_in=6, t_out=6, channel_mask=(1, 0, 0),
+        t_in=6, t_out=6, fractions=FRACTIONS, channel_mask=(1, 0, 0),
     )
     x, _ = data.window(data.train_windows()[0])
     assert (x[:, :, 1] == 0).all()
@@ -38,7 +48,7 @@ def feature_reports(fixture_tensor, fixture_graph):
     graph, _ = fixture_graph
     diffusion = preset("Differentiated_B")
     arms = {"SIE": (diffusion, (1, 1, 1)), "S": (diffusion, (1, 0, 0))}
-    return ablation.run_ablation(fixture_tensor, graph, arms, TINY_MODEL, TINY_TRAIN)
+    return run_ablation(fixture_tensor, graph, arms)
 
 
 def test_feature_arms_reported(feature_reports):
@@ -57,7 +67,7 @@ def test_feature_arms_differ_only_in_mask(feature_reports):
 def test_diffusion_ablation_covers_all_presets(fixture_tensor, fixture_graph):
     graph, _ = fixture_graph
     two = {k: (PRESETS[k], (1, 1, 1)) for k in ("No_Diffusion", "Differentiated_B")}
-    reports = ablation.run_ablation(fixture_tensor, graph, two, TINY_MODEL, TINY_TRAIN)
+    reports = run_ablation(fixture_tensor, graph, two)
     assert set(reports) == set(two)
     assert audit_arms_differ_only_in(reports, "diffusion")
 

@@ -26,6 +26,8 @@ from roadrisk.ingest import (
     JunctionControl,
     LightCondition,
     PhysicalFacility,
+    RecordTable,
+    RegionSpec,
     RoadType,
     SurfaceCondition,
     WeatherCondition,
@@ -33,9 +35,8 @@ from roadrisk.ingest import (
     snr,
 )
 from roadrisk.model import ModelConfig, RiskForecaster
-from roadrisk.synthetic import fixture_region
 
-from helpers import grad_check, neighbor_table
+from helpers import FRACTIONS, MAPE_EPS, grad_check, neighbor_table
 
 REAL_DATA_ENV = "ROADRISK_STATS19_CSV"
 
@@ -303,7 +304,7 @@ def test_diffusion_no_diffusion_identity_and_nonexpansive():
         x = local.standard_normal(n)
         alpha = float(local.uniform(0, 1))
         iters = int(local.integers(1, 4))
-        stepped = df.diffuse_feature(x, neighbor_table(a), alpha, iters)
+        stepped = df.diffuse_feature(x[:, None], neighbor_table(a), alpha, iters)
         assert np.linalg.norm(stepped) <= np.linalg.norm(x) + 1e-12
     announce("No_Diffusion exact identity; non-expansive (L2) on 100 seeded graphs")
 
@@ -357,7 +358,7 @@ def test_metric_oracles_thousand_arrays():
     y_hat_h, y_h = np.array([2.0, 2.0]), np.array([1.0, 4.0])
     assert mt.mae(y_hat_h, y_h) == 1.5
     assert abs(mt.rmse(y_hat_h, y_h) - math.sqrt(2.5)) < 1e-15
-    assert mt.mape(y_hat_h, y_h) == 75.0
+    assert mt.mape(y_hat_h, y_h, MAPE_EPS) == 75.0
 
     rng = np.random.default_rng(42)
     for trial in range(1000):
@@ -370,7 +371,7 @@ def test_metric_oracles_thousand_arrays():
         mape_o = 100.0 * sum(abs(a - b) / abs(b) for a, b in kept) / len(kept)
         assert abs(mt.mae(y_hat, y) - mae_o) < 1e-12
         assert abs(mt.rmse(y_hat, y) - rmse_o) < 1e-12
-        assert abs(mt.mape(y_hat, y) - mape_o) < 1e-9 * max(1.0, mape_o)
+        assert abs(mt.mape(y_hat, y, MAPE_EPS) - mape_o) < 1e-9 * max(1.0, mape_o)
         assert mt.rmse(y_hat, y) >= mt.mae(y_hat, y) - 1e-15
     announce("metric oracles: 1000 seeded arrays < 1e-12; RMSE >= MAE; hand case exact")
 
@@ -393,7 +394,7 @@ def smoke_runs(fixture_tensor, fixture_graph):
     for label, mask in (("SIE", (1, 1, 1)), ("S", (1, 0, 0))):
         data, _, _ = tr.prepare_training_data(
             fixture_tensor, graph.adjacency_norm, df.preset("Differentiated_B"),
-            t_in=12, t_out=12, channel_mask=mask,
+            t_in=12, t_out=12, fractions=FRACTIONS, channel_mask=mask,
         )
         model = RiskForecaster(SMOKE_MODEL, graph.adjacency_norm, seed=SMOKE_TRAIN.seed)
         result = tr.train(model, data, SMOKE_TRAIN)
@@ -413,9 +414,9 @@ def smoke_runs(fixture_tensor, fixture_graph):
 @pytest.mark.slow
 def test_learning_smoke_beats_persistence(smoke_runs):
     run = smoke_runs["SIE"]
-    model_report = mt.horizon_report(run["pred"], run["y"])
+    model_report = mt.horizon_report(run["pred"], run["y"], MAPE_EPS)
     persistence = mt.baseline_persistence(run["data"], run["start"])
-    persist_report = mt.horizon_report(persistence, run["y"])
+    persist_report = mt.horizon_report(persistence, run["y"], MAPE_EPS)
     model_long = model_report.buckets["long"]["mape"]
     persist_long = persist_report.buckets["long"]["mape"]
     gain = (persist_long - model_long) / persist_long
@@ -430,8 +431,8 @@ def test_learning_smoke_beats_persistence(smoke_runs):
 
 @pytest.mark.slow
 def test_learning_smoke_all_features_beat_safety_only(smoke_runs):
-    full = mt.horizon_report(smoke_runs["SIE"]["pred"], smoke_runs["SIE"]["y"])
-    solo = mt.horizon_report(smoke_runs["S"]["pred"], smoke_runs["S"]["y"])
+    full = mt.horizon_report(smoke_runs["SIE"]["pred"], smoke_runs["SIE"]["y"], MAPE_EPS)
+    solo = mt.horizon_report(smoke_runs["S"]["pred"], smoke_runs["S"]["y"], MAPE_EPS)
     full_long = full.buckets["long"]["mape"]
     solo_long = solo.buckets["long"]["mape"]
     assert full_long < solo_long
@@ -456,12 +457,12 @@ def real_records():
     records, _ = parse_accident_csv(os.environ[REAL_DATA_ENV])
     import datetime as dt
 
-    region = type(fixture_region())(
+    region = RegionSpec(
         name="central-london",
         bbox=(-0.20, 51.46, -0.05, 51.56),
         period=(dt.date(2009, 1, 1), dt.date(2014, 12, 31)),
     )
-    return filter_region(records, region), region
+    return RecordTable.from_records(filter_region(records, region)), region
 
 
 @requires_real_data
@@ -469,7 +470,7 @@ def test_real_data_framework_ordinal(real_records):
     from roadrisk.validation import framework_validation_report
 
     records, region = real_records
-    report = framework_validation_report(records, region)
+    report = framework_validation_report(records, region, WeightTables.default())
     cv, icc = report.cv_percent, report.icc
     assert cv["environmental"] > cv["infrastructure"] > cv["traffic_safety"]
     assert icc["traffic_safety"] > icc["infrastructure"] > icc["environmental"]

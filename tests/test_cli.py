@@ -302,6 +302,11 @@ def append_bytes(path):
     path.write_bytes(path.read_bytes() + bytes(range(16)))
 
 
+def prepend_bytes(path):
+    """Damage that leaves the archive readable with 16 bytes before its start."""
+    path.write_bytes(bytes(range(16)) + path.read_bytes())
+
+
 @pytest.mark.parametrize(
     "damage, problem",
     [
@@ -315,9 +320,10 @@ def append_bytes(path):
         (recolumn(set_item("embed.w", (1, 2), np.nan)), "column 'embed.w' holds nan at index [1, 2]"),
         (recolumn(set_item("head.b", 0, -np.inf)), "column 'head.b' holds -inf at row 0"),
         (append_bytes, "bytes after the archive's end record"),
+        (prepend_bytes, "bytes before the archive's first member"),
     ],
     ids=["not-zip", "missing-parameter", "extra-parameter", "float32", "nan", "infinite",
-         "trailing-bytes"],
+         "trailing-bytes", "leading-bytes"],
 )
 def test_damaged_checkpoint_exit_code(pipeline, tmp_path, caplog, damage, problem):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -545,6 +551,16 @@ def test_records_npz_with_trailing_bytes_exit_code(pipeline, tmp_path, caplog):
     assert "run `ingest` again" in caplog.text
 
 
+def test_records_npz_with_leading_bytes_exit_code(pipeline, tmp_path, caplog):
+    # numpy's own message for such a file was a hint to load it with pickle
+    config_path, out = copy_run(pipeline, tmp_path)
+    table = out / "records.npz"
+    prepend_bytes(table)
+    assert cli.main(["graph", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{table}: ValueError: bytes before the archive's first member" in caplog.text
+    assert "run `ingest` again" in caplog.text
+
+
 def test_record_stages_build_no_record_objects(pipeline, tmp_path, monkeypatch):
     from roadrisk import ingest
 
@@ -679,6 +695,32 @@ def test_out_of_range_config_value_exit_code(pipeline, tmp_path, caplog, command
     config_path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_CONFIG
     assert message in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("train", "train", "epochs_main", 1.5),
+        ("train", "train", "seed", 0.5),
+        ("train", "model", "d", 16.0),
+        ("graph", "graph", "k", 4.5),
+        ("diffuse", "diffusion", "iters", [1, 1.5, 2]),
+        ("train", None, "seed", 0.5),
+        ("train", "train", "batch", True),
+    ],
+    ids=["epochs-float", "train-seed-float", "width-float", "k-float", "iters-float",
+         "seed-float", "batch-bool"],
+)
+def test_wrongly_typed_config_value_exit_code(pipeline, tmp_path, caplog, command, section,
+                                              key, value):
+    # these used to end in a TypeError traceback (exit 1), or to run truncated
+    # (a seed of 0.5 ran as 0) or as 1-window batches (a batch of true)
+    config_path, _ = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    (config if section is None else config.setdefault(section, {}))[key] = value
+    config_path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert f"key {key!r} in config section {section or 'top level'!r}" in caplog.text
 
 
 def _packaged_tables(edit):

@@ -31,28 +31,33 @@ def make_tensor(values):
 
 
 def test_alpha_zero_is_identity():
+    # a channel at alpha 0 or at 0 iterations leaves apply_diffusion unmoved
     a = neighbor_table(ring_norm(4))
-    x = np.arange(4.0)
-    np.testing.assert_array_equal(df.diffuse_feature(x, a, 0.0, 5), x)
-    np.testing.assert_array_equal(df.diffuse_feature(x, a, 0.7, 0), x)
+    values = np.random.default_rng(3).uniform(0, 2, (5, 4, 3))
+    config = df.DiffusionConfig(name="x", alpha=(0.0, 0.7, 0.3), iters=(5, 0, 1))
+    out = df.apply_diffusion(make_tensor(values), a, config).values
+    np.testing.assert_array_equal(out[:, :, :2], values[:, :, :2])
+    assert not np.array_equal(out[:, :, 2], values[:, :, 2])
 
 
 def test_two_node_half_step():
     a = neighbor_table(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    out = df.diffuse_feature(np.array([1.0, 0.0]), a, 0.5, 1)
-    np.testing.assert_allclose(out, [0.5, 0.5])
+    out = df.diffuse_feature(np.array([[1.0], [0.0]]), a, 0.5, 1)
+    np.testing.assert_allclose(out, [[0.5], [0.5]])
 
 
 def test_constant_vector_fixed_point():
     a = neighbor_table(ring_norm(6))
-    x = np.full(6, 3.7)
+    x = np.full((6, 2), 3.7)
     for alpha, iters in [(0.3, 1), (0.9, 4)]:
         np.testing.assert_allclose(df.diffuse_feature(x, a, alpha, iters), x, atol=1e-12)
 
 
 def test_diffuse_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        df.diffuse_feature(np.ones(3), neighbor_table(ring_norm(4)), 0.5, 1)
+        df.diffuse_feature(np.ones((3, 2)), neighbor_table(ring_norm(4)), 0.5, 1)
+    with pytest.raises(ShapeMismatchError):
+        df.diffuse_feature(np.ones(4), neighbor_table(ring_norm(4)), 0.5, 1)
 
 
 def test_fuse_endpoints():
@@ -158,8 +163,8 @@ def test_product_matches_scipy_bitwise(n):
     # the (N, W) view of one channel that apply_diffusion passes, a copy, one column
     for x in (values[:, :, 1].T, np.ascontiguousarray(values[:, :, 2].T), values[:1, :, 0].T):
         assert df._product(a, x).tobytes() == (csr(a) @ x).tobytes()
-    # one alpha-1 step of a vector is the product alone
-    x = values[0, :, 0]
+    # one alpha-1 step of a column is the product alone
+    x = values[:1, :, 0].T
     assert df.diffuse_feature(x, a, 1.0, 1).tobytes() == (0.0 * x + csr(a) @ x).tobytes()
 
 
@@ -180,7 +185,7 @@ def test_non_expansive_in_euclidean_norm():
     for seed in range(100):
         n = int(rng.integers(3, 9))
         a = random_norm(n, seed=seed)
-        x = np.random.default_rng(seed + 1000).standard_normal(n)
+        x = np.random.default_rng(seed + 1000).standard_normal((n, 1))
         alpha = float(rng.uniform(0, 1))
         stepped = df.diffuse_feature(x, neighbor_table(a), alpha, 1)
         assert np.linalg.norm(stepped) <= np.linalg.norm(x) + 1e-12
@@ -194,7 +199,7 @@ def test_sup_norm_can_expand():
     deg = a.sum(axis=1)
     a_norm = a / np.sqrt(np.outer(deg, deg))
     assert a_norm[1].sum() > 1.0 + 1e-9
-    x = np.array([1.0, 0.0, 1.0])
+    x = np.array([[1.0], [0.0], [1.0]])
     stepped = df.diffuse_feature(x, neighbor_table(a_norm), 1.0, 1)
     assert np.abs(stepped).max() > np.abs(x).max() + 0.1
     assert np.linalg.norm(stepped) <= np.linalg.norm(x) + 1e-12
@@ -205,7 +210,7 @@ def test_deviation_from_constant_nonincreasing():
     for seed in range(20):
         n = int(rng.integers(3, 11))
         a = random_norm(n, seed=seed)
-        x = np.random.default_rng(seed).uniform(0, 5, n)
+        x = np.random.default_rng(seed).uniform(0, 5, (n, 1))
         alpha = float(rng.uniform(0.05, 0.95))
         before = np.abs(x - x.mean()).sum()
         stepped = df.diffuse_feature(x, neighbor_table(a), alpha, 1)
@@ -236,7 +241,7 @@ def test_scale_minmax_basics():
     values[:, 0, 1] = 4.0  # constant channel
     values[:, 0, 2] = [1.0, 2.0, 3.0]
     tensor = make_tensor(values)
-    scaler = df.MinMaxScaler().fit(tensor)
+    scaler = df.MinMaxScaler().fit(tensor, week_range=(0, tensor.n_weeks))
     out = scaler.transform(tensor.values)
     np.testing.assert_allclose(out[:, 0, 0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(out[:, 0, 1], 0.0)
@@ -246,7 +251,7 @@ def test_scale_minmax_basics():
 def test_scale_roundtrip():
     rng = np.random.default_rng(11)
     tensor = make_tensor(rng.uniform(0, 7, (8, 3, 3)))
-    scaler = df.MinMaxScaler().fit(tensor)
+    scaler = df.MinMaxScaler().fit(tensor, week_range=(0, tensor.n_weeks))
     scaled = scaler.transform(tensor.values)
     for channel in range(3):
         back = scaler.inverse_channel(scaled[:, :, channel], channel)

@@ -70,7 +70,7 @@ def test_pairwise_matches_scalar():
 
 
 def test_assign_single_point_cluster():
-    grid = g.assign_to_nodes([0.5] * 4, [10.0] * 4, cell_size_m=100)
+    grid = g.assign_to_nodes([0.5] * 4, [10.0] * 4, 100, (0.5, 10.0))
     assert grid.lons.tolist() == [pytest.approx(0.5)]
     assert grid.lats.tolist() == [pytest.approx(10.0)]
     assert grid.member_counts.tolist() == [4]
@@ -84,7 +84,7 @@ def test_assign_two_distant_clusters():
     dlon = 10 * cell / (g.EARTH_RADIUS_M * math.cos(math.radians(lat))) * 180 / math.pi
     lons = [0.0, 0.0, dlon, dlon, dlon]
     lats = [lat] * 5
-    grid = g.assign_to_nodes(lons, lats, cell_size_m=cell)
+    grid = g.assign_to_nodes(lons, lats, cell, (0.0, lat))
     assignment = grid.assignment
     assert grid.member_counts.size == 2
     assert len(set(assignment[:2])) == 1
@@ -96,7 +96,7 @@ def test_assign_conserves_membership():
     rng = np.random.default_rng(1)
     lons = -0.1 + rng.uniform(0, 0.02, 57)
     lats = 51.5 + rng.uniform(0, 0.02, 57)
-    grid = g.assign_to_nodes(lons, lats)
+    grid = g.assign_to_nodes(lons, lats, 150.0, (-0.1, 51.5))
     assert grid.member_counts.sum() == 57
     for node_id, count in enumerate(grid.member_counts):
         assert (grid.assignment == node_id).sum() == count
@@ -104,7 +104,7 @@ def test_assign_conserves_membership():
 
 def test_assign_empty_raises():
     with pytest.raises(EmptyInputError):
-        g.assign_to_nodes([], [])
+        g.assign_to_nodes([], [], 150.0, (-0.1, 51.5))
 
 
 def grid_points(nx, ny, spacing_m=200.0, lat0=51.5, lon0=-0.1):
@@ -221,17 +221,20 @@ def test_sigma_monotonicity():
     assert (d2[stored] >= d1[stored]).all()
 
 
+CENTER = (-0.105, 51.505)  # the middle of the random point sets below
+
+
 def test_build_graph_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     lons = -0.12 + rng.uniform(0, 0.03, 120)
     lats = 51.49 + rng.uniform(0, 0.03, 120)
-    graph, assignment = g.build_graph(lons, lats, g.GraphParams(cell_size_m=300, k=3))
+    graph, assignment = g.build_graph(lons, lats, g.GraphParams(cell_size_m=300, k=3), CENTER)
     assert assignment.size == 120
     assert graph.member_counts.sum() == 120
     assert (graph.degrees > 0).all()
 
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    g.save_graph(graph, nodes_path, edges_path)
+    g.save_graph(graph, nodes_path, edges_path, "abc")
     loaded = g.load_graph(nodes_path, edges_path)
     assert loaded.n_nodes == graph.n_nodes
     assert (loaded.lons == graph.lons).all()
@@ -247,11 +250,11 @@ def test_loaded_graph_is_the_grid_without_a_bandwidth(tmp_path):
     rng = np.random.default_rng(5)
     lons = -0.12 + rng.uniform(0, 0.03, 400)
     lats = 51.49 + rng.uniform(0, 0.03, 400)
-    graph, assignment = g.build_graph(lons, lats, g.GraphParams(cell_size_m=300, k=3))
+    graph, assignment = g.build_graph(lons, lats, g.GraphParams(cell_size_m=300, k=3), CENTER)
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    g.save_graph(graph, nodes_path, edges_path)
+    g.save_graph(graph, nodes_path, edges_path, "abc")
     loaded = g.load_graph(nodes_path, edges_path)
-    grid = g.assign_to_nodes(lons, lats, 300)
+    grid = g.assign_to_nodes(lons, lats, 300, CENTER)
     for column in ("lons", "lats", "member_counts"):
         assert getattr(loaded, column).tobytes() == getattr(grid, column).tobytes(), column
     np.testing.assert_array_equal(grid.assignment, assignment)
@@ -284,7 +287,7 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
     rng = np.random.default_rng(8)
     lons = -0.1 + rng.uniform(-0.05, 0.05, 3000)
     lats = 51.5 + rng.uniform(-0.03, 0.03, 3000)
-    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=150, k=4))
+    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=150, k=4), (-0.1, 51.5))
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     g.save_graph(graph, nodes_path, edges_path, "abc")
 
@@ -336,9 +339,9 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
 )
 def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
     lons, lats = grid_points(3, 1)
-    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2))
+    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2), (-0.1, 51.5))
     paths = {"nodes": tmp_path / "nodes.csv", "edges": tmp_path / "edges.csv"}
-    g.save_graph(graph, paths["nodes"], paths["edges"])
+    g.save_graph(graph, paths["nodes"], paths["edges"], "")
     text = paths[which].read_text().replace("\r\n", "\n")
     assert old in text
     paths[which].write_text(text.replace(old, new, 1))
@@ -350,7 +353,7 @@ def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
 
 def test_edge_counts_reported_both_ways():
     lons, lats = grid_points(3, 2)
-    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2))
+    graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2), (-0.1, 51.5))
     counts = graph.edge_counts()
     assert counts["directed"] == 2 * counts["undirected"]
 

@@ -209,7 +209,7 @@ def test_categories_parse_as_tabled(cls):
     for code in (-1, max(claimed) + 1, *(set(range(10)) - claimed)):
         assert cls.parse(code) is cls.UNKNOWN
         assert cls.parse(str(code)) is cls.UNKNOWN
-    for text in (None, "", "  ", "no such label", "1.0"):
+    for text in ("", "  ", "no such label", "1.0"):
         assert cls.parse(text) is cls.UNKNOWN
     with pytest.raises(ValueError):
         cls("no_such_value")
@@ -302,10 +302,14 @@ def test_filter_region_idempotent():
     assert once == twice
 
 
+def table(records):
+    return ingest.RecordTable.from_records(records)
+
+
 def test_aggregate_empty_records_zero_series():
     # 2012-01-02 (Mon, W01) through 2012-01-29 (Sun, W04): four ISO weeks
     series = ingest.aggregate_temporal(
-        [],
+        table([]),
         [],
         Granularity.WEEKLY,
         n_nodes=3,
@@ -322,10 +326,11 @@ def test_aggregate_seven_consecutive_days():
         for i in range(7)
     ]
     assignment = [0] * 7
-    daily = ingest.aggregate_temporal(records, assignment, Granularity.DAILY)
+    period = (dt.date(2012, 6, 11), dt.date(2012, 6, 17))
+    daily = ingest.aggregate_temporal(table(records), assignment, Granularity.DAILY, 1, period)
     assert daily.values.shape == (7, 1)
     assert (daily.values == 1.0).all()
-    weekly = ingest.aggregate_temporal(records, assignment, Granularity.WEEKLY)
+    weekly = ingest.aggregate_temporal(table(records), assignment, Granularity.WEEKLY, 1, period)
     assert weekly.values.shape == (1, 1)
     assert weekly.values[0, 0] == 7.0
 
@@ -336,7 +341,8 @@ def test_aggregate_split_across_iso_weeks():
         make_record(date=dt.date(2012, 6, 14) + dt.timedelta(days=i), rid=str(i))
         for i in range(7)
     ]
-    weekly = ingest.aggregate_temporal(records, [0] * 7, Granularity.WEEKLY)
+    period = (dt.date(2012, 6, 14), dt.date(2012, 6, 20))
+    weekly = ingest.aggregate_temporal(table(records), [0] * 7, Granularity.WEEKLY, 1, period)
     assert weekly.values[:, 0].tolist() == [4.0, 3.0]
 
 
@@ -351,7 +357,7 @@ def test_aggregate_totals_conserved():
     assignment = rng.integers(0, 4, 200).tolist()
     totals = []
     for g in Granularity:
-        series = ingest.aggregate_temporal(records, assignment, g, n_nodes=4)
+        series = ingest.aggregate_temporal(table(records), assignment, g, 4, REGION.period)
         totals.append(series.values.sum())
         labels = series.index
         assert labels == sorted(labels)
@@ -362,13 +368,13 @@ def test_aggregate_totals_conserved():
 def test_aggregate_unassigned_raises():
     rec = make_record()
     with pytest.raises(UnassignedRecordError):
-        ingest.aggregate_temporal([rec], [-1], Granularity.DAILY)
+        ingest.aggregate_temporal(table([rec]), [-1], Granularity.DAILY, 1, REGION.period)
 
 
 def test_aggregate_length_mismatch_states_both_lengths():
     records = [make_record(rid="a"), make_record(rid="b")]
     with pytest.raises(DataError, match="^2 records but 1 node assignments$"):
-        ingest.aggregate_temporal(records, [0], Granularity.DAILY)
+        ingest.aggregate_temporal(table(records), [0], Granularity.DAILY, 1, REGION.period)
 
 
 def test_weekly_index_has_no_gaps():
@@ -376,7 +382,8 @@ def test_weekly_index_has_no_gaps():
         make_record(date=dt.date(2012, 1, 2), rid="a"),
         make_record(date=dt.date(2012, 3, 2), rid="b"),
     ]
-    series = ingest.aggregate_temporal(records, [0, 0], Granularity.WEEKLY)
+    period = (dt.date(2012, 1, 2), dt.date(2012, 3, 2))
+    series = ingest.aggregate_temporal(table(records), [0, 0], Granularity.WEEKLY, 1, period)
     assert len(series.index) == 9
     assert series.totals().sum() == 2.0
 
@@ -456,13 +463,9 @@ def test_period_range_matches_branch_walk(granularity):
         ), (start, end)
 
 
-def loop_aggregate(records, assignment, granularity, n_nodes, period=None):
+def loop_aggregate(records, assignment, granularity, n_nodes, period):
     """The per-record loop `aggregate_temporal` replaced, kept as its oracle."""
-    if period is not None:
-        start, end = period
-    else:
-        start, end = min(r.date for r in records), max(r.date for r in records)
-    index = branch_period_range(start, end, granularity)
+    index = branch_period_range(*period, granularity)
     pos = {label: i for i, label in enumerate(index)}
     values = np.zeros((len(index), n_nodes))
     for rec, node in zip(records, assignment):
@@ -473,9 +476,7 @@ def loop_aggregate(records, assignment, granularity, n_nodes, period=None):
 
 
 @pytest.mark.parametrize("granularity", list(Granularity))
-@pytest.mark.parametrize(
-    "period", [None, (dt.date(2012, 3, 7), dt.date(2013, 2, 10))], ids=["observed", "period"]
-)
+@pytest.mark.parametrize("period", [(dt.date(2012, 3, 7), dt.date(2013, 2, 10))], ids=["period"])
 def test_aggregate_matches_record_loop(granularity, period):
     rng = np.random.default_rng(5)
     # 2011-12-20 .. 2013-03-..: the period cuts records off at both ends
@@ -484,15 +485,11 @@ def test_aggregate_matches_record_loop(granularity, period):
         for i, d in enumerate(rng.integers(0, 450, 2000))
     ]
     assignment = np.asarray(rng.integers(0, 5, 2000))
-    series = ingest.aggregate_temporal(records, assignment, granularity, 6, period)
+    series = ingest.aggregate_temporal(table(records), assignment, granularity, 6, period)
     index, values = loop_aggregate(records, assignment, granularity, 6, period)
     assert series.index == index
     assert series.values.shape == (len(index), 6)
     assert series.values.tobytes() == values.tobytes()
-    table = ingest.RecordTable.from_records(records)
-    on_table = ingest.aggregate_temporal(table, assignment, granularity, 6, period)
-    assert on_table.index == index
-    assert on_table.values.tobytes() == values.tobytes()
 
 
 def dictreader_parse(path, schema=None):

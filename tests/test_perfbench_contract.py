@@ -18,6 +18,8 @@ from roadrisk.diffusion import preset
 from roadrisk.model import ModelConfig, RiskForecaster
 from roadrisk.training import prepare_training_data
 
+from helpers import FRACTIONS
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -59,7 +61,7 @@ def test_graph_checks_pass_on_the_fixture_graph(monkeypatch, tmp_path, fixture_g
         load(sibling, monkeypatch, module_name=sibling)
     workloads = load("workloads", monkeypatch)
     built, _ = fixture_graph
-    g.save_graph(built, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    g.save_graph(built, tmp_path / "nodes.csv", tmp_path / "edges.csv", "abc")
     loaded = g.load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
     facts, found = {"nodes": built.n_nodes}, {}
     for graph in (built, loaded):
@@ -68,5 +70,26 @@ def test_graph_checks_pass_on_the_fixture_graph(monkeypatch, tmp_path, fixture_g
     stored = len((tmp_path / "edges.csv").read_text().splitlines()) - 1
     assert loaded.adjacency.nnz == stored and found["edges"] == stored // 2
     # the benchmark passes the normalised adjacency positionally
-    prepare_training_data(fixture_tensor, loaded.adjacency_norm, preset("Differentiated_B"), 12, 12)
+    prepare_training_data(fixture_tensor, loaded.adjacency_norm, preset("Differentiated_B"), 12, 12,
+                          fractions=FRACTIONS)
     RiskForecaster(ModelConfig(d=8, heads=2), loaded.adjacency_norm, seed=0)
+
+
+def test_region_forecast_set_up_and_job_report_no_problems(monkeypatch, tmp_path):
+    # the in-process workload calls the library directly, with its own arguments
+    for sibling in ("gen", "spans"):
+        load(sibling, monkeypatch, module_name=sibling)
+    workloads = load("workloads", monkeypatch)
+    size = workloads.TOY_SIZES["region-forecast"]
+    inputs = tmp_path / "inputs"
+    facts = sys.modules["gen"].write_inputs(inputs, 1, size)
+    ctx = workloads.Context(
+        root=PERFBENCH.parent, work=tmp_path, seed=1, seconds=1.0, trace=False, size=size,
+        ledger=workloads.Ledger(tmp_path / "ledger.json", "contract"), spawner=None,
+    )
+    out = workloads.Outcome()
+    state = workloads.forecast_setup(inputs, facts, out)
+    job = workloads.forecast_job(ctx, state, out)
+    assert out.problems == [] and out.failed == 0
+    assert job.complete
+    assert out.attempted == 1 + len(state.data.test_windows()) + workloads.FORECAST_STEPS

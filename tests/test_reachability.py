@@ -17,11 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "roadrisk"
 
-# name -> why it stays although no program code reaches it
-ALLOWED = {
-    "fixture_region": "test-fixture support; configs/fixture.json restates the same region",
-}
-
 
 def public_definitions(tree: ast.Module):
     """The public module-level functions and classes, and their public methods."""
@@ -49,7 +44,7 @@ def test_every_public_name_is_reached():
     unreached = sorted(
         owner
         for name, count in defined.items()
-        if words[name] <= count and name not in ALLOWED
+        if words[name] <= count
         for owner in owners[name]
     )
     assert unreached == []

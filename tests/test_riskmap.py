@@ -207,9 +207,9 @@ def test_node_ids_shorter_than_values_is_an_error(tmp_path):
         rm.classify_zones(values, "w", node_ids=[7, 8])
     zone_map = rm.ZoneMap("w", [7, 8], values, np.array([1, 3, 5]), np.array([1.0, 50.0, 99.0]))
     with pytest.raises(ShapeMismatchError):
-        rm.export_geojson([zone_map], np.zeros(3), np.zeros(3), tmp_path)
+        rm.export_geojson([zone_map], np.zeros(3), np.zeros(3), tmp_path, "cfg")
     with pytest.raises(ShapeMismatchError):
-        rm.write_zone_csv([zone_map], tmp_path / "zones.csv")
+        rm.write_zone_csv([zone_map], tmp_path / "zones.csv", "cfg")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -219,7 +219,7 @@ def test_coordinates_shorter_than_nodes_is_an_error(tmp_path, short):
     coords = {"lons": np.zeros(3), "lats": np.zeros(3)}
     coords[short] = np.zeros(2)
     with pytest.raises(ShapeMismatchError):
-        rm.export_geojson([zone_map], coords["lons"], coords["lats"], tmp_path)
+        rm.export_geojson([zone_map], coords["lons"], coords["lats"], tmp_path, "cfg")
 
 
 def test_validator_reports_non_objects_instead_of_raising():

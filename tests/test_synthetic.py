@@ -1,7 +1,9 @@
 import numpy as np
 
 from roadrisk import ingest
-from roadrisk.synthetic import FIXTURE_WEEKS, fixture_region, generate_rows
+from roadrisk.synthetic import FIXTURE_WEEKS, generate_rows
+
+from helpers import FIXTURE_REGION
 
 
 def test_generator_deterministic():
@@ -14,8 +16,7 @@ def test_fixture_parses_clean(fixture_csv):
     records, rejects = ingest.parse_accident_csv(fixture_csv)
     assert rejects == []
     assert len(records) > 2000
-    region = fixture_region()
-    assert len(ingest.filter_region(records, region)) == len(records)
+    assert len(ingest.filter_region(records, FIXTURE_REGION)) == len(records)
 
 
 def test_fixture_thirty_nodes(fixture_graph):
@@ -24,11 +25,11 @@ def test_fixture_thirty_nodes(fixture_graph):
     assert (np.bincount(assignment) > 0).all()
 
 
-def test_fixture_is_seasonal(fixture_records, fixture_graph):
+def test_fixture_is_seasonal(fixture_table, fixture_graph):
     graph, assignment = fixture_graph
     weekly = ingest.aggregate_temporal(
-        fixture_records, assignment, ingest.Granularity.WEEKLY,
-        graph.n_nodes, fixture_region().period,
+        fixture_table, assignment, ingest.Granularity.WEEKLY,
+        graph.n_nodes, FIXTURE_REGION.period,
     )
     totals = weekly.totals()
     assert len(totals) == FIXTURE_WEEKS
@@ -39,13 +40,12 @@ def test_fixture_is_seasonal(fixture_records, fixture_graph):
     assert totals.max() > 3 * totals.min() + 1
 
 
-def test_fixture_snr_ordering(fixture_records, fixture_graph):
+def test_fixture_snr_ordering(fixture_table, fixture_graph):
     graph, assignment = fixture_graph
-    region = fixture_region()
     values = {}
     for granularity in ingest.Granularity:
         series = ingest.aggregate_temporal(
-            fixture_records, assignment, granularity, graph.n_nodes, region.period
+            fixture_table, assignment, granularity, graph.n_nodes, FIXTURE_REGION.period
         )
         values[granularity] = ingest.snr(series)
     assert values[ingest.Granularity.WEEKLY] > values[ingest.Granularity.DAILY]

@@ -17,7 +17,7 @@ from roadrisk.diffusion import preset
 from roadrisk.features import RiskTensor
 from roadrisk.model import ModelConfig, RiskForecaster
 
-from helpers import neighbor_table, training_data
+from helpers import FRACTIONS, MAPE_EPS, neighbor_table, training_data
 
 
 def make_tensor(values):
@@ -35,7 +35,7 @@ def ring_norm(n):
 
 
 def test_split_100_weeks():
-    splits = tr.split_temporal(100, t_in=6, t_out=6)
+    splits = tr.split_temporal(100, t_in=6, t_out=6, fractions=FRACTIONS)
     assert splits.train == (0, 60)
     assert splits.validation == (60, 80)
     assert splits.test == (80, 100)
@@ -43,7 +43,7 @@ def test_split_100_weeks():
 
 def test_split_insufficient_history():
     with pytest.raises(InsufficientHistoryError):
-        tr.split_temporal(10, t_in=12, t_out=12)
+        tr.split_temporal(10, t_in=12, t_out=12, fractions=FRACTIONS)
 
 
 def test_split_bad_fractions():
@@ -52,7 +52,7 @@ def test_split_bad_fractions():
 
 
 def test_windows_never_straddle_boundaries():
-    splits = tr.split_temporal(100, t_in=6, t_out=6)
+    splits = tr.split_temporal(100, t_in=6, t_out=6, fractions=FRACTIONS)
     for span, windows in [
         (splits.train, tr.windows_in(splits.train, 6, 6)),
         (splits.validation, tr.windows_in(splits.validation, 6, 6)),
@@ -101,7 +101,8 @@ def test_prepared_targets_own_one_scaled_channel(constant):
         values[:, :, tr.TARGET_CHANNEL] = 2.5
     tensor = make_tensor(values)
     data, _, scaler = tr.prepare_training_data(
-        tensor, neighbor_table(ring_norm(5)), preset("No_Diffusion"), t_in=6, t_out=6
+        tensor, neighbor_table(ring_norm(5)), preset("No_Diffusion"), t_in=6, t_out=6,
+        fractions=FRACTIONS,
     )
     targets = data.targets
     assert targets.shape == (60, 5) and targets.flags["C_CONTIGUOUS"] and targets.base is None
@@ -188,14 +189,14 @@ def test_mae_rmse_mape_hand_case():
     assert mt.mae(y_hat, y) == pytest.approx(1.5)
     assert mt.rmse(y_hat, y) == pytest.approx(np.sqrt(2.5))
     assert mt.rmse(y_hat, y) == pytest.approx(1.5811, abs=1e-4)
-    assert mt.mape(y_hat, y) == pytest.approx(75.0)
+    assert mt.mape(y_hat, y, MAPE_EPS) == pytest.approx(75.0)
 
 
 def test_metrics_zero_error():
     y = np.random.default_rng(0).uniform(1, 2, (4, 5))
     assert mt.mae(y, y) == 0.0
     assert mt.rmse(y, y) == 0.0
-    assert mt.mape(y, y) == 0.0
+    assert mt.mape(y, y, MAPE_EPS) == 0.0
 
 
 def test_metrics_match_brute_force_loops():
@@ -210,7 +211,7 @@ def test_metrics_match_brute_force_loops():
         mape_oracle = 100 * sum(abs(a - b) / abs(b) for a, b in kept) / len(kept)
         assert abs(mt.mae(y_hat, y) - mae_oracle) < 1e-12
         assert abs(mt.rmse(y_hat, y) - rmse_oracle) < 1e-12
-        assert abs(mt.mape(y_hat, y) - mape_oracle) < 1e-9
+        assert abs(mt.mape(y_hat, y, MAPE_EPS) - mape_oracle) < 1e-9
         assert mt.rmse(y_hat, y) >= mt.mae(y_hat, y) - 1e-15
 
 
@@ -220,19 +221,19 @@ def test_metrics_permutation_invariant():
     p = rng.permutation(50)
     assert mt.mae(y_hat[p], y[p]) == pytest.approx(mt.mae(y_hat, y), abs=1e-14)
     assert mt.rmse(y_hat[p], y[p]) == pytest.approx(mt.rmse(y_hat, y), abs=1e-14)
-    assert mt.mape(y_hat[p], y[p]) == pytest.approx(mt.mape(y_hat, y), abs=1e-10)
+    assert mt.mape(y_hat[p], y[p], MAPE_EPS) == pytest.approx(mt.mape(y_hat, y, MAPE_EPS), abs=1e-10)
 
 
 def test_mape_masks_zeros_and_reports_fraction():
     y_hat = np.array([1.0, 1.0, 1.0, 1.0])
     y = np.array([0.0, 2.0, 0.0, 1.0])
-    assert mt.masked_fraction(y) == 0.5
-    assert mt.mape(y_hat, y) == pytest.approx((50.0 + 0.0) / 2)
+    assert mt.masked_fraction(y, MAPE_EPS) == 0.5
+    assert mt.mape(y_hat, y, MAPE_EPS) == pytest.approx((50.0 + 0.0) / 2)
 
 
 def test_mape_all_masked_raises():
     with pytest.raises(AllMaskedError):
-        mt.mape(np.ones(3), np.zeros(3))
+        mt.mape(np.ones(3), np.zeros(3), MAPE_EPS)
 
 
 def test_metrics_shape_mismatch():
@@ -243,7 +244,7 @@ def test_metrics_shape_mismatch():
 def test_horizon_report_constant_mape():
     y = np.full((5, 12), 2.0)
     y_hat = y * 1.03
-    report = mt.horizon_report(y_hat, y)
+    report = mt.horizon_report(y_hat, y, MAPE_EPS)
     for bucket in report.buckets.values():
         assert bucket["mape"] == pytest.approx(3.0)
     assert [row["mape"] for row in report.per_week] == pytest.approx([3.0] * 12)
@@ -254,7 +255,7 @@ def test_horizon_report_bucket_means():
     n = 4
     y = np.zeros((n, 12))
     y_hat = y + np.arange(1.0, 13.0)
-    report = mt.horizon_report(y_hat, y)
+    report = mt.horizon_report(y_hat, y, MAPE_EPS)
     assert report.buckets["short"]["mae"] == pytest.approx(2.5)
     assert report.buckets["medium"]["mae"] == pytest.approx(6.5)
     assert report.buckets["long"]["mae"] == pytest.approx(10.5)
@@ -266,7 +267,7 @@ def test_horizon_report_bucket_means():
 
 def test_horizon_report_short_run_reports_available_buckets():
     y = np.ones((3, 6))
-    report = mt.horizon_report(y * 1.1, y)
+    report = mt.horizon_report(y * 1.1, y, MAPE_EPS)
     assert set(report.buckets) == {"short", "medium"}
 
 
@@ -274,7 +275,7 @@ def test_rmse_at_least_mae_on_reports():
     rng = np.random.default_rng(3)
     y = rng.uniform(0.5, 2, (6, 12))
     y_hat = y + rng.standard_normal((6, 12)) * 0.3
-    report = mt.horizon_report(y_hat, y)
+    report = mt.horizon_report(y_hat, y, MAPE_EPS)
     for bucket in report.buckets.values():
         assert bucket["rmse"] >= bucket["mae"]
 
@@ -282,7 +283,7 @@ def test_rmse_at_least_mae_on_reports():
 def test_report_roundtrip_files(tmp_path):
     rng = np.random.default_rng(4)
     y = rng.uniform(0.5, 2, (6, 12))
-    report = mt.horizon_report(y * 1.05, y, config_fingerprint="abc123")
+    report = mt.horizon_report(y * 1.05, y, MAPE_EPS, config_fingerprint="abc123")
     report.save_json(tmp_path / "report.json")
     report.save_csv(tmp_path / "report.csv")
     import json

@@ -3,8 +3,9 @@ import pytest
 
 from roadrisk import validation as va
 from roadrisk.errors import InsufficientGroupsError
-from roadrisk.features import RiskTensor
-from roadrisk.synthetic import fixture_region
+from roadrisk.features import RiskTensor, WeightTables
+
+from helpers import FIXTURE_REGION
 
 
 def make_tensor(values):
@@ -150,10 +151,8 @@ def test_hierarchical_r2_rank_deficient_fallback():
     assert r2[1] >= r2[0] - 1e-8
 
 
-def test_framework_report_on_fixture(fixture_records):
-    report = va.framework_validation_report(
-        fixture_records, fixture_region(), cell_size_m=1000.0
-    )
+def test_framework_report_on_fixture(fixture_table):
+    report = va.framework_validation_report(fixture_table, FIXTURE_REGION, WeightTables.default())
     assert report.grid_cells >= 2
     assert report.weeks == 156
     for name in ("traffic_safety", "infrastructure", "environmental"):
@@ -165,22 +164,9 @@ def test_framework_report_on_fixture(fixture_records):
     assert report.cv_percent["environmental"] > 0
 
 
-def test_framework_report_on_table_equals_on_rows(fixture_records):
-    import json
-
-    from roadrisk.ingest import RecordTable
-
-    rows = va.framework_validation_report(fixture_records, fixture_region())
-    table = va.framework_validation_report(
-        RecordTable.from_records(fixture_records), fixture_region()
-    )
-    # json writes floats by repr, so equal text means bitwise-equal numbers
-    assert json.dumps(table.to_dict()) == json.dumps(rows.to_dict())
-
-
-def test_report_files_roundtrip(tmp_path, fixture_records):
+def test_report_files_roundtrip(tmp_path, fixture_table):
     report = va.framework_validation_report(
-        fixture_records, fixture_region(), cell_size_m=1000.0, config_fingerprint="fp"
+        fixture_table, FIXTURE_REGION, WeightTables.default(), config_fingerprint="fp"
     )
     report.save_json(tmp_path / "v.json")
     report.save_csv(tmp_path / "v.csv")
