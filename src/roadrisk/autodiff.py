@@ -17,14 +17,16 @@ the last ulp.
 Two ops split their work in two fixed halves, never sized by the core
 count, so results do not depend on the machine:
 
-* `fork_join`, a loss over two parts of a batch, each part on a sub-tape of
-  its own that the backward replays at once with the other, and
+* `fork_join`, a mean loss over the items of a batch in two parts, and
   `edge_attention`'s forward at region scale, over its weeks, both run the
   second half through `_both` on one worker thread, started on first use
   and then kept. Inside a `fork_join` half the worker is taken, so a week
-  split there runs inline.
+  split there runs inline. Split or not, `fork_join` streams its items:
+  each runs its backward right after its forward and keeps only its
+  gradients, so a thread holds one item's graph at a time (micro-batch
+  gradient accumulation, as in GPipe, arXiv:1811.06965).
 
-`Tape.backward` and `fork_join`'s forward hold numpy's bundled OpenBLAS at
+`Tape.backward` and `fork_join` hold numpy's bundled OpenBLAS at
 one thread (`blas_single_thread`): two halves that each ran two BLAS threads
 oversubscribed a 2-core machine and measured no gain, and products on one
 BLAS thread round alike whatever thread count the environment sets.
@@ -323,62 +325,58 @@ def _both(first, second):
         raise failure
 
 
-def fork_join(fn, params: dict[str, Tensor], part0, part1) -> Tensor:
-    """The sum of the scalar losses `fn(params, part0) + fn(params, part1)`,
-    with part 1 run on the worker thread.
+def fork_join(loss, params: dict[str, Tensor], parts) -> Tensor:
+    """The mean of the scalar losses `loss(params, item)` over the items of
+    one part, or of two with part 1 on the worker thread, streamed.
 
-    fn(params, part) returns a list of scalar Tensors computed from `params`
-    and `part`; the result adds them in order, part 0's first, as one step
-    on the caller's tape. Each half runs on a sub-tape of its own, with leaf
-    Tensors of its own that share the parameter arrays and keep separate
-    gradients, so the halves share no mutable state. When the step
-    replays, both sub-tapes run their backward at once, and then each
-    parameter accumulates half 0's gradient and then half 1's. Both halves'
-    forwards hold BLAS at one thread (`blas_single_thread`), as the backward
-    does. A failure in half 1 is re-raised here after the join.
+    Each item's forward runs on a sub-tape of its own, with leaf Tensors
+    that share the parameter arrays, and its backward runs at once, seeded
+    with the 1/b (b items) that `scale` hands each term of a mean; only the
+    loss value and the leaves' gradients are kept. The result adds the
+    values in item order, part 0's first, and scales the sum by 1/b, as
+    `add` and `scale` do, in one step on the caller's tape, whose `len`
+    counts the sub-tapes' steps too. The step hands each parameter the
+    incoming gradient times each item's gradient, in reverse item order, as
+    one tape over all the items accumulates them: a loss that is the tape's
+    root gets a gradient of exactly 1, so its gradients equal that tape's
+    bitwise where each parameter enters an item's loss once. Forwards and
+    backwards hold BLAS at one thread (`blas_single_thread`). A failure in
+    part 1 is re-raised here after the join.
     """
-    parts = (part0, part1)
-    leaves = [
-        {name: Tensor(p.data, p.requires_grad) for name, p in params.items()} for _ in parts
-    ]
-    tapes, losses = [Tape(), Tape()], [None, None]
+    weight = 1.0 / sum(map(len, parts))
+    kept = [[] for _ in parts]  # (loss value, gradients by parameter, steps) per item
 
     def run(half):
         saved = _active_tape()
-        _state.tape = tapes[half]
         try:
-            losses[half] = list(fn(leaves[half], parts[half]))
+            for item in parts[half]:
+                leaves = {name: Tensor(p.data, p.requires_grad) for name, p in params.items()}
+                _state.tape = tape = Tape()
+                out = loss(leaves, item)
+                out.grad = np.full_like(out.data, weight)
+                tape._replay()
+                kept[half].append((out.data, {k: leaf.grad for k, leaf in leaves.items()}, len(tape)))
         finally:
             _state.tape = saved
 
     with blas_single_thread():
-        _both(lambda: run(0), lambda: run(1))
-    terms = losses[0] + losses[1]
-    total = terms[0].data
-    for term in terms[1:]:
-        total = total + term.data
-    caller = _active_tape()
-    if caller is not None:
-        caller._nested += len(tapes[0]) + len(tapes[1])
-    replayed = []
-
-    def replay(half, g):
-        for term in losses[half]:
-            term.accumulate(g)
-        tapes[half]._replay()
-
-    def grad_of(half, name):
-        def vjp(g):
-            if not replayed:
-                _both(lambda: replay(0, g), lambda: replay(1, g))
-                replayed.append(True)
-            return leaves[half][name].grad
-
-        return vjp
-
+        if len(parts) == 1:
+            run(0)
+        else:
+            _both(lambda: run(0), lambda: run(1))
+    items = [entry for part in kept for entry in part]
+    if recording():
+        _active_tape()._nested += sum(steps for _, _, steps in items)
+    total = items[0][0]
+    for value, _, _ in items[1:]:
+        total = total + value
     return _op(
-        total,
-        *((p, grad_of(half, name)) for half in (0, 1) for name, p in params.items()),
+        total * weight,
+        *(
+            (params[name], lambda g, grad=grad: None if grad is None else g * grad)
+            for _, grads, _ in reversed(items)
+            for name, grad in grads.items()
+        ),
     )
 
 
@@ -636,10 +634,9 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     thread and the rest on the kept worker, each writing its own slices of
     the kept arrays and of one logits buffer. Inside a `fork_join` half the
     worker is taken and both halves run inline. The backward runs on the
-    thread that replays the tape, with BLAS held at one thread by
-    `Tape.backward`; at region scale `training.batch_loss` puts the worker
-    to work there, by taking half of a batch's windows through `fork_join`,
-    whose two sub-tapes replay at once.
+    thread that replays the tape, with BLAS held at one thread; at region
+    scale `training.batch_loss` puts the worker to work there, by running
+    half of a batch's windows, forward and backward, through `fork_join`.
     Results are bitwise independent of the block size, of the week split
     and of the inputs' memory layout, and the output is bitwise equivariant
     under relabeling the nodes.

@@ -206,8 +206,9 @@ def _window_loss(model: RiskForecaster, data: TrainingData, start: int, training
 
 
 def _halves(model: RiskForecaster, starts: list, training, rng):
-    """The two (starts, rng) parts of a taped region-scale batch for
-    `ad.fork_join`, or None where the window loop runs.
+    """The two (starts, rng) parts of a taped region-scale batch, which
+    `ad.fork_join` runs on two threads, or None where the batch streams on
+    this thread alone.
 
     Only a taped batch of two or more windows splits, and only where
     `edge_attention` recomputes its probabilities (t_in * n^2 beyond
@@ -216,7 +217,7 @@ def _halves(model: RiskForecaster, starts: list, training, rng):
     and the caller's generator; half 1 a copy advanced past half 0's draws,
     so every dropout mask is the loop's. Only PCG64 (`default_rng`) is known
     to advance by single draws; other generators, and an attention-capturing
-    model, whose log a half's copy would keep, run the loop.
+    model, whose log must be the last window's, stay on this thread.
     """
     n = model.n_nodes
     if (
@@ -238,31 +239,37 @@ def _halves(model: RiskForecaster, starts: list, training, rng):
 
 
 def batch_loss(model: RiskForecaster, data: TrainingData, starts, training=False, rng=None) -> Tensor:
-    """Mean L1 over the given windows; builds one graph when taped.
+    """Mean L1 over the given windows: a loop over them when untaped.
 
-    A taped region-scale batch runs as two halves of its windows on two
-    threads (`_halves`, `ad.fork_join`); its loss equals the loop's bitwise
-    and its gradients up to the order in which the windows' terms add.
+    Taped, the windows stream through `ad.fork_join`, one window's graph
+    per thread, and a region-scale batch runs in two halves on two threads
+    (`_halves`). The loss, gradients, generator state and attention log
+    equal those of the window loop on one tape bitwise.
     """
     starts = list(starts)
-    halves = _halves(model, starts, training, rng)
-    if halves is None:
+    if not ad.recording():
         total = None
         for start in starts:
             loss = _window_loss(model, data, start, training, rng)
             total = loss if total is None else ad.add(total, loss)
         return ad.scale(total, 1.0 / len(starts))
+    halves = _halves(model, starts, training, rng) or [(starts, rng)]
 
-    def window_losses(params, part):
+    def window_loss(params, item):
+        start, part_rng = item
         view = copy.copy(model)
         view.params = params
-        part_starts, part_rng = part
-        return [_window_loss(view, data, start, training, part_rng) for start in part_starts]
+        loss = _window_loss(view, data, start, training, part_rng)
+        if model.capture_attention:  # never split: the log is the last window's
+            model.attention_log = view.attention_log
+        return loss
 
-    total = ad.fork_join(window_losses, model.params, *halves)
-    if rng is not None:
-        rng.bit_generator.state = halves[1][1].bit_generator.state
-    return ad.scale(total, 1.0 / len(starts))
+    total = ad.fork_join(
+        window_loss, model.params, [[(start, part_rng) for start in part] for part, part_rng in halves]
+    )
+    if rng is not None:  # the last part's generator made the last draws
+        rng.bit_generator.state = halves[-1][1].bit_generator.state
+    return total
 
 
 def eval_loss(model: RiskForecaster, data: TrainingData, starts) -> float:

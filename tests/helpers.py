@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from roadrisk import autodiff as ad
 from roadrisk.autodiff import Tape, no_grad
 from roadrisk.config import RunConfig
 from roadrisk.graph import EARTH_RADIUS_M, EdgeTable
@@ -110,6 +111,19 @@ def training_data(tensor, t_in, t_out, fractions=FRACTIONS, channel_mask=(1, 1, 
     splits = split_temporal(tensor.n_weeks, t_in, t_out, fractions)
     targets = tensor.values[:, :, TARGET_CHANNEL].copy()
     return TrainingData(tensor, targets, t_in, t_out, splits, channel_mask)
+
+
+def window_loop(model, data, starts, training=False, rng=None):
+    """Mean L1 over the windows, every window recorded on the active tape
+    one after another: the slow-path oracle of `training.batch_loss`, which
+    streams a taped batch one window at a time."""
+    total = None
+    for start in starts:
+        x, y = data.window(start)
+        pred = model.forward(x, training=training, rng=rng)
+        loss = ad.mean_(ad.abs_(ad.sub(pred, y)))
+        total = loss if total is None else ad.add(total, loss)
+    return ad.scale(total, 1.0 / len(starts))
 
 
 def zone_map_feature_collection(zone_map, lons, lats, config_hash="") -> dict:

@@ -606,15 +606,15 @@ def test_accumulate_first_buffer():
         x.accumulate(np.ones(3))  # would broadcast: a VJP of the wrong shape
 
 
-def weighted_sums(params, part):
-    """fork_join's loss function for the tests: one scalar per row of `part`."""
-    return [ad.sum_(ad.mul(params["w"], row)) for row in part]
+def weighted_sum(params, row):
+    """fork_join's loss function for the tests: one scalar per row."""
+    return ad.sum_(ad.mul(params["w"], row))
 
 
-def fork_step(w, part0, part1):
+def fork_step(w, *parts):
     w.zero_grad()
     with Tape() as tape:
-        loss = ad.fork_join(weighted_sums, {"w": w}, part0, part1)
+        loss = ad.fork_join(weighted_sum, {"w": w}, parts)
         tape.backward(loss)
     return loss
 
@@ -623,16 +623,17 @@ def test_fork_join_matches_one_tape():
     rng = np.random.default_rng(60)
     w = param(rng.standard_normal(5))
     rows = rng.standard_normal((3, 5))
-    loss = fork_step(w, rows[:2], rows[2:])
-    got = w.grad.copy()
-    w.zero_grad()
-    with Tape() as tape:
-        terms = weighted_sums({"w": w}, rows)
-        want = ad.add(ad.add(terms[0], terms[1]), terms[2])
-        tape.backward(want)
-    assert loss.data.tobytes() == want.data.tobytes()
-    np.testing.assert_allclose(got, w.grad, rtol=1e-14)
-    assert loss.grad is None  # an op output: freed once passed on
+    for parts in ([rows[:2], rows[2:]], [rows]):  # on two threads, and on one
+        loss = fork_step(w, *parts)
+        got = w.grad.copy()
+        w.zero_grad()
+        with Tape() as tape:
+            terms = [weighted_sum({"w": w}, row) for row in rows]
+            want = ad.scale(ad.add(ad.add(terms[0], terms[1]), terms[2]), 1.0 / 3)
+            tape.backward(want)
+        assert loss.data.tobytes() == want.data.tobytes()
+        assert got.tobytes() == w.grad.tobytes()
+        assert loss.grad is None  # an op output: freed once passed on
 
 
 def failing_off_main(tensor):
@@ -652,20 +653,20 @@ def failing_off_main(tensor):
 
 @pytest.mark.parametrize("where", ["forward", "backward"])
 def test_fork_join_failure_in_half_one_reaches_caller(where):
-    def losses(params, part):
-        check, out = failing_off_main(ad.mul(params["w"], part))
+    def losses(params, row):
+        check, out = failing_off_main(ad.mul(params["w"], row))
         if where == "forward":
             check()
-        return [ad.sum_(out)]
+        return ad.sum_(out)
 
     w = param(np.ones(3))
     before = threading.active_count()
     with pytest.raises(MemoryError, match="worker half"):
         with Tape() as tape:
-            tape.backward(ad.fork_join(losses, {"w": w}, np.ones(3), np.full(3, 13.0)))
+            tape.backward(ad.fork_join(losses, {"w": w}, [[np.ones(3)], [np.full(3, 13.0)]]))
     # the worker survives a failure and takes the next step
     fork_step(w, np.ones((1, 3)), np.ones((1, 3)))
-    np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(w.grad, np.full(3, 1.0))
     assert threading.active_count() <= before + 1
 
 
@@ -766,7 +767,7 @@ def test_fork_join_from_many_threads_keeps_every_gradient():
     # count; a lost update would show as a wrong gradient or a pin left on
     found = blas_count()
     rows = np.random.default_rng(61).standard_normal((4, 6))
-    want = rows.sum(axis=0)
+    want = rows.mean(axis=0)
     results, errors = [], []
 
     def caller(seed):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from roadrisk.diffusion import preset
 from roadrisk.features import RiskTensor
 from roadrisk.model import ModelConfig, RiskForecaster
 
-from helpers import FRACTIONS, MAPE_EPS, neighbor_table, training_data
+from helpers import FRACTIONS, MAPE_EPS, neighbor_table, training_data, window_loop
 
 
 def make_tensor(values):
@@ -369,51 +370,63 @@ def region():
     return model, training_data(make_tensor(values), 12, 12)
 
 
-def taped_step(model, data, starts, rng):
+@pytest.fixture(scope="module")
+def small():
+    """A 30-node model and its windows: a taped batch streams on one thread."""
+    cfg = ModelConfig(d=16, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
+    model = RiskForecaster(cfg, knn_table(30, seed=47), seed=48)
+    data = training_data(make_tensor(np.random.default_rng(49).uniform(0, 1, (130, 30, 3))), 12, 12)
+    return model, data
+
+
+def taped_step(model, data, starts, rng, loss_of=tr.batch_loss):
     """Loss, every parameter's gradient, the generator's state and the
     number of recorded steps after one taped batch."""
     for tensor in model.params.values():
         tensor.zero_grad()
     with ad.Tape() as tape:
-        loss = tr.batch_loss(model, data, starts, training=True, rng=rng)
+        loss = loss_of(model, data, starts, training=True, rng=rng)
         tape.backward(loss)
     grads = {name: t.grad for name, t in model.params.items()}
     return loss.data, grads, rng.bit_generator.state, len(tape)
 
 
-def count_forks(monkeypatch):
+def count_splits(monkeypatch):
+    """The number of parts of every `fork_join` call: 2 where a batch splits
+    across the two threads."""
     calls, original = [], ad.fork_join
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def counting(loss, params, parts):
+        parts = list(parts)
+        calls.append(len(parts))
+        return original(loss, params, parts)
 
     monkeypatch.setattr(ad, "fork_join", counting)
     return calls
 
 
+def assert_equals_window_loop(model, data, starts, rng_of):
+    """A taped batch's loss, generator state and gradients are bitwise those
+    of the window loop on one tape; `rng_of()` makes a fresh generator."""
+    loss, grads, state, steps = taped_step(model, data, starts, rng_of())
+    want_loss, want_grads, want_state, want_steps = taped_step(model, data, starts, rng_of(), window_loop)
+    assert loss.tobytes() == want_loss.tobytes()
+    assert repr(state) == repr(want_state)  # Philox's state holds arrays
+    # the tape counts the windows' steps; the loop's b - 1 adds and its
+    # scale are the one step of `fork_join`
+    assert steps == want_steps - (len(starts) - 1)
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert grads[name].tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("windows", [2, 3, 4])
 def test_region_batch_halves_match_the_window_loop(monkeypatch, region, windows):
     model, data = region
+    splits = count_splits(monkeypatch)
     starts = data.train_windows()[5 : 5 + windows]
-    forks = count_forks(monkeypatch)
-    loss, grads, state, steps = taped_step(model, data, starts, np.random.default_rng(44))
-    assert len(forks) == 1
-    monkeypatch.setattr(tr, "_halves", lambda *args: None)
-    want_loss, want_grads, want_state, want_steps = taped_step(
-        model, data, starts, np.random.default_rng(44)
-    )
-    assert len(forks) == 1
-    assert loss.tobytes() == want_loss.tobytes()
-    assert state == want_state
-    # the tape counts the halves' steps: one fork in place of the loop's b - 1 adds
-    assert steps == want_steps - (windows - 1) + 1
-    assert grads.keys() == want_grads.keys()
-    for name, want in want_grads.items():
-        if windows == 2:  # the two windows' terms add in either order alike
-            assert grads[name].tobytes() == want.tobytes(), name
-        else:  # half 0's windows add up before half 1's
-            assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+    assert_equals_window_loop(model, data, starts, lambda: np.random.default_rng(44))
+    assert splits == [2]
 
 
 def test_region_batch_half_inline_matches_the_worker(region):
@@ -449,24 +462,79 @@ def test_region_taped_step_starts_no_thread(monkeypatch, region):
 def test_batches_that_do_not_split_run_the_window_loop(monkeypatch, region, case):
     model, data = region
     starts = data.train_windows()[: 1 if case == "one window" else 2]
-    rng = np.random.Generator(np.random.Philox(46)) if case == "Philox" else np.random.default_rng(46)
+
+    def rng_of():
+        return np.random.Generator(np.random.Philox(46)) if case == "Philox" else np.random.default_rng(46)
+
     if case == "capture":
         model = RiskForecaster(model.config, model.a_norm, model.params, capture_attention=True)
-    forks = count_forks(monkeypatch)
+    splits = count_splits(monkeypatch)
     if case == "untaped":
-        tr.batch_loss(model, data, starts, training=True, rng=rng)
+        tr.batch_loss(model, data, starts, training=True, rng=rng_of())
+        assert splits == []  # the plain loop
     else:
-        taped_step(model, data, starts, rng)
-    assert forks == []
+        assert_equals_window_loop(model, data, starts, rng_of)
+        assert splits == [1]  # streamed on this thread
 
 
-def test_fixture_scale_batch_runs_the_window_loop(monkeypatch):
-    cfg = ModelConfig(d=8, heads=2, layers=1, t_in=12, t_out=12, conv_kernel=3, dropout=0.1)
-    model = RiskForecaster(cfg, knn_table(30, seed=47), seed=48)
-    data = training_data(make_tensor(np.random.default_rng(49).uniform(0, 1, (130, 30, 3))), 12, 12)
-    forks = count_forks(monkeypatch)
-    taped_step(model, data, data.train_windows()[:16], np.random.default_rng(50))
-    assert forks == []
+def test_fixture_scale_batch_runs_the_window_loop(monkeypatch, small):
+    model, data = small
+    splits = count_splits(monkeypatch)
+    for windows in (1, 16):
+        assert_equals_window_loop(model, data, data.train_windows()[:windows], lambda: np.random.default_rng(50))
+    assert splits == [1, 1]
+
+
+def test_taped_batch_holds_one_window_graph(small):
+    # a batch keeps each window's loss value and gradients, not its graph
+    model, data = small
+
+    def peak(windows):
+        tracemalloc.start()
+        try:
+            taped_step(model, data, data.train_windows()[:windows], np.random.default_rng(53))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)
+    assert peak(16) < 2 * one
+
+
+def test_scaled_batch_loss_scales_the_gradients(small):
+    # the streamed step hands the parameters its incoming gradient times
+    # each window's, so a loss scaled before the backward is still right
+    model, data = small
+    starts = data.train_windows()[:3]
+
+    def scaled(loss_of):
+        return lambda *args, **kwargs: ad.scale(loss_of(*args, **kwargs), 3.0)
+
+    loss, grads, state, _ = taped_step(model, data, starts, np.random.default_rng(54), scaled(tr.batch_loss))
+    want_loss, want_grads, want_state, _ = taped_step(
+        model, data, starts, np.random.default_rng(54), scaled(window_loop)
+    )
+    assert loss.tobytes() == want_loss.tobytes()
+    assert state == want_state
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_taped_batch_leaves_the_last_window_attention_log(small):
+    model, data = small
+    model = RiskForecaster(model.config, model.a_norm, model.params, capture_attention=True)
+    starts = data.train_windows()[:3]
+    taped_step(model, data, starts, np.random.default_rng(55))
+    got = model.attention_log
+    taped_step(model, data, starts, np.random.default_rng(55), window_loop)
+    want = model.attention_log
+    assert got is not want and len(got) == len(want) > 0
+    for entry, oracle in zip(got, want):
+        assert entry["site"] == oracle["site"]
+        assert entry["weights"].tobytes() == oracle["weights"].tobytes(), entry["site"]
+        mask = entry["mask"]
+        assert (mask is None) == (oracle["mask"] is None)
+        assert mask is None or mask.tobytes() == oracle["mask"].tobytes()
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
