@@ -637,9 +637,12 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
     thread that replays the tape, with BLAS held at one thread; at region
     scale `training.batch_loss` puts the worker to work there, by running
     half of a batch's windows, forward and backward, through `fork_join`.
-    Results are bitwise independent of the block size, of the week split
-    and of the inputs' memory layout, and the output is bitwise equivariant
-    under relabeling the nodes.
+    The backward works in two node-pair buffers of one block each; when one
+    block holds every row, its column pass takes the row pass's dlogits,
+    transposed. Results are bitwise independent of the week split and of
+    the inputs' memory layout; the output, but not the gradients (BLAS's
+    g h^T rounds by row count), also of the block size; and the output is
+    bitwise equivariant under relabeling the nodes.
     """
     q, k, h = as_tensor(q), as_tensor(k), as_tensor(h)
     n, width = neighbors.shape
@@ -713,10 +716,10 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
             memo["grads"] = attention_grads(np.ascontiguousarray(g.reshape(hc.shape)))
         return memo["grads"]
 
-    def scatter(shape, at, values):
-        dense = np.zeros(shape)
-        dense.reshape(batch, -1)[:, at] = values
-        return dense
+    def scatter(buf, at, values):
+        buf.fill(0.0)
+        buf.reshape(batch, -1)[:, at] = values
+        return buf
 
     def attention_grads(g):
         # dlogits = y * (g_y - sum over edges of g_y * y), where g_y, the
@@ -732,43 +735,55 @@ def edge_attention(q, k, neighbors: np.ndarray, edge_weights: np.ndarray, h) -> 
             sel = (major >= lo) & (major < hi)
             return (major[sel] - lo) * n + minor[sel], edge_slot[sel]
 
+        # every node-pair array below is a block of one of two buffers, for
+        # probabilities and for products and dlogits. Two allocations: glibc
+        # raises its mmap threshold to the largest block freed, and one of
+        # twice the size left region-forecast's peak RSS 6-26 MB higher.
+        buffers = [np.empty(batch * block_rows * n) for _ in range(2)]
+
+        def block(i, lo, hi):
+            return buffers[i][: batch * (hi - lo) * n].reshape(batch, hi - lo, n)
+
+        def probabilities(a, bt, lo, hi, m, s):
+            y = _logits(a, bt, lo, hi, scale, out=block(0, lo, hi))
+            y -= m
+            return np.divide(np.exp(y, out=y), s, out=y)
+
         g_y, shift = np.empty(gate.shape), np.empty(row_max.shape)
         dq, dk, dh = np.empty(qc.shape), np.empty(kc.shape), np.empty(hc.shape)
         ht = np.ascontiguousarray(np.swapaxes(hc, 1, 2))
         for b, (lo, hi) in enumerate(blocks):
-            dot = at_slots(g[:, lo:hi] @ ht, b)  # <g_i, h_j> at each slot
+            dense = np.matmul(g[:, lo:hi], ht, out=block(1, lo, hi))
+            dot = at_slots(dense, b)  # <g_i, h_j> at each slot
             g_y[:, lo:hi] = dot * edge_weights[lo:hi]
             shift[:, lo:hi] = (gate[:, lo:hi] * dot).sum(axis=-1)
             y = kept
             if y is None:
-                y = np.exp(_logits(qc, kt, lo, hi, scale) - row_max[:, lo:hi, None])
-                y /= denom[:, lo:hi, None]
+                y = probabilities(qc, kt, lo, hi, row_max[:, lo:hi, None], denom[:, lo:hi, None])
             at, slot = edges_in(edge_rows, edge_cols, lo, hi)
-            dense = scatter(y.shape, at, g_y.reshape(batch, -1)[:, slot])
+            scatter(dense, at, g_y.reshape(batch, -1)[:, slot])
             dense -= shift[:, lo:hi, None]
             dense *= y
             dq[:, lo:hi] = (dense @ kc) * scale
 
-        def columns(lo, hi, y):
-            # dk and dh sum over rows, so they take blocks of complete
-            # columns: y holds the probabilities of columns lo:hi, transposed
+        # dk and dh sum over rows, so they take blocks of complete columns,
+        # with the column dlogits, transposed, in the first buffer
+        qt = np.ascontiguousarray(np.swapaxes(qc, 1, 2)) if len(blocks) > 1 else None
+        for lo, hi in blocks:
             at, slot = edges_in(edge_cols, edge_rows, lo, hi)
-            dense = scatter(y.shape, at, g_y.reshape(batch, -1)[:, slot])
-            dense -= shift[:, None, :]
-            dense *= y
-            dk[:, lo:hi] = (dense @ qc) * scale
-            dh[:, lo:hi] = scatter(y.shape, at, gate.reshape(batch, -1)[:, slot]) @ g
-
-        if len(blocks) == 1:
-            # the logits einsum rounds q_i k_j and k_j q_i alike, so the
-            # transposed probabilities equal what a column block recomputes
-            columns(0, n, np.ascontiguousarray(np.swapaxes(y, 1, 2)))
-        else:
-            qt = np.ascontiguousarray(np.swapaxes(qc, 1, 2))
-            for lo, hi in blocks:
-                y = np.exp(_logits(kc, qt, lo, hi, scale) - row_max[:, None, :])
-                y /= denom[:, None, :]
-                columns(lo, hi, y)
+            dense = block(1, lo, hi)
+            if len(blocks) == 1:
+                # a column dlogit is the same product of the same factors as
+                # its row dlogit: the row pass's, transposed, bit for bit
+                dlogits = block(0, lo, hi)
+                dlogits[:] = np.swapaxes(dense, 1, 2)
+            else:
+                dlogits = probabilities(kc, qt, lo, hi, row_max[:, None, :], denom[:, None, :])
+                scatter(dense, at, g_y.reshape(batch, -1)[:, slot])
+                dense -= shift[:, None, :]
+                dlogits *= dense
+            dk[:, lo:hi] = (dlogits @ qc) * scale
+            dh[:, lo:hi] = scatter(dense, at, gate.reshape(batch, -1)[:, slot]) @ g
         return dq.reshape(q.data.shape), dk.reshape(k.data.shape), dh.reshape(h.data.shape)
 
     return _op(

@@ -2,6 +2,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,57 @@ def test_edge_attention_bitwise_across_block_sizes_and_layouts(monkeypatch):
         got = attention_results(adjacency, arrays, upstream, views=True)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, base)), block_rows
         assert ad.attention_rows(arrays[0], arrays[1]).tobytes() == rows.tobytes()
+
+
+def test_edge_attention_bitwise_across_block_sizes_at_the_model_shape(monkeypatch):
+    # One block takes the column pass from the row pass's dlogits; several
+    # blocks recompute the columns. The one product whose bits depend on the
+    # block is BLAS's g h^T, which rounds by the block's row count here, so
+    # integer-valued g and h make it exact and the comparison bitwise.
+    n, weeks = 300, 12
+    adjacency = knn_norm(n, seed=35)
+    (q, k, h), upstream = attention_inputs(n, seed=36, weeks=weeks, d=16, d_h=16)
+    exact = [q, k, np.round(4 * h)], np.round(4 * upstream)
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", weeks * n * n)  # kept
+    base = attention_results(adjacency, *exact)
+    real = attention_results(adjacency, [q, k, h], upstream)
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", 0)  # one block, recomputed
+    got = attention_results(adjacency, [q, k, h], upstream)
+    for name, a, b in zip(["out", "dq", "dk", "dh"], got, real):
+        assert a.tobytes() == b.tobytes(), name
+    for blocks, block_rows in ((1, n), (2, 150), (3, 100)):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", weeks * n * block_rows)
+        assert len(ad._row_blocks(n, block_rows)) == blocks
+        got = attention_results(adjacency, *exact)
+        for name, a, b in zip(["out", "dq", "dk", "dh"], got, base):
+            assert a.tobytes() == b.tobytes(), (blocks, name)
+        got = attention_results(adjacency, [q, k, h], upstream)
+        assert got[0].tobytes() == real[0].tobytes(), blocks
+        for name, a, b in zip(["dq", "dk", "dh"], got[1:], real[1:]):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), (blocks, name)
+
+
+def test_edge_attention_backward_holds_two_node_pair_buffers(monkeypatch):
+    n, weeks = 300, 12
+    node_pairs = weeks * n * n * 8  # bytes of one (weeks, n, n) float64 array
+    monkeypatch.setattr(ad, "KEEP_ELEMENTS", 0)  # one block, recomputed
+    neighbors, weights = neighbor_table(knn_norm(n, seed=37))
+    arrays, upstream = attention_inputs(n, seed=38, weeks=weeks, d=16, d_h=16)
+    q, k, h = (param(a) for a in arrays)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = ad.sum_(ad.mul(ad.edge_attention(q, k, neighbors, weights, h), upstream))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tape keeps edges, not node pairs: the backward's buffers live in its call
+    assert held - before < node_pairs / 4
+    assert peak - held < 3 * node_pairs, f"{(peak - held) / node_pairs:.2f} node-pair arrays"
 
 
 def test_edge_attention_is_permutation_invariant_bitwise():
