@@ -12,6 +12,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import sys
 import types
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -53,9 +54,9 @@ def _object(raw, section: str, keys) -> dict:
 
 def _fits(hint, value) -> bool:
     """Whether JSON `value` has the type of annotation `hint`. An int takes
-    an integer only and a float an integer or a float, neither a bool; a
-    tuple takes a list of its length. A section or a date is left to the
-    function that converts it."""
+    an integer only and a float a finite integer or float (not NaN or an
+    Infinity), neither a bool; a tuple takes a list of its length. A
+    section or a date is left to the function that converts it."""
     if get_origin(hint) is types.UnionType:
         return any(_fits(option, value) for option in get_args(hint))
     if get_origin(hint) is tuple:
@@ -64,7 +65,7 @@ def _fits(hint, value) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if hint in (int, str, bool, type(None)):
         return isinstance(value, hint)
     return True

@@ -6,7 +6,8 @@ weight, a road-context weight, and a speed factor 0.5 + v/120. Channels 1
 (infrastructure) and 2 (environment) average fixed per-category weights,
 four infrastructure factors and two environmental ones, over that week's
 accidents at the node. The weight tables live in a JSON file so regional
-recalibrations are data edits, not code edits. A tensor is stored as a
+recalibrations are data edits, not code edits; once loaded, each category
+table is keyed by the record column it weighs. A tensor is stored as a
 column archive of its values and week labels, beside a JSON sidecar of its
 metadata; node k is the tensor's column k, as it is the graph's row k.
 """
@@ -29,19 +30,24 @@ from .ingest import (
     CATEGORIES,
     AccidentRecord,
     Granularity,
-    HumanControl,
-    JunctionControl,
-    LightCondition,
-    PhysicalFacility,
     RecordTable,
-    RoadType,
-    SurfaceCondition,
-    WeatherCondition,
     iso_weeks_between,
     period_rows,
 )
 
 FEATURE_NAMES = ("traffic_safety", "infrastructure", "environmental")
+
+# weights-file table -> the record column it weighs; the column's enum
+# (`ingest.CATEGORIES`) names the table's keys
+_TABLE_COLUMNS = {
+    "road_type": "road_type",
+    "human_control": "ped_human_control",
+    "physical_facility": "ped_physical_facility",
+    "light": "light",
+    "junction_control": "junction_control",
+    "surface": "surface",
+    "weather": "weather",
+}
 
 
 def _enum_table(enum_cls, name: str, weights: dict, unknown_default: float) -> dict:
@@ -58,50 +64,37 @@ def _enum_table(enum_cls, name: str, weights: dict, unknown_default: float) -> d
     return table
 
 
-# WeightTables field -> (table name in the JSON file, enum the table covers)
-_ENUM_TABLES = {
-    "road_w": ("road_type", RoadType),
-    "human_control_w": ("human_control", HumanControl),
-    "physical_facility_w": ("physical_facility", PhysicalFacility),
-    "light_w": ("light", LightCondition),
-    "junction_control_w": ("junction_control", JunctionControl),
-    "surface_w": ("surface", SurfaceCondition),
-    "weather_w": ("weather", WeatherCondition),
-}
-_TABLE_KEYS = {"severity", "unknown_default"} | {key for key, _ in _ENUM_TABLES.values()}
-
-
 @dataclass
 class WeightTables:
-    """Severity/road/infrastructure/environment weights, total over each enum."""
+    """Risk weights: `severity` maps a severity level (1..3) to its weight,
+    and `categories` maps each weighed record column to a weight for every
+    member of its enum, UNKNOWN included."""
 
-    severity_w: dict[int, float]
-    road_w: dict[RoadType, float]
-    human_control_w: dict[HumanControl, float]
-    physical_facility_w: dict[PhysicalFacility, float]
-    light_w: dict[LightCondition, float]
-    junction_control_w: dict[JunctionControl, float]
-    surface_w: dict[SurfaceCondition, float]
-    weather_w: dict[WeatherCondition, float]
-    unknown_default: float = 0.5
+    severity: dict[int, float]
+    categories: dict[str, dict]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WeightTables":
+        """Tables from a weights file's JSON object. ValueError for an unknown
+        table or key, a weight that is not positive and finite, or severity
+        levels other than 1..3; KeyError for a missing table or key. The
+        `unknown_default` entry (0.5 if absent) weighs each UNKNOWN member."""
         for key in raw:
-            if key not in _TABLE_KEYS:
+            if key not in {"severity", "unknown_default", *_TABLE_COLUMNS}:
                 raise ValueError(f"unknown weight table {key!r}")
-        unk = float(raw.get("unknown_default", 0.5))
-        enum_tables = {
-            attr: _enum_table(enum_cls, key, raw[key], unk)
-            for attr, (key, enum_cls) in _ENUM_TABLES.items()
+        unknown = float(raw.get("unknown_default", 0.5))
+        categories = {
+            column: _enum_table(CATEGORIES[column], name, raw[name], unknown)
+            for name, column in _TABLE_COLUMNS.items()
         }
-        tables = cls(
-            severity_w={int(k): float(v) for k, v in raw["severity"].items()},
-            **enum_tables,
-            unknown_default=unk,
-        )
-        tables.validate()
-        return tables
+        severity = {int(k): float(v) for k, v in raw["severity"].items()}
+        for table in (severity, *categories.values()):
+            for w in table.values():
+                if not 0 < w < math.inf:
+                    raise ValueError(f"every risk weight must be positive and finite, not {w!r}")
+        if set(severity) != {1, 2, 3}:
+            raise ValueError("severity table must cover exactly levels 1..3")
+        return cls(severity, categories)
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightTables":
@@ -114,22 +107,6 @@ class WeightTables:
             resources.files("roadrisk.data").joinpath("weight_tables.json").read_text()
         )
         return cls.from_dict(raw)
-
-    def validate(self) -> None:
-        for table in (
-            self.severity_w,
-            self.road_w,
-            self.human_control_w,
-            self.physical_facility_w,
-            self.light_w,
-            self.junction_control_w,
-            self.surface_w,
-            self.weather_w,
-        ):
-            if any(w <= 0 for w in table.values()):
-                raise ValueError("all risk weights must be positive")
-        if set(self.severity_w) != {1, 2, 3}:
-            raise ValueError("severity table must cover exactly levels 1..3")
 
 
 def speed_factor(speed_limit_mph: float) -> float:
@@ -183,10 +160,11 @@ def build_risk_tensor(
     weights (human control, physical facility, light, junction control);
     and the mean of its surface and weather weights. Safety risk sums a
     cell's scores; infrastructure and environment average them within the
-    cell, zero where the cell saw no accidents. Each weight is looked up by
-    the record's category code, and the products and sums run in the order
-    written here, so every score is bitwise what per-record float arithmetic
-    gives, and each cell sums its records in record order.
+    cell, zero where the cell saw no accidents. Each weight is looked up in
+    `tables.categories[column]` by the record's code in that column, and
+    the products and sums run in the order written here, so every score is
+    bitwise what per-record float arithmetic gives, and each cell sums its
+    records in record order.
     """
     table = RecordTable.from_records(records)
     if len(table) != len(assignment):
@@ -205,27 +183,27 @@ def build_risk_tensor(
     rows = period_rows(table.date, weeks, Granularity.WEEKLY)
     inside = rows >= 0  # the rest fall outside the study period
 
-    def weight(name: str, table_w: dict) -> np.ndarray:
-        """`table_w[member]` for each kept record's member in category `name`."""
-        by_code = np.array([table_w[member] for member in CATEGORIES[name]])
-        return by_code[getattr(table, name)[inside]]
+    def weight(column: str) -> np.ndarray:
+        """The weight of each kept record's member in category `column`."""
+        by_code = np.array([tables.categories[column][member] for member in CATEGORIES[column]])
+        return by_code[getattr(table, column)[inside]]
 
     # math.log per distinct count: np.log need not match libm to the last bit
     casualties, per_record = np.unique(table.casualties[inside], return_inverse=True)
     log_casualties = np.array([math.log(c + 1.0) for c in casualties.tolist()])[per_record]
-    severity_w = np.array([tables.severity_w[level] for level in (1, 2, 3)])
+    severity_w = np.array([tables.severity[level] for level in (1, 2, 3)])
     w_sev = (
         severity_w[table.severity[inside] - 1]
-        * weight("road_type", tables.road_w)
+        * weight("road_type")
         * speed_factor(table.speed_limit[inside])
     )
     infrastructure = (
-        weight("ped_human_control", tables.human_control_w)
-        + weight("ped_physical_facility", tables.physical_facility_w)
-        + weight("light", tables.light_w)
-        + weight("junction_control", tables.junction_control_w)
+        weight("ped_human_control")
+        + weight("ped_physical_facility")
+        + weight("light")
+        + weight("junction_control")
     ) / 4.0
-    environment = (weight("surface", tables.surface_w) + weight("weather", tables.weather_w)) / 2.0
+    environment = (weight("surface") + weight("weather")) / 2.0
 
     # np.add.at adds unbuffered, in index order: each cell sums its records
     # in record order, from 0.0, as a per-record loop does

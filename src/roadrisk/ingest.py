@@ -287,8 +287,11 @@ class RecordTable:
 # floats; `parse_accident_csv` makes no other
 _IN_RANGE = {
     "date": lambda d: (d >= 1) & (d <= dt.date.max.toordinal()),
+    "lon": lambda x: (x >= -180.0) & (x <= 180.0),
+    "lat": lambda y: (y >= -90.0) & (y <= 90.0),
     "severity": lambda s: (s >= 1) & (s <= 3),
     "casualties": lambda c: c >= 1,
+    "speed_limit": lambda v: v >= 0.0,
     **{
         name: lambda c, size=len(enum_cls): (c >= 0) & (c < size)
         for name, enum_cls in CATEGORIES.items()

@@ -313,42 +313,42 @@ def test_diffusion_no_diffusion_identity_and_nonexpansive():
 
 def test_weight_table_fidelity():
     t = WeightTables.default()
-    assert t.severity_w == {1: 3.0, 2: 2.0, 3: 1.0}
-    assert t.road_w[RoadType.SINGLE_CARRIAGEWAY] == 1.0
-    assert t.road_w[RoadType.ONE_WAY] == 1.1
-    assert t.road_w[RoadType.DUAL_CARRIAGEWAY] == 1.2
-    assert t.road_w[RoadType.SLIP_ROAD] == 1.3
-    assert t.road_w[RoadType.ROUNDABOUT] == 1.5
-    assert t.human_control_w[HumanControl.SCHOOL_PATROL] == 0.2
-    assert t.human_control_w[HumanControl.AUTHORISED_PERSON] == 0.3
-    assert t.human_control_w[HumanControl.NONE_WITHIN_50M] == 0.4
-    assert t.physical_facility_w[PhysicalFacility.FOOTBRIDGE_OR_SUBWAY] == 0.1
-    assert t.physical_facility_w[PhysicalFacility.SIGNAL_JUNCTION_PHASE] == 0.2
-    assert t.physical_facility_w[PhysicalFacility.NON_JUNCTION_CROSSING] == 0.3
-    assert t.physical_facility_w[PhysicalFacility.ZEBRA] == 0.35
-    assert t.physical_facility_w[PhysicalFacility.CENTRAL_REFUGE] == 0.4
-    assert t.physical_facility_w[PhysicalFacility.NONE_WITHIN_50M] == 0.6
-    assert t.light_w[LightCondition.DAYLIGHT] == 0.2
-    assert t.light_w[LightCondition.DARK_LIT] == 0.4
-    assert t.light_w[LightCondition.DARK_LIGHTING_UNKNOWN] == 0.6
-    assert t.light_w[LightCondition.DARK_UNLIT] == 0.7
-    assert t.light_w[LightCondition.DARK_NO_LIGHTING] == 0.8
-    assert t.junction_control_w[JunctionControl.AUTHORISED_PERSON] == 0.2
-    assert t.junction_control_w[JunctionControl.AUTO_SIGNAL] == 0.3
-    assert t.junction_control_w[JunctionControl.STOP_SIGN] == 0.5
-    assert t.junction_control_w[JunctionControl.GIVE_WAY_OR_UNCONTROLLED] == 0.7
-    assert t.surface_w[SurfaceCondition.DRY] == 0.2
-    assert t.surface_w[SurfaceCondition.WET_OR_DAMP] == 0.5
-    assert t.surface_w[SurfaceCondition.SNOW] == 0.7
-    assert t.surface_w[SurfaceCondition.FLOOD] == 0.7
-    assert t.surface_w[SurfaceCondition.FROST_OR_ICE] == 0.8
-    assert t.weather_w[WeatherCondition.FINE] == 0.2
-    assert t.weather_w[WeatherCondition.FINE_HIGH_WINDS] == 0.3
-    assert t.weather_w[WeatherCondition.RAIN] == 0.5
-    assert t.weather_w[WeatherCondition.FOG_OR_MIST] == 0.6
-    assert t.weather_w[WeatherCondition.RAIN_HIGH_WINDS] == 0.7
-    assert t.weather_w[WeatherCondition.SNOW] == 0.7
-    assert t.weather_w[WeatherCondition.SNOW_HIGH_WINDS] == 0.8
+    assert t.severity == {1: 3.0, 2: 2.0, 3: 1.0}
+    assert t.categories["road_type"][RoadType.SINGLE_CARRIAGEWAY] == 1.0
+    assert t.categories["road_type"][RoadType.ONE_WAY] == 1.1
+    assert t.categories["road_type"][RoadType.DUAL_CARRIAGEWAY] == 1.2
+    assert t.categories["road_type"][RoadType.SLIP_ROAD] == 1.3
+    assert t.categories["road_type"][RoadType.ROUNDABOUT] == 1.5
+    assert t.categories["ped_human_control"][HumanControl.SCHOOL_PATROL] == 0.2
+    assert t.categories["ped_human_control"][HumanControl.AUTHORISED_PERSON] == 0.3
+    assert t.categories["ped_human_control"][HumanControl.NONE_WITHIN_50M] == 0.4
+    assert t.categories["ped_physical_facility"][PhysicalFacility.FOOTBRIDGE_OR_SUBWAY] == 0.1
+    assert t.categories["ped_physical_facility"][PhysicalFacility.SIGNAL_JUNCTION_PHASE] == 0.2
+    assert t.categories["ped_physical_facility"][PhysicalFacility.NON_JUNCTION_CROSSING] == 0.3
+    assert t.categories["ped_physical_facility"][PhysicalFacility.ZEBRA] == 0.35
+    assert t.categories["ped_physical_facility"][PhysicalFacility.CENTRAL_REFUGE] == 0.4
+    assert t.categories["ped_physical_facility"][PhysicalFacility.NONE_WITHIN_50M] == 0.6
+    assert t.categories["light"][LightCondition.DAYLIGHT] == 0.2
+    assert t.categories["light"][LightCondition.DARK_LIT] == 0.4
+    assert t.categories["light"][LightCondition.DARK_LIGHTING_UNKNOWN] == 0.6
+    assert t.categories["light"][LightCondition.DARK_UNLIT] == 0.7
+    assert t.categories["light"][LightCondition.DARK_NO_LIGHTING] == 0.8
+    assert t.categories["junction_control"][JunctionControl.AUTHORISED_PERSON] == 0.2
+    assert t.categories["junction_control"][JunctionControl.AUTO_SIGNAL] == 0.3
+    assert t.categories["junction_control"][JunctionControl.STOP_SIGN] == 0.5
+    assert t.categories["junction_control"][JunctionControl.GIVE_WAY_OR_UNCONTROLLED] == 0.7
+    assert t.categories["surface"][SurfaceCondition.DRY] == 0.2
+    assert t.categories["surface"][SurfaceCondition.WET_OR_DAMP] == 0.5
+    assert t.categories["surface"][SurfaceCondition.SNOW] == 0.7
+    assert t.categories["surface"][SurfaceCondition.FLOOD] == 0.7
+    assert t.categories["surface"][SurfaceCondition.FROST_OR_ICE] == 0.8
+    assert t.categories["weather"][WeatherCondition.FINE] == 0.2
+    assert t.categories["weather"][WeatherCondition.FINE_HIGH_WINDS] == 0.3
+    assert t.categories["weather"][WeatherCondition.RAIN] == 0.5
+    assert t.categories["weather"][WeatherCondition.FOG_OR_MIST] == 0.6
+    assert t.categories["weather"][WeatherCondition.RAIN_HIGH_WINDS] == 0.7
+    assert t.categories["weather"][WeatherCondition.SNOW] == 0.7
+    assert t.categories["weather"][WeatherCondition.SNOW_HIGH_WINDS] == 0.8
     announce("weight-table fidelity: all 33 published entries exact")
 
 

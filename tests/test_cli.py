@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -430,7 +431,8 @@ def test_overflowing_risk_value_exit_code(pipeline, tmp_path, caplog, fixture_cs
     config_path.write_text(json.dumps(config))
     for command in ("ingest", "graph"):
         assert cli.main([command, "--config", str(config_path)]) == 0, command
-    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_NUMERIC
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_NUMERIC
     assert ("numeric failure: risk tensor holds inf in week 2011-W01 at node 0, "
             "channel traffic_safety") in caplog.text
 
@@ -707,9 +709,13 @@ def test_out_of_range_config_value_exit_code(pipeline, tmp_path, caplog, command
         ("diffuse", "diffusion", "iters", [1, 1.5, 2]),
         ("train", None, "seed", 0.5),
         ("train", "train", "batch", True),
+        # `graph` exited 4 on a NaN cell size and wrote every kernel weight as 1.0
+        # under an infinite bandwidth
+        ("graph", "graph", "cell_size_m", math.nan),
+        ("graph", "graph", "sigma_m", math.inf),
     ],
     ids=["epochs-float", "train-seed-float", "width-float", "k-float", "iters-float",
-         "seed-float", "batch-bool"],
+         "seed-float", "batch-bool", "cell-size-nan", "sigma-infinite"],
 )
 def test_wrongly_typed_config_value_exit_code(pipeline, tmp_path, caplog, command, section,
                                               key, value):
@@ -738,8 +744,12 @@ def _packaged_tables(edit):
         _packaged_tables(lambda raw: raw.pop("light")),
         _packaged_tables(lambda raw: raw["light"].pop("daylight")),
         "[]",
+        # `json` reads NaN and Infinity; they used to reach the risk tensor (exit 4)
+        _packaged_tables(lambda raw: raw["light"].update(daylight=math.nan)),
+        _packaged_tables(lambda raw: raw["severity"].update({"3": math.inf})),
     ],
-    ids=["not-json", "negative-weight", "missing-table", "missing-enum-key", "not-object"],
+    ids=["not-json", "negative-weight", "missing-table", "missing-enum-key", "not-object",
+         "nan-weight", "infinite-weight"],
 )
 def test_bad_weight_tables_exit_code(pipeline, tmp_path, caplog, command, text):
     config_path, _ = copy_run(pipeline, tmp_path)

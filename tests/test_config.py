@@ -77,6 +77,14 @@ def test_invalid_config_raises(tmp_path):
         (None, "split_fractions", [1.0, 0.0, 0.0]), (None, "split_fractions", [1.2, -0.1, -0.1]),
         (None, "split_fractions", [0.6, 0.2, 0.3]), (None, "mape_eps", -1.0),
         (None, "mape_eps", math.inf), (None, "mape_eps", math.nan),
+        # a float field takes only a finite number; the section checks let these through
+        ("graph", "cell_size_m", math.nan), ("graph", "cell_size_m", math.inf),
+        ("graph", "cell_size_m", 10**400), ("graph", "sigma_m", math.nan),
+        ("graph", "sigma_m", math.inf), ("train", "lr_main", math.nan),
+        ("train", "lr_main", math.inf), ("train", "lr_finetune", math.nan),
+        ("train", "lr_finetune", math.inf), ("train", "eps", math.inf),
+        ("region", "bbox", [-0.2, 51.4, math.inf, 51.6]),
+        ("region", "bbox", [-math.inf, 51.4, 0.0, 51.6]),
     ]:
         raw = sample_config_dict(tmp_path)
         (raw if section is None else raw.setdefault(section, {}))[key] = value

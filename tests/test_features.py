@@ -7,6 +7,7 @@ import pytest
 from roadrisk import features as ft
 from roadrisk.errors import DataError, ShapeMismatchError
 from roadrisk.ingest import (
+    CATEGORIES,
     AccidentRecord,
     HumanControl,
     JunctionControl,
@@ -27,8 +28,8 @@ TABLES = ft.WeightTables.default()
 def severity_weight(tables, severity, road_type, speed_limit_mph):
     """Multiplicative severity x road-context x speed weight."""
     return (
-        tables.severity_w[severity]
-        * tables.road_w[road_type]
+        tables.severity[severity]
+        * tables.categories["road_type"][road_type]
         * ft.speed_factor(speed_limit_mph)
     )
 
@@ -36,16 +37,17 @@ def severity_weight(tables, severity, road_type, speed_limit_mph):
 def infrastructure_risk(tables, record):
     """Mean of the four infrastructure factor weights, in (0, 1]."""
     return (
-        tables.human_control_w[record.ped_human_control]
-        + tables.physical_facility_w[record.ped_physical_facility]
-        + tables.light_w[record.light]
-        + tables.junction_control_w[record.junction_control]
+        tables.categories["ped_human_control"][record.ped_human_control]
+        + tables.categories["ped_physical_facility"][record.ped_physical_facility]
+        + tables.categories["light"][record.light]
+        + tables.categories["junction_control"][record.junction_control]
     ) / 4.0
 
 
 def environmental_risk(tables, record):
     """Mean of the surface and weather weights, in (0, 1]."""
-    return (tables.surface_w[record.surface] + tables.weather_w[record.weather]) / 2.0
+    weights = tables.categories
+    return (weights["surface"][record.surface] + weights["weather"][record.weather]) / 2.0
 
 
 def make_record(
@@ -133,15 +135,16 @@ GOLDEN_WEATHER = {
 
 
 def test_golden_weight_tables():
-    assert TABLES.severity_w == GOLDEN_SEVERITY
+    assert TABLES.severity == GOLDEN_SEVERITY
+    assert TABLES.categories.keys() == CATEGORIES.keys()  # one table per category column
     for mapping, golden in [
-        (TABLES.road_w, GOLDEN_ROAD),
-        (TABLES.human_control_w, GOLDEN_HUMAN),
-        (TABLES.physical_facility_w, GOLDEN_FACILITY),
-        (TABLES.light_w, GOLDEN_LIGHT),
-        (TABLES.junction_control_w, GOLDEN_JUNCTION),
-        (TABLES.surface_w, GOLDEN_SURFACE),
-        (TABLES.weather_w, GOLDEN_WEATHER),
+        (TABLES.categories["road_type"], GOLDEN_ROAD),
+        (TABLES.categories["ped_human_control"], GOLDEN_HUMAN),
+        (TABLES.categories["ped_physical_facility"], GOLDEN_FACILITY),
+        (TABLES.categories["light"], GOLDEN_LIGHT),
+        (TABLES.categories["junction_control"], GOLDEN_JUNCTION),
+        (TABLES.categories["surface"], GOLDEN_SURFACE),
+        (TABLES.categories["weather"], GOLDEN_WEATHER),
     ]:
         for key, want in golden.items():
             assert mapping[key] == want, key
@@ -150,8 +153,8 @@ def test_golden_weight_tables():
 
 
 def test_unknown_variants_use_default_weight():
-    assert TABLES.road_w[RoadType.UNKNOWN] == 0.5
-    assert TABLES.weather_w[WeatherCondition.UNKNOWN] == 0.5
+    assert TABLES.categories["road_type"][RoadType.UNKNOWN] == 0.5
+    assert TABLES.categories["weather"][WeatherCondition.UNKNOWN] == 0.5
 
 
 def test_severity_weight_fatal_roundabout():

@@ -608,7 +608,7 @@ def test_non_finite_speed_limit_reads_as_unposted(tmp_path):
 def all_members_records():
     """Records covering every member of every enum field, ISO week 53
     (2015-12-31, 2016-01-03), year boundaries, and floats whose repr needs
-    all 17 digits."""
+    all 17 digits, each within the bounds `_parse_row` enforces."""
     dates = [dt.date(2015, 12, 31), dt.date(2016, 1, 3), dt.date(2016, 1, 4),
              dt.date(2012, 12, 31), dt.date(2013, 1, 1), dt.date(2020, 2, 29)]
     floats = [0.1 + 0.2, 1.0 / 3.0, -0.12780000000000002, 5e-324, 179.99999999999997, 0.0]
@@ -624,10 +624,10 @@ def all_members_records():
             id=f'id "{k}", with comma',
             date=dates[k % len(dates)],
             lon=floats[k % len(floats)],
-            lat=-floats[(k + 1) % len(floats)],
+            lat=-floats[(k + 1) % len(floats)] / 2.0,
             severity=1 + k % 3,
             casualties=1 + k,
-            speed_limit=floats[(k + 2) % len(floats)] * 100,
+            speed_limit=abs(floats[(k + 2) % len(floats)]) * 100,
             **{name: list(cls)[k % len(cls)] for name, cls in enum_fields},
         )
         for k in range(width)
@@ -732,9 +732,14 @@ def at_row(row, value):
         (recolumn("lat", at_row(0, np.nan)), "column 'lat' holds nan at row 0"),
         (recolumn("csv_sha256", lambda c: np.array([str(c)])), "csv_sha256 is not one string"),
         (recolumn("speed_limit", at_row(1, np.nan)), "column 'speed_limit' holds nan at row 1"),
+        # finite, but outside the bounds `_parse_row` enforces
+        (recolumn("lon", at_row(2, 500.0)), "column 'lon' holds 500.0 at row 2"),
+        (recolumn("lat", at_row(1, -90.5)), "column 'lat' holds -90.5 at row 1"),
+        (recolumn("speed_limit", at_row(3, -30.0)), "column 'speed_limit' holds -30.0 at row 3"),
     ],
     ids=["enum", "blank-enum", "truncated", "date", "integer", "column", "not-zip", "length",
-         "code-dtype", "infinite-lon", "nan-lat", "stamp", "nan-speed"],
+         "code-dtype", "infinite-lon", "nan-lat", "stamp", "nan-speed", "lon-out-of-range",
+         "lat-out-of-range", "negative-speed"],
 )
 def test_read_records_fails_closed(tmp_path, damage, problem):
     csv_path, npz_path = write_pair(tmp_path, [make_record(rid=str(k)) for k in range(4)])

@@ -58,7 +58,8 @@ def test_fixture_winter_tilts_environment(fixture_records):
     tables = WeightTables.default()
 
     def environmental_risk(record):
-        return (tables.surface_w[record.surface] + tables.weather_w[record.weather]) / 2.0
+        weights = tables.categories
+        return (weights["surface"][record.surface] + weights["weather"][record.weather]) / 2.0
 
     winter = [r for r in fixture_records if r.date.month in (12, 1, 2)]
     summer = [r for r in fixture_records if r.date.month in (6, 7, 8)]
