@@ -8,9 +8,13 @@ supplied in the run config. Categorical fields accept both the numeric codes
 from the official data dictionary and spelled-out labels; anything else maps
 to the Unknown variant rather than dropping the row.
 
-Parsing yields one `AccidentRecord` per row. Past the parse, records travel
-as a `RecordTable` of numpy columns: `write_records` stores both a readable
-`records.csv` and the columns as `records.npz`, which later stages load.
+`parse_accident_table` streams the file into a `RecordTable` of numpy
+columns, `CHUNK_ROWS` rows at a time, and records travel as such columns
+from then on: `RecordTable.within` keeps a region's rows, and
+`write_records` stores both a readable `records.csv` and the columns as
+`records.npz`, which later stages load. `parse_accident_csv`,
+`filter_region`, `RegionSpec.contains` and `AccidentRecord` give the same
+records one object each, for callers that want them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import csv
 import datetime as dt
 import enum
 import functools
+import itertools
 import math
 import operator
 import re
@@ -217,7 +222,6 @@ CATEGORIES = {
     name: hint for name, hint in _FIELD_TYPES.items()
     if isinstance(hint, type) and issubclass(hint, _CodedEnum)
 }
-_ROW_ENUMS = tuple(CATEGORIES.values())
 # the dtype of each RecordTable column, from the field's type
 _DTYPES = {
     name: np.int8 if name in CATEGORIES
@@ -282,9 +286,28 @@ class RecordTable:
             columns[name] = np.fromiter(values, dtype, len(records))
         return cls(**columns)
 
+    def within(self, region: "RegionSpec") -> "RecordTable":
+        """The rows inside `region`'s bbox and period (inclusive bounds), as
+        `RegionSpec.contains` decides for one record; the table itself when
+        every row is. `id` keeps the width of its longest kept id, as
+        `from_records` makes it."""
+        lon_min, lat_min, lon_max, lat_max = region.bbox
+        first, last = (day.toordinal() for day in region.period)
+        inside = (
+            (self.lon >= lon_min) & (self.lon <= lon_max)
+            & (self.lat >= lat_min) & (self.lat <= lat_max)
+            & (self.date >= first) & (self.date <= last)
+        )
+        if inside.all():
+            return self
+        columns = {name: column[inside] for name, column in self.columns().items()}
+        width = max(1, int(np.char.str_len(columns["id"]).max(initial=0)))
+        columns["id"] = columns["id"].astype(f"<U{width}")
+        return RecordTable(**columns)
+
 
 # what each stored column's values satisfy beyond `read_columns`' finite
-# floats; `parse_accident_csv` makes no other
+# floats; `parse_accident_table` makes no other
 _IN_RANGE = {
     "date": lambda d: (d >= 1) & (d <= dt.date.max.toordinal()),
     "lon": lambda x: (x >= -180.0) & (x <= 180.0),
@@ -359,24 +382,45 @@ class _Memo(dict):
         return value
 
 
-def parse_accident_csv(
+# the rows `parse_accident_table` converts, and `write_records` formats, at a time
+CHUNK_ROWS = 4096
+
+
+def parse_accident_table(
     path: str | Path,
     schema: dict[str, str] | None = None,
-) -> tuple[list[AccidentRecord], list[Reject]]:
-    """Parse one accident CSV into records plus a rejects report.
+) -> tuple[RecordTable, list[Reject]]:
+    """Parse one accident CSV into a `RecordTable` plus a rejects report.
 
     Rows with unusable coordinates, dates, severity or casualty counts are
-    collected as rejects (line number + reason), never silently dropped.
-    Raises TooManyRejectsError when more than half of the data rows reject.
-    Line numbers count the header as 1 and skip blank lines, as
-    `csv.DictReader` does; a short row reads its missing cells as blank.
+    collected as rejects (line number + reason), never silently dropped; a
+    row with several defects gets the reason of the first of them in that
+    order. Raises TooManyRejectsError when more than half of the data rows
+    reject, and DataError when the id of a row that is not rejected ends
+    in a NUL character, which a numpy str column would drop. Line numbers count the header as 1
+    and skip blank lines, as `csv.DictReader` does; a short row reads its
+    missing cells as blank.
+
+    The file is read `CHUNK_ROWS` rows at a time. Each chunk is transposed
+    and its cells converted column by column with Python's `float` and
+    `int`, so a cell parses as it would on its own; each distinct date and
+    category text is parsed once per call.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    records: list[AccidentRecord] = []
+    convert = {
+        "date": _Memo(lambda text: _parse_date(text).toordinal()).__getitem__,
+        "lon": float, "lat": float, "severity": int, "casualties": int, "speed_limit": float,
+        **{
+            name: _Memo(lambda text, cls=cls: cls._positions()[id(cls.parse(text))]).__getitem__
+            for name, cls in CATEGORIES.items()
+        },
+    }
+    # each column grows by doubling rather than collecting one array per
+    # chunk: freed after a final join, those small arrays leave heap space
+    # that the process does not give back
+    buffers = {name: np.empty(0, dtype) for name, dtype in _DTYPES.items()}
+    size = 0
     rejects: list[Reject] = []
-    # each distinct text is parsed once per call
-    dates = _Memo(_parse_date)
-    enums = tuple(_Memo(cls.parse) for cls in _ROW_ENUMS)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -386,69 +430,138 @@ def parse_accident_csv(
         for logical in LOGICAL_COLUMNS:
             if schema[logical] not in at:
                 raise MissingColumnError(schema[logical])
-        cells = operator.itemgetter(*(at[schema[logical]] for logical in LOGICAL_COLUMNS))
-        width = len(header)
-        for line_no, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            try:
-                records.append(_parse_row(list(map(str.strip, cells(row))), dates, enums))
-            except ValueError as exc:
-                rejects.append(Reject(line_no, str(exc)))
-    total = len(records) + len(rejects)
+        positions = [at[schema[logical]] for logical in LOGICAL_COLUMNS]
+        rows = filter(None, reader)
+        line = 2
+        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+            cells = dict(zip(_DTYPES, _transpose(chunk, positions, len(header))))
+            columns, reasons = _parse_chunk(cells, convert, line)
+            rejects += (Reject(line + i, reason) for i, reason in sorted(reasons.items()))
+            end = size + len(columns["id"])
+            for name, values in columns.items():
+                column = buffers[name]
+                capacity = len(column) if end <= len(column) else max(end, 2 * len(column))
+                # a longer id than any before widens the id column
+                if capacity > len(column) or values.dtype.itemsize > column.dtype.itemsize:
+                    grown = np.empty(capacity, np.result_type(column, values))
+                    grown[:size] = column[:size]
+                    buffers[name] = column = grown
+                column[size:end] = values
+            size = end
+            line += len(chunk)
+    for name in _DTYPES:  # one column at a time, each freed once trimmed
+        buffers[name] = buffers[name][:size].copy()
+    table = RecordTable(**buffers)
+    total = len(table) + len(rejects)
     if total and len(rejects) * 2 > total:
         raise TooManyRejectsError(len(rejects), total)
-    return records, rejects
+    return table, rejects
 
 
-def _parse_row(cells: list[str], dates: _Memo, enums: tuple[_Memo, ...]) -> AccidentRecord:
-    """One record from a row's stripped cells in LOGICAL_COLUMNS order;
-    `dates` and `enums` memoise `_parse_date` and each `_ROW_ENUMS` parse."""
-    (accident_id, date, lon, lat, severity, casualties, road_type, speed,
-     junction_control, human_control, physical_facility, light, weather, surface) = cells
-    road_types, junction_controls, human_controls, facilities, lights, weathers, surfaces = enums
+def _transpose(chunk: list[list[str]], positions: list[int], width: int) -> list[list[str]]:
+    """The cells of `chunk`'s rows at `positions`, one list per position."""
     try:
-        lon, lat = float(lon), float(lat)
-    except ValueError:
-        raise ValueError("unparseable coordinates")
-    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):  # NaN fails it too
-        raise ValueError("coordinates out of range")
-    date = dates[date]
+        return [list(map(operator.itemgetter(i), chunk)) for i in positions]
+    except IndexError:  # a short row reads its missing cells as blank
+        chunk = [row + [""] * (width - len(row)) for row in chunk]
+        return [list(map(operator.itemgetter(i), chunk)) for i in positions]
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _convert(cells: list[str], convert, dtype) -> tuple[np.ndarray, dict[int, str]]:
+    """`convert` of each cell as a `dtype` array, and the message of the
+    ValueError it raised for a cell by the cell's position; such a cell
+    holds 0.
+
+    A cell that fails as it stands is retried stripped of what `str.strip`
+    removes, which is more than `float` and `int` skip. An int outside
+    int64 is clipped into it.
+    """
     try:
-        severity = int(severity)
-    except ValueError:
-        raise ValueError("unparseable severity")
-    if severity not in (1, 2, 3):
-        raise ValueError(f"severity {severity} outside 1..3")
-    try:
-        casualties = int(casualties)
-    except ValueError:
-        raise ValueError("unparseable casualty count")
-    if casualties < 1:
-        raise ValueError("casualty count below 1")
-    if casualties >= 2**63:  # RecordTable holds counts as int64
-        raise ValueError("casualty count above 2**63 - 1")
-    try:
-        speed = float(speed)
-    except ValueError:
-        speed = 0.0  # missing speed limit treated as unposted, not a reject
-    speed = max(speed, 0.0) if math.isfinite(speed) else 0.0  # so is nan or inf
-    return AccidentRecord(
-        id=accident_id,
-        date=date,
-        lon=lon,
-        lat=lat,
-        severity=severity,
-        casualties=casualties,
-        road_type=road_types[road_type],
-        speed_limit=speed,
-        junction_control=junction_controls[junction_control],
-        ped_human_control=human_controls[human_control],
-        ped_physical_facility=facilities[physical_facility],
-        light=lights[light],
-        weather=weathers[weather],
-        surface=surfaces[surface],
-    )
+        return np.fromiter(map(convert, cells), dtype, len(cells)), {}
+    except (ValueError, OverflowError):
+        pass
+    values, failed = [], {}
+    for i, cell in enumerate(cells):
+        try:
+            values.append(convert(cell.strip()))
+        except ValueError as exc:
+            values.append(0)
+            failed[i] = str(exc)
+    if dtype is np.int64:
+        values = [min(max(value, _INT64.min), _INT64.max) for value in values]
+    return np.array(values, dtype), failed
+
+
+def _parse_chunk(
+    cells: dict[str, list[str]], convert: dict, line: int
+) -> tuple[dict[str, np.ndarray], dict[int, str]]:
+    """The columns of one chunk's kept rows, and each rejected row's reason
+    by its position in the chunk; `line` is the chunk's first line."""
+    ids = list(map(str.strip, cells.pop("id")))
+    columns, unparsed = {}, {}
+    for name, raw in cells.items():
+        columns[name], unparsed[name] = _convert(raw, convert[name], _DTYPES[name])
+    reasons: dict[int, str] = {}
+
+    def fail(rows, reason) -> None:
+        """`reason(row)` for each of `rows` that no earlier check rejected."""
+        for row in rows:
+            if row not in reasons:
+                reasons[row] = reason(row)
+
+    lon, lat, severity, casualties = (
+        columns[name] for name in ("lon", "lat", "severity", "casualties"))
+    fail(unparsed["lon"].keys() | unparsed["lat"].keys(), lambda row: "unparseable coordinates")
+    in_range = _IN_RANGE["lon"](lon) & _IN_RANGE["lat"](lat)  # NaN fails it too
+    fail(np.flatnonzero(~in_range).tolist(), lambda row: "coordinates out of range")
+    fail(unparsed["date"], unparsed["date"].__getitem__)
+    fail(unparsed["severity"], lambda row: "unparseable severity")
+    fail(np.flatnonzero(~_IN_RANGE["severity"](severity)).tolist(),
+         lambda row: f"severity {int(cells['severity'][row].strip())} outside 1..3")
+    fail(unparsed["casualties"], lambda row: "unparseable casualty count")
+    fail(np.flatnonzero(~_IN_RANGE["casualties"](casualties)).tolist(),
+         lambda row: "casualty count below 1")
+    # RecordTable holds counts as int64; `_convert` clipped any above it
+    fail([row for row in np.flatnonzero(casualties == _INT64.max).tolist()
+          if int(cells["casualties"][row].strip()) > _INT64.max],
+         lambda row: "casualty count above 2**63 - 1")
+
+    # a missing, nan or infinite speed limit reads as unposted, not a reject;
+    # so does a negative one, while -0.0 stays as `max(speed, 0.0)` keeps it
+    speed = columns["speed_limit"]
+    speed[~np.isfinite(speed) | (speed < 0.0)] = 0.0
+    if "\0" in "".join(ids):  # rare: spares every other chunk a scan of its ids
+        for row, text in enumerate(ids):
+            if text.endswith("\0") and row not in reasons:
+                raise DataError(f"line {line + row}: accident id {text!r} ends in a NUL character")
+    if reasons:
+        kept = np.ones(len(ids), bool)
+        kept[list(reasons)] = False
+        ids = list(itertools.compress(ids, kept))
+        columns = {name: column[kept] for name, column in columns.items()}
+    return {"id": np.array(ids, dtype=np.str_), **columns}, reasons
+
+
+def parse_accident_csv(
+    path: str | Path,
+    schema: dict[str, str] | None = None,
+) -> tuple[list[AccidentRecord], list[Reject]]:
+    """`parse_accident_table`, with each row of the table as one
+    `AccidentRecord`; records of the same day share one `date` object."""
+    table, rejects = parse_accident_table(path, schema)
+    days = {day: dt.date.fromordinal(day) for day in np.unique(table.date).tolist()}
+    fields = []
+    for name, column in table.columns().items():
+        values = column.tolist()
+        if name == "date":
+            values = map(days.__getitem__, values)
+        elif name in CATEGORIES:
+            values = map(list(CATEGORIES[name]).__getitem__, values)
+        fields.append(values)
+    return list(map(AccidentRecord, *fields)), rejects
 
 
 def write_rejects(rejects: Sequence[Reject], path: str | Path, config_hash: str) -> None:
@@ -456,40 +569,37 @@ def write_rejects(rejects: Sequence[Reject], path: str | Path, config_hash: str)
 
 
 def write_records(
-    records: Sequence[AccidentRecord],
+    table: RecordTable,
     csv_path: str | Path,
     npz_path: str | Path,
     config_hash: str,
 ) -> None:
-    """Persist normalized records twice.
+    """Persist the records of `table` twice.
 
-    `csv_path` is the readable copy (logical column names, ISO dates). No
-    stage reads it back: `npz_path` holds the same records as `RecordTable`
-    columns, stamped with the sha256 of `csv_path`. Enum cells read
-    `_value_`, the attribute behind `Enum.value`, because the property costs
-    a Python-level descriptor call per cell.
+    `csv_path` is the readable copy (logical column names, ISO dates, the
+    `repr` of each float, each category's `_value_`). No stage reads it
+    back: `npz_path` holds the columns as they are, stamped with the sha256
+    of `csv_path`. The copy's cells are formatted `CHUNK_ROWS` rows at a
+    time, so no column is held as Python objects whole.
     """
-    rows = (
-        [
-            r.id,
-            r.date.isoformat(),
-            repr(r.lon),
-            repr(r.lat),
-            r.severity,
-            r.casualties,
-            r.road_type._value_,
-            repr(r.speed_limit),
-            r.junction_control._value_,
-            r.ped_human_control._value_,
-            r.ped_physical_facility._value_,
-            r.light._value_,
-            r.weather._value_,
-            r.surface._value_,
-        ]
-        for r in records
-    )
-    write_table(csv_path, LOGICAL_COLUMNS, rows, config_hash)
-    columns = RecordTable.from_records(records).columns()
+    text = {
+        "date": {day: dt.date.fromordinal(day).isoformat()
+                 for day in np.unique(table.date).tolist()}.__getitem__,
+        **{name: [member._value_ for member in cls].__getitem__
+           for name, cls in CATEGORIES.items()},
+    }
+    columns = table.columns()
+
+    def chunk_rows(start: int):
+        cells = []
+        for name, column in columns.items():
+            values = column[start:start + CHUNK_ROWS].tolist()  # csv writes a float's repr
+            cells.append(map(text[name], values) if name in text else values)
+        return zip(*cells, itertools.repeat(config_hash))
+
+    rows = itertools.chain.from_iterable(map(chunk_rows, range(0, len(table), CHUNK_ROWS)))
+    # each row carries the hash itself, sparing `write_table` a copy of it
+    write_table(csv_path, [*LOGICAL_COLUMNS, "config_hash"], rows)
     write_columns(npz_path, {**columns, _STAMP: np.array(file_sha256(csv_path))})
 
 

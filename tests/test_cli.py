@@ -492,6 +492,21 @@ def test_moved_run_retrains_byte_identically(pipeline, tmp_path, fixture_csv):
         assert (out / name).read_bytes() == (pipeline[1] / name).read_bytes(), name
 
 
+def test_id_ending_in_nul_exit_code(pipeline, tmp_path, caplog, fixture_csv):
+    # refused before `ingest` writes any of its outputs
+    config = json.loads(pipeline[0].read_text())
+    config["out_dir"] = str(tmp_path / "out")
+    config["data_csv"] = str(tmp_path / "accidents.csv")
+    header, first, *rows = fixture_csv.read_text().splitlines()
+    first = first.replace(",", "\0,", 1)
+    Path(config["data_csv"]).write_text("\n".join([header, *rows[:9], first, *rows[9:]]) + "\n")
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["ingest", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert "line 11: accident id" in caplog.text and "ends in a NUL character" in caplog.text
+    assert not [name for name in cli.OUTPUTS["ingest"] if (tmp_path / "out" / name).exists()]
+
+
 @pytest.mark.parametrize("damage", ["deleted", "garbage"])
 def test_model_stages_do_not_read_the_processed_tensor(pipeline, tmp_path, damage):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -573,7 +588,7 @@ def test_record_stages_build_no_record_objects(pipeline, tmp_path, monkeypatch):
         raise AssertionError("a stage built an AccidentRecord")
 
     monkeypatch.setattr(ingest.AccidentRecord, "__init__", refuse)
-    for command in ("graph", "snr", "features", "validate-framework"):
+    for command in ("ingest", "graph", "snr", "features", "validate-framework"):
         assert cli.main([command, "--config", str(config_path)]) == 0, command
     assert (out / "risk_tensor.bin").read_bytes() == tensor
 
