@@ -8,13 +8,14 @@ supplied in the run config. Categorical fields accept both the numeric codes
 from the official data dictionary and spelled-out labels; anything else maps
 to the Unknown variant rather than dropping the row.
 
-`parse_accident_table` streams the file into a `RecordTable` of numpy
+`parse_accident_csv` streams the file into a `RecordTable` of numpy
 columns, `CHUNK_ROWS` rows at a time, and records travel as such columns
 from then on: `RecordTable.within` keeps a region's rows, and
 `write_records` stores both a readable `records.csv` and the columns as
-`records.npz`, which later stages load. `parse_accident_csv`,
-`filter_region`, `RegionSpec.contains` and `AccidentRecord` give the same
-records one object each, for callers that want them.
+`records.npz`, which later stages load. The parser hands the table back
+inside `AccidentRecords`, which builds one `AccidentRecord` per row only
+when read, for the callers that want records; `filter_region` and
+`RegionSpec.contains` work on those.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 import operator
 import re
 import warnings
+from collections import abc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
@@ -306,8 +308,44 @@ class RecordTable:
         return RecordTable(**columns)
 
 
+class AccidentRecords(abc.Sequence):
+    """The rows of `table`, one `AccidentRecord` each, built when first
+    read; records of the same day share one `date` object. Equal to a list
+    of the same records."""
+
+    def __init__(self, table: RecordTable):
+        self.table = table
+
+    @functools.cached_property
+    def _records(self) -> list[AccidentRecord]:
+        days = {day: dt.date.fromordinal(day) for day in np.unique(self.table.date).tolist()}
+        fields = []
+        for name, column in self.table.columns().items():
+            values = column.tolist()
+            if name == "date":
+                values = map(days.__getitem__, values)
+            elif name in CATEGORIES:
+                values = map(list(CATEGORIES[name]).__getitem__, values)
+            fields.append(values)
+        return list(map(AccidentRecord, *fields))
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AccidentRecords):
+            other = other._records
+        return self._records == other if isinstance(other, list) else NotImplemented
+
+
 # what each stored column's values satisfy beyond `read_columns`' finite
-# floats; `parse_accident_table` makes no other
+# floats; `parse_accident_csv` makes no other
 _IN_RANGE = {
     "date": lambda d: (d >= 1) & (d <= dt.date.max.toordinal()),
     "lon": lambda x: (x >= -180.0) & (x <= 180.0),
@@ -382,24 +420,25 @@ class _Memo(dict):
         return value
 
 
-# the rows `parse_accident_table` converts, and `write_records` formats, at a time
+# the rows `parse_accident_csv` converts, and `write_records` formats, at a time
 CHUNK_ROWS = 4096
 
 
-def parse_accident_table(
+def parse_accident_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
-) -> tuple[RecordTable, list[Reject]]:
-    """Parse one accident CSV into a `RecordTable` plus a rejects report.
+) -> tuple[AccidentRecords, list[Reject]]:
+    """Parse one accident CSV into its records plus a rejects report; the
+    records' `table` holds them as columns.
 
     Rows with unusable coordinates, dates, severity or casualty counts are
     collected as rejects (line number + reason), never silently dropped; a
     row with several defects gets the reason of the first of them in that
     order. Raises TooManyRejectsError when more than half of the data rows
     reject, and DataError when the id of a row that is not rejected ends
-    in a NUL character, which a numpy str column would drop. Line numbers count the header as 1
-    and skip blank lines, as `csv.DictReader` does; a short row reads its
-    missing cells as blank.
+    in a NUL character, which a numpy str column would drop. Line numbers
+    count the header as 1 and skip blank lines, as `csv.DictReader` does; a
+    short row reads its missing cells as blank.
 
     The file is read `CHUNK_ROWS` rows at a time. Each chunk is transposed
     and its cells converted column by column with Python's `float` and
@@ -415,11 +454,7 @@ def parse_accident_table(
             for name, cls in CATEGORIES.items()
         },
     }
-    # each column grows by doubling rather than collecting one array per
-    # chunk: freed after a final join, those small arrays leave heap space
-    # that the process does not give back
-    buffers = {name: np.empty(0, dtype) for name, dtype in _DTYPES.items()}
-    size = 0
+    chunks: dict[str, list[np.ndarray]] = {name: [] for name in _DTYPES}
     rejects: list[Reject] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -437,25 +472,17 @@ def parse_accident_table(
             cells = dict(zip(_DTYPES, _transpose(chunk, positions, len(header))))
             columns, reasons = _parse_chunk(cells, convert, line)
             rejects += (Reject(line + i, reason) for i, reason in sorted(reasons.items()))
-            end = size + len(columns["id"])
             for name, values in columns.items():
-                column = buffers[name]
-                capacity = len(column) if end <= len(column) else max(end, 2 * len(column))
-                # a longer id than any before widens the id column
-                if capacity > len(column) or values.dtype.itemsize > column.dtype.itemsize:
-                    grown = np.empty(capacity, np.result_type(column, values))
-                    grown[:size] = column[:size]
-                    buffers[name] = column = grown
-                column[size:end] = values
-            size = end
+                chunks[name].append(values)
             line += len(chunk)
-    for name in _DTYPES:  # one column at a time, each freed once trimmed
-        buffers[name] = buffers[name][:size].copy()
-    table = RecordTable(**buffers)
+    # one column at a time, its chunks freed once joined; `id` takes the
+    # width of its longest id
+    table = RecordTable(**{name: np.concatenate([np.empty(0, dtype), *chunks.pop(name)])
+                           for name, dtype in _DTYPES.items()})
     total = len(table) + len(rejects)
     if total and len(rejects) * 2 > total:
         raise TooManyRejectsError(len(rejects), total)
-    return table, rejects
+    return AccidentRecords(table), rejects
 
 
 def _transpose(chunk: list[list[str]], positions: list[int], width: int) -> list[list[str]]:
@@ -545,25 +572,6 @@ def _parse_chunk(
     return {"id": np.array(ids, dtype=np.str_), **columns}, reasons
 
 
-def parse_accident_csv(
-    path: str | Path,
-    schema: dict[str, str] | None = None,
-) -> tuple[list[AccidentRecord], list[Reject]]:
-    """`parse_accident_table`, with each row of the table as one
-    `AccidentRecord`; records of the same day share one `date` object."""
-    table, rejects = parse_accident_table(path, schema)
-    days = {day: dt.date.fromordinal(day) for day in np.unique(table.date).tolist()}
-    fields = []
-    for name, column in table.columns().items():
-        values = column.tolist()
-        if name == "date":
-            values = map(days.__getitem__, values)
-        elif name in CATEGORIES:
-            values = map(list(CATEGORIES[name]).__getitem__, values)
-        fields.append(values)
-    return list(map(AccidentRecord, *fields)), rejects
-
-
 def write_rejects(rejects: Sequence[Reject], path: str | Path, config_hash: str) -> None:
     write_table(path, ["line", "reason"], ([r.line, r.reason] for r in rejects), config_hash)
 
@@ -595,11 +603,10 @@ def write_records(
         for name, column in columns.items():
             values = column[start:start + CHUNK_ROWS].tolist()  # csv writes a float's repr
             cells.append(map(text[name], values) if name in text else values)
-        return zip(*cells, itertools.repeat(config_hash))
+        return zip(*cells)
 
     rows = itertools.chain.from_iterable(map(chunk_rows, range(0, len(table), CHUNK_ROWS)))
-    # each row carries the hash itself, sparing `write_table` a copy of it
-    write_table(csv_path, [*LOGICAL_COLUMNS, "config_hash"], rows)
+    write_table(csv_path, LOGICAL_COLUMNS, rows, config_hash)
     write_columns(npz_path, {**columns, _STAMP: np.array(file_sha256(csv_path))})
 
 

@@ -595,13 +595,19 @@ def test_parse_matches_dictreader_parser(tmp_path):
     assert len(rejects) == 11
     assert {r.reason.split(" ")[0] for r in rejects} >= {"unparseable", "coordinates", "severity"}
     assert (records, rejects) == row_loop_parse(path)
-    parsed, table_rejects = ingest.parse_accident_table(path)
+    parsed, table_rejects = parse_table(path)
     assert table_rejects == rejects
     assert_same_table(parsed, table(records))
 
 
+def parse_table(path):
+    """`parse_accident_csv`'s records as their columns, and its rejects."""
+    records, rejects = ingest.parse_accident_csv(path)
+    return records.table, rejects
+
+
 def row_loop_parse(path, schema=None):
-    """The row-at-a-time parser that `parse_accident_table` replaced, kept as
+    """The row-at-a-time parser that `parse_accident_csv` replaced, kept as
     its oracle: one `AccidentRecord` per row, memoising each distinct date
     and category text."""
     import csv
@@ -712,7 +718,7 @@ def assert_same_table(got, expected):
 def test_reject_reason_is_the_first_defect(tmp_path, defects, reason):
     good = [row(idx=f"G{i}") for i in range(4)]
     path = make_csv(tmp_path, [*good[:2], row(idx="bad", **defects), *good[2:]])
-    _, rejects = ingest.parse_accident_table(path)
+    _, rejects = parse_table(path)
     assert rejects == [ingest.Reject(4, reason)]
     assert row_loop_parse(path)[1] == rejects
 
@@ -742,7 +748,7 @@ def test_chunk_boundaries_do_not_change_the_parse(tmp_path, monkeypatch):
     assert len(records) == 17 and [r.line for r in rejects] == [2, 4, 8, 11, 22, 23, 25]
     for size in (1, 3, 7, 24, 25):
         monkeypatch.setattr(ingest, "CHUNK_ROWS", size)
-        parsed, got = ingest.parse_accident_table(path)
+        parsed, got = parse_table(path)
         assert got == rejects, size
         assert_same_table(parsed, table(records))
 
@@ -757,7 +763,7 @@ def test_cells_padded_with_any_whitespace_parse_as_stripped(tmp_path):
     records, rejects = row_loop_parse(path)
     assert rejects == [] and records[0].lon == -0.1 and records[0].speed_limit == 30.0
     assert records[1].speed_limit == 0.0
-    parsed, got = ingest.parse_accident_table(path)
+    parsed, got = parse_table(path)
     assert got == [] and parsed.id.tolist() == ["A1", "A2"]
     assert_same_table(parsed, table(records))
 
@@ -765,7 +771,7 @@ def test_cells_padded_with_any_whitespace_parse_as_stripped(tmp_path):
 def test_casualty_counts_at_the_int64_edge(tmp_path):
     path = make_csv(tmp_path, [row(idx="A1", casualties=str(2**63 - 1)), row(idx="A2"),
                                  row(idx="A3", casualties=f" {2**63} ")])
-    parsed, rejects = ingest.parse_accident_table(path)
+    parsed, rejects = parse_table(path)
     assert parsed.casualties.tolist() == [2**63 - 1, 2]
     assert rejects == [ingest.Reject(4, "casualty count above 2**63 - 1")]
     assert ingest.parse_accident_csv(path) == row_loop_parse(path)
@@ -774,10 +780,10 @@ def test_casualty_counts_at_the_int64_edge(tmp_path):
 def test_parse_refuses_an_id_it_would_shorten(tmp_path):
     path = make_csv(tmp_path, [row(idx="A1"), row(idx="A2\0 "), row(idx="A3\0", lon="")])
     with pytest.raises(DataError, match=r"line 3: accident id 'A2\\x00' ends in a NUL character"):
-        ingest.parse_accident_table(path)
+        parse_table(path)
     # a rejected row's id is never stored, and a NUL inside an id is kept
     path = make_csv(tmp_path, [row(idx="A1"), row(idx="A\0B"), row(idx="A3\0", lon="")])
-    parsed, rejects = ingest.parse_accident_table(path)
+    parsed, rejects = parse_table(path)
     assert parsed.id.tolist() == ["A1", "A\0B"] and [r.line for r in rejects] == [4]
 
 
@@ -808,7 +814,7 @@ def test_parse_holds_less_than_the_rows_as_lists(tmp_path):
     # the rows as lists peak at 14.3 MB and the parse at 6.6 MB (CPython 3.11)
     bound = 10.0
     assert peak_mb(as_lists) > bound
-    assert peak_mb(lambda: ingest.parse_accident_table(path)) < bound
+    assert peak_mb(lambda: parse_table(path)) < bound
 
 
 def test_table_within_region_matches_the_record_filter(tmp_path):
@@ -817,7 +823,7 @@ def test_table_within_region_matches_the_record_filter(tmp_path):
             row(idx="edge-day", date="31/12/2012", lat="51.6")]
     path = make_csv(tmp_path, rows)
     records, _ = ingest.parse_accident_csv(path)
-    parsed, rejects = ingest.parse_accident_table(path)
+    parsed, rejects = parse_table(path)
     assert rejects == [] and parsed.id.dtype == np.dtype("<U24")
     kept = parsed.within(REGION)
     assert kept.id.tolist() == ["inside", "corner", "edge-day"]
