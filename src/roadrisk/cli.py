@@ -153,15 +153,15 @@ def cmd_fixture(config: RunConfig) -> list[str]:
 
 def cmd_ingest(config: RunConfig) -> list[str]:
     out = _out(config)
-    records, rejects = ingest.parse_accident_csv(
+    table, rejects = ingest.parse_accident_csv(
         _config_file(config, "data_csv"), config.schema or None
     )
-    kept = records.table.within(config.region)  # builds no AccidentRecord
+    kept = table.within(config.region)
     ingest.write_records(kept, out / "records.csv", out / "records.npz", config.fingerprint)
     ingest.write_rejects(rejects, out / "rejects.csv", config.fingerprint)
     log.info(
         "parsed %d rows: %d in region %s, %d rejects",
-        len(records) + len(rejects), len(kept), config.region.name, len(rejects),
+        len(table) + len(rejects), len(kept), config.region.name, len(rejects),
     )
     return OUTPUTS["ingest"]
 

@@ -26,14 +26,7 @@ import numpy as np
 
 from .artifacts import read_columns, read_json, write_columns, write_json
 from .errors import CorruptArtifactError, DataError, NumericError, ShapeMismatchError
-from .ingest import (
-    CATEGORIES,
-    AccidentRecord,
-    Granularity,
-    RecordTable,
-    iso_weeks_between,
-    period_rows,
-)
+from .ingest import CATEGORIES, Granularity, RecordTable, iso_weeks_between, period_rows
 
 FEATURE_NAMES = ("traffic_safety", "infrastructure", "environmental")
 
@@ -144,15 +137,15 @@ class RiskTensor:
 
 def build_risk_tensor(
     tables: WeightTables,
-    records: RecordTable | Sequence[AccidentRecord],
+    table: RecordTable,
     assignment: Sequence[int],
     node_ids: Sequence[int],
     period: tuple[dt.date, dt.date],
 ) -> RiskTensor:
     """Assemble the weekly (W, N, 3) risk tensor over a study period.
 
-    `assignment` holds each record's node position in 0..N-1, where N is
-    `len(node_ids)`; nothing else of `node_ids` is read.
+    `assignment` holds the node position in 0..N-1 of each record of
+    `table`, where N is `len(node_ids)`; nothing else of `node_ids` is read.
 
     Each accident scores three values: log(casualties + 1) times the
     product of its severity weight, road-type weight and
@@ -166,7 +159,6 @@ def build_risk_tensor(
     bitwise what per-record float arithmetic gives, and each cell sums its
     records in record order.
     """
-    table = RecordTable.from_records(records)
     if len(table) != len(assignment):
         raise DataError(f"{len(table)} records but {len(assignment)} node assignments")
     weeks = iso_weeks_between(period[0], period[1])

@@ -8,14 +8,12 @@ supplied in the run config. Categorical fields accept both the numeric codes
 from the official data dictionary and spelled-out labels; anything else maps
 to the Unknown variant rather than dropping the row.
 
-`parse_accident_csv` streams the file into a `RecordTable` of numpy
-columns, `CHUNK_ROWS` rows at a time, and records travel as such columns
-from then on: `RecordTable.within` keeps a region's rows, and
-`write_records` stores both a readable `records.csv` and the columns as
-`records.npz`, which later stages load. The parser hands the table back
-inside `AccidentRecords`, which builds one `AccidentRecord` per row only
-when read, for the callers that want records; `filter_region` and
-`RegionSpec.contains` work on those.
+Records have one form, a `RecordTable` of numpy columns.
+`parse_accident_csv` streams the file into one, `CHUNK_ROWS` rows at a
+time; `RecordTable.within` keeps a region's rows; and `write_records`
+stores both a readable `records.csv` and the columns as `records.npz`,
+which later stages load. Iterating a table yields one `AccidentRecord` per
+row, built on the first iteration; no stage iterates one.
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ import math
 import operator
 import re
 import warnings
-from collections import abc
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -41,6 +38,7 @@ from .errors import (
     ConfigError,
     CorruptArtifactError,
     DataError,
+    InsufficientHistoryError,
     MissingColumnError,
     TooManyRejectsError,
     UnassignedRecordError,
@@ -234,12 +232,15 @@ _DTYPES = {
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
-    """Records as numpy columns, one per `AccidentRecord` field, in record order.
+    """Accident records as numpy columns, one per `AccidentRecord` field, in
+    record order.
 
     `id` holds str; `date` holds day ordinals (`date.toordinal()`);
     `severity` and `casualties` int64; `lon`, `lat` and `speed_limit`
     float64; each category column (`CATEGORIES`) holds int8 codes, a
-    member's position in its enum.
+    member's position in its enum. Iterating the table yields its rows as
+    `AccidentRecord`s, built on the first iteration and kept; records of
+    the same day share one `date` object.
     """
 
     id: np.ndarray
@@ -263,36 +264,26 @@ class RecordTable:
     def columns(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _DTYPES}
 
-    @classmethod
-    def from_records(cls, records: "RecordTable | Sequence[AccidentRecord]") -> "RecordTable":
-        """The columns of `records`; a `RecordTable` is returned as it is.
+    def __iter__(self):
+        return iter(self._records)
 
-        DataError if an id ends in a NUL character: a numpy str column
-        would drop it.
-        """
-        if isinstance(records, cls):
-            return records
-        ids = [r.id for r in records]
-        nul = next((i for i in ids if i.endswith("\0")), None)
-        if nul is not None:
-            raise DataError(f"accident id {nul!r} ends in a NUL character")
-        columns = {"id": np.array(ids, dtype=np.str_)}
-        for name, dtype in _DTYPES.items():
-            if name == "id":
-                continue
-            values = map(operator.attrgetter(name), records)
+    @functools.cached_property
+    def _records(self) -> list[AccidentRecord]:
+        days = {day: dt.date.fromordinal(day) for day in np.unique(self.date).tolist()}
+        fields = []
+        for name, column in self.columns().items():
+            values = column.tolist()
             if name == "date":
-                values = map(dt.date.toordinal, values)
+                values = map(days.__getitem__, values)
             elif name in CATEGORIES:
-                values = map(CATEGORIES[name]._positions().__getitem__, map(id, values))
-            columns[name] = np.fromiter(values, dtype, len(records))
-        return cls(**columns)
+                values = map(list(CATEGORIES[name]).__getitem__, values)
+            fields.append(values)
+        return list(map(AccidentRecord, *fields))
 
     def within(self, region: "RegionSpec") -> "RecordTable":
-        """The rows inside `region`'s bbox and period (inclusive bounds), as
-        `RegionSpec.contains` decides for one record; the table itself when
-        every row is. `id` keeps the width of its longest kept id, as
-        `from_records` makes it."""
+        """The rows inside `region`'s bbox and period, bounds included; the
+        table itself when every row is. `id` takes the width of its longest
+        kept id, as parsing the kept rows alone would make it."""
         lon_min, lat_min, lon_max, lat_max = region.bbox
         first, last = (day.toordinal() for day in region.period)
         inside = (
@@ -306,42 +297,6 @@ class RecordTable:
         width = max(1, int(np.char.str_len(columns["id"]).max(initial=0)))
         columns["id"] = columns["id"].astype(f"<U{width}")
         return RecordTable(**columns)
-
-
-class AccidentRecords(abc.Sequence):
-    """The rows of `table`, one `AccidentRecord` each, built when first
-    read; records of the same day share one `date` object. Equal to a list
-    of the same records."""
-
-    def __init__(self, table: RecordTable):
-        self.table = table
-
-    @functools.cached_property
-    def _records(self) -> list[AccidentRecord]:
-        days = {day: dt.date.fromordinal(day) for day in np.unique(self.table.date).tolist()}
-        fields = []
-        for name, column in self.table.columns().items():
-            values = column.tolist()
-            if name == "date":
-                values = map(days.__getitem__, values)
-            elif name in CATEGORIES:
-                values = map(list(CATEGORIES[name]).__getitem__, values)
-            fields.append(values)
-        return list(map(AccidentRecord, *fields))
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __getitem__(self, index):
-        return self._records[index]
-
-    def __iter__(self):
-        return iter(self._records)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AccidentRecords):
-            other = other._records
-        return self._records == other if isinstance(other, list) else NotImplemented
 
 
 # what each stored column's values satisfy beyond `read_columns`' finite
@@ -373,14 +328,6 @@ class RegionSpec:
             raise ConfigError(f"degenerate bbox for region {self.name!r}")
         if self.period[0] > self.period[1]:
             raise ConfigError(f"region {self.name!r} period ends before it starts")
-
-    def contains(self, record: AccidentRecord) -> bool:
-        lon_min, lat_min, lon_max, lat_max = self.bbox
-        return (
-            lon_min <= record.lon <= lon_max
-            and lat_min <= record.lat <= lat_max
-            and self.period[0] <= record.date <= self.period[1]
-        )
 
     @property
     def center(self) -> tuple[float, float]:
@@ -427,9 +374,9 @@ CHUNK_ROWS = 4096
 def parse_accident_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
-) -> tuple[AccidentRecords, list[Reject]]:
-    """Parse one accident CSV into its records plus a rejects report; the
-    records' `table` holds them as columns.
+) -> tuple[RecordTable, list[Reject]]:
+    """Parse one accident CSV into a table of its records plus a rejects
+    report.
 
     Rows with unusable coordinates, dates, severity or casualty counts are
     collected as rejects (line number + reason), never silently dropped; a
@@ -482,7 +429,7 @@ def parse_accident_csv(
     total = len(table) + len(rejects)
     if total and len(rejects) * 2 > total:
         raise TooManyRejectsError(len(rejects), total)
-    return AccidentRecords(table), rejects
+    return table, rejects
 
 
 def _transpose(chunk: list[list[str]], positions: list[int], width: int) -> list[list[str]]:
@@ -638,11 +585,10 @@ def read_records(npz_path: str | Path, csv_path: str | Path) -> RecordTable:
     return RecordTable(**columns)
 
 
-def filter_region(
-    records: Iterable[AccidentRecord], region: RegionSpec
-) -> list[AccidentRecord]:
-    """Records inside the bbox (inclusive bounds) and period (inclusive)."""
-    return [r for r in records if region.contains(r)]
+def filter_region(table: RecordTable, region: RegionSpec) -> RecordTable:
+    """`table.within(region)`, under the name the benchmark's in-process
+    set-up (`perfbench/workloads.py`) calls and times."""
+    return table.within(region)
 
 
 class Granularity(enum.Enum):
@@ -728,11 +674,15 @@ def snr(series: AggregatedSeries) -> float:
     """Mean over standard deviation of the network-total per-period counts.
 
     Sample (n-1) standard deviation. A constant series has no noise to
-    measure; returns +inf with a warning.
+    measure; returns +inf with a warning. InsufficientHistoryError (a
+    DataError) if the series has fewer than 2 periods.
     """
     totals = series.totals()
     if totals.size < 2:
-        raise ValueError("need at least 2 periods for a signal-to-noise ratio")
+        raise InsufficientHistoryError(
+            f"the {series.granularity.value} series has {totals.size} period(s); "
+            "a signal-to-noise ratio needs at least 2"
+        )
     sd = float(np.std(totals, ddof=1))
     if sd == 0.0:
         warnings.warn("zero variance series; signal-to-noise ratio is infinite")

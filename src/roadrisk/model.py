@@ -43,14 +43,19 @@ class ModelConfig:
     spatial_attention: bool = True  # False: plain graph convolution (no attention mask)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError(f"width {self.d} must be >= 1")
         if self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
+        if self.layers < 1:
+            raise ConfigError(f"{self.layers} layers; the model needs at least 1")
         if self.t_in < 1 or self.t_out < 1:
             raise ConfigError("window lengths must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.conv_kernel < 1:
-            raise ConfigError("conv kernel must be >= 1")
+        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
+            # the encoder's convolution is centred on each week
+            raise ConfigError(f"conv kernel {self.conv_kernel} must be odd and >= 1")
 
 
 N_CHANNELS = 3

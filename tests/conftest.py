@@ -16,33 +16,25 @@ def fixture_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def fixture_records(fixture_csv):
-    records, rejects = ingest.parse_accident_csv(fixture_csv)
+def fixture_table(fixture_csv):
+    table, rejects = ingest.parse_accident_csv(fixture_csv)
     assert not rejects
-    return ingest.filter_region(records, FIXTURE_REGION)
+    return table.within(FIXTURE_REGION)
 
 
 @pytest.fixture(scope="session")
-def fixture_table(fixture_records):
-    return ingest.RecordTable.from_records(fixture_records)
-
-
-@pytest.fixture(scope="session")
-def fixture_graph(fixture_records):
+def fixture_graph(fixture_table):
     return build_graph(
-        [r.lon for r in fixture_records],
-        [r.lat for r in fixture_records],
-        FIXTURE_CONFIG.graph,
-        center=FIXTURE_REGION.center,
+        fixture_table.lon, fixture_table.lat, FIXTURE_CONFIG.graph, center=FIXTURE_REGION.center
     )
 
 
 @pytest.fixture(scope="session")
-def fixture_tensor(fixture_records, fixture_graph):
+def fixture_tensor(fixture_table, fixture_graph):
     graph, assignment = fixture_graph
     return build_risk_tensor(
         WeightTables.default(),
-        fixture_records,
+        fixture_table,
         assignment,
         range(graph.n_nodes),
         FIXTURE_REGION.period,

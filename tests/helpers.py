@@ -1,5 +1,6 @@
 """Test helpers that the pipeline itself never calls."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from scipy import sparse
 from roadrisk import autodiff as ad
 from roadrisk.autodiff import Tape, no_grad
 from roadrisk.config import RunConfig
+from roadrisk.errors import DataError
 from roadrisk.graph import EARTH_RADIUS_M, EdgeTable
+from roadrisk.ingest import CATEGORIES, RecordTable
 from roadrisk.training import TARGET_CHANNEL, TrainingData, split_temporal
 
 # the fixture run's settings: the region the synthetic sites lie in, the
@@ -154,3 +157,46 @@ def zone_map_feature_collection(zone_map, lons, lats, config_hash="") -> dict:
         "week": zone_map.week,
         "features": features,
     }
+
+
+def record_table(records) -> RecordTable:
+    """The columns of hand-made `AccidentRecord`s, as the parser stores them:
+    the oracle for the tests that build records rather than parse a CSV.
+
+    `id` takes the width of its longest id. DataError if an id ends in a NUL
+    character, which a numpy str column would drop.
+    """
+    ids = [r.id for r in records]
+    nul = next((i for i in ids if i.endswith("\0")), None)
+    if nul is not None:
+        raise DataError(f"accident id {nul!r} ends in a NUL character")
+    columns = {"id": np.array(ids, dtype=np.str_)}
+    for field in dataclasses.fields(RecordTable)[1:]:
+        values = [getattr(r, field.name) for r in records]
+        if field.name == "date":
+            columns["date"] = np.array([day.toordinal() for day in values], np.int64)
+        elif field.name in CATEGORIES:
+            codes = list(CATEGORIES[field.name])
+            columns[field.name] = np.array([codes.index(member) for member in values], np.int8)
+        else:
+            dtype = np.int64 if field.name in ("severity", "casualties") else np.float64
+            columns[field.name] = np.array(values, dtype)
+    return RecordTable(**columns)
+
+
+def in_region(record, region) -> bool:
+    """Whether one record lies in `region`'s bbox and period, bounds
+    included, in scalar Python: the oracle for `RecordTable.within`."""
+    lon_min, lat_min, lon_max, lat_max = region.bbox
+    first, last = region.period
+    return (lon_min <= record.lon <= lon_max and lat_min <= record.lat <= lat_max
+            and first <= record.date <= last)
+
+
+def assert_same_table(got: RecordTable, expected: RecordTable) -> None:
+    """Equal columns, dtype and bytes, the `id` column's width included."""
+    got, expected = got.columns(), expected.columns()
+    assert list(got) == list(expected)
+    for name, column in expected.items():
+        assert got[name].dtype == column.dtype, name
+        assert got[name].tobytes() == column.tobytes(), name

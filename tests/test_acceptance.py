@@ -26,7 +26,6 @@ from roadrisk.ingest import (
     JunctionControl,
     LightCondition,
     PhysicalFacility,
-    RecordTable,
     RegionSpec,
     RoadType,
     SurfaceCondition,
@@ -452,9 +451,9 @@ requires_real_data = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def real_records():
-    from roadrisk.ingest import filter_region, parse_accident_csv
+    from roadrisk.ingest import parse_accident_csv
 
-    records, _ = parse_accident_csv(os.environ[REAL_DATA_ENV])
+    table, _ = parse_accident_csv(os.environ[REAL_DATA_ENV])
     import datetime as dt
 
     region = RegionSpec(
@@ -462,7 +461,7 @@ def real_records():
         bbox=(-0.20, 51.46, -0.05, 51.56),
         period=(dt.date(2009, 1, 1), dt.date(2014, 12, 31)),
     )
-    return RecordTable.from_records(filter_region(records, region)), region
+    return table.within(region), region
 
 
 @requires_real_data

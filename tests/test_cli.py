@@ -676,6 +676,18 @@ def test_stale_graph_exit_code(pipeline, tmp_path, caplog, fixture_csv, change):
     assert f"{nodes}{where}: {problem}; run `graph` again" in caplog.text
 
 
+def test_snr_on_a_short_period_exit_code(pipeline, tmp_path, caplog):
+    # 18 days in 3 ISO weeks, but 1 month: too short a monthly series for a ratio
+    config_path, _ = copy_run(pipeline, tmp_path)
+    config = json.loads(config_path.read_text())
+    config["region"]["period"] = ["2011-01-03", "2011-01-20"]
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["ingest", "--config", str(config_path)]) == 0
+    assert cli.main(["snr", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert ("data error: the monthly series has 1 period(s); "
+            "a signal-to-noise ratio needs at least 2") in caplog.text
+
+
 def test_unknown_config_key_exit_code(pipeline, tmp_path, caplog):
     config_path, _ = copy_run(pipeline, tmp_path)
     config = json.loads(config_path.read_text())
@@ -702,8 +714,10 @@ def test_negative_cell_size_exit_code(pipeline, tmp_path, caplog):
         # eval used to write "mape": Infinity, which is not JSON
         ("eval", lambda c: c.update(mape_eps=-1.0), "mape_eps"),
         ("train", lambda c: c["train"].update(beta1=1.5), "Adam betas"),
+        # train used to exit 4 when the encoder's convolution met the even kernel
+        ("train", lambda c: c["model"].update(conv_kernel=2), "conv kernel 2 must be odd"),
     ],
-    ids=["split-fractions", "mape-eps", "beta1"],
+    ids=["split-fractions", "mape-eps", "beta1", "even-kernel"],
 )
 def test_out_of_range_config_value_exit_code(pipeline, tmp_path, caplog, command, edit, message):
     config_path, _ = copy_run(pipeline, tmp_path)

@@ -69,6 +69,10 @@ def test_invalid_config_raises(tmp_path):
         RunConfig.from_dict(raw)
     for section, key, value in [
         ("model", "heads", 0), ("train", "batch", 0), ("train", "batch", -3),
+        # widths the model cannot build: a zero or negative width divides by
+        # its heads, no layer ignores the input, an even kernel has no centre
+        ("model", "d", 0), ("model", "d", -16), ("model", "layers", 0), ("model", "layers", -1),
+        ("model", "conv_kernel", 2), ("model", "conv_kernel", 4),
         ("graph", "cell_size_m", -150.0), ("graph", "cell_size_m", 0.0), ("graph", "k", 0),
         ("graph", "k", -2), ("graph", "sigma_m", -5.0), ("graph", "sigma_m", 0.0),
         ("train", "lr_finetune", -1.0), ("train", "beta1", 1.5), ("train", "beta1", -0.1),

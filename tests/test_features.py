@@ -13,12 +13,13 @@ from roadrisk.ingest import (
     JunctionControl,
     LightCondition,
     PhysicalFacility,
-    RecordTable,
     RoadType,
     SurfaceCondition,
     WeatherCondition,
     week_label,
 )
+
+from helpers import record_table
 
 TABLES = ft.WeightTables.default()
 
@@ -208,9 +209,14 @@ def test_risk_bounds():
 PERIOD = (dt.date(2012, 6, 11), dt.date(2012, 7, 8))  # four ISO weeks
 
 
+def risk_tensor(records, assignment, node_ids):
+    """`build_risk_tensor` over PERIOD on the table of hand-made `records`."""
+    return ft.build_risk_tensor(TABLES, record_table(records), assignment, node_ids, PERIOD)
+
+
 def safety_channel(records):
     """Channel 0 of a one-node tensor over PERIOD."""
-    return ft.build_risk_tensor(TABLES, records, [0] * len(records), [0], PERIOD).values[:, :, 0]
+    return risk_tensor(records, [0] * len(records), [0]).values[:, :, 0]
 
 
 def test_traffic_safety_no_accidents_is_zero():
@@ -234,14 +240,14 @@ def test_traffic_safety_additive():
 
 
 def test_build_tensor_empty_is_zero():
-    tensor = ft.build_risk_tensor(TABLES, [], [], [0, 1], PERIOD)
+    tensor = risk_tensor([], [], [0, 1])
     assert tensor.values.shape == (4, 2, 3)
     assert (tensor.values == 0).all()
 
 
 def test_build_tensor_single_accident_locality():
     rec = make_record(date=dt.date(2012, 6, 20))
-    tensor = ft.build_risk_tensor(TABLES, [rec], [1], [0, 1], PERIOD)
+    tensor = risk_tensor([rec], [1], [0, 1])
     nonzero = np.argwhere(tensor.values.sum(axis=2) != 0)
     assert nonzero.tolist() == [[1, 1]]  # second week, node 1, all channels there
     assert (tensor.values[1, 1] > 0).all()
@@ -278,20 +284,18 @@ FIVE_ASSIGNMENT = [0, 1, 0, 1, 1]
 
 
 def test_build_tensor_matches_brute_force():
-    tensor = ft.build_risk_tensor(TABLES, FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1], PERIOD)
+    tensor = risk_tensor(FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1])
     oracle = brute_force_tensor(FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1], tensor.weeks)
     np.testing.assert_allclose(tensor.values, oracle, atol=1e-12)
 
 
 def test_build_tensor_order_invariant():
-    base = ft.build_risk_tensor(TABLES, FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1], PERIOD)
+    base = risk_tensor(FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1])
     perm = [3, 0, 4, 2, 1]
-    shuffled = ft.build_risk_tensor(
-        TABLES,
+    shuffled = risk_tensor(
         [FIVE_RECORDS[i] for i in perm],
         [FIVE_ASSIGNMENT[i] for i in perm],
         [0, 1],
-        PERIOD,
     )
     np.testing.assert_allclose(shuffled.values, base.values, atol=1e-12)
 
@@ -299,8 +303,8 @@ def test_build_tensor_order_invariant():
 def test_build_tensor_casualty_monotonicity():
     low = make_record(casualties=2)
     high = make_record(casualties=4)
-    t_low = ft.build_risk_tensor(TABLES, [low], [0], [0], PERIOD)
-    t_high = ft.build_risk_tensor(TABLES, [high], [0], [0], PERIOD)
+    t_low = risk_tensor([low], [0], [0])
+    t_high = risk_tensor([high], [0], [0])
     assert t_high.values[0, 0, 0] > t_low.values[0, 0, 0]
 
 
@@ -308,16 +312,16 @@ def test_build_tensor_rejects_foreign_node():
     rec = make_record()
     for node in (7, 2, -1):  # a record's node is a position in 0..n-1
         with pytest.raises(ShapeMismatchError, match=f"^record node {node} is outside the 2 "):
-            ft.build_risk_tensor(TABLES, [rec], [node], [0, 1], PERIOD)
+            risk_tensor([rec], [node], [0, 1])
 
 
 def test_build_tensor_length_mismatch_states_both_lengths():
     with pytest.raises(DataError, match="^5 records but 4 node assignments$"):
-        ft.build_risk_tensor(TABLES, FIVE_RECORDS, FIVE_ASSIGNMENT[:4], [0, 1], PERIOD)
+        risk_tensor(FIVE_RECORDS, FIVE_ASSIGNMENT[:4], [0, 1])
 
 
 def test_tensor_roundtrip(tmp_path):
-    tensor = ft.build_risk_tensor(TABLES, FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1], PERIOD)
+    tensor = risk_tensor(FIVE_RECORDS, FIVE_ASSIGNMENT, [0, 1])
     tensor.meta["note"] = "fixture"
     bin_path, meta_path = tmp_path / "t.bin", tmp_path / "t.json"
     ft.save_tensor(tensor, bin_path, meta_path)
@@ -414,20 +418,19 @@ def test_build_tensor_matches_record_loop_bitwise():
     assignment = [occupied[int(k)] for k in rng.integers(0, 5, len(records))]
     assert 2 not in assignment
 
-    tensor = ft.build_risk_tensor(TABLES, records, assignment, nodes, PERIOD)
+    tensor = risk_tensor(records, assignment, nodes)
     assert tensor.values.tobytes() == loop_risk_tensor(
         TABLES, records, assignment, len(nodes), PERIOD
     ).tobytes()
     assert (tensor.values[:, 2] == 0.0).all()
-    table = RecordTable.from_records(records)
-    on_table = ft.build_risk_tensor(TABLES, table, np.asarray(assignment), nodes, PERIOD)
-    assert on_table.values.tobytes() == tensor.values.tobytes()
-    assert on_table.weeks == tensor.weeks and on_table.n_nodes == tensor.n_nodes == 6
+    as_array = risk_tensor(records, np.asarray(assignment), nodes)
+    assert as_array.values.tobytes() == tensor.values.tobytes()
+    assert as_array.weeks == tensor.weeks and as_array.n_nodes == tensor.n_nodes == 6
 
     order = rng.permutation(len(records))
     shuffled = [records[k] for k in order]
     shuffled_assignment = np.asarray(assignment)[order]  # numpy ints, as the CLI passes
-    tensor = ft.build_risk_tensor(TABLES, shuffled, shuffled_assignment, nodes, PERIOD)
+    tensor = risk_tensor(shuffled, shuffled_assignment, nodes)
     assert tensor.values.tobytes() == loop_risk_tensor(
         TABLES, shuffled, shuffled_assignment, len(nodes), PERIOD
     ).tobytes()

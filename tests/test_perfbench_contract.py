@@ -12,9 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from roadrisk import graph as g
+from roadrisk import graph as g, ingest
 from roadrisk.config import RunConfig
 from roadrisk.diffusion import preset
+from roadrisk.features import WeightTables, build_risk_tensor
 from roadrisk.model import ModelConfig, RiskForecaster
 from roadrisk.training import prepare_training_data
 
@@ -75,8 +76,9 @@ def test_graph_checks_pass_on_the_fixture_graph(monkeypatch, tmp_path, fixture_g
     RiskForecaster(ModelConfig(d=8, heads=2), loaded.adjacency_norm, seed=0)
 
 
-def test_region_forecast_set_up_and_job_report_no_problems(monkeypatch, tmp_path):
-    # the in-process workload calls the library directly, with its own arguments
+def region_forecast_toy(monkeypatch, tmp_path):
+    """The benchmark's workloads module, and the context, inputs and facts of
+    a toy region-forecast run."""
     for sibling in ("gen", "spans"):
         load(sibling, monkeypatch, module_name=sibling)
     workloads = load("workloads", monkeypatch)
@@ -87,9 +89,46 @@ def test_region_forecast_set_up_and_job_report_no_problems(monkeypatch, tmp_path
         root=PERFBENCH.parent, work=tmp_path, seed=1, seconds=1.0, trace=False, size=size,
         ledger=workloads.Ledger(tmp_path / "ledger.json", "contract"), spawner=None,
     )
+    return workloads, ctx, inputs, facts
+
+
+def test_region_forecast_set_up_and_job_report_no_problems(monkeypatch, tmp_path):
+    # the in-process workload calls the library directly, with its own arguments
+    workloads, ctx, inputs, facts = region_forecast_toy(monkeypatch, tmp_path)
     out = workloads.Outcome()
     state = workloads.forecast_setup(inputs, facts, out)
     job = workloads.forecast_job(ctx, state, out)
     assert out.problems == [] and out.failed == 0
     assert job.complete
     assert out.attempted == 1 + len(state.data.test_windows()) + workloads.FORECAST_STEPS
+
+
+def test_traced_region_forecast_builds_the_cli_paths_tensor(monkeypatch, tmp_path):
+    # the spans hooks read the parse result, the region filter it wraps by
+    # name, the attention log and the tape; a hook that failed would show
+    # as a problem of its operation
+    workloads, ctx, inputs, facts = region_forecast_toy(monkeypatch, tmp_path)
+    spans = sys.modules["spans"]
+    out = workloads.Outcome()
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        state = workloads.forecast_setup(inputs, facts, out)
+        job = workloads.forecast_job(ctx, state, out)
+    finally:
+        recorder.uninstall()
+    assert out.problems == [] and out.failed == 0 and job.complete
+    layer = spans.summarize([recorder.spans()])
+    assert layer["ingest.rows"] == facts["rows"] and layer["ingest.rejects"] == 0
+    assert layer["ingest.filter_region.s"] > 0.0
+    assert "model.forward" in recorder.name and layer["training.tape_steps_per_window"] > 0.0
+
+    # the CLI's path: parse, keep the region's rows, assign them to grid cells
+    cfg = RunConfig.load(inputs / "run.json")
+    table, _ = ingest.parse_accident_csv(inputs / cfg.data_csv, cfg.schema or None)
+    kept = table.within(cfg.region)
+    grid = g.assign_to_nodes(kept.lon, kept.lat, cfg.graph.cell_size_m, cfg.region.center)
+    tensor = build_risk_tensor(WeightTables.default(), kept, grid.assignment,
+                               range(grid.member_counts.size), cfg.region.period)
+    assert tensor.weeks == state.tensor.weeks
+    assert tensor.values.tobytes() == state.tensor.values.tobytes()

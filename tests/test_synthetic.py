@@ -13,10 +13,10 @@ def test_generator_deterministic():
 
 
 def test_fixture_parses_clean(fixture_csv):
-    records, rejects = ingest.parse_accident_csv(fixture_csv)
+    table, rejects = ingest.parse_accident_csv(fixture_csv)
     assert rejects == []
-    assert len(records) > 2000
-    assert len(ingest.filter_region(records, FIXTURE_REGION)) == len(records)
+    assert len(table) > 2000
+    assert table.within(FIXTURE_REGION) is table  # every row lies in the region
 
 
 def test_fixture_thirty_nodes(fixture_graph):
@@ -52,7 +52,7 @@ def test_fixture_snr_ordering(fixture_table, fixture_graph):
     assert values[ingest.Granularity.MONTHLY] > values[ingest.Granularity.WEEKLY]
 
 
-def test_fixture_winter_tilts_environment(fixture_records):
+def test_fixture_winter_tilts_environment(fixture_table):
     from roadrisk.features import WeightTables
 
     tables = WeightTables.default()
@@ -61,8 +61,8 @@ def test_fixture_winter_tilts_environment(fixture_records):
         weights = tables.categories
         return (weights["surface"][record.surface] + weights["weather"][record.weather]) / 2.0
 
-    winter = [r for r in fixture_records if r.date.month in (12, 1, 2)]
-    summer = [r for r in fixture_records if r.date.month in (6, 7, 8)]
+    winter = [r for r in fixture_table if r.date.month in (12, 1, 2)]
+    summer = [r for r in fixture_table if r.date.month in (6, 7, 8)]
     env_winter = np.mean([environmental_risk(r) for r in winter])
     env_summer = np.mean([environmental_risk(r) for r in summer])
     assert env_winter > env_summer + 0.05
