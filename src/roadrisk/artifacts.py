@@ -1,9 +1,9 @@
 """How the artifacts the pipeline stages hand to each other look on disk.
 
 This is the one module that writes and reads their formats. A table is a
-CSV file with a header row, and when a config hash is given, a last
-`config_hash` column carries it on every row. A JSON artifact is one object
-with two-space indents, sorted keys and a final newline. A column file is an
+CSV file with a header row and no run hash: each command's manifest records
+the sha256 of every file it writes. A JSON artifact is one object with
+two-space indents, sorted keys and a final newline. A column file is an
 uncompressed `.npz` archive of named numpy arrays whose members all carry
 the same fixed timestamp; it is the one binary format, used for the
 records, the checkpoint and both risk tensors (whose `.bin` files are such
@@ -47,20 +47,11 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def write_table(
-    path: str | Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    config_hash: str | None = None,
-) -> None:
-    """Write `header` and `rows` as CSV; with `config_hash`, a last column holds it."""
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` and `rows` as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if config_hash is None:
-            writer.writerow(header)
-        else:
-            writer.writerow([*header, "config_hash"])
-            rows = ([*row, config_hash] for row in rows)
+        writer.writerow(header)
         writer.writerows(rows)
 
 

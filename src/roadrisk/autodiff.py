@@ -48,9 +48,6 @@ from .errors import ShapeMismatchError
 # that exp underflows to exactly 0.0, small enough to stay NaN-free.
 MASK_VALUE = -1e9
 
-# When True, every op asserts its output is finite. Slow; meant for tests.
-CHECK_FINITE = False
-
 _state = threading.local()
 
 
@@ -183,8 +180,6 @@ def _op(data, *inputs) -> Tensor:
     2-window 300-node step.
     """
     out = Tensor(data, any(t.requires_grad for t, _ in inputs))
-    if CHECK_FINITE and not np.isfinite(out.data).all():
-        raise FloatingPointError("non-finite value produced by an op")
     tape = _active_tape()
     if tape is not None and out.requires_grad:
 

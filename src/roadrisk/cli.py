@@ -1,9 +1,10 @@
 """Command-line pipeline driver.
 
 Each subcommand reads its declared input artifacts from the run's output
-directory, writes its outputs there, and records a manifest with the config
-hash and input digests. Exit codes: 0 success, 2 config error, 3 data
-error, 4 numeric failure.
+directory, writes its outputs there, and records a manifest, the run's one
+provenance record: the config hash, the sha256 of each file it opened and of
+each file it wrote. Exit codes: 0 success, 2 config error, 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -55,11 +56,17 @@ OUTPUTS = {
     "ablate-diffusion": ["ablation_diffusion.csv", "ablation_diffusion.json"],
 }
 WRITER = {name: command for command, names in OUTPUTS.items() for name in names}
+# The run config's input files that each command opens besides the config itself
+CONFIG_FILES = {"ingest": ["data_csv"], "features": ["weight_tables"],
+                "validate-framework": ["weight_tables"]}
 
 
 def _out(config: RunConfig) -> Path:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot create the run config's `out_dir` {out}: {exc}") from exc
     return out
 
 
@@ -74,8 +81,9 @@ def _artifact(config: RunConfig, name: str) -> Path:
 def _config_file(config: RunConfig, key: str) -> Path:
     """The input file that the run config's `key` names."""
     path = Path(getattr(config, key))
-    if not path.exists():
-        raise DataError(f"{path} not found; it is the run config's `{key}`")
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise DataError(f"{path} {problem}; it is the run config's `{key}`")
     return path
 
 
@@ -141,45 +149,46 @@ def _forecast(config: RunConfig):
     return data, graph, scaler, start, model.predict(x), y
 
 
-def cmd_fixture(config: RunConfig) -> list[str]:
+def cmd_fixture(config: RunConfig) -> dict:
     from .synthetic import FIXTURE_SEED, write_fixture_csv
 
     path = Path(config.data_csv)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = write_fixture_csv(path, seed=FIXTURE_SEED)
     log.info("wrote %d synthetic rows to %s", rows, path)
-    return []
+    return {}
 
 
-def cmd_ingest(config: RunConfig) -> list[str]:
+def cmd_ingest(config: RunConfig) -> dict:
     out = _out(config)
     table, rejects = ingest.parse_accident_csv(
         _config_file(config, "data_csv"), config.schema or None
     )
     kept = table.within(config.region)
-    ingest.write_records(kept, out / "records.csv", out / "records.npz", config.fingerprint)
-    ingest.write_rejects(rejects, out / "rejects.csv", config.fingerprint)
+    ingest.write_records(kept, out / "records.csv", out / "records.npz")
+    ingest.write_rejects(rejects, out / "rejects.csv")
     log.info(
         "parsed %d rows: %d in region %s, %d rejects",
         len(table) + len(rejects), len(kept), config.region.name, len(rejects),
     )
-    return OUTPUTS["ingest"]
+    return {"outputs": OUTPUTS["ingest"]}
 
 
-def cmd_graph(config: RunConfig) -> list[str]:
+def cmd_graph(config: RunConfig) -> dict:
     out = _out(config)
     records = _load_records(config)
     graph, _ = build_graph(records.lon, records.lat, config.graph, center=config.region.center)
-    save_graph(graph, out / "nodes.csv", out / "edges.csv", config.fingerprint)
+    save_graph(graph, out / "nodes.csv", out / "edges.csv")
     counts = graph.edge_counts()
     log.info(
         "graph: %d nodes, %d undirected edges (%d stored), sigma=%.1f m",
         graph.n_nodes, counts["undirected"], counts["directed"], graph.sigma_m,
     )
-    return OUTPUTS["graph"]
+    # the bandwidth it resolved, which a loaded graph does not know
+    return {"outputs": OUTPUTS["graph"], "sigma_m": graph.sigma_m}
 
 
-def cmd_snr(config: RunConfig) -> list[str]:
+def cmd_snr(config: RunConfig) -> dict:
     out = _out(config)
     records = _load_records(config)
     assignment = np.zeros(len(records), dtype=np.intp)  # network totals: one logical node
@@ -193,14 +202,13 @@ def cmd_snr(config: RunConfig) -> list[str]:
         out / "snr.csv",
         ["granularity", "snr", "periods"],
         ([name, repr(value), periods] for name, value, periods in rows),
-        config.fingerprint,
     )
     for name, value, periods in rows:
         print(f"{name:>8}: SNR {value:8.3f} over {periods} periods")
-    return OUTPUTS["snr"]
+    return {"outputs": OUTPUTS["snr"]}
 
 
-def cmd_features(config: RunConfig) -> list[str]:
+def cmd_features(config: RunConfig) -> dict:
     out = _out(config)
     records = _load_records(config)
     graph = _load_graph(config)
@@ -213,28 +221,25 @@ def cmd_features(config: RunConfig) -> list[str]:
     tensor = build_risk_tensor(
         _tables(config), records, grid.assignment, range(graph.n_nodes), config.region.period
     )
-    tensor.meta["config_hash"] = config.fingerprint
     save_tensor(tensor, out / "risk_tensor.bin", out / "risk_tensor.json")
     log.info("risk tensor: %d weeks x %d nodes x 3", tensor.n_weeks, tensor.n_nodes)
-    return OUTPUTS["features"]
+    return {"outputs": OUTPUTS["features"]}
 
 
-def cmd_diffuse(config: RunConfig) -> list[str]:
+def cmd_diffuse(config: RunConfig) -> dict:
     out = _out(config)
     data, _, _ = _load_training_data(config)
-    data.inputs.meta["config_hash"] = config.fingerprint
     save_tensor(data.inputs, out / "processed.bin", out / "processed.json")
     log.info("diffused with %s, scaled on train weeks %s", config.diffusion.name, data.splits.train)
-    return OUTPUTS["diffuse"]
+    return {"outputs": OUTPUTS["diffuse"]}
 
 
-def cmd_train(config: RunConfig) -> list[str]:
+def cmd_train(config: RunConfig) -> dict:
     out = _out(config)
     data, _, graph = _load_training_data(config)
     model = RiskForecaster(config.model, graph.adjacency_norm, seed=config.seed)
     result = train(model, data, config.train)
-    fingerprint = config.fingerprint
-    save_checkpoint(model.params, out / "params.npz", fingerprint)
+    save_checkpoint(model.params, out / "params.npz")
     write_table(
         out / "history.csv",
         ["epoch", "phase", "lr", "train_loss", "val_loss", "is_best"],
@@ -243,16 +248,16 @@ def cmd_train(config: RunConfig) -> list[str]:
              repr(row["val_loss"]), int(row["is_best"])]
             for row in result.history
         ),
-        fingerprint,
     )
     log.info(
         "trained %d epochs; best validation L1 %.6f at epoch %d",
         len(result.history), result.best_val_loss, result.best_epoch,
     )
-    return OUTPUTS["train"]
+    # the BLAS that every backward ran on
+    return {"outputs": OUTPUTS["train"], "blas": blas_info()}
 
 
-def cmd_eval(config: RunConfig) -> list[str]:
+def cmd_eval(config: RunConfig) -> dict:
     out = _out(config)
     data, _, _, start, forecast, y = _forecast(config)
     report = metrics.horizon_report(
@@ -277,10 +282,10 @@ def cmd_eval(config: RunConfig) -> list[str]:
             bucket, vals["weeks"], vals["mae"], vals["rmse"],
             "n/a" if vals["mape"] is None else f"{vals['mape']:.2f}%",
         )
-    return OUTPUTS["eval"]
+    return {"outputs": OUTPUTS["eval"]}
 
 
-def cmd_predict(config: RunConfig) -> list[str]:
+def cmd_predict(config: RunConfig) -> dict:
     out = _out(config)
     data, graph, scaler, start, scaled, _ = _forecast(config)
     values = scaler.inverse_channel(scaled, TARGET_CHANNEL)
@@ -294,14 +299,13 @@ def cmd_predict(config: RunConfig) -> list[str]:
             for t, week in enumerate(week_labels)
             for i in range(graph.n_nodes)
         ),
-        config.fingerprint,
     )
     log.info("predicted %d weeks x %d nodes from window at %s",
              len(week_labels), graph.n_nodes, weeks[start])
-    return OUTPUTS["predict"]
+    return {"outputs": OUTPUTS["predict"]}
 
 
-def cmd_map(config: RunConfig) -> list[str]:
+def cmd_map(config: RunConfig) -> dict:
     out = _out(config)
     pred_path = _artifact(config, "predictions.csv")
     graph = _load_graph(config)
@@ -338,12 +342,14 @@ def cmd_map(config: RunConfig) -> list[str]:
         problems = riskmap.validate_geojson(riskmap.load_zone_geojson(path))
         if problems:
             raise NumericError(f"invalid GeoJSON written to {path}: {problems}")
-    riskmap.write_zone_csv(zone_maps, out / "zones.csv", config.fingerprint)
+    for stale in set(maps_dir.glob("risk_week_*.geojson")) - set(paths):  # an earlier run's weeks
+        stale.unlink()
+    riskmap.write_zone_csv(zone_maps, out / "zones.csv")
     log.info("wrote %d weekly zone maps to %s", len(paths), maps_dir)
-    return [f"maps/{p.name}" for p in paths] + OUTPUTS["map"]
+    return {"outputs": [f"maps/{p.name}" for p in paths] + OUTPUTS["map"]}
 
 
-def cmd_ablate(factor: str, config: RunConfig) -> list[str]:
+def cmd_ablate(factor: str, config: RunConfig) -> dict:
     """Train one arm per input-channel subset or per diffusion preset."""
     out = _out(config)
     raw, graph = _load_risk_tensor(config)
@@ -361,10 +367,10 @@ def cmd_ablate(factor: str, config: RunConfig) -> list[str]:
         out / f"ablation_{factor}.json",
         {"config_hash": config.fingerprint, "arms": {k: r.to_dict() for k, r in reports.items()}},
     )
-    return OUTPUTS[f"ablate-{factor}"]
+    return {"outputs": OUTPUTS[f"ablate-{factor}"]}
 
 
-def cmd_validate_framework(config: RunConfig) -> list[str]:
+def cmd_validate_framework(config: RunConfig) -> dict:
     out = _out(config)
     records = _load_records(config)
     report = validation.framework_validation_report(
@@ -377,9 +383,11 @@ def cmd_validate_framework(config: RunConfig) -> list[str]:
         report.grid_cells, report.weeks,
         {k: None if v is None else round(v, 3) for k, v in report.icc.items()},
     )
-    return OUTPUTS["validate-framework"]
+    return {"outputs": OUTPUTS["validate-framework"]}
 
 
+# Each handler returns the entries it adds to its manifest: `outputs`, the
+# files it wrote, and any record of its own
 COMMANDS = {
     "fixture": (cmd_fixture, "write the seeded synthetic accident CSV"),
     "ingest": (cmd_ingest, "parse the accident CSV and filter to the region"),
@@ -424,17 +432,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig.load(args.config)
         handler, _ = COMMANDS[args.command]
-        outputs = handler(config)
+        entries = handler(config)
         if args.command != "fixture":
             inputs = {"config": args.config}
-            for key in ("data_csv", "weight_tables"):
-                path = getattr(config, key)
-                if path and Path(path).exists():
-                    inputs[key] = path
-            # the BLAS that every backward ran on
-            extra = {"blas": blas_info()} if args.command == "train" else None
+            for key in CONFIG_FILES.get(args.command, []):
+                if getattr(config, key):  # a null `weight_tables` is the packaged tables
+                    inputs[key] = getattr(config, key)
+            outputs = entries.pop("outputs")
             write_manifest(
-                _out(config), args.command, config, inputs, outputs, time.time() - started, extra
+                _out(config), args.command, config, inputs, outputs, time.time() - started, entries
             )
     except ConfigError as exc:
         log.error("config error: %s", exc)

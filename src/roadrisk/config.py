@@ -1,9 +1,9 @@
 """Run configuration: one JSON file drives the whole pipeline.
 
-A run is reproducible from the config plus the input files alone, so every
-artifact embeds the config hash (sha256 of the canonical JSON form, less
-the input and output paths) and manifests record input-file digests next
-to it.
+A run is reproducible from the config plus the input files alone. Each
+command's manifest is the run's provenance record: the config hash (sha256
+of the canonical JSON form, less the input and output paths), the sha256 of
+each file the command opened, and the sha256 of each file it wrote.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class RunConfig:
         path = Path(path)
         try:
             raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
             raise ConfigError(f"cannot read run config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -182,16 +182,19 @@ def write_manifest(
     extra: dict | None = None,
 ) -> Path:
     """Per-command provenance record; runtime is the only varying field.
+    `inputs` maps a name to each file the command opened, `outputs` names
+    the files it wrote relative to `out_dir`; both are recorded by sha256.
     `extra` adds command-specific entries."""
+    out_dir = Path(out_dir)
     manifest = {
         "command": command,
         "config_hash": config.fingerprint,
         "seed": config.seed,
-        "inputs": {name: file_sha256(p) for name, p in sorted(inputs.items())},
-        "outputs": sorted(outputs),
+        "inputs": {name: file_sha256(p) for name, p in inputs.items()},
+        "outputs": {name: file_sha256(out_dir / name) for name in outputs},
         **(extra or {}),
         "runtime_s": round(runtime_s, 3),
     }
-    path = Path(out_dir) / f"manifest_{command.replace('-', '_')}.json"
+    path = out_dir / f"manifest_{command.replace('-', '_')}.json"
     write_json(path, manifest)
     return path

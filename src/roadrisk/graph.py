@@ -333,9 +333,7 @@ def build_graph(
     return graph, grid.assignment
 
 
-def save_graph(
-    graph: SpatialGraph, nodes_path: Path, edges_path: Path, config_hash: str
-) -> None:
+def save_graph(graph: SpatialGraph, nodes_path: Path, edges_path: Path) -> None:
     """Write nodes and edges CSVs; floats as shortest exact repr."""
     nodes = (
         [i, repr(lon), repr(lat), count]
@@ -345,10 +343,10 @@ def save_graph(
             np.asarray(graph.member_counts, dtype=np.int64).tolist(),
         ))
     )
-    write_table(nodes_path, ["node_id", "lon", "lat", "member_count"], nodes, config_hash)
+    write_table(nodes_path, ["node_id", "lon", "lat", "member_count"], nodes)
     rows, cols, weights = (column.tolist() for column in graph.edges.entries())
     edges = ([i, j, repr(w)] for i, j, w in zip(rows, cols, weights))
-    write_table(edges_path, ["i", "j", "weight"], edges, config_hash)
+    write_table(edges_path, ["i", "j", "weight"], edges)
 
 
 def load_graph(nodes_path: Path, edges_path: Path) -> SpatialGraph:

@@ -382,10 +382,11 @@ def parse_accident_csv(
     collected as rejects (line number + reason), never silently dropped; a
     row with several defects gets the reason of the first of them in that
     order. Raises TooManyRejectsError when more than half of the data rows
-    reject, and DataError when the id of a row that is not rejected ends
-    in a NUL character, which a numpy str column would drop. Line numbers
-    count the header as 1 and skip blank lines, as `csv.DictReader` does; a
-    short row reads its missing cells as blank.
+    reject, and DataError when the file is not UTF-8 text or the id of a
+    row that is not rejected ends in a NUL character, which a numpy str
+    column would drop. Line numbers count the header as 1 and skip blank
+    lines, as `csv.DictReader` does; a short row reads its missing cells as
+    blank.
 
     The file is read `CHUNK_ROWS` rows at a time. Each chunk is transposed
     and its cells converted column by column with Python's `float` and
@@ -405,23 +406,26 @@ def parse_accident_csv(
     rejects: list[Reject] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError("<header row>")
-        at = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        for logical in LOGICAL_COLUMNS:
-            if schema[logical] not in at:
-                raise MissingColumnError(schema[logical])
-        positions = [at[schema[logical]] for logical in LOGICAL_COLUMNS]
-        rows = filter(None, reader)
-        line = 2
-        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-            cells = dict(zip(_DTYPES, _transpose(chunk, positions, len(header))))
-            columns, reasons = _parse_chunk(cells, convert, line)
-            rejects += (Reject(line + i, reason) for i, reason in sorted(reasons.items()))
-            for name, values in columns.items():
-                chunks[name].append(values)
-            line += len(chunk)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError("<header row>")
+            at = {name: i for i, name in enumerate(header)}  # last duplicate wins
+            for logical in LOGICAL_COLUMNS:
+                if schema[logical] not in at:
+                    raise MissingColumnError(schema[logical])
+            positions = [at[schema[logical]] for logical in LOGICAL_COLUMNS]
+            rows = filter(None, reader)
+            line = 2
+            while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+                cells = dict(zip(_DTYPES, _transpose(chunk, positions, len(header))))
+                columns, reasons = _parse_chunk(cells, convert, line)
+                rejects += (Reject(line + i, reason) for i, reason in sorted(reasons.items()))
+                for name, values in columns.items():
+                    chunks[name].append(values)
+                line += len(chunk)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     # one column at a time, its chunks freed once joined; `id` takes the
     # width of its longest id
     table = RecordTable(**{name: np.concatenate([np.empty(0, dtype), *chunks.pop(name)])
@@ -519,16 +523,11 @@ def _parse_chunk(
     return {"id": np.array(ids, dtype=np.str_), **columns}, reasons
 
 
-def write_rejects(rejects: Sequence[Reject], path: str | Path, config_hash: str) -> None:
-    write_table(path, ["line", "reason"], ([r.line, r.reason] for r in rejects), config_hash)
+def write_rejects(rejects: Sequence[Reject], path: str | Path) -> None:
+    write_table(path, ["line", "reason"], ([r.line, r.reason] for r in rejects))
 
 
-def write_records(
-    table: RecordTable,
-    csv_path: str | Path,
-    npz_path: str | Path,
-    config_hash: str,
-) -> None:
+def write_records(table: RecordTable, csv_path: str | Path, npz_path: str | Path) -> None:
     """Persist the records of `table` twice.
 
     `csv_path` is the readable copy (logical column names, ISO dates, the
@@ -553,7 +552,7 @@ def write_records(
         return zip(*cells)
 
     rows = itertools.chain.from_iterable(map(chunk_rows, range(0, len(table), CHUNK_ROWS)))
-    write_table(csv_path, LOGICAL_COLUMNS, rows, config_hash)
+    write_table(csv_path, LOGICAL_COLUMNS, rows)
     write_columns(npz_path, {**columns, _STAMP: np.array(file_sha256(csv_path))})
 
 

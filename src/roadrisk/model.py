@@ -132,11 +132,10 @@ def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     }
 
 
-def save_checkpoint(params: dict[str, Tensor], path, config_hash: str) -> None:
+def save_checkpoint(params: dict[str, Tensor], path) -> None:
     """Write `params` as a `write_columns` archive: one float64 member per
-    parameter, plus a 0-d `config_hash` string."""
-    columns = {name: t.data for name, t in params.items()}
-    write_columns(path, {**columns, "config_hash": np.array(config_hash)})
+    parameter and nothing else (`train`'s manifest records its sha256)."""
+    write_columns(path, {name: t.data for name, t in params.items()})
 
 
 def load_checkpoint(path, config: ModelConfig) -> dict[str, Tensor]:
@@ -144,10 +143,11 @@ def load_checkpoint(path, config: ModelConfig) -> dict[str, Tensor]:
 
     CorruptArtifactError (exit 3) unless the archive holds exactly the
     parameters of a model built from `config`, each float64 of its shape
-    and finite, and its `config_hash`.
+    and finite; a checkpoint with any other member, such as the run hash
+    that earlier versions stored, is refused.
     """
     schema = {name: (np.float64, t.shape) for name, t in init_params(config).items()}
-    columns = read_columns(path, {**schema, "config_hash": (np.str_, ())}, "train")
+    columns = read_columns(path, schema, "train")
     return {name: Tensor(columns[name], requires_grad=True) for name in schema}
 
 

@@ -8,7 +8,9 @@ increasing rescaling of the predictions. One GeoJSON FeatureCollection of
 node-centroid points is written per forecast week. Its text is formatted
 here from the map's columns, byte for byte what `artifacts.write_json`
 writes for the same object (a test holds it to that oracle), and each
-node's point and id are formatted once per export.
+node's point and id are formatted once per export. A map carries the run's
+config hash, because it is meant to be read outside the run directory;
+`zones.csv` does not, and `map`'s manifest records the sha256 of both.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def export_geojson(
     return paths
 
 
-def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path, config_hash: str) -> None:
+def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path) -> None:
     """Companion table for plotting tools; ShapeMismatchError as for
     `export_geojson`."""
     for zone_map in zone_maps:
@@ -164,7 +166,7 @@ def write_zone_csv(zone_maps: list[ZoneMap], path: str | Path, config_hash: str)
         for i, node_id in enumerate(zone_map.node_ids)
     )
     header = ["node_id", "week", "value", "zone", "zone_label", "percentile"]
-    write_table(path, header, rows, config_hash)
+    write_table(path, header, rows)
 
 
 def load_zone_geojson(path: str | Path) -> dict:

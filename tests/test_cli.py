@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roadrisk import ablation, cli
+from roadrisk import ablation, cli, ingest
 from roadrisk import model as md
-from roadrisk.artifacts import write_json
+from roadrisk.artifacts import file_sha256, write_json
+from roadrisk.config import RunConfig
+from roadrisk.graph import build_graph
 from roadrisk.riskmap import load_zone_geojson, validate_geojson
 
 
@@ -87,6 +89,17 @@ def test_map_emits_twelve_valid_weekly_files(pipeline):
         assert validate_geojson(load_zone_geojson(path)) == []
 
 
+def test_map_leaves_only_the_weeks_it_wrote(pipeline, tmp_path):
+    # a map of a week this run does not forecast, as an earlier run's period leaves
+    config_path, out = copy_run(pipeline, tmp_path)
+    stale = out / "maps" / "risk_week_2013-W20.geojson"
+    shutil.copyfile(sorted((out / "maps").glob("*.geojson"))[0], stale)
+    assert cli.main(["map", "--config", str(config_path)]) == 0
+    listed = json.loads((out / "manifest_map.json").read_text())["outputs"]
+    maps = {f"maps/{p.name}" for p in (out / "maps").iterdir()}
+    assert len(maps) == 12 and maps == set(listed) - {"zones.csv"}
+
+
 def test_manifests_carry_config_hash(pipeline):
     config_path, out = pipeline
     manifests = sorted(out.glob("manifest_*.json"))
@@ -108,20 +121,67 @@ def test_train_manifest_records_the_blas(pipeline):
     assert {**again, "runtime_s": None} == {**manifest, "runtime_s": None}
 
 
-def test_outputs_embed_config_hash(pipeline):
-    _, out = pipeline
-    report = json.loads((out / "report.json").read_text())
-    manifest_hash = json.loads((out / "manifest_eval.json").read_text())["config_hash"]
-    assert report["config_fingerprint"] == manifest_hash
-    first_map = sorted((out / "maps").glob("*.geojson"))[0]
-    assert load_zone_geojson(first_map)["config_hash"] == manifest_hash
+OPENED = {"ingest": ["data_csv"], "features": ["weight_tables"],
+          "validate-framework": ["weight_tables"]}
+
+
+def test_manifests_bind_every_output_by_sha256(pipeline, tmp_path):
+    # a rerun with weight tables configured: the packaged ones, so every output is the same
+    config_path, out = copy_run(pipeline, tmp_path)
+    tables = tmp_path / "tables.json"
+    tables.write_text(_packaged_tables(lambda raw: None))
+    config = json.loads(config_path.read_text())
+    config["weight_tables"] = str(tables)
+    config_path.write_text(json.dumps(config))
+    commands = ("ingest", "graph", "snr", "features", "diffuse", "train",
+                "eval", "predict", "map", "validate-framework")
+    for command in commands:
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+        manifest = json.loads((out / f"manifest_{command.replace('-', '_')}.json").read_text())
+        names = list(cli.OUTPUTS[command])
+        if command == "map":
+            names += [f"maps/{p.name}" for p in (out / "maps").iterdir()]
+        assert manifest["outputs"] == {name: file_sha256(out / name) for name in names}, command
+        if command not in ("eval", "map", "validate-framework"):  # whose documents carry the hash
+            # another config hash, the same weights: the same bytes as the pipeline's
+            first = json.loads((pipeline[1] / f"manifest_{command}.json").read_text())
+            assert manifest["outputs"] == first["outputs"], command
+        # the files the command opened: only `ingest` reads the accident CSV
+        opened = {"config": config_path, **{key: config[key] for key in OPENED.get(command, [])}}
+        assert manifest["inputs"] == {key: file_sha256(path) for key, path in opened.items()}
+    # the manifests hold the run hash; the tables and the checkpoint do not
+    for name in ("records.csv", "rejects.csv", "nodes.csv", "edges.csv", "snr.csv",
+                 "history.csv", "predictions.csv", "zones.csv"):
+        header = (out / name).read_text().splitlines()[0].split(",")
+        assert "config_hash" not in header, name
     with np.load(out / "params.npz") as checkpoint:
-        assert checkpoint["config_hash"] == manifest_hash
-    for name in ("records.csv", "nodes.csv", "edges.csv", "history.csv", "snr.csv",
-                 "predictions.csv", "zones.csv"):
-        lines = (out / name).read_text().splitlines()
-        assert lines[0].split(",")[-1] == "config_hash", name
-        assert lines[1].split(",")[-1] == manifest_hash, name
+        parameters = md.init_params(md.ModelConfig(**config["model"]))
+        assert sorted(checkpoint.files) == sorted(parameters)
+
+
+def test_graph_manifest_records_the_bandwidth(pipeline):
+    # the fixture config leaves sigma_m null: `graph` resolves it from the data
+    config_path, out = pipeline
+    config = RunConfig.load(config_path)
+    assert config.graph.sigma_m is None
+    records = ingest.read_records(out / "records.npz", out / "records.csv")
+    built, _ = build_graph(records.lon, records.lat, config.graph, center=config.region.center)
+    manifest = json.loads((out / "manifest_graph.json").read_text())
+    assert manifest["sigma_m"] == built.sigma_m > 0
+
+
+def test_outputs_embed_config_hash(pipeline):
+    # the documents meant to leave the run directory carry the manifests' hash
+    _, out = pipeline
+    manifest_hash = json.loads((out / "manifest_eval.json").read_text())["config_hash"]
+    for name, key in (("report.json", "config_fingerprint"), ("report_baselines.json", "config_hash"),
+                      ("validation.json", "config_fingerprint")):
+        assert json.loads((out / name).read_text())[key] == manifest_hash, name
+    maps = sorted((out / "maps").glob("*.geojson"))
+    assert maps and all(load_zone_geojson(p)["config_hash"] == manifest_hash for p in maps)
+    # and so do the report tables, in their `config_fingerprint` field
+    for name in ("report.csv", "validation.csv"):
+        assert manifest_hash in (out / name).read_text(), name
 
 
 def test_json_artifacts_keep_the_write_json_layout(pipeline, tmp_path):
@@ -244,7 +304,7 @@ def test_checkpoint_for_another_width_exit_code(pipeline, tmp_path, caplog):
     config_path, out = copy_run(pipeline, tmp_path)
     model_config = json.loads(config_path.read_text())["model"]
     wide = md.ModelConfig(**{**model_config, "d": 16})
-    md.save_checkpoint(md.init_params(wide), out / "params.npz", "another width")
+    md.save_checkpoint(md.init_params(wide), out / "params.npz")
     assert cli.main(["eval", "--config", str(config_path)]) == cli.EXIT_DATA
     assert (f"{out / 'params.npz'}: ValueError: column 'embed.w' holds float64 of shape (3, 16), "
             "not float64 of shape (3, 8); run `train` again") in caplog.text
@@ -395,7 +455,9 @@ def one_array(path):
     [
         ("params.npz", "eval", recolumn(lambda columns: columns.clear())),
         ("params.npz", "eval",
-         recolumn(lambda columns: [columns.pop(key) for key in list(columns) if key != "config_hash"])),
+         recolumn(lambda columns: [columns.clear(), columns.update(config_hash=np.array("x"))])),
+        # a checkpoint written before the manifests took over the run hash
+        ("params.npz", "eval", recolumn(lambda columns: columns.update(config_hash=np.array("x")))),
         ("params.npz", "eval", one_array),
         ("risk_tensor.json", "diffuse", rejson(lambda meta: {})),
         ("risk_tensor.bin", "diffuse",
@@ -404,8 +466,8 @@ def one_array(path):
         ("risk_tensor.bin", "diffuse",
          recolumn(lambda columns: columns.update(node_ids=np.r_[2.5, np.arange(1.0, 30.0)]))),
     ],
-    ids=["empty manifest", "no parameters", "not an object", "empty sidecar", "week count",
-         "non-integer node"],
+    ids=["empty manifest", "no parameters", "stamped checkpoint", "not an object", "empty sidecar",
+         "week count", "non-integer node"],
 )
 def test_malformed_manifest_or_sidecar_exit_code(pipeline, tmp_path, caplog, name, command, damage):
     config_path, out = copy_run(pipeline, tmp_path)
@@ -457,7 +519,7 @@ MODEL_OUTPUTS = ["params.npz", "history.csv", "report.json", "report.csv",
 
 def parameters(path):
     with np.load(path) as archive:
-        return {key: archive[key] for key in archive.files if key != "config_hash"}
+        return {key: archive[key] for key in archive.files}
 
 
 def test_train_diffuses_with_the_config_it_runs_under(pipeline, tmp_path):
@@ -480,7 +542,7 @@ def test_train_diffuses_with_the_config_it_runs_under(pipeline, tmp_path):
 
 
 def test_moved_run_retrains_byte_identically(pipeline, tmp_path, fixture_csv):
-    # the config hash leaves the paths out, so the stamped checkpoint is the same too
+    # the run's paths are in no output, so a moved run writes the same bytes
     config_path, out = copy_run(pipeline, tmp_path)
     config = json.loads(config_path.read_text())
     config["data_csv"] = str(tmp_path / "accidents.csv")
@@ -505,6 +567,50 @@ def test_id_ending_in_nul_exit_code(pipeline, tmp_path, caplog, fixture_csv):
     assert cli.main(["ingest", "--config", str(config_path)]) == cli.EXIT_DATA
     assert "line 11: accident id" in caplog.text and "ends in a NUL character" in caplog.text
     assert not [name for name in cli.OUTPUTS["ingest"] if (tmp_path / "out" / name).exists()]
+
+
+def bad_path_run(pipeline, tmp_path, key, make):
+    """A run config whose `key` names what `make(path)` leaves at a fresh path."""
+    config = json.loads(pipeline[0].read_text())
+    config["out_dir"] = str(tmp_path / "out")
+    config[key] = str(tmp_path / "bad")
+    make(Path(config[key]))
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def test_out_dir_that_is_a_file_exit_code(pipeline, tmp_path, caplog):
+    config_path = bad_path_run(pipeline, tmp_path, "out_dir", lambda path: path.write_text("x"))
+    assert cli.main(["ingest", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert f"cannot create the run config's `out_dir` {tmp_path / 'bad'}" in caplog.text
+
+
+def test_data_csv_that_is_a_directory_exit_code(pipeline, tmp_path, caplog):
+    config_path = bad_path_run(pipeline, tmp_path, "data_csv", Path.mkdir)
+    assert cli.main(["ingest", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert (f"{tmp_path / 'bad'} is not a regular file; it is the run config's `data_csv`"
+            in caplog.text)
+
+
+def test_weight_tables_that_are_a_directory_exit_code(pipeline, tmp_path, caplog):
+    # the stages that do not open the tables run; the first that does names them
+    config_path = bad_path_run(pipeline, tmp_path, "weight_tables", Path.mkdir)
+    for command in ("ingest", "graph"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert (f"{tmp_path / 'bad'} is not a regular file; it is the run config's `weight_tables`"
+            in caplog.text)
+
+
+def test_accident_csv_not_utf8_exit_code(pipeline, tmp_path, caplog, fixture_csv):
+    header, first, *rows = fixture_csv.read_bytes().split(b"\n")
+    first = first.replace(b",", b"\xe9,", 1)  # an id ending in a Latin-1 e-acute
+    config_path = bad_path_run(
+        pipeline, tmp_path, "data_csv", lambda path: path.write_bytes(b"\n".join([header, first, *rows]))
+    )
+    assert cli.main(["ingest", "--config", str(config_path)]) == cli.EXIT_DATA
+    assert f"{tmp_path / 'bad'} is not UTF-8 text" in caplog.text
 
 
 @pytest.mark.parametrize("damage", ["deleted", "garbage"])
@@ -803,13 +909,13 @@ def test_manifests_record_the_weight_tables(pipeline, tmp_path, caplog):
         tables.write_text(_packaged_tables(lambda raw: raw["light"].update(daylight=weight)))
         assert cli.main(["features", "--config", str(config_path)]) == 0
         inputs.append(json.loads((out / "manifest_features.json").read_text())["inputs"])
-    assert inputs[0].keys() == inputs[1].keys() == {"config", "data_csv", "weight_tables"}
+    assert inputs[0].keys() == inputs[1].keys() == {"config", "weight_tables"}
     assert inputs[0]["config"] == inputs[1]["config"]
     assert inputs[0]["weight_tables"] != inputs[1]["weight_tables"]
-    # a missing file is left out of the inputs; the stage that reads it says so
+    # a stage that does not open the tables neither needs nor records them
     tables.unlink()
     assert cli.main(["snr", "--config", str(config_path)]) == 0
-    assert "weight_tables" not in json.loads((out / "manifest_snr.json").read_text())["inputs"]
+    assert json.loads((out / "manifest_snr.json").read_text())["inputs"].keys() == {"config"}
     assert cli.main(["features", "--config", str(config_path)]) == cli.EXIT_DATA
     assert f"{tables} not found; it is the run config's `weight_tables`" in caplog.text
 
@@ -840,10 +946,17 @@ def test_bad_config_exit_code(tmp_path):
     assert cli.main(["ingest", "--config", str(path)]) == cli.EXIT_CONFIG
 
 
+def test_config_not_utf8_exit_code(tmp_path, caplog):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"data_csv": "caf\xe9.csv"}')
+    assert cli.main(["ingest", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"cannot read run config {path}" in caplog.text
+
+
 def test_snr_table_contents(pipeline):
     _, out = pipeline
     lines = (out / "snr.csv").read_text().splitlines()
-    assert lines[0] == "granularity,snr,periods,config_hash"
+    assert lines[0] == "granularity,snr,periods"
     rows = {line.split(",")[0]: float(line.split(",")[1]) for line in lines[1:]}
     assert set(rows) == {"daily", "weekly", "monthly"}
     assert rows["weekly"] > rows["daily"]
@@ -853,7 +966,7 @@ def test_predictions_inverse_transform(pipeline):
     _, out = pipeline
     lines = (out / "predictions.csv").read_text().splitlines()
     header = lines[0].split(",")
-    assert header == ["node_id", "week", "value_scaled", "value", "config_hash"]
+    assert header == ["node_id", "week", "value_scaled", "value"]
     assert len(lines) == 1 + 12 * 30
 
 
@@ -866,7 +979,7 @@ def test_ablation_arm_trains_like_train(pipeline, tmp_path, monkeypatch):
     config_path.write_text(json.dumps(config))
     assert cli.main(["train", "--config", str(config_path)]) == 0
     rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
-    epoch, _, _, _, val_loss, _, _ = [row for row in rows if row[5] == "1"][-1]
+    epoch, _, _, _, val_loss, _ = [row for row in rows if row[5] == "1"][-1]
 
     monkeypatch.setattr(ablation, "FEATURE_ARMS", {"SIE": (1, 1, 1)})
     assert cli.main(["ablate-features", "--config", str(config_path)]) == 0
@@ -891,6 +1004,8 @@ def test_ablation_commands(pipeline):
         "Differentiated_Current", "Differentiated_A", "Differentiated_B",
         "Over_Diffusion",
     }
-    arms = json.loads((out / "ablation_diffusion.json").read_text())["arms"]
-    fingerprints = {arm["config_fingerprint"] for arm in arms.values()}
+    document = json.loads((out / "ablation_diffusion.json").read_text())
+    fingerprints = {arm["config_fingerprint"] for arm in document["arms"].values()}
     assert len(fingerprints) == 8  # every arm is a distinct configuration
+    manifest = json.loads((out / "manifest_ablate_diffusion.json").read_text())
+    assert document["config_hash"] == manifest["config_hash"]

@@ -155,12 +155,16 @@ def test_file_sha256(tmp_path):
 def test_manifest_written(tmp_path):
     raw = sample_config_dict(tmp_path)
     cfg = RunConfig.from_dict(raw)
-    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "maps").mkdir(parents=True)
     data = tmp_path / "data.csv"
     data.write_text("a,b\n1,2\n")
-    path = write_manifest(tmp_path / "out", "ingest", cfg, {"data_csv": data}, ["records.csv"], 1.23)
+    (tmp_path / "out" / "records.csv").write_text("id\nA1\n")
+    (tmp_path / "out" / "maps" / "m.geojson").write_text("{}\n")
+    outputs = ["records.csv", "maps/m.geojson"]
+    path = write_manifest(tmp_path / "out", "ingest", cfg, {"data_csv": data}, outputs, 1.23)
     manifest = json.loads(path.read_text())
     assert manifest["command"] == "ingest"
     assert manifest["config_hash"] == cfg.fingerprint
-    assert manifest["outputs"] == ["records.csv"]
-    assert "data_csv" in manifest["inputs"]
+    # each output, the nested ones too, by the sha256 of its bytes
+    assert manifest["outputs"] == {name: file_sha256(tmp_path / "out" / name) for name in outputs}
+    assert manifest["inputs"] == {"data_csv": file_sha256(data)}

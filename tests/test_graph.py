@@ -234,7 +234,7 @@ def test_build_graph_roundtrip(tmp_path):
     assert (graph.degrees > 0).all()
 
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    g.save_graph(graph, nodes_path, edges_path, "abc")
+    g.save_graph(graph, nodes_path, edges_path)
     loaded = g.load_graph(nodes_path, edges_path)
     assert loaded.n_nodes == graph.n_nodes
     assert (loaded.lons == graph.lons).all()
@@ -252,7 +252,7 @@ def test_loaded_graph_is_the_grid_without_a_bandwidth(tmp_path):
     lats = 51.49 + rng.uniform(0, 0.03, 400)
     graph, assignment = g.build_graph(lons, lats, g.GraphParams(cell_size_m=300, k=3), CENTER)
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    g.save_graph(graph, nodes_path, edges_path, "abc")
+    g.save_graph(graph, nodes_path, edges_path)
     loaded = g.load_graph(nodes_path, edges_path)
     grid = g.assign_to_nodes(lons, lats, 300, CENTER)
     for column in ("lons", "lats", "member_counts"):
@@ -289,7 +289,7 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
     lats = 51.5 + rng.uniform(-0.03, 0.03, 3000)
     graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=150, k=4), (-0.1, 51.5))
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    g.save_graph(graph, nodes_path, edges_path, "abc")
+    g.save_graph(graph, nodes_path, edges_path)
 
     loaded = g.load_graph(nodes_path, edges_path)
     ids, node_lons, node_lats, a, a_norm = dictreader_load_graph(nodes_path, edges_path)
@@ -310,27 +310,27 @@ def test_load_graph_matches_dictreader_loader(tmp_path):
 @pytest.mark.parametrize(
     "which, old, new, problem",
     [
-        ("nodes", ",1,", ",one,", "'one'"),
+        ("nodes", ",1\n", ",one\n", "'one'"),
         ("nodes", "\n1,-0.097", "\n0,-0.097", "line 3: node_id 0 is not the row's position 1"),
-        ("nodes", "\n1,-0.09711068124991816,51.5,1,\n2,", "\n2,-0.09711068124991816,51.5,1,\n1,",
+        ("nodes", "\n1,-0.09711068124991816,51.5,1\n2,", "\n2,-0.09711068124991816,51.5,1\n1,",
          "line 3: node_id 2 is not the row's position 1"),
         ("edges", "\n0,", "\n0\n0,", "fewer cells"),
         ("edges", "\n0,", "\n9,", "outside the 3"),
         ("nodes", "\n0,-0.1,", "\n0,inf,", "line 2: 'inf' is not a finite number"),
-        ("nodes", ",51.5,1,\n2,", ",nan,1,\n2,", "line 3: 'nan' is not a finite number"),
-        ("edges", "\n0,2,0.13533528334200767,", "\n0,2,nan,",
+        ("nodes", ",51.5,1\n2,", ",nan,1\n2,", "line 3: 'nan' is not a finite number"),
+        ("edges", "\n0,2,0.13533528334200767\n", "\n0,2,nan\n",
          "line 3: 'nan' is not a finite number"),
-        ("edges", "\n1,0,0.606530659712636,", "\n1,0,0.0,",
+        ("edges", "\n1,0,0.606530659712636\n", "\n1,0,0.0\n",
          "line 4: edge weight '0.0' is not above 0"),
-        ("edges", "\n2,1,0.6065306597126334,", "\n2,1,-0.6065306597126334,",
+        ("edges", "\n2,1,0.6065306597126334\n", "\n2,1,-0.6065306597126334\n",
          "line 7: edge weight '-0.6065306597126334' is not above 0"),
-        ("edges", "\n2,0,0.13533528334200767,\n2,1,0.6065306597126334,\n", "\n",
+        ("edges", "\n2,0,0.13533528334200767\n2,1,0.6065306597126334\n", "\n",
          "node 2 has zero degree"),
-        ("edges", "\n0,2,0.13533528334200767,",
-         "\n0,2,0.13533528334200767,\n0,2,0.13533528334200767,", "edge (0, 2) is listed twice"),
-        ("edges", "\n2,0,0.13533528334200767,\n", "\n",
+        ("edges", "\n0,2,0.13533528334200767\n",
+         "\n0,2,0.13533528334200767\n0,2,0.13533528334200767\n", "edge (0, 2) is listed twice"),
+        ("edges", "\n2,0,0.13533528334200767\n", "\n",
          "edge (0, 2) has no mirror of equal weight"),
-        ("edges", "\n2,0,0.13533528334200767,", "\n2,0,0.1353352833420077,",
+        ("edges", "\n2,0,0.13533528334200767\n", "\n2,0,0.1353352833420077\n",
          "edge (0, 2) has no mirror of equal weight"),
     ],
     ids=["node-count", "duplicate-node-id", "unordered-node-id", "short-edge", "edge-endpoint",
@@ -341,7 +341,7 @@ def test_load_graph_fails_closed(tmp_path, which, old, new, problem):
     lons, lats = grid_points(3, 1)
     graph, _ = g.build_graph(lons, lats, g.GraphParams(cell_size_m=100, k=2), (-0.1, 51.5))
     paths = {"nodes": tmp_path / "nodes.csv", "edges": tmp_path / "edges.csv"}
-    g.save_graph(graph, paths["nodes"], paths["edges"], "")
+    g.save_graph(graph, paths["nodes"], paths["edges"])
     text = paths[which].read_text().replace("\r\n", "\n")
     assert old in text
     paths[which].write_text(text.replace(old, new, 1))

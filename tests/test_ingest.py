@@ -229,11 +229,10 @@ def test_rejects_report_roundtrip(tmp_path):
     path = make_csv(tmp_path, [row(), row(idx="A2", date="nonsense"), row(idx="A3")])
     _, rejects = ingest.parse_accident_csv(path)
     out = tmp_path / "rejects.csv"
-    ingest.write_rejects(rejects, out, config_hash="abc")
+    ingest.write_rejects(rejects, out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "line,reason,config_hash"
+    assert lines[0] == "line,reason"
     assert lines[1].startswith("3,")
-    assert lines[1].endswith(",abc")
 
 
 def make_record(lon=-0.1278, lat=51.5074, date=dt.date(2012, 6, 15), rid="R"):
@@ -866,7 +865,7 @@ def all_members_records():
 
 def write_pair(tmp_path, table):
     csv_path, npz_path = tmp_path / "records.csv", tmp_path / "records.npz"
-    ingest.write_records(table, csv_path, npz_path, config_hash="abc")
+    ingest.write_records(table, csv_path, npz_path)
     return csv_path, npz_path
 
 
@@ -896,11 +895,10 @@ def test_records_round_trip(tmp_path):
 
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == [*ingest.LOGICAL_COLUMNS, "config_hash"]
+    assert rows[0] == ingest.LOGICAL_COLUMNS
     for r, cells in zip(records, rows[1:]):
         assert cells[:4] == [r.id, r.date.isoformat(), repr(r.lon), repr(r.lat)]
-        assert cells[6] == r.road_type.value and cells[-2] == r.surface.value
-        assert cells[-1] == "abc"
+        assert cells[6] == r.road_type.value and cells[-1] == r.surface.value
 
 
 @pytest.mark.parametrize("chunk_rows", [2, 4096])
@@ -919,7 +917,7 @@ def test_records_csv_matches_the_record_writer(tmp_path, monkeypatch, chunk_rows
          r.ped_human_control.value, r.ped_physical_facility.value, r.light.value,
          r.weather.value, r.surface.value]
         for r in records
-    ), "abc")
+    ))
     assert csv_path.read_bytes() == expected.read_bytes()
 
 

@@ -357,7 +357,7 @@ def test_dropout_changes_training_forward_only():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     model = RiskForecaster(tiny_config(), neighbor_table(ring_norm(3)), seed=19)
     path = tmp_path / "params.npz"
-    md.save_checkpoint(model.params, path, "hash")
+    md.save_checkpoint(model.params, path)
     loaded = md.load_checkpoint(path, tiny_config())
     assert list(loaded) == list(model.params)
     for name in model.params:
@@ -371,9 +371,9 @@ def test_checkpoint_is_byte_identical_across_saves(tmp_path, monkeypatch):
     import time
 
     params = md.init_params(tiny_config(), seed=19)
-    md.save_checkpoint(params, tmp_path / "a.npz", "hash")
+    md.save_checkpoint(params, tmp_path / "a.npz")
     monkeypatch.setattr(time, "time", lambda: 2e9)  # a save years later
-    md.save_checkpoint(params, tmp_path / "b.npz", "hash")
+    md.save_checkpoint(params, tmp_path / "b.npz")
     assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 

@@ -62,7 +62,7 @@ def test_graph_checks_pass_on_the_fixture_graph(monkeypatch, tmp_path, fixture_g
         load(sibling, monkeypatch, module_name=sibling)
     workloads = load("workloads", monkeypatch)
     built, _ = fixture_graph
-    g.save_graph(built, tmp_path / "nodes.csv", tmp_path / "edges.csv", "abc")
+    g.save_graph(built, tmp_path / "nodes.csv", tmp_path / "edges.csv")
     loaded = g.load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
     facts, found = {"nodes": built.n_nodes}, {}
     for graph in (built, loaded):

@@ -149,9 +149,9 @@ def test_validator_catches_structural_problems():
 
 def test_zone_csv(tmp_path):
     zones = rm.classify_zones(np.array([0.0, 1.0, 2.0]), "2013-W40", node_ids=[3, 4, 5])
-    rm.write_zone_csv([zones], tmp_path / "zones.csv", "cfg")
+    rm.write_zone_csv([zones], tmp_path / "zones.csv")
     lines = (tmp_path / "zones.csv").read_text().splitlines()
-    assert lines[0].startswith("node_id,week,value,zone")
+    assert lines[0] == "node_id,week,value,zone,zone_label,percentile"
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "3"
 
@@ -209,7 +209,7 @@ def test_node_ids_shorter_than_values_is_an_error(tmp_path):
     with pytest.raises(ShapeMismatchError):
         rm.export_geojson([zone_map], np.zeros(3), np.zeros(3), tmp_path, "cfg")
     with pytest.raises(ShapeMismatchError):
-        rm.write_zone_csv([zone_map], tmp_path / "zones.csv", "cfg")
+        rm.write_zone_csv([zone_map], tmp_path / "zones.csv")
     assert list(tmp_path.iterdir()) == []
 
 
