@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorruptArtifactError
+from .errors import ConfigError, CorruptArtifactError
 
 
 def file_sha256(path: str | Path) -> str:
@@ -45,6 +45,16 @@ def file_sha256(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def make_dir(path: Path, what: str) -> Path:
+    """Create directory `path` and its parents. A file in the way or a
+    missing permission is a ConfigError (exit 2) naming `what` and the path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {what} {path}: {exc}") from exc
+    return path
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

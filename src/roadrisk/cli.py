@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ablation, ingest, metrics, riskmap, validation
-from .artifacts import artifact_rows, finite, write_json, write_table
+from .artifacts import artifact_rows, finite, make_dir, write_json, write_table
 from .autodiff import blas_info
 from .config import RunConfig, write_manifest
 from .diffusion import PRESETS, MinMaxScaler
@@ -62,12 +62,7 @@ CONFIG_FILES = {"ingest": ["data_csv"], "features": ["weight_tables"],
 
 
 def _out(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        raise ConfigError(f"cannot create the run config's `out_dir` {out}: {exc}") from exc
-    return out
+    return make_dir(Path(config.out_dir), "the run config's `out_dir`")
 
 
 def _artifact(config: RunConfig, name: str) -> Path:
@@ -153,7 +148,7 @@ def cmd_fixture(config: RunConfig) -> dict:
     from .synthetic import FIXTURE_SEED, write_fixture_csv
 
     path = Path(config.data_csv)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent, "the directory of the run config's `data_csv`")
     rows = write_fixture_csv(path, seed=FIXTURE_SEED)
     log.info("wrote %d synthetic rows to %s", rows, path)
     return {}

@@ -4,9 +4,10 @@ Accident locations are grouped on a square grid (local equirectangular
 projection around the region centroid); each occupied cell becomes a node at
 the mean position of its members. Nodes are linked to their k nearest
 neighbors with Gaussian kernel weights over haversine distance, symmetrized,
-and normalized as D^-1/2 A D^-1/2 for stable iterative smoothing. The graph
-is held as padded numpy edge tables; scipy is imported only for the kd-tree
-that finds the neighbours.
+and normalized as D^-1/2 A D^-1/2 for stable iterative smoothing. The
+neighbours are found on a uniform grid of cubes over unit-sphere points (a
+cell list) and the graph is held as padded numpy edge tables, so building
+and loading it need numpy alone.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class SpatialGraph:
     @property
     def adjacency(self):
         """The kernel weights as a scipy CSR matrix, built on each access.
-        No stage reads it, so scipy is imported only here."""
+        No stage reads it; the tests and the benchmark do. This is the one
+        place the package imports scipy, which it does not require."""
         from scipy import sparse
 
         rows, cols, weights = self.edges.entries()
@@ -214,52 +216,153 @@ def _merge_coincident(lons: np.ndarray, lats: np.ndarray, counts: np.ndarray):
     return np.sort(first), merged_counts, remap
 
 
+# Candidate slots (rows x widest row) that `_knn` ranks at once: bounds its memory.
+_BLOCK_SLOTS = 2**18
+
+
+def _cube_keys(points: np.ndarray, low: np.ndarray, side: float):
+    """Each point's cube (n, 3) on the grid of cubes of `side` from `low`,
+    the grid's cube count per axis, and each point's cube key: its cube in
+    x, y, z order, so the cubes of one (x, y) column hold a run of keys."""
+    cubes = np.floor((points - low) / side).astype(np.int64)
+    dims = cubes.max(axis=0) + 1
+    return cubes, dims, (cubes[:, 0] * dims[1] + cubes[:, 1]) * dims[2] + cubes[:, 2]
+
+
+def _cube_side(points: np.ndarray, low: np.ndarray, extent: np.ndarray, k: int) -> float:
+    """A cube side that puts about (k + 1) / 2 nodes in each square of that
+    side across the cloud, and so k + 1 or more in a node's 3 x 3 x 3 block.
+
+    It starts from the area the two largest extents span (the length alone,
+    for a cloud along a line), and halves while the median node shares its
+    cube with more than 2(k + 1): a cloud that fills a line or a few
+    clusters rather than its bounding box. The side stays above 2^-20 of
+    the largest extent, so cube keys fit an int64. At k = 4, on a uniform
+    cloud of 6,500 and a jittered grid of 50,000 nodes, k + 1 nodes per
+    square took 1.4-1.5x the time, and (k + 1) / 4 took 1.3-1.6x.
+    """
+    n = points.shape[0]
+    per_node = (k + 1) / (2 * n)
+    least = extent[2] / 2**20
+    side = max(math.sqrt(extent[1] * extent[2] * per_node), extent[2] * per_node, least)
+    while side / 2.0 > least:
+        _, cube, members = np.unique(_cube_keys(points, low, side)[2], return_inverse=True,
+                                     return_counts=True)
+        if np.median(members[cube]) <= 2 * (k + 1):
+            break
+        side /= 2.0
+    return side
+
+
+def _cube_blocks(points: np.ndarray, low: np.ndarray, side: float, rows: np.ndarray):
+    """Where to look for each row's neighbours on the grid of cubes of `side`.
+
+    Returns `rows` in cube-key order, `order` (the nodes by cube key), the
+    (rows, 9) `start` and `runs` that place the nodes of the 3 x 3 x 3
+    cubes around each row's own in `order`, and `clear`: the haversine
+    distance (meters) that a node outside those cubes must exceed, or inf
+    where they span the grid.
+    """
+    cubes, dims, key = _cube_keys(points, low, side)
+    order = np.argsort(key, kind="stable")
+    # rows in key order ask searchsorted ascending keys, its fastest case
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    key = key[order]
+    own = cubes[rows]
+    # the 3 x 3 (x, y) columns around each row's cube, each the run of keys
+    # from z - 1 to z + 1; a column off the grid is empty
+    x = own[:, 0] + np.repeat([-1, 0, 1], 3)[:, None]
+    y = own[:, 1] + np.tile([-1, 0, 1], 3)[:, None]
+    column = (x * dims[1] + y) * dims[2]
+    start = np.searchsorted(key, column + np.maximum(own[:, 2] - 1, 0))
+    stop = np.searchsorted(key, column + np.minimum(own[:, 2] + 1, dims[2] - 1), "right")
+    runs = np.where((0 <= x) & (x < dims[0]) & (0 <= y) & (y < dims[1]), stop - start, 0)
+    # A node outside the block lies, along some axis, beyond a face of it:
+    # more than 1 + offset cubes below the row or 2 - offset above, where a
+    # cube is on the grid there. Chord is at least that gap, and haversine
+    # at least 2R asin(gap / 2).
+    offset = (points[rows] - low) / side - own
+    gap = side * np.minimum(np.where(own >= 2, 1.0 + offset, np.inf),
+                            np.where(own + 2 < dims, 2.0 - offset, np.inf)).min(axis=1)
+    clear = np.where(np.isinf(gap), np.inf,
+                     2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, gap / 2.0)))
+    return rows, order, start.T, runs.T, clear
+
+
 def _knn(lons: np.ndarray, lats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each node's k nearest other nodes by haversine, ties by ascending id.
 
     Returns (neighbors, distances), both (n, k). Candidates come from a
-    KD-tree over unit-sphere points (chord length is monotone in great-circle
-    distance); their exact haversine then decides, so the result equals a
-    stable argsort of the dense distance matrix. Raises
+    uniform grid of cubes over unit-sphere points (chord length is monotone
+    in great-circle distance): a row's candidates are the nodes of the
+    3 x 3 x 3 cubes around its own (`_cube_blocks`). Their exact haversine
+    then decides, so the result equals a stable argsort of the dense
+    distance matrix. A row whose k-th distance does not clear the faces of
+    its block is searched again on a grid twice as coarse. Raises
     DegenerateGeometryError if two nodes coincide.
     """
-    from scipy.spatial import cKDTree  # deferred: costs ~0.25 s to import
-
     n = lons.size
     phi = np.radians(np.asarray(lats, dtype=float))
     lam = np.radians(np.asarray(lons, dtype=float))
     cos_phi = np.cos(phi)
     points = np.column_stack((cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)))
-    tree = cKDTree(points)
+    low = points.min(axis=0)
+    extent = np.sort(points.max(axis=0) - low)
+    if extent[2] == 0.0:
+        raise DegenerateGeometryError("coincident nodes present; merge them first")
+    side = _cube_side(points, low, extent, k)
     neighbors = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
     rows = np.arange(n)
-    width = min(n, 2 * (k + 1))
     while rows.size:
-        _, cand = tree.query(points[rows], k=width)
-        r = rows[:, None]
-        d = _haversine_rad(phi[r], lam[r], cos_phi[r], phi[cand], lam[cand], cos_phi[cand])
-        is_self = cand == r
-        if (d[~is_self] == 0.0).any():
-            raise DegenerateGeometryError("coincident nodes present; merge them first")
-        d[is_self] = np.inf
-        ranked = np.lexsort((cand, d), axis=-1)
-        cand = np.take_along_axis(cand, ranked, axis=1)
-        d = np.take_along_axis(d, ranked, axis=1)
-        kth = d[:, k - 1]
-        # A point outside the candidate set is at least as far by computed
-        # chord as every candidate. Chord and haversine differ from exact
-        # arithmetic by absolute rounding of the unit-sphere coordinates and
-        # radians (~1e-8 m) plus a few ulps of relative error; the margin
-        # exceeds both by orders of magnitude. A row whose farthest non-self
-        # candidate clears its k-th distance by the margin therefore holds
-        # its true k nearest; any other row is queried again, wider.
-        farthest = np.where(np.isinf(d), -np.inf, d).max(axis=1)
-        done = (farthest - kth > 1e-9 * kth + 1e-6) | (width == n)
-        neighbors[rows[done]] = cand[done, :k]
-        distances[rows[done]] = d[done, :k]
-        rows = rows[~done]
-        width = min(n, 2 * width)
+        rows, order, start, runs, clear = _cube_blocks(points, low, side, rows)
+        count = runs.sum(axis=1)
+        by_count = np.argsort(count, kind="stable")
+        wider = []
+        while by_count.size:
+            # the most rows, in ascending count, whose padded block fits
+            fits = count[by_count] * np.arange(1, by_count.size + 1) <= _BLOCK_SLOTS
+            block, by_count = np.split(by_count, [max(1, int(fits.sum()))])
+            # each row's candidates, flat by row
+            run, per_row = runs[block].ravel(), count[block]
+            at = np.repeat(np.arange(block.size), per_row)
+            flat = np.arange(at.size)
+            cand = order[flat + np.repeat(start[block].ravel() - (np.cumsum(run) - run), run)]
+            r = rows[block][at]
+            dist = _haversine_rad(phi[r], lam[r], cos_phi[r], phi[cand], lam[cand], cos_phi[cand])
+            is_self = cand == r
+            if (dist[~is_self] == 0.0).any():
+                raise DegenerateGeometryError("coincident nodes present; merge them first")
+            # padded to (rows, widest row), where padding and the row itself
+            # rank last; a row of fewer than k others has an infinite k-th
+            # distance and is not done
+            slot = flat - (np.cumsum(per_row) - per_row)[at]
+            d = np.full((block.size, max(k, per_row.max())), np.inf)
+            d[at, slot] = np.where(is_self, np.inf, dist)
+            ids = np.full(d.shape, -1)
+            ids[at, slot] = cand
+            near = np.argpartition(d, k - 1, axis=1)[:, :k]
+            kth = np.take_along_axis(d, near[:, k - 1 :], axis=1)[:, 0]
+            # Chord and haversine differ from exact arithmetic by absolute
+            # rounding of the unit-sphere coordinates and radians (~1e-8 m)
+            # plus a few ulps of relative error; the margin exceeds both by
+            # orders of magnitude. A row whose k-th distance clears the block
+            # by the margin holds its true k nearest; any other row is
+            # searched again, wider. A block that spans the grid clears all.
+            done = kth + (1e-9 * kth + 1e-6) < clear[block]
+            wider.append(rows[block[~done]])
+            near, ids, d, kth = near[done], ids[done], d[done], kth[done]
+            # the partition's k nearest are the k nearest by (distance, id)
+            # unless another candidate ties the k-th; rank those rows whole
+            tied = np.count_nonzero(d <= kth[:, None], axis=1) > k
+            near[tied] = np.lexsort((ids[tied], d[tied]), axis=-1)[:, :k]
+            ids = np.take_along_axis(ids, near, axis=1)
+            d = np.take_along_axis(d, near, axis=1)
+            ranked = np.lexsort((ids, d), axis=-1)
+            neighbors[rows[block[done]]] = np.take_along_axis(ids, ranked, axis=1)
+            distances[rows[block[done]]] = np.take_along_axis(d, ranked, axis=1)
+        rows = np.concatenate(wider)
+        side *= 2.0
     return neighbors, distances
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_table
+from .artifacts import make_dir, read_json, write_table
 from .errors import ShapeMismatchError
 
 ZONE_LABELS = ("NoRisk", "VeryLow", "Low", "Medium", "High", "VeryHigh")
@@ -115,10 +115,9 @@ def export_geojson(
     Each file is a FeatureCollection of node-centroid points in
     `artifacts.write_json`'s layout, formatted here from the map's columns.
     ShapeMismatchError if a map's columns or the coordinates do not hold
-    one entry per node id.
+    one entry per node id; ConfigError if `out_dir` cannot be created.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(Path(out_dir), "the map directory")
     lon_text, lat_text = _json_floats(lons), _json_floats(lats)
     config_text = json.dumps(config_hash)
     labels = [json.dumps(label) for label in ZONE_LABELS]

@@ -586,6 +586,24 @@ def test_out_dir_that_is_a_file_exit_code(pipeline, tmp_path, caplog):
     assert f"cannot create the run config's `out_dir` {tmp_path / 'bad'}" in caplog.text
 
 
+def test_maps_dir_that_is_a_file_exit_code(pipeline, tmp_path, caplog):
+    config_path, out = copy_run(pipeline, tmp_path)
+    shutil.rmtree(out / "maps")
+    (out / "maps").write_text("x")
+    assert cli.main(["map", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert f"cannot create the map directory {out / 'maps'}" in caplog.text
+
+
+def test_fixture_data_csv_under_a_file_exit_code(pipeline, tmp_path, caplog):
+    config_path = bad_path_run(pipeline, tmp_path, "data_csv", lambda path: path.write_text("x"))
+    config = json.loads(config_path.read_text())
+    config["data_csv"] = str(tmp_path / "bad" / "accidents.csv")  # under a regular file
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["fixture", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    assert (f"cannot create the directory of the run config's `data_csv` {tmp_path / 'bad'}"
+            in caplog.text)
+
+
 def test_data_csv_that_is_a_directory_exit_code(pipeline, tmp_path, caplog):
     config_path = bad_path_run(pipeline, tmp_path, "data_csv", Path.mkdir)
     assert cli.main(["ingest", "--config", str(config_path)]) == cli.EXIT_DATA

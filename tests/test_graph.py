@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import csr, haversine_m, neighbor_table, scipy_normalize
+from helpers import FIXTURE_CONFIG, csr, haversine_m, neighbor_table, scipy_normalize
 from roadrisk import graph as g
 from roadrisk.errors import (
     CorruptArtifactError,
@@ -23,7 +24,7 @@ def pairwise_haversine_m(lons, lats) -> np.ndarray:
     """Dense symmetric distance matrix (meters): the kNN builder's oracle.
 
     It runs the builder's own elementwise formula, so each pair's distance is
-    bitwise the one the KD-tree path ranks by.
+    bitwise the one the cube-grid search ranks by.
     """
     phi = np.radians(np.asarray(lats, dtype=float))
     lam = np.radians(np.asarray(lons, dtype=float))
@@ -358,7 +359,7 @@ def test_edge_counts_reported_both_ways():
     assert counts["directed"] == 2 * counts["undirected"]
 
 
-# -- the KD-tree builder against the dense O(n^2) builder -------------------
+# -- the cube-grid builder against the dense O(n^2) builder ----------------
 
 
 def dense_adjacency(lons, lats, k, sigma_m=None):
@@ -443,13 +444,27 @@ def dyadic_lattice(nx, ny, step=2.0**-10):
     return i.ravel() * step, j.ravel() * step
 
 
-@pytest.mark.parametrize("n", [30, 300, 2000])
+def cloud(name, rng):
+    """A node cloud near London: `name` uniform nodes if `name` is an int; else
+    2,000 nodes that fill little of their bounding box, so a uniform grid of
+    cubes over it leaves many nodes without k others in their first block."""
+    if name == "outliers":  # a cluster of ~200 m spread, 12 nodes up to ~70 km away
+        lons = -0.1 + rng.normal(0.0, 0.002, 2000)
+        lats = 51.5 + rng.normal(0.0, 0.002, 2000)
+        lons[::167] = -0.1 + rng.uniform(-1.0, 1.0, 12)
+        lats[::167] = 51.5 + rng.uniform(-0.6, 0.6, 12)
+        return lons, lats
+    if name == "line":  # 30 km long, under 1 m wide, its nodes crowded toward one end
+        t = np.sort(rng.uniform(0.0, 1.0, 2000)) ** 3
+        return -0.1 + 0.3 * t + rng.uniform(0, 1e-5, t.size), 51.5 + 0.2 * t
+    return -0.1 + rng.uniform(-0.2, 0.2, name), 51.5 + rng.uniform(-0.1, 0.1, name)
+
+
+@pytest.mark.parametrize("n", [30, 300, 2000, "outliers", "line"])
 @pytest.mark.parametrize("k", [1, 4, 8])
 def test_knn_matches_dense_on_random_clouds(n, k):
-    rng = np.random.default_rng(n + k)
-    lons = -0.1 + rng.uniform(-0.2, 0.2, n)
-    lats = 51.5 + rng.uniform(-0.1, 0.1, n)
-    assert_same_adjacency(lons, lats, k)
+    rng = np.random.default_rng(n + k if isinstance(n, int) else [len(n), k])
+    assert_same_adjacency(*cloud(n, rng), k)
 
 
 @pytest.mark.parametrize("shape", [(12, 12), (7, 23)])
@@ -609,10 +624,20 @@ def test_build_graph_fifty_thousand_nodes_memory():
     assert peak < 300 * 2**20
 
 
-def test_cli_import_does_not_load_the_kd_tree():
-    # scipy costs ~0.25 s to import; only the graph stage may pay it, for cKDTree
+def test_graph_stage_loads_no_scipy(fixture_csv, tmp_path):
+    # the neighbour search is numpy alone: importing scipy would cost the
+    # graph stage ~0.3 s and ~33 MB
+    config = {**FIXTURE_CONFIG.to_dict(), "data_csv": str(fixture_csv),
+              "out_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    code = (
+        "import sys; from roadrisk import cli\n"
+        "for stage in ('ingest', 'graph'):\n"
+        f"    assert cli.main([stage, '--config', {str(config_path)!r}]) == 0, stage\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+    )
     src = str(Path(g.__file__).resolve().parents[1])
-    code = ("import roadrisk.cli, sys; "
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "out" / "edges.csv").is_file()
